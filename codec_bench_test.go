@@ -142,43 +142,6 @@ func BenchmarkAnalyzeTrace(b *testing.B) {
 	})
 }
 
-// BenchmarkAnalyzeSinglePass pins the fused single-pass analysis against
-// the retained two-pass path on the same checksummed indexed recording.
-// Both variants run in one process, so their ratio holds up on noisy
-// shared hosts where absolute ns/op does not; scripts/bench.sh derives the
-// singlepass-speedup gate from the pair. The reports are bit-identical
-// (TestSinglePassMatchesTwoPassMatrix), so the ratio is pure decode and
-// accumulation work.
-func BenchmarkAnalyzeSinglePass(b *testing.B) {
-	tool := sharedTool(b)
-	td := codecTrace(benchTraceSamples)
-	dir := b.TempDir()
-	sPath := filepath.Join(dir, "samples.bin")
-	oPath := filepath.Join(dir, "objects.csv")
-	if err := td.SaveAs(sPath, oPath, drbw.FormatBinary); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("singlepass", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := tool.AnalyzeTraceFile(sPath, oPath); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("twopass", func(b *testing.B) {
-		restore := drbw.SetForceTwoPass(true)
-		defer restore()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := tool.AnalyzeTraceFile(sPath, oPath); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAnalyzeCached pins the result cache's payoff on the 1M-sample
 // recording: cold clears the cache every iteration (fingerprint + full
 // analysis + store), warm primes once and then every iteration is a

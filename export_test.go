@@ -9,34 +9,13 @@ func SetCollectorMaxKept(t *Tool, n int) (restore func()) {
 	return func() { t.detector.Ccfg.MaxKept = prev }
 }
 
-// SetTestHookBetweenPasses installs a hook that runs between the serial
-// streaming analysis' two passes, so tests can mutate the recording
+// SetTestHookPlanned installs a hook that runs after a file analysis has
+// planned its inputs and before the fused pass, told whether the plan's
+// bounds came from the index footer (true) or a pre-scan (false). Tests
+// use it to check which inputs skip the pre-scan and to mutate a recording
 // mid-analysis. It returns a restore function for the previous hook.
-func SetTestHookBetweenPasses(f func()) (restore func()) {
-	prev := testHookBetweenPasses
-	testHookBetweenPasses = f
-	return func() { testHookBetweenPasses = prev }
-}
-
-// SetForceTwoPass disables the fused single-pass path, routing every
-// analysis through the two-pass pipeline. Tests use it to compare the two
-// paths bit for bit and to exercise the two-pass consistency checks on
-// recordings that would otherwise qualify for the single pass; the
-// benchmark harness uses it as the speedup baseline. It returns a restore
-// function for the previous setting.
-func SetForceTwoPass(v bool) (restore func()) {
-	prev := testHookForceTwoPass
-	testHookForceTwoPass = v
-	return func() { testHookForceTwoPass = prev }
-}
-
-// SetTestHookSinglePassOpened installs a hook that runs after the fused
-// single-pass analysis has opened a recording's index, before any block
-// decodes — the single-pass analogue of SetTestHookBetweenPasses, used to
-// mutate the recording mid-analysis and prove the per-block checksum
-// verification fires. It returns a restore function for the previous hook.
-func SetTestHookSinglePassOpened(f func()) (restore func()) {
-	prev := testHookSinglePassOpened
-	testHookSinglePassOpened = f
-	return func() { testHookSinglePassOpened = prev }
+func SetTestHookPlanned(f func(footer bool)) (restore func()) {
+	prev := testHookPlanned
+	testHookPlanned = f
+	return func() { testHookPlanned = prev }
 }

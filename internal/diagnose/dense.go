@@ -2,7 +2,7 @@ package diagnose
 
 // Dense all-channels CF accumulation for the fused single-pass analysis.
 //
-// The two-pass pipeline learns the contended channels between its passes:
+// A two-pass pipeline learns the contended channels between its passes:
 // pass one classifies, pass two attributes CF for exactly those channels.
 // A single-pass pipeline has no such luxury — classification needs the
 // whole trace's features, so when a sample goes by, nobody yet knows which

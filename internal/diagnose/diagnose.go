@@ -75,8 +75,8 @@ func Analyze(heap Attributor, samples []pebs.Sample, contended []topology.Channe
 // length. All state is integer sample counts — weights are applied as
 // count×weight products at Report time — so accumulation is exact and
 // commutative: the report is bit-identical to Analyze over the same sample
-// multiset no matter how the trace was chunked, ordered, or split across
-// Merge-d accumulators.
+// multiset no matter how the trace was chunked or ordered. DenseCF.Restrict
+// builds one from counts gathered before the contended set was known.
 type CFAccumulator struct {
 	heap       Attributor
 	weight     float64
@@ -133,33 +133,6 @@ func (a *CFAccumulator) Add(samples []pebs.Sample) {
 			a.unattr++
 		}
 	}
-}
-
-// Merge folds o's counts into a, exactly as if o's samples had been Added
-// to a — integer addition, so any partition and merge order reproduces the
-// serial accumulator bit for bit. Both accumulators must have been built
-// for the same contended channels and weight (and the same attributor,
-// which Merge cannot check). o is unchanged.
-func (a *CFAccumulator) Merge(o *CFAccumulator) error {
-	if a.weight != o.weight || len(a.channels) != len(o.channels) {
-		return fmt.Errorf("diagnose: cannot merge CF accumulators with different shape (weight %v/%v, %d/%d channels)", a.weight, o.weight, len(a.channels), len(o.channels))
-	}
-	for i, ch := range a.channels {
-		if o.channels[i] != ch {
-			return fmt.Errorf("diagnose: cannot merge CF accumulators over different channel sets (%v vs %v)", ch, o.channels[i])
-		}
-	}
-	for i := range a.count {
-		a.count[i] += o.count[i]
-		for id, n := range o.byObj[i] {
-			a.byObj[i][id] += n
-		}
-	}
-	for id, n := range o.totalByObj {
-		a.totalByObj[id] += n
-	}
-	a.unattr += o.unattr
-	return nil
 }
 
 // Report assembles the accumulated state into the same Report Analyze

@@ -1,6 +1,7 @@
 package diagnose
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -44,9 +45,9 @@ func TestTimelineAddClampsBelowRange(t *testing.T) {
 }
 
 // TestTimelineForkMergeMatchesSerial is the shard contract for the
-// timeline: pass one merged from per-worker range summaries, pass two
-// merged from Fork clones fed arbitrary disjoint chunks in arbitrary
-// order, bit-identical to the serial two-pass accumulator.
+// timeline: the range stated from per-part summaries, the counts merged
+// from Fork clones fed arbitrary disjoint chunks in arbitrary order,
+// bit-identical to the serial accumulator.
 func TestTimelineForkMergeMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	samples := make([]pebs.Sample, 3000)
@@ -70,19 +71,21 @@ func TestTimelineForkMergeMatchesSerial(t *testing.T) {
 			start = end
 		}
 
-		// Pass one: each part observed by its own accumulator, merged in
-		// shuffled order.
+		// The range: each part summarized on its own, folded in shuffled
+		// order.
 		parent := NewTimelineAccumulator(n, weight)
-		order := rng.Perm(nparts)
-		for _, p := range order {
-			w := NewTimelineAccumulator(n, weight)
-			w.Observe(parts[p])
-			if err := parent.Merge(w); err != nil {
-				t.Fatal(err)
+		for _, p := range rng.Perm(nparts) {
+			if len(parts[p]) == 0 {
+				continue
 			}
+			lo, hi := parts[p][0].Time, parts[p][0].Time
+			for _, s := range parts[p] {
+				lo, hi = math.Min(lo, s.Time), math.Max(hi, s.Time)
+			}
+			parent.ObserveRange(lo, hi, len(parts[p]))
 		}
 
-		// Pass two: per-part forks, merged in a different shuffled order.
+		// The counts: per-part forks, merged in a different shuffled order.
 		forks := make([]*TimelineAccumulator, nparts)
 		for i, part := range parts {
 			forks[i] = parent.Fork()
@@ -99,8 +102,8 @@ func TestTimelineForkMergeMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestTimelineMergeRejectsMismatch: shape and phase mismatches error out
-// instead of misbucketing.
+// TestTimelineMergeRejectsMismatch: shape mismatches error out instead of
+// misbucketing.
 func TestTimelineMergeRejectsMismatch(t *testing.T) {
 	a := NewTimelineAccumulator(8, 1)
 	if err := a.Merge(NewTimelineAccumulator(4, 1)); err == nil {
@@ -115,49 +118,5 @@ func TestTimelineMergeRejectsMismatch(t *testing.T) {
 	if err := a.Merge(frozen); err != nil {
 		// a froze when Fork ran, so this merge is legal; sanity only.
 		t.Errorf("fork merge failed: %v", err)
-	}
-	unfrozen := NewTimelineAccumulator(8, 1)
-	if err := a.Merge(unfrozen); err == nil {
-		t.Error("cross-phase merge accepted")
-	}
-}
-
-// TestCFAccumulatorMergeMatchesSerial: CF attribution over merged partial
-// accumulators is bit-identical to the serial fold, in any merge order.
-func TestCFAccumulatorMergeMatchesSerial(t *testing.T) {
-	samples, _, contended, heap := contentionTrace(t, 4000, 7)
-	want := Analyze(heap, samples, contended, 2.5)
-
-	rng := rand.New(rand.NewSource(22))
-	for trial := 0; trial < 10; trial++ {
-		nparts := 1 + rng.Intn(5)
-		parts := make([]*CFAccumulator, nparts)
-		for i := range parts {
-			parts[i] = NewCFAccumulator(heap, contended, 2.5)
-		}
-		for _, s := range samples {
-			parts[rng.Intn(nparts)].Add([]pebs.Sample{s})
-		}
-		merged := NewCFAccumulator(heap, contended, 2.5)
-		for _, p := range rng.Perm(nparts) {
-			if err := merged.Merge(parts[p]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got := merged.Report(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: merged CF report differs from Analyze", trial)
-		}
-	}
-}
-
-// TestCFAccumulatorMergeRejectsMismatch: differing weight or channel sets
-// refuse to merge.
-func TestCFAccumulatorMergeRejectsMismatch(t *testing.T) {
-	_, acc, contended, heap := contentionTrace(t, 10, 1)
-	if err := acc.Merge(NewCFAccumulator(heap, contended, 99)); err == nil {
-		t.Error("weight mismatch accepted")
-	}
-	if err := acc.Merge(NewCFAccumulator(heap, contended[:1], 2.5)); err == nil {
-		t.Error("channel set mismatch accepted")
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // contentionTrace builds a stream with traffic on several channels, some
 // attributed to heap objects and some not.
-func contentionTrace(t *testing.T, n int, seed int64) ([]pebs.Sample, *CFAccumulator, []topology.Channel, Attributor) {
+func contentionTrace(t *testing.T, n int, seed int64) ([]pebs.Sample, []topology.Channel, Attributor) {
 	t.Helper()
 	h, ids := setup(t)
 	rng := rand.New(rand.NewSource(seed))
@@ -30,14 +30,14 @@ func contentionTrace(t *testing.T, n int, seed int64) ([]pebs.Sample, *CFAccumul
 		samples[i] = s
 	}
 	contended := []topology.Channel{{Src: 1, Dst: 0}, {Src: 2, Dst: 0}, {Src: 3, Dst: 3}}
-	return samples, NewCFAccumulator(h, contended, 2.5), contended, h
+	return samples, contended, h
 }
 
 // TestCFAccumulatorChunkedMatchesAnalyze pins the streaming contract: any
 // chunking of the trace produces a report bit-identical to Analyze on the
 // whole slice.
 func TestCFAccumulatorChunkedMatchesAnalyze(t *testing.T) {
-	samples, _, contended, heap := contentionTrace(t, 4000, 1)
+	samples, contended, heap := contentionTrace(t, 4000, 1)
 	want := Analyze(heap, samples, contended, 2.5)
 
 	for _, chunk := range []int{1, 13, 256, len(samples)} {
@@ -60,7 +60,7 @@ func TestCFAccumulatorChunkedMatchesAnalyze(t *testing.T) {
 // processing: duplicated contended channels collapse, and repeated calls
 // yield identical reports.
 func TestAnalyzeDeterministicAcrossDuplicates(t *testing.T) {
-	samples, _, contended, heap := contentionTrace(t, 1000, 2)
+	samples, contended, heap := contentionTrace(t, 1000, 2)
 	dup := append(append([]topology.Channel{}, contended...), contended[0], contended[1])
 	want := Analyze(heap, samples, contended, 2.5)
 	got := Analyze(heap, samples, dup, 2.5)
@@ -74,11 +74,11 @@ func TestAnalyzeDeterministicAcrossDuplicates(t *testing.T) {
 	}
 }
 
-// TestTimelineAccumulatorMatchesTimeline pins the two-pass streaming
+// TestTimelineAccumulatorMatchesTimeline pins the streaming
 // timeline against the slice implementation, bit for bit, across
 // chunkings.
 func TestTimelineAccumulatorMatchesTimeline(t *testing.T) {
-	samples, _, _, _ := contentionTrace(t, 3000, 3)
+	samples, _, _ := contentionTrace(t, 3000, 3)
 	const n, weight = 32, 2.5
 	want := Timeline(samples, n, weight)
 

@@ -33,17 +33,16 @@ func Timeline(samples []pebs.Sample, n int, weight float64) []Bucket {
 	return acc.Buckets()
 }
 
-// TimelineAccumulator is the two-pass streaming form of Timeline. Bucket
-// boundaries need the global time range, so a streaming caller feeds every
-// chunk to Observe first, then replays the recording through Add and reads
-// Buckets.
+// TimelineAccumulator is the streaming form of Timeline. Bucket boundaries
+// need the global time range, so a streaming caller first states it —
+// feeding every chunk to Observe, or the whole range at once to
+// ObserveRange — then streams the samples through Add and reads Buckets.
 //
-// Both passes are mergeable for shard-parallel analysis: pass-one range
-// state merges with Merge before any Add, and pass-two counting state
-// merges across Fork clones afterwards. Counts are integers and the
-// latency mass is an exact xsum total, so the result is a function of the
-// sample multiset alone — chunk order, shard boundaries and merge shape
-// never show in the output, and any streamed or sharded schedule is
+// Counting is mergeable for shard-parallel analysis: each worker counts
+// into its own Fork clone, merged back with Merge. Counts are integers and
+// the latency mass is an exact xsum total, so the result is a function of
+// the sample multiset alone — chunk order, shard boundaries and merge
+// shape never show in the output, and any streamed or sharded schedule is
 // bit-identical to Timeline over the whole slice. State stays bounded by
 // the bucket count.
 type TimelineAccumulator struct {
@@ -70,7 +69,7 @@ func NewTimelineAccumulator(n int, weight float64) *TimelineAccumulator {
 	return &TimelineAccumulator{n: n, weight: weight, minT: math.Inf(1), maxT: math.Inf(-1)}
 }
 
-// Observe widens the time range to cover a chunk (pass one).
+// Observe widens the time range to cover a chunk.
 func (t *TimelineAccumulator) Observe(samples []pebs.Sample) {
 	t.total += len(samples)
 	for i := range samples {
@@ -83,9 +82,9 @@ func (t *TimelineAccumulator) Observe(samples []pebs.Sample) {
 	}
 }
 
-// ObserveRange folds an already-summarized chunk into pass one: n samples
-// spanning [minT, maxT]. A sharded pass one reduces each worker's portion
-// to exactly this triple.
+// ObserveRange folds an already-summarized chunk into the range: n
+// samples spanning [minT, maxT], as an index footer or a pre-scan states
+// them.
 func (t *TimelineAccumulator) ObserveRange(minT, maxT float64, n int) {
 	if n <= 0 {
 		return
@@ -101,7 +100,7 @@ func (t *TimelineAccumulator) ObserveRange(minT, maxT float64, n int) {
 
 // freeze fixes the bucket geometry from the observed range and allocates
 // the counting state. After freeze, Observe/ObserveRange must not widen the
-// range any further (Merge enforces this across accumulators).
+// range any further.
 func (t *TimelineAccumulator) freeze() {
 	if t.frozen {
 		return
@@ -118,11 +117,11 @@ func (t *TimelineAccumulator) freeze() {
 	t.frozen = true
 }
 
-// Add buckets a chunk (pass two). The first Add freezes the bucket
-// geometry from everything observed so far. Samples outside the observed
-// range clamp to the first or last bucket instead of indexing out of
-// bounds — they can only appear when the recording changed between the
-// passes, and the pipeline reports that separately.
+// Add buckets a chunk. The first Add freezes the bucket geometry from
+// everything observed so far. Samples outside the observed range clamp to
+// the first or last bucket instead of indexing out of bounds — they can
+// only appear when a stated range was wrong, and the pipeline reports that
+// separately.
 func (t *TimelineAccumulator) Add(samples []pebs.Sample) {
 	if t.n <= 0 {
 		return
@@ -151,7 +150,7 @@ func (t *TimelineAccumulator) Add(samples []pebs.Sample) {
 }
 
 // Fork returns an add-phase clone sharing this accumulator's frozen bucket
-// geometry but holding no counts: one per worker in a sharded pass two,
+// geometry but holding no counts: one per worker of a sharded analysis,
 // merged back with Merge. Fork freezes the parent's geometry, so all
 // observation must be complete. Forking before any sample was observed
 // returns nil (there is nothing to bucket).
@@ -172,25 +171,16 @@ func (t *TimelineAccumulator) Fork() *TimelineAccumulator {
 	return f
 }
 
-// Merge folds o into t. Before freezing, it merges pass-one range state
-// (another shard's ObserveRange); after, it merges pass-two counts from a
-// Fork clone. Both accumulators must be in the same phase with the same
-// shape, and frozen ones must share their geometry — anything else is a
+// Merge folds a Fork clone's counts into t. Both accumulators must have
+// the same shape and share their frozen geometry — anything else is a
 // pipeline bug, reported as an error rather than silently misbucketed. o is
 // logically unchanged.
 func (t *TimelineAccumulator) Merge(o *TimelineAccumulator) error {
 	if t.n != o.n || t.weight != o.weight {
 		return fmt.Errorf("diagnose: cannot merge timelines with different shape (%d/%d buckets, weight %v/%v)", t.n, o.n, t.weight, o.weight)
 	}
-	if t.frozen != o.frozen {
-		return fmt.Errorf("diagnose: cannot merge timelines from different passes")
-	}
-	if !t.frozen {
-		t.ObserveRange(o.minT, o.maxT, o.total)
-		return nil
-	}
-	if t.start != o.start || t.span != o.span {
-		return fmt.Errorf("diagnose: cannot merge timelines with different bucket geometry")
+	if !t.frozen || !o.frozen || t.start != o.start || t.span != o.span {
+		return fmt.Errorf("diagnose: can only merge Fork clones sharing their bucket geometry")
 	}
 	t.total += o.total
 	for i := range t.samples {

@@ -37,12 +37,6 @@
 #                     than this many times faster than the serial exhaustive
 #                     search; skipped with a warning on hosts with fewer
 #                     than 4 cores, where the parallel waves degenerate
-#   MIN_SINGLEPASS_SPEEDUP when set, fail if the fused single-pass analysis
-#                     of the 1M-sample indexed recording is less than this
-#                     many times faster than the retained two-pass path
-#                     (BenchmarkAnalyzeSinglePass twopass/singlepass ns
-#                     ratio; both variants run in one process, so the ratio
-#                     is core-count independent and never skipped)
 #   LEDGER_OUT        when set, also run a quick drbw-bench pass with
 #                     -ledger here, stamping the bench host with a
 #                     machine-readable drbw.ledger/1 audit record (config
@@ -52,9 +46,8 @@
 # The benchmarks tracked here cover the simulation hot path end to end plus
 # the offline trace pipeline: a full contended engine run, the batch
 # evaluation sweep built on it, the raw cache-hierarchy access loop, trace
-# generation, the CSV-vs-binary trace decode pair, the slice-vs-stream
-# analysis of a 1M-sample recording, and the fused single-pass vs two-pass
-# analysis pair. The committed BENCH_engine.json records the trajectory;
+# generation, the CSV-vs-binary trace decode pair, and the slice-vs-stream
+# analysis of a 1M-sample recording. The committed BENCH_engine.json records the trajectory;
 # the "baseline" block holds the pre-fast-path numbers the 2x acceptance
 # bar is measured against. Every speedup block carries the host's core
 # count and a "gated" flag saying whether its gate enforces on that host
@@ -64,7 +57,7 @@ cd "$(dirname "$0")/.."
 
 out=${1:-BENCH_engine.json}
 benchtime=${BENCHTIME:-2s}
-pattern='^(BenchmarkEngineContendedRun|BenchmarkBatchEvaluation|BenchmarkCacheHierarchyAccess|BenchmarkStreamGeneration|BenchmarkTraceDecode|BenchmarkAnalyzeTrace|BenchmarkAnalyzeSinglePass|BenchmarkAnalyzeCached|BenchmarkShardAnalyze|BenchmarkOptimizerSearch)$'
+pattern='^(BenchmarkEngineContendedRun|BenchmarkBatchEvaluation|BenchmarkCacheHierarchyAccess|BenchmarkStreamGeneration|BenchmarkTraceDecode|BenchmarkAnalyzeTrace|BenchmarkAnalyzeCached|BenchmarkShardAnalyze|BenchmarkOptimizerSearch)$'
 
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
@@ -173,19 +166,6 @@ END {
     if (cw != "") { printf ", \"warm_ns\": %s", cw >> out }
     if (cc != "" && cw != "" && cw + 0 > 0) {
         printf ", \"warm_speedup\": %.2f", cc / cw >> out
-    }
-    printf "},\n" >> out
-    # singlepass: the fused single-pass analysis of the indexed 1M-sample
-    # recording against the retained two-pass path. Both variants run in
-    # one process, so the ratio is core-count independent and always
-    # gated; the reports are bit-identical.
-    f1 = nsv["BenchmarkAnalyzeSinglePass/singlepass"]
-    f2 = nsv["BenchmarkAnalyzeSinglePass/twopass"]
-    printf "  \"singlepass\": {\"cores\": %d, \"gated\": true", cores >> out
-    if (f1 != "") { printf ", \"singlepass_ns\": %s", f1 >> out }
-    if (f2 != "") { printf ", \"twopass_ns\": %s", f2 >> out }
-    if (f1 != "" && f2 != "" && f1 + 0 > 0) {
-        printf ", \"speedup\": %.2f", f2 / f1 >> out
     }
     printf "},\n" >> out
     printf "  \"benchmarks\": {\n" >> out
@@ -316,25 +296,6 @@ if [ -n "${MIN_CACHE_SPEEDUP:-}" ]; then
         exit 1
     fi
     echo "cache gate: warm hit ${cspeed}x >= ${MIN_CACHE_SPEEDUP}x faster than cold"
-fi
-
-if [ -n "${MIN_SINGLEPASS_SPEEDUP:-}" ]; then
-    # No core-count skip: both variants run in the same process on the same
-    # host, so the ratio is meaningful on any core count.
-    fspeed=$(awk '
-    /^BenchmarkAnalyzeSinglePass\/singlepass/ { for (i = 2; i <= NF; i++) if ($i == "ns/op") f = $(i-1) }
-    /^BenchmarkAnalyzeSinglePass\/twopass/    { for (i = 2; i <= NF; i++) if ($i == "ns/op") t = $(i-1) }
-    END { if (f != "" && t != "" && f + 0 > 0) printf "%.2f", t / f }
-    ' "$raw")
-    if [ -z "$fspeed" ]; then
-        echo "singlepass gate: BenchmarkAnalyzeSinglePass singlepass/twopass not found in output" >&2
-        exit 1
-    fi
-    if awk -v s="$fspeed" -v min="$MIN_SINGLEPASS_SPEEDUP" 'BEGIN { exit !(s < min) }'; then
-        echo "singlepass gate: fused analysis ${fspeed}x faster than two-pass, below minimum ${MIN_SINGLEPASS_SPEEDUP}x" >&2
-        exit 1
-    fi
-    echo "singlepass gate: fused analysis ${fspeed}x >= ${MIN_SINGLEPASS_SPEEDUP}x faster than two-pass"
 fi
 
 if [ -n "${MIN_OPTIMIZER_SPEEDUP:-}" ]; then

@@ -43,7 +43,7 @@ func reblock(t *testing.T, samplesPath string, blockSize int) string {
 // TestAnalyzeTraceFileWorkerCountInvariance is the shard contract at the
 // top of the pipeline: the block-parallel analysis of an indexed recording
 // is bit-identical to the slice path at every worker count, and the CSV
-// serial fallback agrees too.
+// whole-file job agrees too.
 func TestAnalyzeTraceFileWorkerCountInvariance(t *testing.T) {
 	tl := sharedTool(t)
 	// Record to CSV first so every format below holds the identical
@@ -67,8 +67,8 @@ func TestAnalyzeTraceFileWorkerCountInvariance(t *testing.T) {
 	defer core.SetPoolWorkers(0)
 	for _, workers := range []int{1, 2, 3, runtime.GOMAXPROCS(0)} {
 		core.SetPoolWorkers(workers)
-		// sPath and small fan block ranges out; csvPath takes the serial
-		// fallback. All three must match the slice path bit for bit.
+		// sPath and small fan block ranges out; csvPath streams as one
+		// whole-file job. All three must match the slice path bit for bit.
 		for _, path := range []string{sPath, small, csvPath} {
 			got, err := tl.AnalyzeTraceFile(path, oPath)
 			if err != nil {
@@ -176,7 +176,7 @@ func TestAnalyzeTraceShardsErrors(t *testing.T) {
 }
 
 // TestAnalyzeTraceFileRange: a time window analyzes exactly like the
-// manually filtered trace, on both the indexed and the serial path.
+// manually filtered trace, on both indexed and CSV recordings.
 func TestAnalyzeTraceFileRange(t *testing.T) {
 	tl := sharedTool(t)
 	_, csvFile, oPath := recordTo(t, tl, 74, drbw.FormatCSV)
@@ -230,11 +230,10 @@ func TestAnalyzeTraceFileRange(t *testing.T) {
 }
 
 // TestRecordingChangedBetweenPasses is the regression test for the
-// pass-two trust gap: the serial streaming analysis reads the file twice
-// and used to accept whatever the second read returned. If the recording
-// changes between the passes — different sample count or weight — the
-// analysis must fail instead of classifying one trace and diagnosing
-// another.
+// pre-scan trust gap: an input without footer bounds is read twice, once
+// by the pre-scan and once by the fused pass. If the recording changes in
+// between — different sample count, weight, or kept time range — the
+// analysis must fail instead of bucketing one trace by another's bounds.
 func TestRecordingChangedBetweenPasses(t *testing.T) {
 	tl := sharedTool(t)
 	td, _, _ := recordTo(t, tl, 75, drbw.FormatBinary)
@@ -247,11 +246,11 @@ func TestRecordingChangedBetweenPasses(t *testing.T) {
 		dir := t.TempDir()
 		sPath := filepath.Join(dir, "samples.csv")
 		oPath := filepath.Join(dir, "objects.csv")
-		// CSV keeps the analysis on the two-pass serial path.
+		// CSV carries no footer bounds, so the analysis pre-scans.
 		if err := td.SaveAs(sPath, oPath, drbw.FormatCSV); err != nil {
 			t.Fatal(err)
 		}
-		restore := drbw.SetTestHookBetweenPasses(func() {
+		restore := drbw.SetTestHookPlanned(func(bool) {
 			if err := swapped.SaveAs(sPath, oPath, drbw.FormatCSV); err != nil {
 				t.Fatal(err)
 			}
@@ -263,14 +262,59 @@ func TestRecordingChangedBetweenPasses(t *testing.T) {
 		}
 	}
 
-	// With no interference the same recording still analyzes fine.
+	// A windowed query on an indexed recording pre-scans its kept blocks.
+	// A checksummed index would reject any rewritten block by its checksum,
+	// so the rewrite targets a legacy DRBWIDX1 index, and it keeps every
+	// block's byte layout: times off the integer grid encode as raw
+	// float64s, so moving one kept sample out of the window changes no
+	// offset.
+	offGrid := &drbw.TraceData{Weight: td.Weight, Objects: td.Objects}
+	for _, s := range td.Samples {
+		s.Time += 0.5
+		offGrid.Samples = append(offGrid.Samples, s)
+	}
+	lo, hi := timeWindow(offGrid)
 	dir := t.TempDir()
-	sPath := filepath.Join(dir, "samples.csv")
 	oPath := filepath.Join(dir, "objects.csv")
-	if err := td.SaveAs(sPath, oPath, drbw.FormatCSV); err != nil {
+	save := func(td *drbw.TraceData) []byte {
+		sPath := filepath.Join(t.TempDir(), "samples.bin")
+		if err := td.SaveAs(sPath, oPath, drbw.FormatBinary); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(legacyIndex(t, sPath))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	moved := &drbw.TraceData{Weight: td.Weight, Objects: td.Objects}
+	moved.Samples = append(moved.Samples, offGrid.Samples...)
+	moved.Samples[len(moved.Samples)/2].Time = lo - 0.5
+	original, rewritten := save(offGrid), save(moved)
+	sPath := filepath.Join(dir, "samples.bin")
+	if err := os.WriteFile(sPath, original, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tl.AnalyzeTraceFile(sPath, oPath); err != nil {
+	if _, err := tl.AnalyzeTraceFileRange(sPath, oPath, lo, hi); err != nil {
+		t.Fatal(err)
+	}
+	restore := drbw.SetTestHookPlanned(func(bool) {
+		if err := os.WriteFile(sPath, rewritten, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	})
+	_, err := tl.AnalyzeTraceFileRange(sPath, oPath, lo, hi)
+	restore()
+	if err == nil || !strings.Contains(err.Error(), "changed during analysis") {
+		t.Errorf("windowed indexed: error = %v, want recording-changed", err)
+	}
+
+	// With no interference the same recording still analyzes fine.
+	csvPath := filepath.Join(dir, "samples.csv")
+	if err := td.SaveAs(csvPath, oPath, drbw.FormatCSV); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tl.AnalyzeTraceFile(csvPath, oPath); err != nil {
 		t.Fatal(err)
 	}
 }

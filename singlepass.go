@@ -1,32 +1,38 @@
 package drbw
 
-// Fused single-pass streaming analysis.
+// One analysis path: plan, then one fused pass.
 //
-// The two-pass pipeline exists because two pieces of global state are only
-// known after reading the whole trace: the time range (timeline bucket
-// geometry) and the contended channels (which CF to attribute). A
-// checksummed indexed recording removes both obstacles without touching a
-// sample: the DRBWIDX2 footer yields the global time range and total count
-// in O(index bytes), so the timeline pre-bounds its geometry, and the
-// dense CF accumulator counts attribution for every channel as samples
-// stream, restricting to the contended set after classification. Features,
-// timeline, and CF all accumulate in one decode sweep — half the decode
-// work of the two-pass path.
+// Every file entry point — one recording, a time window of one, a batch,
+// a set of shards — first turns its inputs into a plan: a job list, each
+// job one independently decodable portion of a samples file, plus the
+// bounds the timeline needs before it can bucket anything: the kept sample
+// count, their time range, and the collector weight. One fused pass then
+// streams every job exactly once, accumulating features, the pre-bounded
+// timeline, and dense CF attribution for every channel together; the
+// classifier runs on the merged features and the dense counts are
+// restricted to the channels it flags.
 //
-// Trust moves accordingly. The two-pass path catches a recording swapped
-// mid-analysis by comparing raw counts between its passes; a single pass
-// has no second read to compare against, so it leans on the DRBWIDX2
-// per-block checksums instead — every decoded block is verified against
-// the checksum recorded at encode time — plus an index-honesty check: the
-// decoded sample count and observed time range must agree exactly with
-// what the footer claimed, or the analysis fails loudly rather than
-// silently mis-bucketing the timeline. Recordings without a checksummed
-// index (CSV, compressed, DRBWIDX1, foreign) keep the two-pass path and
-// its raw-count consistency check.
+// The bounds come from one of two places. A checksummed (DRBWIDX2)
+// indexed recording analyzed whole states them in its footer, so no sample
+// decodes before the fused pass. Everything else — CSV, compressed,
+// unindexed v3, DRBWIDX1, and any time-windowed query, whose kept range no
+// block-level bound can state exactly — takes a streaming pre-scan over
+// the same jobs that counts the kept samples and tracks their range.
+//
+// Either way the fused pass checks what it decoded against the plan: the
+// same count, the same range, and as many samples outside it (NaN times,
+// which no range holds). A footer that disagrees fails as "index disagrees
+// with recording"; a recording that differs from its pre-scan fails as
+// "recording changed during analysis". Footer plans additionally verify
+// every decoded block against its DRBWIDX2 checksum, which covers what the
+// footer's own claims cannot: the payload bytes.
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"os"
+	"sync"
 
 	"drbw/internal/alloc"
 	"drbw/internal/core"
@@ -37,334 +43,421 @@ import (
 	"drbw/internal/profiledata"
 )
 
-// testHookForceTwoPass, when set, disables the fused single-pass path so
-// tests and benchmarks can drive the two-pass path on recordings that
-// would otherwise qualify, and compare the two bit for bit.
-var testHookForceTwoPass bool
+// testHookPlanned, when non-nil, runs after planning and before the fused
+// pass, told whether the plan's bounds came from the index footer. Tests
+// use it to see which inputs skip the pre-scan and to mutate a recording
+// mid-analysis.
+var testHookPlanned func(footer bool)
 
-// testHookSinglePassOpened, when non-nil, runs after the single-pass path
-// has opened the recording's index and before any block decodes. Tests use
-// it to mutate the recording mid-analysis and prove the per-block checksum
-// verification fires.
-var testHookSinglePassOpened func()
-
-// analyzeSinglePassFile tries the fused single-pass analysis on one
-// recording. ok is false when the recording does not qualify — no index,
-// no per-block checksums, or an objects table that does not form valid
-// ranges (the two-pass path builds the table only after detection, so a
-// bad table must not change when its error surfaces) — and the caller
-// falls back to the two-pass path. A non-nil sc forces the serial sweep
-// (the batch path parallelizes across recordings, not within them).
-func (t *Tool) analyzeSinglePassFile(samplesPath string, objects []alloc.Object, sc *traceScratch, sp obs.SpanHandle) (*Report, bool, error) {
-	if testHookForceTwoPass {
-		return nil, false, nil
-	}
-	table, err := profiledata.NewTable(objects)
-	if err != nil {
-		return nil, false, nil
-	}
-	it, err := profiledata.OpenIndexedTrace(samplesPath)
-	if err != nil {
-		return nil, false, nil
-	}
-	if !it.HasChecksums() {
-		it.Close()
-		return nil, false, nil
-	}
-	defer it.Close()
-	if testHookSinglePassOpened != nil {
-		testHookSinglePassOpened()
-	}
-	total := it.TotalSamples()
-	minT, maxT, okRange := it.TimeBounds()
-	if total == 0 || !okRange {
-		return nil, true, errNoSamples(fullRange(), 0)
-	}
-	if sc != nil || core.PoolWorkers() == 1 {
-		rep, err := t.analyzeSinglePassSerial(it, table, sc, minT, maxT, total)
-		return rep, true, err
-	}
-	jobs := blockRangeJobs(it, core.PoolWorkers())
-	rep, err := t.analyzeSinglePassJobs(jobs, table, it.Weight(), total, minT, maxT, "analyze.blocks", sp)
-	return rep, true, err
+// sampleBounds is what the timeline needs to know about a run of samples
+// before bucketing them: n samples, out of them outside [minT, maxT].
+type sampleBounds struct {
+	n, out     int64
+	minT, maxT float64
 }
 
-// analyzeSinglePassSerial is the one-worker fused sweep: features,
-// timeline, and dense CF accumulate block by block off a single range
-// reader over the whole recording.
-func (t *Tool) analyzeSinglePassSerial(it *profiledata.IndexedTrace, table *profiledata.Table, sc *traceScratch, minT, maxT float64, total int) (*Report, error) {
-	if sc == nil {
-		sc = &traceScratch{acc: features.NewAccumulator(t.machine)}
+func emptyBounds() sampleBounds { return sampleBounds{minT: math.Inf(1), maxT: math.Inf(-1)} }
+
+func (b *sampleBounds) merge(o sampleBounds) {
+	b.n += o.n
+	b.out += o.out
+	if o.minT < b.minT {
+		b.minT = o.minT
 	}
-	sc.acc.Reset()
-	weight := it.Weight()
-	tl := diagnose.NewTimelineAccumulator(timelineBuckets, weight)
-	tl.ObserveRange(minT, maxT, total)
-	nodes := t.machine.Nodes()
-	dcf := diagnose.NewDenseCF(table, nodes, weight)
-	sr, err := it.RangeReader(0, it.Blocks(), &sc.bufs)
-	if err != nil {
-		return nil, err
+	if o.maxT > b.maxT {
+		b.maxT = o.maxT
 	}
-	var kept, oob int64
-	obsMin, obsMax := math.Inf(1), math.Inf(-1)
-	err = drainReader(sr, func(block []pebs.Sample) error {
-		kept += int64(len(block))
-		for i := range block {
-			s := &block[i]
-			if s.SrcNode < 0 || int(s.SrcNode) >= nodes ||
-				s.HomeNode < 0 || int(s.HomeNode) >= nodes {
-				return fmt.Errorf("drbw: sample references node outside the %d-node machine", nodes)
+}
+
+// tracePlan is one analysis' input: the jobs that stream its samples and
+// the bounds of the samples they keep.
+type tracePlan struct {
+	jobs   []traceJob
+	tr     timeRange
+	label  string // pool label of the job fan-out
+	weight float64
+	bounds sampleBounds
+	raw    int64 // pre-scanned samples before time filtering, plus pruned blocks'
+	footer bool  // bounds came from DRBWIDX2 footers, not a pre-scan
+	its    []*profiledata.IndexedTrace
+}
+
+func (p *tracePlan) close() {
+	for _, it := range p.its {
+		it.Close()
+	}
+}
+
+// traceJob is one independently decodable portion of a recording — a block
+// range of an indexed file, or a whole unindexed file. read opens the
+// portion on the worker's decode scratch and hands fn its reader; a job
+// yields the same samples every time it runs. name and [from, to) identify
+// the portion in trace spans: the block range, or the file and its index.
+type traceJob struct {
+	name     string
+	from, to int
+	read     func(bufs *profiledata.Buffers, fn func(*profiledata.SampleReader) error) error
+}
+
+// each streams the job's samples inside tr to fn, returning the portion's
+// weight and its sample count before filtering.
+func (j *traceJob) each(bufs *profiledata.Buffers, tr timeRange, fn func([]pebs.Sample) error) (weight float64, raw int64, err error) {
+	err = j.read(bufs, func(sr *profiledata.SampleReader) error {
+		weight = sr.Weight()
+		for {
+			block, err := sr.Next()
+			if err == io.EOF {
+				return nil
 			}
-			if s.Time >= minT && s.Time <= maxT {
-				if s.Time < obsMin {
-					obsMin = s.Time
-				}
-				if s.Time > obsMax {
-					obsMax = s.Time
-				}
-			} else {
-				oob++
+			if err != nil {
+				return err
+			}
+			raw += int64(len(block))
+			if err := fn(tr.filter(block)); err != nil {
+				return err
 			}
 		}
-		sc.acc.Add(block)
-		tl.Add(block)
-		dcf.Add(block)
+	})
+	return weight, raw, err
+}
+
+// traceScratch is one worker's reusable analysis state: decode buffers
+// shared by the pre-scan and the fused pass, plus the fused pass's
+// accumulators. A batch worker keeps one across recordings, so a batch
+// allocates in proportion to its worker count, not its recording count.
+type traceScratch struct {
+	bufs profiledata.Buffers
+	acc  *features.Accumulator
+	tl   *diagnose.TimelineAccumulator
+	dcf  *diagnose.DenseCF // nil when the objects table is invalid
+	seen sampleBounds      // decoded samples, measured against the plan
+}
+
+func (t *Tool) newScratch() *traceScratch {
+	return &traceScratch{acc: features.NewAccumulator(t.machine)}
+}
+
+// scratchSet hands each job its worker's scratch. Inline, it holds the
+// caller's one scratch and runs every job in the calling goroutine;
+// otherwise it grows under a lock as pool workers claim jobs, so a pool
+// resized mid-call never drops a worker's samples from the merge.
+type scratchSet struct {
+	mu     sync.Mutex
+	inline bool
+	states []*traceScratch
+	fresh  func() *traceScratch
+}
+
+func (ss *scratchSet) get(w int) *traceScratch {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	for len(ss.states) <= w {
+		ss.states = append(ss.states, nil)
+	}
+	if ss.states[w] == nil {
+		ss.states[w] = ss.fresh()
+	}
+	return ss.states[w]
+}
+
+// forEachJob runs fn over every job of p. On the pool each job is a child
+// span of parent carrying its portion, [from, to), pass number and worker
+// id. Errors surface from the lowest-indexed failing job, so reruns are
+// deterministic.
+func (ss *scratchSet) forEachJob(p *tracePlan, pass int64, parent obs.SpanHandle, fn func(i int, st *traceScratch) error) error {
+	if ss.inline {
+		for i := range p.jobs {
+			if err := fn(i, ss.states[0]); err != nil {
+				return err
+			}
+		}
 		return nil
+	}
+	errs := make([]error, len(p.jobs))
+	core.ParallelForLabeledSpans(len(p.jobs), p.label, parent, func(i, w int, cs obs.SpanHandle) {
+		j := &p.jobs[i]
+		cs.SetStr("portion", j.name)
+		cs.SetInt("from", int64(j.from))
+		cs.SetInt("to", int64(j.to))
+		cs.SetInt("pass", pass)
+		errs[i] = fn(i, ss.get(w))
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// plan opens samplePaths — one logical recording, in order — and builds
+// their job list and bounds. Indexed files contribute block-range chunks
+// over the blocks that intersect tr, about four per pool worker so
+// stragglers rebalance, or one chunk per contiguous run when inline;
+// unindexed files contribute one whole-file job. Without footer bounds the
+// jobs are pre-scanned. A plan that keeps no samples is an error.
+func plan(samplePaths []string, tr timeRange, label string, ss *scratchSet, parent obs.SpanHandle) (_ *tracePlan, err error) {
+	p := &tracePlan{tr: tr, label: label, footer: !tr.limited, bounds: emptyBounds()}
+	defer func() {
+		if err != nil {
+			p.close()
+		}
+	}()
+	// A piece is a whole unindexed file (it == nil) or a maximal run of
+	// kept blocks; block time ranges need not be sorted, so pruning can
+	// split a file's keep-set.
+	type piece struct {
+		path     string
+		shard    int
+		it       *profiledata.IndexedTrace
+		from, to int
+	}
+	var pieces []piece
+	kept := 0
+	for i, path := range samplePaths {
+		it, err := profiledata.OpenIndexedTrace(path)
+		if err != nil {
+			// No usable index — CSV, compressed, foreign, or a damaged
+			// footer. A genuinely missing or unreadable file resurfaces
+			// when its job opens it.
+			p.footer = false
+			pieces = append(pieces, piece{path: path, shard: i})
+			continue
+		}
+		p.its = append(p.its, it)
+		p.footer = p.footer && it.HasChecksums()
+		for b := 0; b < it.Blocks(); b++ {
+			if e := it.Entry(b); tr.skipBlock(e) {
+				p.raw += int64(e.Count)
+				continue
+			}
+			kept++
+			if n := len(pieces); n > 0 && pieces[n-1].it == it && pieces[n-1].to == b {
+				pieces[n-1].to++
+			} else {
+				pieces = append(pieces, piece{path: path, shard: i, it: it, from: b, to: b + 1})
+			}
+		}
+	}
+	perChunk := kept
+	if !ss.inline {
+		perChunk = kept / (core.PoolWorkers() * 4)
+	}
+	perChunk = max(perChunk, 1)
+	for _, pc := range pieces {
+		if pc.it == nil {
+			p.jobs = append(p.jobs, fileJob(pc.path, pc.shard))
+			continue
+		}
+		name := "blocks"
+		if len(samplePaths) > 1 {
+			name = pc.path
+		}
+		for from := pc.from; from < pc.to; from += perChunk {
+			p.jobs = append(p.jobs, blockJob(pc.it, name, from, min(from+perChunk, pc.to)))
+		}
+	}
+
+	if p.footer {
+		p.weight = p.its[0].Weight()
+		for i, it := range p.its {
+			if it.Weight() != p.weight {
+				return nil, errShardWeight(samplePaths[i], it.Weight(), p.weight)
+			}
+			if lo, hi, ok := it.TimeBounds(); ok {
+				p.bounds.merge(sampleBounds{n: int64(it.TotalSamples()), minT: lo, maxT: hi})
+			}
+		}
+	} else if err := p.prescan(ss, parent); err != nil {
+		return nil, err
+	}
+	if p.bounds.n == 0 {
+		return nil, errNoSamples(tr, p.raw)
+	}
+	return p, nil
+}
+
+// prescan streams every job once to establish the plan's weight and
+// bounds: the kept samples' count, the range of their times, and how many
+// have a NaN time — counted, not rejected, as the timeline counts them.
+func (p *tracePlan) prescan(ss *scratchSet, parent obs.SpanHandle) error {
+	found := make([]sampleBounds, len(p.jobs))
+	weights := make([]float64, len(p.jobs))
+	raws := make([]int64, len(p.jobs))
+	err := ss.forEachJob(p, 0, parent, func(i int, st *traceScratch) error {
+		b := emptyBounds()
+		var err error
+		weights[i], raws[i], err = p.jobs[i].each(&st.bufs, p.tr, func(block []pebs.Sample) error {
+			b.n += int64(len(block))
+			for j := range block {
+				tm := block[j].Time
+				if tm < b.minT {
+					b.minT = tm
+				}
+				if tm > b.maxT {
+					b.maxT = tm
+				}
+				if tm != tm {
+					b.out++
+				}
+			}
+			return nil
+		})
+		found[i] = b
+		return err
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := checkIndexAgrees(minT, maxT, total, kept, oob, obsMin, obsMax); err != nil {
-		return nil, err
-	}
-	rep := &Report{Samples: kept}
-	contended := t.classify(sc.acc, weight, rep)
-	var cf *diagnose.CFAccumulator
-	if rep.Detected {
-		cf = dcf.Restrict(contended)
-	}
-	return t.finishReport(rep, tl, cf)
-}
-
-// blockRangeJobs splits one indexed recording's full block range into ~4
-// chunks per worker, the same rebalancing granularity the two-pass indexed
-// path uses.
-func blockRangeJobs(it *profiledata.IndexedTrace, workers int) []shardJob {
-	blocksPerChunk := it.Blocks() / (workers * 4)
-	if blocksPerChunk < 1 {
-		blocksPerChunk = 1
-	}
-	var jobs []shardJob
-	for from := 0; from < it.Blocks(); from += blocksPerChunk {
-		to := from + blocksPerChunk
-		if to > it.Blocks() {
-			to = it.Blocks()
+	for i := range p.jobs {
+		if i == 0 {
+			p.weight = weights[0]
+		} else if weights[i] != p.weight {
+			return errShardWeight(p.jobs[i].name, weights[i], p.weight)
 		}
-		from, to := from, to
-		jobs = append(jobs, shardJob{
-			name: "blocks",
-			from: from,
-			to:   to,
-			run: func(bufs *profiledata.Buffers, emit func([]pebs.Sample) error) error {
-				sr, err := it.RangeReader(from, to, bufs)
-				if err != nil {
-					return err
-				}
-				return drainReader(sr, emit)
-			},
-		})
+		p.bounds.merge(found[i])
+		p.raw += raws[i]
 	}
-	return jobs
+	return nil
 }
 
-// analyzeSinglePassJobs is the fused counterpart of analyzeJobs: every job
-// streams exactly once, each worker accumulating features, pre-bounded
-// timeline buckets, and dense CF together. Per-worker accumulators merge
-// in worker order with integer counts and exact sums, so the merged report
-// is bit-identical to the serial fused sweep — and, through the
-// index-honesty check, to the two-pass analysis — at any worker count.
-func (t *Tool) analyzeSinglePassJobs(jobs []shardJob, table *profiledata.Table, weight float64, total int, minT, maxT float64, label string, parent obs.SpanHandle) (*Report, error) {
-	tl := diagnose.NewTimelineAccumulator(timelineBuckets, weight)
-	tl.ObserveRange(minT, maxT, total)
+// fusedPass streams every job of p once, each worker accumulating
+// features, pre-bounded timeline buckets and dense CF together, then
+// merges the workers in worker order. Counts are integers and sums are
+// exact, so the report is bit-identical to AnalyzeTrace over the kept
+// samples at any worker count. A bad objects table only matters once
+// classification flags contention, exactly as on the slice path.
+func (t *Tool) fusedPass(p *tracePlan, objects []alloc.Object, ss *scratchSet, parent obs.SpanHandle) (*Report, error) {
+	table, tableErr := profiledata.NewTable(objects)
+	tl := diagnose.NewTimelineAccumulator(timelineBuckets, p.weight)
+	tl.ObserveRange(p.bounds.minT, p.bounds.maxT, int(p.bounds.n))
 	nodes := t.machine.Nodes()
-	ss := &shardStates{make: func() *shardState {
-		return &shardState{
-			acc:    features.NewAccumulator(t.machine),
-			tlf:    tl.Fork(),
-			dcf:    diagnose.NewDenseCF(table, nodes, weight),
-			obsMin: math.Inf(1),
-			obsMax: math.Inf(-1),
+	ready := func(st *traceScratch) *traceScratch {
+		st.acc.Reset()
+		st.tl = tl.Fork()
+		st.dcf = nil
+		if tableErr == nil {
+			st.dcf = diagnose.NewDenseCF(table, nodes, p.weight)
 		}
-	}}
-	errs := make([]error, len(jobs))
-	core.ParallelForLabeledSpans(len(jobs), label, parent, func(i, w int, cs obs.SpanHandle) {
-		jobs[i].annotate(cs, 1)
-		st := ss.get(w)
-		errs[i] = jobs[i].run(&st.bufs, func(block []pebs.Sample) error {
-			st.kept += int64(len(block))
+		st.seen = emptyBounds()
+		return st
+	}
+	for _, st := range ss.states {
+		if st != nil {
+			ready(st)
+		}
+	}
+	ss.fresh = func() *traceScratch { return ready(t.newScratch()) }
+
+	lo, hi := p.bounds.minT, p.bounds.maxT
+	err := ss.forEachJob(p, 1, parent, func(i int, st *traceScratch) error {
+		weight, _, err := p.jobs[i].each(&st.bufs, p.tr, func(block []pebs.Sample) error {
+			st.seen.n += int64(len(block))
 			for j := range block {
 				s := &block[j]
 				if s.SrcNode < 0 || int(s.SrcNode) >= nodes ||
 					s.HomeNode < 0 || int(s.HomeNode) >= nodes {
 					return fmt.Errorf("drbw: sample references node outside the %d-node machine", nodes)
 				}
-				if s.Time >= minT && s.Time <= maxT {
-					if s.Time < st.obsMin {
-						st.obsMin = s.Time
+				if s.Time >= lo && s.Time <= hi {
+					if s.Time < st.seen.minT {
+						st.seen.minT = s.Time
 					}
-					if s.Time > st.obsMax {
-						st.obsMax = s.Time
+					if s.Time > st.seen.maxT {
+						st.seen.maxT = s.Time
 					}
 				} else {
-					st.oob++
+					st.seen.out++
 				}
 			}
 			st.acc.Add(block)
-			st.tlf.Add(block)
-			st.dcf.Add(block)
+			st.tl.Add(block)
+			if st.dcf != nil {
+				st.dcf.Add(block)
+			}
 			return nil
 		})
+		if err == nil && weight != p.weight {
+			err = fmt.Errorf("drbw: recording changed during analysis (weight %v, then %v)", p.weight, weight)
+		}
+		return err
 	})
-	if err := firstError(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	acc := features.NewAccumulator(t.machine)
-	dcf := diagnose.NewDenseCF(table, nodes, weight)
-	var kept, oob int64
-	obsMin, obsMax := math.Inf(1), math.Inf(-1)
+
+	var acc *features.Accumulator
+	var dcf *diagnose.DenseCF
+	seen := emptyBounds()
 	for _, st := range ss.states {
 		if st == nil {
+			continue
+		}
+		if err := tl.Merge(st.tl); err != nil {
+			return nil, err
+		}
+		seen.merge(st.seen)
+		if acc == nil {
+			acc, dcf = st.acc, st.dcf
 			continue
 		}
 		if err := acc.Merge(st.acc); err != nil {
 			return nil, err
 		}
-		if err := tl.Merge(st.tlf); err != nil {
-			return nil, err
-		}
-		if err := dcf.Merge(st.dcf); err != nil {
-			return nil, err
-		}
-		kept += st.kept
-		oob += st.oob
-		if st.obsMin < obsMin {
-			obsMin = st.obsMin
-		}
-		if st.obsMax > obsMax {
-			obsMax = st.obsMax
+		if dcf != nil {
+			if err := dcf.Merge(st.dcf); err != nil {
+				return nil, err
+			}
 		}
 	}
-	if err := checkIndexAgrees(minT, maxT, total, kept, oob, obsMin, obsMax); err != nil {
-		return nil, err
+	if seen != p.bounds {
+		what := "recording changed during analysis (the pre-scan found"
+		if p.footer {
+			what = "index disagrees with recording (the index claims"
+		}
+		return nil, fmt.Errorf("drbw: %s %d samples in [%v, %v], %d outside it; decoded %d in [%v, %v], %d outside it)",
+			what, p.bounds.n, p.bounds.minT, p.bounds.maxT, p.bounds.out, seen.n, seen.minT, seen.maxT, seen.out)
 	}
-	rep := &Report{Samples: kept}
-	contended := t.classify(acc, weight, rep)
+
+	rep := &Report{Samples: seen.n}
+	contended := t.classify(acc, p.weight, rep)
 	var cf *diagnose.CFAccumulator
 	if rep.Detected {
+		if tableErr != nil {
+			return nil, tableErr
+		}
 		cf = dcf.Restrict(contended)
 	}
 	return t.finishReport(rep, tl, cf)
 }
 
-// analyzeShardsSinglePass tries the fused single-pass analysis across one
-// logical recording's shards. Every shard must carry a checksummed index;
-// otherwise ok is false and the caller falls back to the two-pass shard
-// path. The global time range and total count come from the union of the
-// shard indexes, so the merged report is bit-identical to analyzing the
-// concatenation of the shards.
-func (t *Tool) analyzeShardsSinglePass(samplePaths []string, objects []alloc.Object, sp obs.SpanHandle) (*Report, bool, error) {
-	if testHookForceTwoPass {
-		return nil, false, nil
-	}
-	table, err := profiledata.NewTable(objects)
-	if err != nil {
-		return nil, false, nil
-	}
-	its := make([]*profiledata.IndexedTrace, 0, len(samplePaths))
-	defer func() {
-		for _, it := range its {
-			it.Close()
-		}
-	}()
-	for _, path := range samplePaths {
-		it, err := profiledata.OpenIndexedTrace(path)
+// blockJob streams blocks [from, to) of an indexed recording.
+func blockJob(it *profiledata.IndexedTrace, name string, from, to int) traceJob {
+	return traceJob{name: name, from: from, to: to, read: func(bufs *profiledata.Buffers, fn func(*profiledata.SampleReader) error) error {
+		sr, err := it.RangeReader(from, to, bufs)
 		if err != nil {
-			return nil, false, nil
+			return err
 		}
-		its = append(its, it)
-		if !it.HasChecksums() {
-			return nil, false, nil
-		}
-	}
-	if testHookSinglePassOpened != nil {
-		testHookSinglePassOpened()
-	}
-	weight := its[0].Weight()
-	total, blocks := 0, 0
-	minT, maxT := math.Inf(1), math.Inf(-1)
-	for i, it := range its {
-		if it.Weight() != weight {
-			return nil, true, fmt.Errorf("drbw: shard %s has weight %v, the first shard has %v", samplePaths[i], it.Weight(), weight)
-		}
-		total += it.TotalSamples()
-		blocks += it.Blocks()
-		if lo, hi, ok := it.TimeBounds(); ok {
-			if lo < minT {
-				minT = lo
-			}
-			if hi > maxT {
-				maxT = hi
-			}
-		}
-	}
-	if total == 0 {
-		return nil, true, errNoSamples(fullRange(), 0)
-	}
-	// One global chunk size across all shards so small shards do not
-	// degenerate into per-shard serial jobs.
-	blocksPerChunk := blocks / (core.PoolWorkers() * 4)
-	if blocksPerChunk < 1 {
-		blocksPerChunk = 1
-	}
-	var jobs []shardJob
-	for si, it := range its {
-		it := it
-		for from := 0; from < it.Blocks(); from += blocksPerChunk {
-			to := from + blocksPerChunk
-			if to > it.Blocks() {
-				to = it.Blocks()
-			}
-			from, to := from, to
-			jobs = append(jobs, shardJob{
-				name: samplePaths[si],
-				from: from,
-				to:   to,
-				run: func(bufs *profiledata.Buffers, emit func([]pebs.Sample) error) error {
-					sr, err := it.RangeReader(from, to, bufs)
-					if err != nil {
-						return err
-					}
-					return drainReader(sr, emit)
-				},
-			})
-		}
-	}
-	rep, err := t.analyzeSinglePassJobs(jobs, table, weight, total, minT, maxT, "analyze.shards", sp)
-	return rep, true, err
+		return fn(sr)
+	}}
 }
 
-// checkIndexAgrees is the single-pass honesty check: the decoded samples
-// must match the block index's claims exactly — same count, same global
-// time range, nothing outside it. The block checksums guarantee the
-// payload bytes are the ones the encoder summed; this closes the remaining
-// gap, a footer whose counts or times (which no checksum covers) disagree
-// with the blocks they describe. A NaN sample time compares false against
-// both bounds and lands in oob, so it can never silently skew bucketing.
-func checkIndexAgrees(minT, maxT float64, total int, kept, oob int64, obsMin, obsMax float64) error {
-	if oob == 0 && kept == int64(total) && obsMin == minT && obsMax == maxT {
-		return nil
-	}
-	return fmt.Errorf("drbw: index disagrees with recording (index claims %d samples in [%v, %v]; decoded %d samples in [%v, %v], %d outside the claimed range)",
-		total, minT, maxT, kept, obsMin, obsMax, oob)
+// fileJob streams a whole samples file, the shard-th input of its plan.
+func fileJob(path string, shard int) traceJob {
+	return traceJob{name: path, from: shard, to: shard + 1, read: func(bufs *profiledata.Buffers, fn func(*profiledata.SampleReader) error) error {
+		f, err := os.Open(path)
+		if err != nil {
+			return fmt.Errorf("drbw: %w", err)
+		}
+		defer f.Close()
+		sr, err := profiledata.NewSampleReaderBuffers(f, bufs)
+		if err != nil {
+			return err
+		}
+		return fn(sr)
+	}}
+}
+
+func errShardWeight(name string, weight, first float64) error {
+	return fmt.Errorf("drbw: shard %s has weight %v, the first shard has %v", name, weight, first)
 }

@@ -2,6 +2,8 @@ package drbw_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,20 +17,20 @@ import (
 	"drbw/internal/profiledata"
 )
 
-// countSinglePass installs the single-pass hook as a counter, returning the
-// counter and a cleanup the test must defer.
-func countSinglePass() (*int, func()) {
-	n := new(int)
-	restore := drbw.SetTestHookSinglePassOpened(func() { *n++ })
-	return n, restore
+// recordPlans installs the planning hook as a recorder of where each
+// plan's bounds came from (true: the index footer, false: a pre-scan),
+// returning the record and a cleanup the test must call.
+func recordPlans() (*[]bool, func()) {
+	plans := new([]bool)
+	restore := drbw.SetTestHookPlanned(func(footer bool) { *plans = append(*plans, footer) })
+	return plans, restore
 }
 
-// TestSinglePassMatchesTwoPassMatrix is the fused-pass equivalence matrix:
-// for every recording variant and worker count, the report must be
-// bit-identical to both the slice path and the forced two-pass path — and
-// the fused pass must actually engage exactly on the checksummed indexed
-// variants, falling back everywhere else.
-func TestSinglePassMatchesTwoPassMatrix(t *testing.T) {
+// TestFusedPassMatrix is the one-path equivalence matrix: for every
+// recording variant and worker count, the file analysis must be
+// bit-identical to the slice path (over the filtered slice for windows),
+// and exactly the unwindowed checksummed variants may skip the pre-scan.
+func TestFusedPassMatrix(t *testing.T) {
 	tl := sharedTool(t)
 	// Record to CSV first so every variant holds identical grid-quantized
 	// samples and the slice-path report carries no Record-only metadata.
@@ -43,86 +45,57 @@ func TestSinglePassMatchesTwoPassMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	reblocked := reblock(t, indexed, 64)
-	// Flate-compressed recordings carry no index; they must fall back.
-	samples, weight, err := readSamplesFile(t, indexed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compressed := filepath.Join(dir, "samples.z.bin")
-	cf, err := os.Create(compressed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := profiledata.WriteSamplesBinary(cf, samples, weight, profiledata.BinaryOptions{Compress: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cf.Close(); err != nil {
-		t.Fatal(err)
-	}
+	compressed := rewriteSamples(t, indexed, profiledata.BinaryOptions{Compress: true})
 
 	want, err := tl.AnalyzeTrace(td)
 	if err != nil {
 		t.Fatal(err)
 	}
+	lo, hi := timeWindow(td)
+	wantWindow, err := tl.AnalyzeTrace(windowed(td, lo, hi))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
-		name       string
-		path       string
-		singlePass bool
+		name     string
+		path     string
+		windowed bool
+		footer   bool
 	}{
-		{"indexed", indexed, true},
-		{"reblocked", reblocked, true},
-		{"compressed", compressed, false},
-		{"csv", csvPath, false},
+		{"indexed", indexed, false, true},
+		{"reblocked", reblocked, false, true},
+		{"legacy-index", legacyIndex(t, reblocked), false, false},
+		{"compressed", compressed, false, false},
+		{"csv", csvPath, false, false},
+		{"indexed-window", indexed, true, false},
+		{"csv-window", csvPath, true, false},
 	}
 	defer core.SetPoolWorkers(0)
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		core.SetPoolWorkers(workers)
 		for _, tc := range cases {
-			fused, restoreHook := countSinglePass()
-			got, err := tl.AnalyzeTraceFile(tc.path, oPath)
-			restoreHook()
+			plans, restore := recordPlans()
+			var got *drbw.Report
+			if tc.windowed {
+				got, err = tl.AnalyzeTraceFileRange(tc.path, oPath, lo, hi)
+			} else {
+				got, err = tl.AnalyzeTraceFile(tc.path, oPath)
+			}
+			restore()
 			if err != nil {
 				t.Fatalf("workers=%d %s: %v", workers, tc.name, err)
 			}
-			if tc.singlePass != (*fused > 0) {
-				t.Fatalf("workers=%d %s: single pass ran %d times, want engaged=%v", workers, tc.name, *fused, tc.singlePass)
+			if len(*plans) != 1 || (*plans)[0] != tc.footer {
+				t.Fatalf("workers=%d %s: plans %v, want one with footer bounds=%v", workers, tc.name, *plans, tc.footer)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("workers=%d %s: report differs from the slice path\n got %+v\nwant %+v", workers, tc.name, got, want)
+			wantRep := want
+			if tc.windowed {
+				wantRep = wantWindow
 			}
-			restore := drbw.SetForceTwoPass(true)
-			twoPass, err := tl.AnalyzeTraceFile(tc.path, oPath)
-			restore()
-			if err != nil {
-				t.Fatalf("workers=%d %s two-pass: %v", workers, tc.name, err)
+			if !reflect.DeepEqual(got, wantRep) {
+				t.Fatalf("workers=%d %s: report differs from the slice path\n got %+v\nwant %+v", workers, tc.name, got, wantRep)
 			}
-			if !reflect.DeepEqual(got, twoPass) {
-				t.Fatalf("workers=%d %s: single-pass report differs from two-pass\n got %+v\nwant %+v", workers, tc.name, got, twoPass)
-			}
-		}
-
-		// A time-windowed range keeps the two-pass path (the kept samples'
-		// exact time range is not knowable from block bounds) and still
-		// matches the forced two-pass report.
-		lo, hi := timeWindow(td)
-		fused, restoreHook := countSinglePass()
-		got, err := tl.AnalyzeTraceFileRange(indexed, oPath, lo, hi)
-		restoreHook()
-		if err != nil {
-			t.Fatalf("workers=%d range: %v", workers, err)
-		}
-		if *fused != 0 {
-			t.Fatalf("workers=%d range: single pass engaged on a time-windowed analysis", workers)
-		}
-		restore := drbw.SetForceTwoPass(true)
-		twoPass, err := tl.AnalyzeTraceFileRange(indexed, oPath, lo, hi)
-		restore()
-		if err != nil {
-			t.Fatalf("workers=%d range two-pass: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, twoPass) {
-			t.Fatalf("workers=%d range: report differs from two-pass", workers)
 		}
 	}
 }
@@ -143,6 +116,17 @@ func timeWindow(td *drbw.TraceData) (lo, hi float64) {
 	return minT + span/4, maxT - span/4
 }
 
+// windowed returns td with every sample outside [lo, hi] dropped.
+func windowed(td *drbw.TraceData, lo, hi float64) *drbw.TraceData {
+	out := &drbw.TraceData{Weight: td.Weight, Objects: td.Objects}
+	for _, s := range td.Samples {
+		if s.Time >= lo && s.Time <= hi {
+			out.Samples = append(out.Samples, s)
+		}
+	}
+	return out
+}
+
 // readSamplesFile loads a recording's samples and weight.
 func readSamplesFile(t *testing.T, path string) ([]pebs.Sample, float64, error) {
 	t.Helper()
@@ -154,9 +138,66 @@ func readSamplesFile(t *testing.T, path string) ([]pebs.Sample, float64, error) 
 	return profiledata.ReadSamples(f)
 }
 
-// TestSinglePassShardsMatchWhole: the fused shard path engages when every
-// shard carries a checksummed index, and its merged report is bit-identical
-// to the whole-trace slice analysis and to the two-pass shard path.
+// rewriteSamples re-encodes a recording's samples as binary with opts.
+func rewriteSamples(t *testing.T, path string, opts profiledata.BinaryOptions) string {
+	t.Helper()
+	samples, weight, err := readSamplesFile(t, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "rewritten.bin")
+	f, err := os.Create(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := profiledata.WriteSamplesBinary(f, samples, weight, opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// legacyIndex copies an indexed recording with its footer downgraded to
+// the pre-checksum DRBWIDX1 form: the same block entries, no checksums.
+func legacyIndex(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := profiledata.ReadBlockIndex(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	footer := binary.AppendUvarint(nil, uint64(len(idx.Entries)))
+	prev := int64(0)
+	for _, e := range idx.Entries {
+		footer = binary.AppendUvarint(footer, uint64(e.Offset-prev))
+		prev = e.Offset
+		footer = binary.AppendUvarint(footer, uint64(e.Count))
+		footer = binary.AppendVarint(footer, e.PrevTime)
+		footer = binary.AppendUvarint(footer, e.PrevAddr)
+		footer = binary.AppendVarint(footer, e.PrevLat)
+		footer = binary.LittleEndian.AppendUint64(footer, math.Float64bits(e.MinTime))
+		footer = binary.LittleEndian.AppendUint64(footer, math.Float64bits(e.MaxTime))
+	}
+	// Body plus its zero-count terminator at DataEnd, then the old footer.
+	out := append([]byte(nil), data[:idx.DataEnd+1]...)
+	out = append(out, footer...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(footer)))
+	out = append(out, "DRBWIDX1"...)
+	legacy := filepath.Join(t.TempDir(), "legacy.bin")
+	if err := os.WriteFile(legacy, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return legacy
+}
+
+// TestSinglePassShardsMatchWhole: indexed shards take their bounds from
+// their footers, and the merged report is bit-identical to the whole-trace
+// slice analysis at any worker count.
 func TestSinglePassShardsMatchWhole(t *testing.T) {
 	tl := sharedTool(t)
 	_, sPath, objPath := recordTo(t, tl, 74, drbw.FormatBinary)
@@ -173,34 +214,25 @@ func TestSinglePassShardsMatchWhole(t *testing.T) {
 	defer core.SetPoolWorkers(0)
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		core.SetPoolWorkers(workers)
-		fused, restoreHook := countSinglePass()
+		plans, restore := recordPlans()
 		got, err := tl.AnalyzeTraceShards(shards, oPath)
-		restoreHook()
+		restore()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if *fused == 0 {
-			t.Fatalf("workers=%d: single pass did not engage on indexed shards", workers)
+		if len(*plans) != 1 || !(*plans)[0] {
+			t.Fatalf("workers=%d: plans %v, want one with footer bounds", workers, *plans)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: sharded report differs from the slice path\n got %+v\nwant %+v", workers, got, want)
 		}
-		restore := drbw.SetForceTwoPass(true)
-		twoPass, err := tl.AnalyzeTraceShards(shards, oPath)
-		restore()
-		if err != nil {
-			t.Fatalf("workers=%d two-pass: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, twoPass) {
-			t.Fatalf("workers=%d: single-pass shard report differs from two-pass", workers)
-		}
 	}
 }
 
-// TestSinglePassRecordingMutatedDuringAnalysis proves the fused pass's
-// consistency check: with no second read to compare raw counts against,
-// corruption that lands after the index was read must be caught by the
-// per-block checksums.
+// TestSinglePassRecordingMutatedDuringAnalysis proves the footer plan's
+// consistency check: with no pre-scan to compare against, corruption that
+// lands after the index was read must be caught by the per-block
+// checksums.
 func TestSinglePassRecordingMutatedDuringAnalysis(t *testing.T) {
 	tl := sharedTool(t)
 	_, sPath, oPath := recordTo(t, tl, 75, drbw.FormatBinary)
@@ -221,7 +253,7 @@ func TestSinglePassRecordingMutatedDuringAnalysis(t *testing.T) {
 		end = idx.Entries[1].Offset
 	}
 	mid := (idx.Entries[0].Offset + end) / 2
-	restore := drbw.SetTestHookSinglePassOpened(func() {
+	restore := drbw.SetTestHookPlanned(func(bool) {
 		mutated := append([]byte(nil), data...)
 		mutated[mid] ^= 0x40
 		if err := os.WriteFile(sPath, mutated, 0o644); err != nil {
@@ -245,8 +277,8 @@ func TestSinglePassRecordingMutatedDuringAnalysis(t *testing.T) {
 
 // forgeFooterTimes rewrites path's index footer with modified entry times.
 // The entry times live in the footer, which no block checksum covers — so a
-// forged footer passes every checksum and must be caught by the single-pass
-// index-honesty check instead.
+// forged footer passes every checksum and must be caught by the fused
+// pass's consistency check instead.
 func forgeFooterTimes(t *testing.T, path string, mutate func(entries []profiledata.IndexEntry)) string {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -311,15 +343,114 @@ func TestSinglePassRejectsLyingIndexFooter(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		core.SetPoolWorkers(workers)
 		for name, path := range forged {
-			fused, restoreHook := countSinglePass()
+			plans, restore := recordPlans()
 			_, err := tl.AnalyzeTraceFile(path, oPath)
-			restoreHook()
-			if *fused == 0 {
-				t.Fatalf("workers=%d %s: single pass did not engage on the forged recording", workers, name)
+			restore()
+			if len(*plans) != 1 || !(*plans)[0] {
+				t.Fatalf("workers=%d %s: plans %v, want one with footer bounds", workers, name, *plans)
 			}
 			if err == nil || !strings.Contains(err.Error(), "index disagrees with recording") {
 				t.Fatalf("workers=%d %s: error = %v, want index-disagrees", workers, name, err)
 			}
+		}
+	}
+}
+
+// TestNaNTimeMatchesSlicePath: a sample with a NaN time is counted, not
+// rejected — it lands in the timeline exactly as the slice path puts it —
+// on every input that takes the pre-scan.
+func TestNaNTimeMatchesSlicePath(t *testing.T) {
+	tl := sharedTool(t)
+	_, csvPath, oPath := recordTo(t, tl, 78, drbw.FormatCSV)
+	td, err := drbw.LoadTrace(csvPath, oPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	td.Samples[len(td.Samples)/2].Time = math.NaN()
+	want, err := tl.AnalyzeTrace(td)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nanCSV := filepath.Join(t.TempDir(), "nan.csv")
+	if err := td.SaveAs(nanCSV, filepath.Join(t.TempDir(), "o.csv"), drbw.FormatCSV); err != nil {
+		t.Fatal(err)
+	}
+	unindexed := rewriteSamples(t, nanCSV, profiledata.BinaryOptions{})
+
+	defer core.SetPoolWorkers(0)
+	for _, workers := range []int{1, 2} {
+		core.SetPoolWorkers(workers)
+		for _, path := range []string{nanCSV, unindexed} {
+			got, err := tl.AnalyzeTraceFile(path, oPath)
+			if err != nil {
+				t.Fatalf("workers=%d %s: %v", workers, path, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers=%d %s: report differs from the slice path\n got %+v\nwant %+v", workers, path, got, want)
+			}
+		}
+	}
+}
+
+// TestOverlappingObjectsFailOnlyWhenContended: the objects table only
+// matters once classification flags contention, exactly as on the slice
+// path — a clean recording with an overlapping table still analyzes, a
+// contended one fails with the table's error. Indexed, CSV and windowed
+// inputs all agree with the slice path.
+func TestOverlappingObjectsFailOnlyWhenContended(t *testing.T) {
+	tl := sharedTool(t)
+	for _, rc := range []struct {
+		bench     string
+		contended bool
+	}{{"Swaptions", false}, {"Streamcluster", true}} {
+		td, err := tl.Record(rc.bench, drbw.Case{Input: "native", Threads: 32, Nodes: 4, Seed: 79})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(td.Objects) == 0 {
+			t.Fatalf("%s: recording has no objects", rc.bench)
+		}
+		first := td.Objects[0]
+		td.Objects = append(td.Objects, drbw.ObjectRecord{ID: 1 << 20, Name: "overlap", Base: first.Base, Size: first.Size})
+		dir := t.TempDir()
+		csvPath := filepath.Join(dir, "samples.csv")
+		oPath := filepath.Join(dir, "objects.csv")
+		if err := td.SaveAs(csvPath, oPath, drbw.FormatCSV); err != nil {
+			t.Fatal(err)
+		}
+		// Analyze the CSV-quantized samples so every input holds the same.
+		td, err = drbw.LoadTrace(csvPath, oPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binPath := filepath.Join(dir, "samples.bin")
+		if err := td.SaveAs(binPath, oPath, drbw.FormatBinary); err != nil {
+			t.Fatal(err)
+		}
+		want, wantErr := tl.AnalyzeTrace(td)
+		if rc.contended != (wantErr != nil) {
+			t.Fatalf("%s: slice path error = %v, want failure=%v", rc.bench, wantErr, rc.contended)
+		}
+		if wantErr != nil && !strings.Contains(wantErr.Error(), "overlap") {
+			t.Fatalf("%s: slice path error = %v, want the overlap error", rc.bench, wantErr)
+		}
+		lo, hi := timeWindow(td)
+		wantWin, wantWinErr := tl.AnalyzeTrace(windowed(td, lo, hi))
+
+		check := func(name string, got *drbw.Report, err error, want *drbw.Report, wantErr error) {
+			t.Helper()
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("%s %s: error = %v, want %v", rc.bench, name, err, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %s: report differs from the slice path\n got %+v\nwant %+v", rc.bench, name, got, want)
+			}
+		}
+		for _, path := range []string{binPath, csvPath} {
+			got, err := tl.AnalyzeTraceFile(path, oPath)
+			check(filepath.Base(path), got, err, want, wantErr)
+			got, err = tl.AnalyzeTraceFileRange(path, oPath, lo, hi)
+			check(filepath.Base(path)+" window", got, err, wantWin, wantWinErr)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 
 	"drbw/internal/alloc"
 	"drbw/internal/core"
@@ -77,20 +76,6 @@ type TracePaths struct {
 	Objects string
 }
 
-// traceScratch is one worker's reusable analysis state: decode buffers for
-// the block reader plus the feature accumulator. Reused across files, it
-// keeps a batch's allocation count proportional to the worker count, not
-// the trace count or length.
-type traceScratch struct {
-	bufs profiledata.Buffers
-	acc  *features.Accumulator
-}
-
-// testHookBetweenPasses, when non-nil, runs between the serial path's two
-// streaming passes. Tests use it to mutate the recording mid-analysis and
-// prove the pass-two consistency check fires.
-var testHookBetweenPasses func()
-
 // timeRange restricts an analysis to samples with Time in [lo, hi]
 // (inclusive). The zero value keeps everything.
 type timeRange struct {
@@ -120,17 +105,17 @@ func (tr timeRange) skipBlock(e profiledata.IndexEntry) bool {
 }
 
 // AnalyzeTraceFile runs the AnalyzeTrace pipeline directly off a recording
-// on disk. When the samples file carries a block index (binary recordings
-// written by this tool), the blocks are fanned across the shared worker
-// pool: each worker streams its own block range with its own decode
-// scratch into mergeable accumulators, and the merged result is
-// bit-identical to the serial analysis at any worker count. Unindexed
-// recordings (CSV, compressed, foreign) stream serially block by block;
-// either way peak memory is bounded by block size × workers, never by the
+// on disk, in one fused decode pass. When the samples file carries a block
+// index (binary recordings written by this tool), the blocks are fanned
+// across the shared worker pool: each worker streams its own block range
+// with its own decode scratch into mergeable accumulators, and the merged
+// result is bit-identical to the serial analysis at any worker count.
+// Unindexed recordings (CSV, compressed, foreign) stream as one job. Either
+// way peak memory is bounded by block size × workers, never by the
 // recording length, and the report is bit-identical to LoadTrace +
 // AnalyzeTrace on the same files.
 func (t *Tool) AnalyzeTraceFile(samplesPath, objectsPath string) (*Report, error) {
-	rep, err := t.analyzeTraceFileRange(samplesPath, objectsPath, fullRange())
+	rep, err := t.analyzeTraceFileRange(samplesPath, objectsPath, fullRange(), nil)
 	return rep, obs.FlightFailure("analyze.trace_file", err)
 }
 
@@ -142,71 +127,43 @@ func (t *Tool) AnalyzeTraceFileRange(samplesPath, objectsPath string, lo, hi flo
 	if !(lo <= hi) {
 		return nil, fmt.Errorf("drbw: invalid time range [%v, %v]", lo, hi)
 	}
-	rep, err := t.analyzeTraceFileRange(samplesPath, objectsPath, timeRange{lo: lo, hi: hi, limited: true})
+	rep, err := t.analyzeTraceFileRange(samplesPath, objectsPath, timeRange{lo: lo, hi: hi, limited: true}, nil)
 	return rep, obs.FlightFailure("analyze.trace_file_range", err)
 }
 
-func (t *Tool) analyzeTraceFileRange(samplesPath, objectsPath string, tr timeRange) (*Report, error) {
+// analyzeTraceFileRange analyzes one recording through the cache when one
+// is attached. The cache's singleflight also dedups a recording listed more
+// than once in a batch — the duplicates decode once and every slot gets the
+// report. sc, when non-nil, is the calling batch worker's scratch.
+func (t *Tool) analyzeTraceFileRange(samplesPath, objectsPath string, tr timeRange, sc *traceScratch) (*Report, error) {
+	analyze := func() (*Report, error) {
+		sp := obs.BeginSpan("analyze.trace_file")
+		sp.SetStr("samples", samplesPath)
+		defer sp.End()
+		return t.analyzeFiles([]string{samplesPath}, objectsPath, tr, sc, "analyze.blocks", sp)
+	}
 	if t.cache != nil {
 		if key, err := t.analyzeFileKey(samplesPath, objectsPath, tr); err == nil {
-			return t.cachedReport(key, func() (*Report, error) {
-				return t.analyzeTraceFileRangeUncached(samplesPath, objectsPath, tr)
-			})
+			return t.cachedReport(key, analyze)
 		}
 		// Fingerprinting failed — missing file, unreadable bytes. Fall
 		// through uncached so the analysis itself surfaces the real error.
 	}
-	return t.analyzeTraceFileRangeUncached(samplesPath, objectsPath, tr)
-}
-
-func (t *Tool) analyzeTraceFileRangeUncached(samplesPath, objectsPath string, tr timeRange) (*Report, error) {
-	sp := obs.BeginSpan("analyze.trace_file")
-	sp.SetStr("samples", samplesPath)
-	defer sp.End()
-	objects, err := readObjectsFile(objectsPath)
-	if err != nil {
-		return nil, err
-	}
-	// Checksummed indexed recordings take the fused single pass: the index
-	// footer supplies the time range and total upfront, so features,
-	// timeline, and CF accumulate in one decode sweep. A time-limited range
-	// keeps the two-pass path — the filtered samples' exact time range is
-	// not knowable from block-level bounds, and the timeline geometry must
-	// come from the samples actually kept.
-	if !tr.limited {
-		if rep, ok, err := t.analyzeSinglePassFile(samplesPath, objects, nil, sp); ok {
-			return rep, err
-		}
-	}
-	// With one worker the block fan-out buys nothing and still pays for the
-	// index open, chunking and two merge steps; the serial reader is
-	// measurably faster and bit-identical. A time-limited range stays on the
-	// indexed path even then, for the block pruning.
-	if core.PoolWorkers() == 1 && !tr.limited {
-		return t.analyzeTraceFileSerial(samplesPath, objects, &traceScratch{acc: features.NewAccumulator(t.machine)}, tr)
-	}
-	if it, err := profiledata.OpenIndexedTrace(samplesPath); err == nil {
-		defer it.Close()
-		return t.analyzeIndexed(it, objects, tr, sp)
-	}
-	// No usable index — CSV, compressed, foreign, or a damaged footer. The
-	// streaming path ignores trailing footers entirely, so it analyzes
-	// everything the serial reader can; a genuinely missing or unreadable
-	// file resurfaces through the streaming open below.
-	return t.analyzeTraceFileSerial(samplesPath, objects, &traceScratch{acc: features.NewAccumulator(t.machine)}, tr)
+	return analyze()
 }
 
 // AnalyzeTraceFiles is AnalyzeTraceFile over a batch of recordings on the
 // shared worker pool, with the AnalyzeTraces partial-result semantics:
 // reports[i] is nil exactly when recording i failed, and a *BatchError
-// aggregates the failures. Each recording is analyzed serially — the batch
-// itself is the parallelism — with per-worker decode buffers and
-// accumulators, so the batch allocates like a handful of serial analyses.
+// aggregates the failures. Each recording is analyzed inline on its batch
+// worker — the batch itself is the parallelism — with per-worker decode
+// buffers and accumulators, so the batch allocates like a handful of
+// serial analyses.
 func (t *Tool) AnalyzeTraceFiles(paths []TracePaths) ([]*Report, error) {
 	if len(paths) == 1 {
 		// A one-recording batch has no cross-file parallelism to exploit;
 		// route it through AnalyzeTraceFile so an indexed recording fans
-		// its block ranges across the pool instead of streaming serially.
+		// its block ranges across the pool instead of streaming inline.
 		// The reports are bit-identical either way.
 		rep, err := t.AnalyzeTraceFile(paths[0].Samples, paths[0].Objects)
 		if err != nil {
@@ -220,16 +177,17 @@ func (t *Tool) AnalyzeTraceFiles(paths []TracePaths) ([]*Report, error) {
 	sp := obs.BeginSpan("analyze.tracefiles")
 	core.ParallelForLabeledSpans(len(paths), "analyze.tracefiles", sp, func(i, w int, cs obs.SpanHandle) {
 		cs.SetStr("samples", paths[i].Samples)
-		if w >= len(scratch) {
+		var sc *traceScratch
+		if w < len(scratch) {
+			if scratch[w] == nil {
+				scratch[w] = t.newScratch()
+			}
+			sc = scratch[w]
+		} else {
 			// The pool width changed mid-call; fall back to fresh scratch.
-			fresh := &traceScratch{acc: features.NewAccumulator(t.machine)}
-			reports[i], errs[i] = t.analyzeTraceFileBatch(paths[i].Samples, paths[i].Objects, fresh)
-			return
+			sc = t.newScratch()
 		}
-		if scratch[w] == nil {
-			scratch[w] = &traceScratch{acc: features.NewAccumulator(t.machine)}
-		}
-		reports[i], errs[i] = t.analyzeTraceFileBatch(paths[i].Samples, paths[i].Objects, scratch[w])
+		reports[i], errs[i] = t.analyzeTraceFileRange(paths[i].Samples, paths[i].Objects, fullRange(), sc)
 	})
 	sp.End()
 	var be BatchError
@@ -259,60 +217,18 @@ func (t *Tool) analyzeTraceShards(samplePaths []string, objectsPath string) (*Re
 	if len(samplePaths) == 0 {
 		return nil, fmt.Errorf("drbw: no sample shards given")
 	}
+	analyze := func() (*Report, error) {
+		sp := obs.BeginSpan("analyze.shards")
+		sp.SetInt("shards", int64(len(samplePaths)))
+		defer sp.End()
+		return t.analyzeFiles(samplePaths, objectsPath, fullRange(), nil, "analyze.shards", sp)
+	}
 	if t.cache != nil {
 		if key, err := t.shardsKey(samplePaths, objectsPath); err == nil {
-			return t.cachedReport(key, func() (*Report, error) {
-				return t.analyzeTraceShardsUncached(samplePaths, objectsPath)
-			})
+			return t.cachedReport(key, analyze)
 		}
 	}
-	return t.analyzeTraceShardsUncached(samplePaths, objectsPath)
-}
-
-func (t *Tool) analyzeTraceShardsUncached(samplePaths []string, objectsPath string) (*Report, error) {
-	sp := obs.BeginSpan("analyze.shards")
-	sp.SetInt("shards", int64(len(samplePaths)))
-	defer sp.End()
-	objects, err := readObjectsFile(objectsPath)
-	if err != nil {
-		return nil, err
-	}
-	// When every shard carries a checksummed index, the whole logical
-	// recording fuses to one decode sweep per shard.
-	if rep, ok, err := t.analyzeShardsSinglePass(samplePaths, objects, sp); ok {
-		return rep, err
-	}
-	// The timeline and the merge checks need the weight before the fan-out;
-	// take it from the first shard and hold every other shard to it.
-	weight, err := readTraceWeight(samplePaths[0])
-	if err != nil {
-		return nil, err
-	}
-	jobs := make([]shardJob, len(samplePaths))
-	for i, path := range samplePaths {
-		i, path := i, path
-		jobs[i] = shardJob{
-			name: path,
-			from: i,
-			to:   i + 1,
-			run: func(bufs *profiledata.Buffers, emit func([]pebs.Sample) error) error {
-				f, err := os.Open(path)
-				if err != nil {
-					return fmt.Errorf("drbw: %w", err)
-				}
-				defer f.Close()
-				sr, err := profiledata.NewSampleReaderBuffers(f, bufs)
-				if err != nil {
-					return err
-				}
-				if sr.Weight() != weight {
-					return fmt.Errorf("drbw: shard %s has weight %v, the first shard has %v", path, sr.Weight(), weight)
-				}
-				return drainReader(sr, emit)
-			},
-		}
-	}
-	return t.analyzeJobs(jobs, weight, objects, fullRange(), "analyze.shards", sp)
+	return analyze()
 }
 
 // AnalyzeTraceShardDir is AnalyzeTraceShards over a directory: every
@@ -347,382 +263,31 @@ func (t *Tool) AnalyzeTraceShardDir(dir string) (*Report, error) {
 	return t.AnalyzeTraceShards(shards, objects[0])
 }
 
-// shardJob streams one independently decodable portion of a recording — a
-// block range of an indexed trace, or one whole shard file — through run,
-// using the worker's decode scratch. A job must yield the same samples
-// every time it runs (both passes replay it). name and [from, to) identify
-// the portion for trace spans and error messages: the shard path and shard
-// index for shard jobs, or the block range for indexed block-range jobs.
-type shardJob struct {
-	name     string
-	from, to int
-	run      func(bufs *profiledata.Buffers, emit func([]pebs.Sample) error) error
-}
-
-// analyzeIndexed fans the blocks of one indexed recording across the
-// worker pool as contiguous block-range jobs.
-func (t *Tool) analyzeIndexed(it *profiledata.IndexedTrace, objects []alloc.Object, tr timeRange, sp obs.SpanHandle) (*Report, error) {
-	// Keep only blocks whose time range intersects tr, grouped into maximal
-	// contiguous runs (block time ranges need not be sorted, so pruning can
-	// split the keep-set).
-	type run struct{ from, to int }
-	var runs []run
-	kept := 0
-	for b := 0; b < it.Blocks(); b++ {
-		if tr.skipBlock(it.Entry(b)) {
-			continue
-		}
-		kept++
-		if n := len(runs); n > 0 && runs[n-1].to == b {
-			runs[n-1].to = b + 1
-		} else {
-			runs = append(runs, run{from: b, to: b + 1})
-		}
-	}
-	if kept == 0 {
-		return nil, errNoSamples(tr, it.TotalSamples())
-	}
-	// Split the runs into ~4 chunks per worker so stragglers rebalance,
-	// without degenerating into per-block jobs on small traces.
-	blocksPerChunk := kept / (core.PoolWorkers() * 4)
-	if blocksPerChunk < 1 {
-		blocksPerChunk = 1
-	}
-	var jobs []shardJob
-	for _, r := range runs {
-		for from := r.from; from < r.to; from += blocksPerChunk {
-			to := from + blocksPerChunk
-			if to > r.to {
-				to = r.to
-			}
-			from, to := from, to
-			jobs = append(jobs, shardJob{
-				name: "blocks",
-				from: from,
-				to:   to,
-				run: func(bufs *profiledata.Buffers, emit func([]pebs.Sample) error) error {
-					sr, err := it.RangeReader(from, to, bufs)
-					if err != nil {
-						return err
-					}
-					return drainReader(sr, emit)
-				},
-			})
-		}
-	}
-	return t.analyzeJobs(jobs, it.Weight(), objects, tr, "analyze.blocks", sp)
-}
-
-// drainReader feeds every remaining block of sr to emit.
-func drainReader(sr *profiledata.SampleReader, emit func([]pebs.Sample) error) error {
-	for {
-		block, err := sr.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := emit(block); err != nil {
-			return err
-		}
-	}
-}
-
-// shardState is one worker's mergeable accumulator set. The two-pass path
-// fills bufs/acc/tl/raw in pass one and reuses bufs for tlf/cf/raw in pass
-// two; the fused single-pass path fills bufs/acc/tlf/dcf and the
-// index-honesty fields in its only pass.
-type shardState struct {
-	bufs profiledata.Buffers
-	acc  *features.Accumulator
-	tl   *diagnose.TimelineAccumulator
-	tlf  *diagnose.TimelineAccumulator
-	cf   *diagnose.CFAccumulator
-	dcf  *diagnose.DenseCF // single-pass: all-channels CF attribution
-	raw  int64             // samples streamed, before time filtering
-	kept int64             // samples analyzed, after time filtering
-	oob  int64             // single-pass: samples outside the index's claimed time range
-	// obsMin and obsMax track the observed time range of in-range samples,
-	// cross-checked against the index's claim after the merge.
-	obsMin, obsMax float64
-}
-
-// shardStates hands out per-worker state under a lock, growing the slice
-// if the pool width changes mid-call — a dropped worker state would
-// silently lose that worker's samples from the merge.
-type shardStates struct {
-	mu     sync.Mutex
-	states []*shardState
-	make   func() *shardState
-}
-
-func (ss *shardStates) get(w int) *shardState {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	for len(ss.states) <= w {
-		ss.states = append(ss.states, nil)
-	}
-	if ss.states[w] == nil {
-		ss.states[w] = ss.make()
-	}
-	return ss.states[w]
-}
-
-// annotate attaches a job's portion identity to its trace span.
-func (j *shardJob) annotate(cs obs.SpanHandle, pass int64) {
-	cs.SetStr("portion", j.name)
-	cs.SetInt("from", int64(j.from))
-	cs.SetInt("to", int64(j.to))
-	cs.SetInt("pass", pass)
-}
-
-// analyzeJobs is the shared two-pass shard runner: every job is streamed
-// once to build features and the timeline range, and once more to bucket
-// the timeline and attribute CF. Per-worker accumulators merge in worker
-// order; counts are integers and sums are exact, so the merged report is
-// bit-identical to the serial pipeline over the jobs' concatenated samples
-// regardless of worker count or scheduling. Errors surface from the
-// lowest-indexed failing job so reruns are deterministic. When a tracer is
-// installed every job becomes a child span of parent carrying the portion
-// name, [from, to) range, pass number, and worker id.
-func (t *Tool) analyzeJobs(jobs []shardJob, weight float64, objects []alloc.Object, tr timeRange, label string, parent obs.SpanHandle) (*Report, error) {
-	// Pass one: validate, extract features, find the time range.
-	ss := &shardStates{make: func() *shardState {
-		return &shardState{
-			acc: features.NewAccumulator(t.machine),
-			tl:  diagnose.NewTimelineAccumulator(timelineBuckets, weight),
-		}
-	}}
-	rawPass1 := make([]int64, len(jobs))
-	errs := make([]error, len(jobs))
-	core.ParallelForLabeledSpans(len(jobs), label, parent, func(i, w int, cs obs.SpanHandle) {
-		jobs[i].annotate(cs, 1)
-		st := ss.get(w)
-		start := st.raw
-		errs[i] = jobs[i].run(&st.bufs, func(block []pebs.Sample) error {
-			st.raw += int64(len(block))
-			block = tr.filter(block)
-			st.kept += int64(len(block))
-			for j := range block {
-				s := &block[j]
-				if s.SrcNode < 0 || int(s.SrcNode) >= t.machine.Nodes() ||
-					s.HomeNode < 0 || int(s.HomeNode) >= t.machine.Nodes() {
-					return fmt.Errorf("drbw: sample references node outside the %d-node machine", t.machine.Nodes())
-				}
-			}
-			st.acc.Add(block)
-			st.tl.Observe(block)
-			return nil
-		})
-		rawPass1[i] = st.raw - start
-	})
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-
-	acc := features.NewAccumulator(t.machine)
-	tl := diagnose.NewTimelineAccumulator(timelineBuckets, weight)
-	var total int64
-	for _, st := range ss.states {
-		if st == nil {
-			continue
-		}
-		if err := acc.Merge(st.acc); err != nil {
-			return nil, err
-		}
-		if err := tl.Merge(st.tl); err != nil {
-			return nil, err
-		}
-		total += st.kept
-	}
-	if total == 0 {
-		raw := 0
-		for i := range rawPass1 {
-			raw += int(rawPass1[i])
-		}
-		return nil, errNoSamples(tr, raw)
-	}
-
-	rep := &Report{Samples: total}
-	contended := t.classify(acc, weight, rep)
-
-	// Pass two: bucket the timeline and, when contended, attribute CF
-	// through the recorded allocation table. Fork clones share tl's frozen
-	// geometry; each worker counts alone and merges back exactly.
-	var table *profiledata.Table
-	if rep.Detected {
-		var err error
-		if table, err = profiledata.NewTable(objects); err != nil {
-			return nil, err
-		}
-	}
-	ss2 := &shardStates{make: func() *shardState {
-		st := &shardState{tlf: tl.Fork()}
-		if table != nil {
-			st.cf = diagnose.NewCFAccumulator(table, contended, weight)
-		}
-		return st
-	}}
-	// Reuse pass-one decode buffers where the worker indices line up.
-	ss2.states = make([]*shardState, len(ss.states))
-	for w, st := range ss.states {
-		if st == nil {
-			continue
-		}
-		s2 := ss2.make()
-		s2.bufs = st.bufs
-		ss2.states[w] = s2
-	}
-	rawPass2 := make([]int64, len(jobs))
-	core.ParallelForLabeledSpans(len(jobs), label, parent, func(i, w int, cs obs.SpanHandle) {
-		jobs[i].annotate(cs, 2)
-		st := ss2.get(w)
-		start := st.raw
-		errs[i] = jobs[i].run(&st.bufs, func(block []pebs.Sample) error {
-			st.raw += int64(len(block))
-			block = tr.filter(block)
-			st.tlf.Add(block)
-			if st.cf != nil {
-				st.cf.Add(block)
-			}
-			return nil
-		})
-		rawPass2[i] = st.raw - start
-	})
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-	for i := range jobs {
-		if rawPass1[i] != rawPass2[i] {
-			return nil, fmt.Errorf("drbw: recording changed during analysis (portion %d held %d samples, then %d)", i, rawPass1[i], rawPass2[i])
-		}
-	}
-	var cf *diagnose.CFAccumulator
-	if table != nil {
-		cf = diagnose.NewCFAccumulator(table, contended, weight)
-	}
-	for _, st := range ss2.states {
-		if st == nil {
-			continue
-		}
-		if err := tl.Merge(st.tlf); err != nil {
-			return nil, err
-		}
-		if cf != nil {
-			if err := cf.Merge(st.cf); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return t.finishReport(rep, tl, cf)
-}
-
-// analyzeTraceFileBatch is the batch path's per-recording unit: the serial
-// streaming analysis, through the cache when one is attached. The cache's
-// singleflight also dedups a recording listed more than once in a batch —
-// the duplicates decode once and every slot gets the report.
-func (t *Tool) analyzeTraceFileBatch(samplesPath, objectsPath string, sc *traceScratch) (*Report, error) {
-	if t.cache != nil {
-		if key, err := t.analyzeFileKey(samplesPath, objectsPath, fullRange()); err == nil {
-			return t.cachedReport(key, func() (*Report, error) {
-				return t.analyzeTraceFile(samplesPath, objectsPath, sc)
-			})
-		}
-	}
-	return t.analyzeTraceFile(samplesPath, objectsPath, sc)
-}
-
-// analyzeTraceFile is the serial streaming analysis used by the batch path
-// (which parallelizes across recordings, not within them).
-func (t *Tool) analyzeTraceFile(samplesPath, objectsPath string, sc *traceScratch) (*Report, error) {
+// analyzeFiles is the one analysis behind every file entry point: it
+// plans the samples files — one logical recording, in order — and runs the
+// plan's fused pass. sc, when non-nil, keeps the analysis inline on the
+// calling batch worker's scratch; a one-worker pool runs inline too.
+func (t *Tool) analyzeFiles(samplePaths []string, objectsPath string, tr timeRange, sc *traceScratch, label string, sp obs.SpanHandle) (*Report, error) {
 	objects, err := readObjectsFile(objectsPath)
 	if err != nil {
 		return nil, err
 	}
-	// A checksummed indexed recording fuses to one decode sweep even here;
-	// passing sc keeps the sweep serial (the batch is the parallelism) and
-	// reuses this worker's scratch.
-	if rep, ok, err := t.analyzeSinglePassFile(samplesPath, objects, sc, obs.SpanHandle{}); ok {
-		return rep, err
+	if sc == nil && core.PoolWorkers() == 1 {
+		sc = t.newScratch()
 	}
-	return t.analyzeTraceFileSerial(samplesPath, objects, sc, fullRange())
-}
-
-func (t *Tool) analyzeTraceFileSerial(samplesPath string, objects []alloc.Object, sc *traceScratch, tr timeRange) (*Report, error) {
-	// Pass one: validate, extract features, find the time range.
-	sc.acc.Reset()
-	var (
-		weight float64
-		tl     *diagnose.TimelineAccumulator
-		raw1   int64
-		kept   int64
-	)
-	err := t.streamSamples(samplesPath, sc, func(w float64) {
-		weight = w
-		tl = diagnose.NewTimelineAccumulator(timelineBuckets, w)
-	}, func(block []pebs.Sample) error {
-		raw1 += int64(len(block))
-		block = tr.filter(block)
-		kept += int64(len(block))
-		for i := range block {
-			s := &block[i]
-			if s.SrcNode < 0 || int(s.SrcNode) >= t.machine.Nodes() ||
-				s.HomeNode < 0 || int(s.HomeNode) >= t.machine.Nodes() {
-				return fmt.Errorf("drbw: sample references node outside the %d-node machine", t.machine.Nodes())
-			}
-		}
-		sc.acc.Add(block)
-		tl.Observe(block)
-		return nil
-	})
+	ss := &scratchSet{fresh: t.newScratch}
+	if sc != nil {
+		ss.inline, ss.states = true, []*traceScratch{sc}
+	}
+	p, err := plan(samplePaths, tr, label, ss, sp)
 	if err != nil {
 		return nil, err
 	}
-	if kept == 0 {
-		return nil, errNoSamples(tr, int(raw1))
+	defer p.close()
+	if testHookPlanned != nil {
+		testHookPlanned(p.footer)
 	}
-
-	rep := &Report{Samples: kept}
-	contended := t.classify(sc.acc, weight, rep)
-
-	// Pass two: bucket the timeline and, when contended, attribute CF
-	// through the recorded allocation table. The recording is re-read from
-	// disk, so before trusting it the pass re-checks what pass one
-	// established: same weight, same sample count. A recording that was
-	// swapped or appended to between the passes would otherwise be
-	// classified from one set of samples and diagnosed from another.
-	if testHookBetweenPasses != nil {
-		testHookBetweenPasses()
-	}
-	var cf *diagnose.CFAccumulator
-	if rep.Detected {
-		table, err := profiledata.NewTable(objects)
-		if err != nil {
-			return nil, err
-		}
-		cf = diagnose.NewCFAccumulator(table, contended, weight)
-	}
-	var raw2 int64
-	var weight2 float64
-	err = t.streamSamples(samplesPath, sc, func(w float64) {
-		weight2 = w
-	}, func(block []pebs.Sample) error {
-		raw2 += int64(len(block))
-		block = tr.filter(block)
-		tl.Add(block)
-		if cf != nil {
-			cf.Add(block)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if weight2 != weight || raw2 != raw1 {
-		return nil, fmt.Errorf("drbw: recording changed during analysis (weight %v then %v, %d then %d samples)", weight, weight2, raw1, raw2)
-	}
-	return t.finishReport(rep, tl, cf)
+	return t.fusedPass(p, objects, ss, sp)
 }
 
 // classify runs the trained tree over the accumulated per-channel vectors,
@@ -766,21 +331,11 @@ func (t *Tool) finishReport(rep *Report, tl *diagnose.TimelineAccumulator, cf *d
 
 // errNoSamples distinguishes an empty recording from a time window that
 // excluded everything.
-func errNoSamples(tr timeRange, rawSamples int) error {
+func errNoSamples(tr timeRange, rawSamples int64) error {
 	if tr.limited && rawSamples > 0 {
 		return fmt.Errorf("drbw: no samples in time range [%v, %v]", tr.lo, tr.hi)
 	}
 	return fmt.Errorf("drbw: recording has no samples")
-}
-
-// firstError returns the error of the lowest-indexed failing job.
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // readObjectsFile loads a recorded objects table.
@@ -791,48 +346,4 @@ func readObjectsFile(path string) ([]alloc.Object, error) {
 	}
 	defer f.Close()
 	return profiledata.ReadObjects(f)
-}
-
-// readTraceWeight opens a recording just long enough to read its weight.
-func readTraceWeight(path string) (float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("drbw: %w", err)
-	}
-	defer f.Close()
-	sr, err := profiledata.NewSampleReader(f)
-	if err != nil {
-		return 0, err
-	}
-	return sr.Weight(), nil
-}
-
-// streamSamples opens the samples file and feeds every decoded block to
-// fn, reusing the scratch buffers. onWeight, when non-nil, receives the
-// recording weight before the first block.
-func (t *Tool) streamSamples(path string, sc *traceScratch, onWeight func(float64), fn func([]pebs.Sample) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("drbw: %w", err)
-	}
-	defer f.Close()
-	sr, err := profiledata.NewSampleReaderBuffers(f, &sc.bufs)
-	if err != nil {
-		return err
-	}
-	if onWeight != nil {
-		onWeight(sr.Weight())
-	}
-	for {
-		block, err := sr.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(block); err != nil {
-			return err
-		}
-	}
 }
