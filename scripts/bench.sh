@@ -18,10 +18,6 @@
 #                     parallel variant allocates more than this multiple of
 #                     the serial variant's allocs/op (the per-worker scratch
 #                     reuse gate; core-count independent)
-#   MIN_DECODE_SPEEDUP when set, fail if the binary trace codec decodes the
-#                     1M-sample bench trace less than this many times faster
-#                     than CSV (BenchmarkTraceDecode csv/binary ns ratio;
-#                     core-count independent)
 #   MIN_SHARD_SPEEDUP when set, fail if BenchmarkShardAnalyze's
 #                     serial/parallel wall-clock ratio falls below this
 #                     value (block-parallel analysis of one indexed
@@ -119,12 +115,12 @@ END {
     printf "},\n" >> out
     # trace_codec: binary-vs-CSV decode speedup and file-size ratio on the
     # 1M-sample bench trace, plus the slice-vs-stream analysis ratio.
-    # Core-count independent, so the gate always enforces.
+    # Informational: no gate reads them.
     dc = nsv["BenchmarkTraceDecode/csv"]
     db = nsv["BenchmarkTraceDecode/binary"]
     as = nsv["BenchmarkAnalyzeTrace/slice"]
     at = nsv["BenchmarkAnalyzeTrace/stream"]
-    printf "  \"trace_codec\": {\"cores\": %d, \"gated\": true", cores >> out
+    printf "  \"trace_codec\": {\"cores\": %d, \"gated\": false", cores >> out
     if (dc != "" && db != "" && db + 0 > 0) {
         printf ", \"decode_speedup\": %.2f", dc / db >> out
     }
@@ -240,23 +236,6 @@ if [ -n "${MAX_BATCH_ALLOC_RATIO:-}" ]; then
         exit 1
     fi
     echo "alloc-ratio gate: parallel/serial allocs ${ratio}x <= ${MAX_BATCH_ALLOC_RATIO}x"
-fi
-
-if [ -n "${MIN_DECODE_SPEEDUP:-}" ]; then
-    dspeed=$(awk '
-    /^BenchmarkTraceDecode\/csv/    { for (i = 2; i <= NF; i++) if ($i == "ns/op") c = $(i-1) }
-    /^BenchmarkTraceDecode\/binary/ { for (i = 2; i <= NF; i++) if ($i == "ns/op") b = $(i-1) }
-    END { if (c != "" && b != "" && b + 0 > 0) printf "%.2f", c / b }
-    ' "$raw")
-    if [ -z "$dspeed" ]; then
-        echo "decode gate: BenchmarkTraceDecode csv/binary not found in output" >&2
-        exit 1
-    fi
-    if awk -v s="$dspeed" -v min="$MIN_DECODE_SPEEDUP" 'BEGIN { exit !(s < min) }'; then
-        echo "decode gate: binary decode ${dspeed}x faster than CSV, below minimum ${MIN_DECODE_SPEEDUP}x" >&2
-        exit 1
-    fi
-    echo "decode gate: binary decode ${dspeed}x >= ${MIN_DECODE_SPEEDUP}x faster than CSV"
 fi
 
 if [ -n "${MIN_SHARD_SPEEDUP:-}" ]; then
