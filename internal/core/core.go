@@ -133,7 +133,7 @@ func peakRemoteUtil(m *topology.Machine, res *engine.Result) float64 {
 // SetPoolWorkers.
 var poolWorkers int32
 
-// SetPoolWorkers sets the process-wide worker count used by ParallelFor
+// SetPoolWorkers sets the process-wide worker count used by ParallelForWorker
 // (and so every batch pipeline in this package). 0 — the default — means
 // GOMAXPROCS; negative values are treated as 0. The CLIs' -workers flags
 // route here.
@@ -152,21 +152,16 @@ func PoolWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ParallelFor runs fn(i) for every i in [0, n) on a bounded pool of
-// PoolWorkers workers — the fan-out every batch pipeline in this package
+// ParallelForWorker runs fn(i, w) for every i in [0, n) on a bounded pool
+// of PoolWorkers workers — the fan-out every batch pipeline in this package
 // shares. Work is claimed through a single atomic counter rather than a
-// channel, so the dispatching goroutine never serializes the pool. fn must
-// write only to its own index's state; ParallelFor returns once every call
-// has finished.
-func ParallelFor(n int, fn func(i int)) {
-	ParallelForWorker(n, func(i, _ int) { fn(i) })
-}
-
-// ParallelForWorker is ParallelFor with the worker index exposed: fn(i, w)
-// runs item i on worker w, where w is in [0, workers) and at most one item
-// runs on a given w at a time. Batch consumers key reusable scratch —
-// decode buffers, feature accumulators — by w, turning per-item allocations
-// into per-worker ones without any locking.
+// channel, so the dispatching goroutine never serializes the pool. Item i
+// runs on worker w, where w is in [0, workers) and at most one item runs on
+// a given w at a time. Batch consumers key reusable scratch — decode
+// buffers, feature accumulators — by w, turning per-item allocations into
+// per-worker ones without any locking. fn must write only to its own
+// index's and worker's state; ParallelForWorker returns once every call has
+// finished.
 func ParallelForWorker(n int, fn func(i, worker int)) {
 	ParallelForWorkers(n, 0, fn)
 }

@@ -57,12 +57,12 @@ func CountDetectCase(contended bool) {
 	}
 }
 
-// ParallelForLabeled is ParallelFor wrapped in a named span with live pool
-// metrics and per-case progress: the queue-depth and in-flight gauges
-// track the pool in real time (visible on /metrics during long sweeps),
-// "pool.<label>.case_seconds" collects the per-case latency distribution,
-// and the span's progress line (N/M done, elapsed, ETA) goes to the
-// configured progress writer.
+// ParallelForLabeled runs fn(i) for every i in [0, n) on the batch pool,
+// wrapped in a named span with live pool metrics and per-case progress: the
+// queue-depth and in-flight gauges track the pool in real time (visible on
+// /metrics during long sweeps), "pool.<label>.case_seconds" collects the
+// per-case latency distribution, and the span's progress line (N/M done,
+// elapsed, ETA) goes to the configured progress writer.
 func ParallelForLabeled(n int, label string, fn func(i int)) {
 	ParallelForLabeledWorker(n, label, func(i, _ int) { fn(i) })
 }

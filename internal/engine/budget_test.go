@@ -56,12 +56,10 @@ func TestCycleBudgetMatchesReference(t *testing.T) {
 	base := testConfig(7)
 	full := budgetScan(t, base)
 	for _, budget := range []float64{full.Cycles / 3, full.Cycles / 2, full.Cycles * 0.9} {
-		fast := base
-		fast.CycleBudget = budget
-		ref := fast
-		ref.Reference = true
-		fr := budgetScan(t, fast)
-		rr := budgetScan(t, ref)
+		cfg := base
+		cfg.CycleBudget = budget
+		fr := budgetScan(t, cfg)
+		rr, _ := runScanOn(t, topology.XeonE5_4650(), 16, 4, memsim.BindTo(0), cfg, (*Engine).runRef)
 		if !reflect.DeepEqual(fr, rr) {
 			t.Errorf("budget %.0f: fast and reference paths disagree\nfast: %+v\nref:  %+v", budget, fr, rr)
 		}

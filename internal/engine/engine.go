@@ -59,8 +59,6 @@ type Config struct {
 	ReservoirSize int
 	// QueueCoeff scales the sub-saturation queueing-delay ramp. <= 0 uses 1.
 	QueueCoeff float64
-	// MaxEpochs guards against non-termination. <= 0 uses 200000.
-	MaxEpochs int
 	// Seed drives all randomness (window interleaving jitter, reservoirs,
 	// sample noise).
 	Seed uint64
@@ -92,13 +90,11 @@ type Config struct {
 	// GOMAXPROCS; 1 forces the serial path. Values above the bound-node
 	// count add nothing. The integration stage is serial either way.
 	Workers int
-	// Reference selects the slow map-based reference implementation of the
-	// window and integration stages instead of the dense-indexed fast path.
-	// Both paths share the same randomness discipline and must produce
-	// bit-identical results; equivalence tests run every scenario through
-	// both. Production callers leave this false.
-	Reference bool
 }
+
+// maxEpochs bounds the integration loop of one phase, guarding against
+// non-termination.
+const maxEpochs = 200000
 
 func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
@@ -114,9 +110,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueCoeff <= 0 {
 		c.QueueCoeff = 1
-	}
-	if c.MaxEpochs <= 0 {
-		c.MaxEpochs = 200000
 	}
 	return c
 }
@@ -322,7 +315,8 @@ const (
 )
 
 // packRecord builds a record. home must already be normalized (never
-// InvalidNode) and below 256; level fits the three bits by construction.
+// InvalidNode); topology.MaxNodes keeps it within the eight home bits, and
+// level fits the three bits by construction.
 func packRecord(addr uint64, level cache.Level, home topology.NodeID, write bool) record {
 	r := record(addr&recAddrMask) |
 		record(level)<<recLevelShift |
@@ -370,7 +364,7 @@ func splitmix64(x uint64) uint64 {
 }
 
 // reservoirSeed derives the per-thread xorshift state for the window
-// reservoir. Shared by the fast and reference paths.
+// reservoir. The test-side reference oracle draws from the same state.
 func (e *Engine) reservoirSeed(phaseIdx uint64, thread int) uint64 {
 	s := splitmix64(e.cfg.Seed ^ phaseIdx*1315423911 ^ uint64(thread)*0x9e3779b97f4a7c15)
 	if s == 0 {
@@ -404,13 +398,9 @@ func (e *Engine) Run(phases []trace.Phase, bind Binding) (*Result, error) {
 	var st runStats
 	// Causal tracing at phase granularity only: the span handles are no-ops
 	// unless an exporter is installed, so the window and integration loops
-	// stay untouched and the allocation gate holds. The reference oracle
-	// stays silent, mirroring the metrics policy.
-	var sp obs.SpanHandle
-	if !e.cfg.Reference {
-		sp = obs.BeginSpan("engine.run")
-		sp.SetInt("phases", int64(len(phases)))
-	}
+	// stay untouched and the allocation gate holds.
+	sp := obs.BeginSpan("engine.run")
+	sp.SetInt("phases", int64(len(phases)))
 	rng := rand.New(rand.NewSource(int64(e.cfg.Seed) ^ 0x51ed2701))
 	for pi, ph := range phases {
 		if len(ph.Threads) != len(bind) {
@@ -441,22 +431,13 @@ func (e *Engine) Run(phases []trace.Phase, bind Binding) (*Result, error) {
 		}
 	}
 	res.Cycles = now
-	if !e.cfg.Reference {
-		sp.SetFloat("cycles", now)
-		sp.End()
-		st.merge()
-	}
+	sp.SetFloat("cycles", now)
+	sp.End()
+	st.merge()
 	return res, nil
 }
 
 func (e *Engine) runPhase(ph trace.Phase, bind Binding, start float64, rng *rand.Rand, phaseIdx uint64, st *runStats) (*PhaseResult, error) {
-	if e.cfg.Reference {
-		profiles, err := e.windowRef(ph, bind, phaseIdx)
-		if err != nil {
-			return nil, err
-		}
-		return e.integrateRef(ph, bind, profiles, start, rng)
-	}
 	st.phases++
 	profiles, err := e.window(ph, bind, phaseIdx, st)
 	if err != nil {
@@ -725,25 +706,9 @@ func (e *Engine) inflation(u float64) float64 {
 	}
 }
 
-// pairInflation combines the link and target-controller pressure of a
-// (src,dst) pair: the binding (most loaded) resource dominates the queue.
-func (e *Engine) pairInflation(pair topology.Channel, util map[topology.Channel]float64) float64 {
-	u := util[topology.Channel{Src: pair.Dst, Dst: pair.Dst}]
-	if !pair.Local() {
-		if lu := util[pair]; lu > u {
-			u = lu
-		}
-	}
-	return e.inflation(u)
-}
-
-// pairLatency is the effective DRAM latency of a pair under the current
-// offered utilizations.
-func (e *Engine) pairLatency(pair topology.Channel, util map[topology.Channel]float64) float64 {
-	return e.pairBaseLatency(pair) * e.pairInflation(pair, util)
-}
-
-// pairInflationCi is pairInflation over the dense utilization table.
+// pairInflationCi combines the link and target-controller pressure of
+// channel ci over the dense utilization table: the binding (most loaded)
+// resource dominates the queue.
 func (e *Engine) pairInflationCi(ci int, util []float64) float64 {
 	dl := e.dstLoc[ci]
 	u := util[dl]
@@ -845,7 +810,7 @@ func (e *Engine) integrate(ph trace.Phase, bind Binding, profiles []*profile, st
 		nodes[i] = e.nodeOf[bind[i]]
 	}
 
-	for epoch := 0; epoch < e.cfg.MaxEpochs; epoch++ {
+	for epoch := 0; epoch < maxEpochs; epoch++ {
 		// Offered utilization from the unthrottled rates of running threads.
 		for ci := range util {
 			util[ci] = 0

@@ -56,6 +56,12 @@ func scanWorkload(t *testing.T, m *topology.Machine, threads int, pol memsim.Pol
 
 func runScan(t *testing.T, m *topology.Machine, threads, nodes int, pol memsim.Policy, cfg Config) (*Result, *memsim.AddressSpace) {
 	t.Helper()
+	return runScanOn(t, m, threads, nodes, pol, cfg, (*Engine).Run)
+}
+
+// runScanOn is runScan through the given path (Run or the reference oracle).
+func runScanOn(t *testing.T, m *topology.Machine, threads, nodes int, pol memsim.Policy, cfg Config, run runner) (*Result, *memsim.AddressSpace) {
+	t.Helper()
 	as, ph, _, _ := scanWorkload(t, m, threads, pol, 2e6)
 	e, err := New(m, as, smallCaches(), cfg)
 	if err != nil {
@@ -65,7 +71,7 @@ func runScan(t *testing.T, m *topology.Machine, threads, nodes int, pol memsim.P
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run([]trace.Phase{ph}, bind)
+	res, err := run(e, []trace.Phase{ph}, bind)
 	if err != nil {
 		t.Fatal(err)
 	}

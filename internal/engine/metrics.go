@@ -16,9 +16,6 @@ import (
 // touched exactly once per Run (a handful of striped atomic adds), so
 // concurrent batch workers never contend inside a simulation and
 // BenchmarkEngineContendedRun's allocation profile is unchanged.
-//
-// The reference implementation (Config.Reference) is a test-only
-// equivalence oracle and records no metrics.
 var (
 	mRuns     = obs.Default.Counter("engine.runs")
 	mPhases   = obs.Default.Counter("engine.phases")

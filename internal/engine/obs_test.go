@@ -93,30 +93,3 @@ func TestMetricsReconcileWithResult(t *testing.T) {
 		}
 	}
 }
-
-// TestReferencePathRecordsNoMetrics pins the contract that the map-based
-// equivalence oracle stays un-instrumented.
-func TestReferencePathRecordsNoMetrics(t *testing.T) {
-	m := topology.XeonE5_4650()
-	cfg := testConfig(3)
-	cfg.Reference = true
-	as, ph, _, _ := scanWorkload(t, m, 4, memsim.BindTo(0), 1e6)
-	e, err := New(m, as, smallCaches(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bind, err := EvenBinding(m, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := obs.Default.Snapshot()
-	if _, err := e.Run([]trace.Phase{ph}, bind); err != nil {
-		t.Fatal(err)
-	}
-	after := obs.Default.Snapshot()
-	for _, name := range []string{"engine.runs", "engine.phases", "engine.window.accesses"} {
-		if d := snapDelta(before, after, name); d != 0 {
-			t.Fatalf("%s delta = %d on the reference path, want 0", name, d)
-		}
-	}
-}

@@ -55,7 +55,6 @@ func runShared(t *testing.T, m *topology.Machine, threads, nodes, workers int, r
 	as, phases := sharedScanWorkload(t, m, threads, memsim.FirstTouchPolicy())
 	cfg := testConfig(77)
 	cfg.Workers = workers
-	cfg.Reference = reference
 	col := pebs.NewCollector(pebs.Config{Period: 1500, OverheadCycles: 900}, 77)
 	cfg.Collector = col
 	e, err := New(m, as, smallCaches(), cfg)
@@ -67,7 +66,7 @@ func runShared(t *testing.T, m *topology.Machine, threads, nodes, workers int, r
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(phases, bind)
+	res, err := pathFor(reference)(e, phases, bind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +104,7 @@ func TestWindowWorkerDeterminism(t *testing.T) {
 }
 
 // TestParallelMatchesReferenceFirstTouch checks the parallel window against
-// the Config.Reference oracle on the arbitration-heavy shared first-touch
+// the map-keyed reference oracle on the arbitration-heavy shared first-touch
 // scenario, independent of how many cores the host actually has.
 func TestParallelMatchesReferenceFirstTouch(t *testing.T) {
 	m := topology.XeonE5_4650()

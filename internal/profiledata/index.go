@@ -50,8 +50,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"runtime"
-	"sync"
 
 	"drbw/internal/cache"
 )
@@ -310,11 +308,6 @@ type IndexedTrace struct {
 	total  uint64
 	levels []cache.Level
 	idx    *BlockIndex
-
-	// mu guards ras, the prefetchers handed out to range readers; Close
-	// stops any a consumer abandoned mid-range.
-	mu  sync.Mutex
-	ras []*prefetcher
 }
 
 // NewIndexedTrace opens an indexed recording over an io.ReaderAt of the
@@ -409,16 +402,8 @@ func (it *IndexedTrace) TimeBounds() (minT, maxT float64, ok bool) {
 	return minT, maxT, true
 }
 
-// Close stops any read-ahead still running for this trace's range readers
-// and releases the underlying file when the trace was opened from a path.
+// Close releases the underlying file when the trace was opened from a path.
 func (it *IndexedTrace) Close() error {
-	it.mu.Lock()
-	ras := it.ras
-	it.ras = nil
-	it.mu.Unlock()
-	for _, p := range ras {
-		p.Stop()
-	}
 	if it.f != nil {
 		return it.f.Close()
 	}
@@ -463,19 +448,6 @@ func (it *IndexedTrace) RangeReader(from, to int, bufs *Buffers) (*SampleReader,
 		}
 	}
 	sr.dec = blockDecoder{prevTime: e.PrevTime, prevAddr: e.PrevAddr, prevLat: e.PrevLat, levels: it.levels}
-	if size := end - start; size >= prefetchMinBytes && runtime.GOMAXPROCS(0) > 1 {
-		// Large ranges read ahead on a background goroutine so block N+1's
-		// bytes arrive while block N decodes — when a spare CPU exists to
-		// run it; on one CPU the goroutine only adds a copy and scheduling
-		// to the decode loop. The reader stops it at EOF or on error; Close
-		// sweeps any abandoned mid-range.
-		sr.ra = newPrefetcher(it.r, start, size)
-		it.mu.Lock()
-		it.ras = append(it.ras, sr.ra)
-		it.mu.Unlock()
-		sr.body = bufio.NewReaderSize(sr.ra, 64<<10)
-	} else {
-		sr.body = bufio.NewReaderSize(io.NewSectionReader(it.r, start, end-start), 64<<10)
-	}
+	sr.body = bufio.NewReaderSize(io.NewSectionReader(it.r, start, end-start), 64<<10)
 	return sr, nil
 }

@@ -51,9 +51,6 @@ type SampleReader struct {
 	// sums, when non-nil, holds the range's per-block payload checksums
 	// (DRBWIDX2 indexes); every block read is verified against its entry.
 	sums []uint64
-	// ra, when non-nil, is the background read-ahead feeding body; stopped
-	// on every terminal path and swept by IndexedTrace.Close.
-	ra *prefetcher
 
 	// CSV state.
 	lines    *bufio.Reader // nil for binary recordings
@@ -147,25 +144,13 @@ func (sr *SampleReader) grow(n int) []pebs.Sample {
 func (sr *SampleReader) nextBinary() ([]pebs.Sample, error) {
 	count, payload, err := sr.readBlock()
 	if err != nil {
-		sr.stopPrefetch()
 		return nil, err
 	}
 	out := sr.grow(count)
 	if err := sr.dec.decode(payload, out, &sr.bufs.column); err != nil {
-		sr.stopPrefetch()
 		return nil, err
 	}
 	return out, nil
-}
-
-// stopPrefetch shuts down the reader's read-ahead goroutine, if any. Called
-// on every terminal path (EOF or error) so an abandoned reader never leaves
-// a prefetcher running; IndexedTrace.Close sweeps any that remain.
-func (sr *SampleReader) stopPrefetch() {
-	if sr.ra != nil {
-		sr.ra.Stop()
-		sr.ra = nil
-	}
 }
 
 // readBlock reads the next block header and payload into the shared payload
@@ -266,17 +251,14 @@ func (sr *SampleReader) appendRemaining(dst []pebs.Sample) ([]pebs.Sample, error
 	for {
 		count, payload, err := sr.readBlock()
 		if err == io.EOF {
-			sr.stopPrefetch()
 			return dst, nil
 		}
 		if err != nil {
-			sr.stopPrefetch()
 			return dst, err
 		}
 		n := len(dst)
 		dst = slices.Grow(dst, count)[:n+count]
 		if err := sr.dec.decode(payload, dst[n:], &sr.bufs.column); err != nil {
-			sr.stopPrefetch()
 			return dst[:n], err
 		}
 	}

@@ -127,31 +127,29 @@ type Input struct {
 // outcome, does not depend on available parallelism.
 const DefaultWaveSize = 4
 
+const (
+	// cover is the CF mass the top objects must cover.
+	cover = 0.9
+	// localityWeight balances the locality term against channel pressure
+	// in the analytic score.
+	localityWeight = 0.5
+)
+
 // Config tunes the search.
 type Config struct {
 	// TopObjects caps how many of the diagnoser's top-CF objects the
 	// enumeration draws from. <= 0 uses 3.
 	TopObjects int
-	// Cover is the CF mass the top objects must cover. <= 0 uses 0.9.
-	Cover float64
-	// MaxCombo caps how many objects one candidate may assign (combination
-	// depth). <= 0 means no cap beyond TopObjects.
-	MaxCombo int
 	// Frontier is how many top-scoring candidates are simulated. 0 uses 12;
 	// negative simulates every candidate (exhaustive — the benchmark
 	// baseline).
 	Frontier int
-	// WaveSize overrides DefaultWaveSize when > 0.
-	WaveSize int
 	// Workers bounds the simulation fan-out; 0 uses core.PoolWorkers().
 	// The chosen placement is identical at any setting.
 	Workers int
 	// DisableBudget turns off the cycle-budget bound, simulating every
 	// frontier candidate to completion (the no-pruning benchmark baseline).
 	DisableBudget bool
-	// LocalityWeight balances the locality term against channel pressure in
-	// the analytic score. <= 0 uses 0.5.
-	LocalityWeight float64
 	// Baseline, when non-nil, is used as the unmodified case's measurement
 	// instead of simulating it. Callers (the result cache) supply a prior
 	// run's baseline for the identical case and engine config; because runs
@@ -163,20 +161,8 @@ func (c Config) withDefaults() Config {
 	if c.TopObjects <= 0 {
 		c.TopObjects = 3
 	}
-	if c.Cover <= 0 {
-		c.Cover = 0.9
-	}
-	if c.MaxCombo <= 0 || c.MaxCombo > c.TopObjects {
-		c.MaxCombo = c.TopObjects
-	}
 	if c.Frontier == 0 {
 		c.Frontier = 12
-	}
-	if c.WaveSize <= 0 {
-		c.WaveSize = DefaultWaveSize
-	}
-	if c.LocalityWeight <= 0 {
-		c.LocalityWeight = 0.5
 	}
 	return c
 }
@@ -256,13 +242,13 @@ func Run(in Input, ecfg engine.Config, cfg Config) (*Result, error) {
 		in.Contended = deriveContended(m, in.Samples)
 	}
 	rep := diagnose.Analyze(in.Heap, in.Samples, in.Contended, in.Weight)
-	top := rep.Top(cfg.Cover)
+	top := rep.Top(cover)
 	if len(top) > cfg.TopObjects {
 		top = top[:cfg.TopObjects]
 	}
 
-	cands := enumerate(top, cfg.MaxCombo)
-	model := newCostModel(m, in.Samples, top, cfg.LocalityWeight)
+	cands := enumerate(top, cfg.TopObjects)
+	model := newCostModel(m, in.Samples, top)
 	outs := make([]Outcome, len(cands))
 	for i, c := range cands {
 		outs[i] = Outcome{Candidate: c, Score: model.score(c)}
@@ -303,8 +289,8 @@ func Run(in Input, ecfg engine.Config, cfg Config) (*Result, error) {
 	// (wave number, cycle budget) and each candidate run a "search.candidate"
 	// grandchild carrying its canonical key and worker id.
 	incumbent := base.Cycles
-	for lo := 0; lo < frontier; lo += cfg.WaveSize {
-		hi := lo + cfg.WaveSize
+	for lo := 0; lo < frontier; lo += DefaultWaveSize {
+		hi := lo + DefaultWaveSize
 		if hi > frontier {
 			hi = frontier
 		}
@@ -313,7 +299,7 @@ func Run(in Input, ecfg engine.Config, cfg Config) (*Result, error) {
 			run.CycleBudget = incumbent
 		}
 		ws := sp.Child("search.wave")
-		ws.SetInt("wave", int64(lo/cfg.WaveSize))
+		ws.SetInt("wave", int64(lo/DefaultWaveSize))
 		ws.SetInt("size", int64(hi-lo))
 		ws.SetFloat("budget", run.CycleBudget)
 		errs := make([]error, hi-lo)
@@ -488,20 +474,18 @@ type costModel struct {
 	// cap is each channel's share of total machine bandwidth.
 	cap []float64
 
-	byName         map[string]int
-	localityWeight float64
+	byName map[string]int
 }
 
-func newCostModel(m *topology.Machine, samples []pebs.Sample, top []diagnose.ObjectCF, localityWeight float64) *costModel {
+func newCostModel(m *topology.Machine, samples []pebs.Sample, top []diagnose.ObjectCF) *costModel {
 	nc := m.NumChannels()
 	cm := &costModel{
 		m: m, nn: m.Nodes(),
-		fixed:          make([]float64, nc),
-		rowTotal:       make([]float64, m.Nodes()),
-		dist:           make([]float64, nc),
-		cap:            make([]float64, nc),
-		byName:         map[string]int{},
-		localityWeight: localityWeight,
+		fixed:    make([]float64, nc),
+		rowTotal: make([]float64, m.Nodes()),
+		dist:     make([]float64, nc),
+		cap:      make([]float64, nc),
+		byName:   map[string]int{},
 	}
 	type span struct{ base, end uint64 }
 	spans := make([]span, len(top))
@@ -561,11 +545,11 @@ func newCostModel(m *topology.Machine, samples []pebs.Sample, top []diagnose.Obj
 //
 //	score = Σ_c frac_c²/cap_c  +  w · Σ_c frac_c·dist_c
 //
-// where frac_c is the channel's share of predicted traffic and cap_c its
-// share of machine bandwidth. The first term is a convex pressure measure:
-// it is minimized when traffic spreads in proportion to bandwidth and grows
-// quadratically as traffic piles onto few channels — the remote-bandwidth
-// saturation DR-BW detects. The second charges each access its latency
+// where frac_c is the channel's share of predicted traffic, cap_c its
+// share of machine bandwidth and w is localityWeight. The first term is a
+// convex pressure measure: it is minimized when traffic spreads in
+// proportion to bandwidth and grows quadratically as traffic piles onto few
+// channels — the remote-bandwidth saturation DR-BW detects. The second charges each access its latency
 // distance, so all-remote placements (plain interleave) rank below
 // data-computation co-location exactly as in the paper's Table IV. Channel
 // iteration order is fixed (ChannelIndex order), so the floating-point sum
@@ -639,7 +623,7 @@ func (cm *costModel) score(c Candidate) float64 {
 		}
 		locality += frac * cm.dist[ci]
 	}
-	return pressure + cm.localityWeight*locality
+	return pressure + localityWeight*locality
 }
 
 func (cm *costModel) index(src, dst int) int {

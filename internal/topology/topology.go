@@ -93,6 +93,15 @@ type Machine struct {
 	hugePage  int
 }
 
+// Machine size limits enforced by New. MaxNodes is set by the engine, which
+// packs a sampled access's home node into 8 bits; MaxCPUs bounds the
+// per-core cache state a simulation of the machine allocates (at the
+// default geometry, about 36 KiB of L1/L2 tags per core).
+const (
+	MaxNodes = 256
+	MaxCPUs  = 4096
+)
+
 // Config describes a machine to be built by New.
 type Config struct {
 	Name           string
@@ -111,14 +120,19 @@ type Config struct {
 
 // New validates cfg and builds the Machine.
 func New(cfg Config) (*Machine, error) {
-	if cfg.Nodes <= 0 {
-		return nil, fmt.Errorf("topology: Nodes must be positive, got %d", cfg.Nodes)
+	if cfg.Nodes <= 0 || cfg.Nodes > MaxNodes {
+		return nil, fmt.Errorf("topology: Nodes must be in [1, %d], got %d", MaxNodes, cfg.Nodes)
 	}
 	if cfg.CoresPerNode <= 0 {
 		return nil, fmt.Errorf("topology: CoresPerNode must be positive, got %d", cfg.CoresPerNode)
 	}
 	if cfg.ThreadsPerCore != 1 && cfg.ThreadsPerCore != 2 {
 		return nil, fmt.Errorf("topology: ThreadsPerCore must be 1 or 2, got %d", cfg.ThreadsPerCore)
+	}
+	// CoresPerNode is bounded first so the product cannot overflow.
+	if cfg.CoresPerNode > MaxCPUs || cfg.Nodes*cfg.CoresPerNode*cfg.ThreadsPerCore > MaxCPUs {
+		return nil, fmt.Errorf("topology: %d nodes x %d cores x %d threads exceed the %d hardware-thread limit",
+			cfg.Nodes, cfg.CoresPerNode, cfg.ThreadsPerCore, MaxCPUs)
 	}
 	if cfg.LocalBW <= 0 || cfg.RemoteBW <= 0 {
 		return nil, fmt.Errorf("topology: bandwidths must be positive (local %g, remote %g)", cfg.LocalBW, cfg.RemoteBW)

@@ -45,7 +45,7 @@ const (
 // ArraySpec declares one heap array of a custom workload.
 type ArraySpec struct {
 	Name      string    `json:"name"`
-	MB        int       `json:"mb"` // size in MiB
+	MB        int       `json:"mb"` // size in MiB; see maxWorkloadMiB
 	Placement Placement `json:"placement,omitempty"`
 	Pattern   Pattern   `json:"pattern,omitempty"`
 	// Weight is the array's relative share of the thread's accesses
@@ -85,11 +85,18 @@ func LoadWorkloadSpec(path string) (WorkloadSpec, error) {
 	return w, nil
 }
 
+// maxWorkloadMiB caps the summed array sizes of one WorkloadSpec (16 GiB).
+// The simulated address space keeps one node entry per 4 KiB page, so the
+// cap bounds that table at 32 MiB and keeps every array address inside the
+// engine's 47-bit sample records.
+const maxWorkloadMiB = 16 << 10
+
 // builder converts the spec into an internal program builder.
 func (w WorkloadSpec) builder() (program.Builder, error) {
 	if len(w.Arrays) == 0 {
 		return program.Builder{}, fmt.Errorf("drbw: workload %q has no arrays", w.Name)
 	}
+	total := 0
 	for _, a := range w.Arrays {
 		if a.MB <= 0 {
 			return program.Builder{}, fmt.Errorf("drbw: array %q has non-positive size", a.Name)
@@ -97,6 +104,11 @@ func (w WorkloadSpec) builder() (program.Builder, error) {
 		if a.Name == "" {
 			return program.Builder{}, fmt.Errorf("drbw: workload %q has an unnamed array", w.Name)
 		}
+		// Each term is checked before it is added, so the sum cannot overflow.
+		if a.MB > maxWorkloadMiB || total+a.MB > maxWorkloadMiB {
+			return program.Builder{}, fmt.Errorf("drbw: workload %q arrays exceed the %d MiB limit", w.Name, maxWorkloadMiB)
+		}
+		total += a.MB
 	}
 	name := w.Name
 	if name == "" {
