@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"drbw/internal/core"
+	"drbw/internal/obs"
 )
 
 // CaseError records one failed case of a batch run.
@@ -85,18 +86,14 @@ func (t *Tool) batch(bench string, cases []Case, evaluate bool) ([]*Report, erro
 		results = t.detector.DetectAll(t.machine, jobs)
 	}
 	reports := make([]*Report, len(cases))
-	var be BatchError
+	errs := make([]error, len(cases))
 	for i, r := range results {
-		if r.Err != nil {
-			be.Cases = append(be.Cases, CaseError{Index: i, Case: cases[i], Err: r.Err})
-			continue
+		errs[i] = r.Err
+		if r.Err == nil {
+			reports[i] = reportFromDetection(r.Detection)
 		}
-		reports[i] = reportFromDetection(r.Detection)
 	}
-	if len(be.Cases) > 0 {
-		return reports, &be
-	}
-	return reports, nil
+	return reports, batchError(errs, cases)
 }
 
 // AnalyzeTraces runs AnalyzeTrace over every recording on a bounded
@@ -104,19 +101,54 @@ func (t *Tool) batch(bench string, cases []Case, evaluate bool) ([]*Report, erro
 // same partial-result semantics: reports[i] is nil exactly when recording
 // i failed, and a *BatchError aggregates the failures.
 func (t *Tool) AnalyzeTraces(tds []*TraceData) ([]*Report, error) {
-	reports := make([]*Report, len(tds))
-	errs := make([]error, len(tds))
-	core.ParallelForLabeled(len(tds), "analyze.traces", func(i int) {
-		reports[i], errs[i] = t.AnalyzeTrace(tds[i])
+	return t.analyzeBatch(len(tds), "analyze.traces", func(i int, sc *traceScratch, _ obs.SpanHandle) (*Report, error) {
+		return t.analyzeTrace(tds[i], sc)
 	})
+}
+
+// analyzeBatch runs analyze over n recordings on the batch pool, under a
+// label span, handing each call its worker's reusable scratch so a batch
+// allocates in proportion to its worker count, not its recording count.
+// reports[i] is nil exactly when recording i failed.
+func (t *Tool) analyzeBatch(n int, label string, analyze func(i int, sc *traceScratch, sp obs.SpanHandle) (*Report, error)) ([]*Report, error) {
+	reports := make([]*Report, n)
+	errs := make([]error, n)
+	scratch := make([]*traceScratch, core.PoolWorkers())
+	sp := obs.BeginSpan(label)
+	core.ParallelForLabeledSpans(n, label, sp, func(i, w int, cs obs.SpanHandle) {
+		var sc *traceScratch
+		if w < len(scratch) {
+			if scratch[w] == nil {
+				scratch[w] = t.newScratch()
+			}
+			sc = scratch[w]
+		} else {
+			// The pool width changed mid-call; fall back to fresh scratch.
+			sc = t.newScratch()
+		}
+		reports[i], errs[i] = analyze(i, sc, cs)
+	})
+	sp.End()
+	return reports, batchError(errs, nil)
+}
+
+// batchError aggregates a batch's failures, errs[i] being input i's, into
+// a *BatchError; cases, when non-nil, names each input. It is nil when
+// every input succeeded.
+func batchError(errs []error, cases []Case) error {
 	var be BatchError
 	for i, err := range errs {
-		if err != nil {
-			be.Cases = append(be.Cases, CaseError{Index: i, Err: err})
+		if err == nil {
+			continue
 		}
+		ce := CaseError{Index: i, Err: err}
+		if cases != nil {
+			ce.Case = cases[i]
+		}
+		be.Cases = append(be.Cases, ce)
 	}
-	if len(be.Cases) > 0 {
-		return reports, &be
+	if len(be.Cases) == 0 {
+		return nil
 	}
-	return reports, nil
+	return &be
 }

@@ -122,9 +122,11 @@ func quoteFields(csv []byte) []byte {
 }
 
 // BenchmarkAnalyzeTrace runs the full offline analysis of the 1M-sample
-// recording: slice is LoadTrace + AnalyzeTrace (materializes the trace),
-// stream is AnalyzeTraceFile (block-at-a-time, memory bounded by the decode
-// block size — visible in B/op).
+// recording. slice is LoadTrace + AnalyzeTrace: it materializes the trace,
+// then runs the fused pass over it in memory. stream is AnalyzeTraceFile:
+// the same fused pass block at a time off disk, memory bounded by the
+// decode block size (visible in B/op). The sub-benchmark names are what
+// scripts/bench.sh's stream_vs_slice ratio matches.
 func BenchmarkAnalyzeTrace(b *testing.B) {
 	tool := sharedTool(b)
 	td := codecTrace(benchTraceSamples)

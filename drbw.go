@@ -33,8 +33,6 @@
 package drbw
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -180,9 +178,8 @@ func StandardCases(input string) []Case {
 type Tool struct {
 	cfg      Config
 	machine  *topology.Machine
-	training *core.TrainingData // nil when loaded from a saved model
-	tree     *dtree.Tree
-	detector *core.Detector
+	training *core.TrainingData        // nil when loaded from a saved model
+	detector *core.Detector            // holds the trained tree
 	summary  map[string]map[string]int // persisted training summary
 
 	cache  *Cache // optional result cache (SetCache)
@@ -235,7 +232,7 @@ func trainOnMachine(m *topology.Machine, cfg Config) (*Tool, error) {
 		return nil, err
 	}
 	return &Tool{
-		cfg: cfg, machine: m, training: td, tree: tree,
+		cfg: cfg, machine: m, training: td,
 		detector: core.NewDetector(tree, ecfg),
 	}, nil
 }
@@ -266,13 +263,13 @@ func (t *Tool) TrainingRuns() int {
 }
 
 // Tree renders the trained decision tree (Figure 3).
-func (t *Tool) Tree() string { return t.tree.String() }
+func (t *Tool) Tree() string { return t.detector.Tree.String() }
 
 // TreeFeatures lists the Table I features (1-based indices) the trained
 // tree actually splits on; the paper's tree uses features 6 and 7.
 func (t *Tool) TreeFeatures() []int {
 	var out []int
-	for _, f := range t.tree.UsedFeatures() {
+	for _, f := range t.detector.Tree.UsedFeatures() {
 		out = append(out, f+1)
 	}
 	return out
@@ -338,14 +335,14 @@ const timelineBuckets = 32
 // diagnosis of the contended channels (from the retained samples, without
 // re-simulating) plus the remote-pressure timeline.
 func reportFromDetection(dn *core.Detection) *Report {
-	var rep *diagnose.Report
+	var diag *diagnose.Report
 	if dn.Detected {
-		rep = dn.Diagnose()
+		diag = dn.Diagnose()
 	}
-	out := newReport(dn.CaseResult, rep)
-	out.Samples = int64(len(dn.Samples))
-	out.attachTimeline(diagnose.Timeline(dn.Samples, timelineBuckets, dn.Weight))
-	return out
+	r := newReport(dn.Contended, diag, diagnose.Timeline(dn.Samples, timelineBuckets, dn.Weight), int64(len(dn.Samples)))
+	r.Bench, r.Input, r.Config = dn.Bench, dn.Cfg.Input, dn.Cfg.Label()
+	r.Evaluated, r.Actual, r.InterleaveSpeedup = dn.Evaluated, dn.Actual, dn.InterleaveSpeedup
+	return r
 }
 
 // Analyze profiles one case of a built-in benchmark and runs the full
@@ -526,33 +523,9 @@ func (t *Tool) AutoOptimize(bench string, c Case, opts SearchOptions) (*Optimiza
 		return nil, err
 	}
 	key := rcache.KeyOf("optimize", simFP, bench, caseToken(c), optsToken(opts))
-	var computed *Optimization
-	val, _, err := t.cache.c.Do(key, func() ([]byte, error) {
-		o, cerr := t.autoOptimize(bench, c, opts, simFP)
-		if cerr != nil {
-			return nil, cerr
-		}
-		computed = o
-		b, merr := json.Marshal(o)
-		if merr != nil {
-			return nil, errNotCacheable
-		}
-		return b, nil
-	})
-	if computed != nil {
-		return computed, nil
-	}
-	if err != nil {
-		if errors.Is(err, errNotCacheable) {
-			return t.autoOptimize(bench, c, opts, simFP)
-		}
-		return nil, err
-	}
-	o := new(Optimization)
-	if uerr := json.Unmarshal(val, o); uerr != nil {
+	return cached(t.cache, key, func() (*Optimization, error) {
 		return t.autoOptimize(bench, c, opts, simFP)
-	}
-	return o, nil
+	})
 }
 
 // autoOptimize is the uncached body. A non-empty simFP enables the

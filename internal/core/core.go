@@ -395,25 +395,32 @@ func (d *Detector) detect(b program.Builder, m *topology.Machine, cfg program.Co
 		acc.Reset()
 	}
 	acc.Add(dn.Samples)
-	for ch, vec := range acc.Vectors(dn.Weight, d.MinSamples) {
-		v := vec
-		label := features.Label(d.Tree.Predict(v[:]))
-		CountPrediction(label)
-		if label == features.RMC {
-			dn.Detected = true
-			dn.Contended = append(dn.Contended, ch)
-		}
-	}
-	sortChannels(dn.Contended)
-	CountDetectCase(dn.Detected)
+	dn.Contended = d.Classify(acc, dn.Weight)
+	dn.Detected = len(dn.Contended) > 0
 	return dn, nil
 }
 
-func sortChannels(chs []topology.Channel) {
-	sort.Slice(chs, func(i, j int) bool {
-		return chs[i].Src < chs[j].Src ||
-			(chs[i].Src == chs[j].Src && chs[i].Dst < chs[j].Dst)
+// Classify runs the tree over every channel vector acc yields at weight
+// and returns the contended (rmc) channels in (Src, Dst) order — nil when
+// none is. It is the one place a verdict is rendered: live detection and
+// every offline analysis call it, and it keeps the dtree.predict.* and
+// detect.* counters.
+func (d *Detector) Classify(acc *features.Accumulator, weight float64) []topology.Channel {
+	var contended []topology.Channel
+	for ch, vec := range acc.Vectors(weight, d.MinSamples) {
+		v := vec
+		label := features.Label(d.Tree.Predict(v[:]))
+		countPrediction(label)
+		if label == features.RMC {
+			contended = append(contended, ch)
+		}
+	}
+	sort.Slice(contended, func(i, j int) bool {
+		a, b := contended[i], contended[j]
+		return a.Src < b.Src || (a.Src == b.Src && a.Dst < b.Dst)
 	})
+	countDetectCase(len(contended) > 0)
+	return contended
 }
 
 // Diagnose attributes the contended channels' samples to data objects using

@@ -37,10 +37,8 @@ func mergeCollectorStats(col *pebs.Collector) {
 	mWeightLast.Set(st.Weight)
 }
 
-// CountPrediction tracks one channel classification. Exported so the
-// offline trace-analysis path (package drbw's AnalyzeTrace) shares the
-// same dtree.predict.* counters as the live detector.
-func CountPrediction(label features.Label) {
+// countPrediction tracks one channel classification.
+func countPrediction(label features.Label) {
 	if label == features.RMC {
 		mPredictRMC.Inc()
 	} else {
@@ -48,9 +46,9 @@ func CountPrediction(label features.Label) {
 	}
 }
 
-// CountDetectCase tracks one detector invocation — live or offline — and
+// countDetectCase tracks one classified case — live or offline — and
 // whether it flagged contention.
-func CountDetectCase(contended bool) {
+func countDetectCase(contended bool) {
 	mDetectCases.Inc()
 	if contended {
 		mDetectHits.Inc()

@@ -230,6 +230,9 @@ func (t *Tree) Predict(x []float64) int {
 	return nd.class
 }
 
+// NumFeatures is the length of the feature vectors the tree classifies.
+func (t *Tree) NumFeatures() int { return t.numFeat }
+
 // Depth returns the tree depth (a lone leaf has depth 0).
 func (t *Tree) Depth() int { return depth(t.root) }
 

@@ -192,3 +192,43 @@ func float64frombitsNorm(f float64) float64 {
 	}
 	return f
 }
+
+// FuzzReadObjects drives the objects-table reader with arbitrary bytes.
+// Malformed input — including a range whose end wraps past 2^64 — must
+// come back as an error, never a panic, and any table that does decode
+// must write and read back to the same objects.
+func FuzzReadObjects(f *testing.F) {
+	var fixture bytes.Buffer
+	if err := WriteObjects(&fixture, objectFixture()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture.Bytes())
+	f.Add(fixture.Bytes()[:fixture.Len()/2])
+	const header = "id,name,func,file,line,base,size\n"
+	f.Add([]byte(header))
+	f.Add([]byte(header + "1,\"a,\"\"b\"\"\",f,x.c,7,4096,16\n"))
+	f.Add([]byte(header + "1,b,f,x.c,1,0xfffffffffffffff0,4096\n"))
+	f.Add([]byte(header + "1,b,f,x.c,1,0xffffffffffffff00,255\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		objs, err := ReadObjects(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, o := range objs {
+			if o.Size == 0 || o.Base+o.Size < o.Base {
+				t.Fatalf("accepted object %+v", o)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteObjects(&buf, objs); err != nil {
+			t.Fatalf("decoded table does not re-encode: %v", err)
+		}
+		again, err := ReadObjects(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded table does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, objs) {
+			t.Fatalf("table changed across the round-trip:\n got %+v\nwant %+v", again, objs)
+		}
+	})
+}

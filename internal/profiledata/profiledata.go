@@ -250,6 +250,9 @@ func ReadObjects(r io.Reader) ([]alloc.Object, error) {
 		if o.Size == 0 {
 			return nil, fmt.Errorf("profiledata: line %d: zero-size object", line)
 		}
+		if o.Base+o.Size < o.Base {
+			return nil, fmt.Errorf("profiledata: line %d: object at %#x of size %d ends past 2^64", line, o.Base, o.Size)
+		}
 		out = append(out, o)
 	}
 	return out, nil

@@ -147,15 +147,30 @@ func TestObjectRoundTrip(t *testing.T) {
 }
 
 func TestReadObjectsErrors(t *testing.T) {
-	cases := map[string]string{
-		"wrong header": "x,y,z,a,b,c,d\n",
-		"zero size":    "id,name,func,file,line,base,size\n0,a,f,x.c,1,0x10,0\n",
-		"bad base":     "id,name,func,file,line,base,size\n0,a,f,x.c,1,zz,10\n",
+	const header = "id,name,func,file,line,base,size\n"
+	const ok = "0,a,f,x.c,1,0x10,16\n"
+	cases := map[string]struct{ body, want string }{
+		"wrong header": {"x,y,z,a,b,c,d\n", "header"},
+		"zero size":    {header + "0,a,f,x.c,1,0x10,0\n", "line 2"},
+		"bad base":     {header + "0,a,f,x.c,1,zz,10\n", "line 2"},
+		// base+size wraps: the end would compare below the base in every
+		// overlap and lookup check.
+		"wraps past 2^64": {header + ok + "1,b,f,x.c,1,0xfffffffffffffff0,4096\n", "line 3"},
+		"ends at 2^64":    {header + ok + "1,b,f,x.c,1,0xffffffffffffff00,256\n", "line 3"},
+		"max size wraps":  {header + "1,b,f,x.c,1,0x1,18446744073709551615\n", "line 2"},
 	}
-	for name, body := range cases {
-		if _, err := ReadObjects(strings.NewReader(body)); err == nil {
+	for name, tc := range cases {
+		_, err := ReadObjects(strings.NewReader(tc.body))
+		if err == nil {
 			t.Errorf("%s accepted", name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name %q", name, err, tc.want)
 		}
+	}
+	// The last byte below 2^64 is a valid end.
+	out, err := ReadObjects(strings.NewReader(header + "1,b,f,x.c,1,0xffffffffffffff00,255\n"))
+	if err != nil || len(out) != 1 {
+		t.Fatalf("object ending at 2^64-1: %v, %v", out, err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"drbw/internal/core"
 	"drbw/internal/dtree"
+	"drbw/internal/features"
 )
 
 // modelVersion guards the on-disk format.
@@ -26,7 +27,7 @@ type savedModel struct {
 // summary; it does not carry the raw training runs, so a loaded tool can
 // Analyze/Evaluate/Optimize but not CrossValidate.
 func (t *Tool) Save(path string) error {
-	treeJSON, err := json.Marshal(t.tree)
+	treeJSON, err := json.Marshal(t.detector.Tree)
 	if err != nil {
 		return fmt.Errorf("drbw: serializing tree: %w", err)
 	}
@@ -53,31 +54,42 @@ func Load(path string) (*Tool, error) {
 	if err != nil {
 		return nil, fmt.Errorf("drbw: %w", err)
 	}
-	var m savedModel
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("drbw: parsing model %s: %w", path, err)
-	}
-	if m.Version != modelVersion {
-		return nil, fmt.Errorf("drbw: model %s has version %d, this build reads %d", path, m.Version, modelVersion)
-	}
-	machine, err := m.Machine.build()
+	tool, err := loadModel(data)
 	if err != nil {
 		return nil, fmt.Errorf("drbw: model %s: %w", path, err)
 	}
+	return tool, nil
+}
+
+// loadModel parses a saved model. The tree must split the Table I feature
+// vector exactly, so every vector the tool extracts can be classified.
+func loadModel(data []byte) (*Tool, error) {
+	var m savedModel
+	if err := json.Unmarshal(data, &m); err != nil {
+		return nil, fmt.Errorf("parsing: %w", err)
+	}
+	if m.Version != modelVersion {
+		return nil, fmt.Errorf("version %d, this build reads %d", m.Version, modelVersion)
+	}
+	machine, err := m.Machine.build()
+	if err != nil {
+		return nil, err
+	}
 	var tree dtree.Tree
 	if err := json.Unmarshal(m.Tree, &tree); err != nil {
-		return nil, fmt.Errorf("drbw: model %s: %w", path, err)
+		return nil, err
+	}
+	if n := tree.NumFeatures(); n != features.NumFeatures {
+		return nil, fmt.Errorf("tree takes %d features, the Table I vector has %d", n, features.NumFeatures)
 	}
 	cfg := m.Config
 	cfg.Machine = m.Machine
-	tool := &Tool{
+	return &Tool{
 		cfg:      cfg,
 		machine:  machine,
-		tree:     &tree,
 		detector: core.NewDetector(&tree, cfg.engineConfig()),
 		summary:  m.Summary,
-	}
-	return tool, nil
+	}, nil
 }
 
 // errNoTrainingData reports operations that need the raw training runs.

@@ -1,8 +1,10 @@
 package drbw_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"drbw"
@@ -67,25 +69,31 @@ func TestLoadErrors(t *testing.T) {
 	if _, err := drbw.Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("missing file accepted")
 	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte("not json"), 0o644); err != nil {
+	const split = `{"leaf":false,"feature":%d,"threshold":0.5,"left":{"leaf":true},"right":{"leaf":true,"class":1}}`
+	cases := []struct{ name, body, want string }{
+		{"garbage", "not json", "parsing"},
+		{"future version", `{"version":99,"tree":{}}`, "version 99"},
+		{"unknown machine", `{"version":1,"machine":"vax","tree":{}}`, "unknown machine"},
+		// A tree over more features than the Table I vector would index
+		// past every extracted vector when it classifies.
+		{"tree over 20 features", `{"version":1,"tree":{"num_features":20,"num_classes":2,"root":` + fmt.Sprintf(split, 15) + `}}`, "20 features"},
+		{"tree over 5 features", `{"version":1,"tree":{"num_features":5,"num_classes":2,"root":` + fmt.Sprintf(split, 3) + `}}`, "5 features"},
+	}
+	for _, tc := range cases {
+		path := filepath.Join(t.TempDir(), "model.json")
+		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := drbw.Load(path); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error = %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+	// The same tree over the Table I vector loads.
+	path := filepath.Join(t.TempDir(), "model.json")
+	if err := os.WriteFile(path, []byte(`{"version":1,"tree":{"num_features":13,"num_classes":2,"root":`+fmt.Sprintf(split, 5)+`}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := drbw.Load(bad); err == nil {
-		t.Error("garbage model accepted")
-	}
-	wrongVersion := filepath.Join(t.TempDir(), "v99.json")
-	if err := os.WriteFile(wrongVersion, []byte(`{"version":99,"tree":{}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := drbw.Load(wrongVersion); err == nil {
-		t.Error("future version accepted")
-	}
-	badMachine := filepath.Join(t.TempDir(), "machine.json")
-	if err := os.WriteFile(badMachine, []byte(`{"version":1,"machine":"vax","tree":{}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := drbw.Load(badMachine); err == nil {
-		t.Error("unknown machine accepted")
+	if _, err := drbw.Load(path); err != nil {
+		t.Errorf("valid 13-feature tree rejected: %v", err)
 	}
 }

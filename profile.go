@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"drbw/internal/alloc"
 	"drbw/internal/cache"
-	"drbw/internal/core"
-	"drbw/internal/diagnose"
-	"drbw/internal/features"
+	"drbw/internal/obs"
 	"drbw/internal/pebs"
 	"drbw/internal/profiledata"
 	"drbw/internal/topology"
@@ -224,66 +221,38 @@ func LoadTrace(samplesPath, objectsPath string) (*TraceData, error) {
 // AnalyzeTrace runs the classification and diagnosis pipeline on a
 // recording: per-channel feature extraction, the trained tree, and CF
 // attribution through the recorded allocation table. The recording must
-// come from (or describe) the machine the tool was trained for.
+// come from (or describe) the machine the tool was trained for. It takes
+// the same fused pass as AnalyzeTraceFile, so a recording analyzes
+// identically in memory and on disk.
 func (t *Tool) AnalyzeTrace(td *TraceData) (*Report, error) {
-	if len(td.Samples) == 0 {
-		return nil, fmt.Errorf("drbw: recording has no samples")
-	}
-	weight := td.Weight
-	if weight <= 0 {
-		weight = 1
-	}
-	var samples []pebs.Sample
+	return t.analyzeTrace(td, t.newScratch())
+}
+
+// analyzeTrace is AnalyzeTrace on a caller's scratch: the converted
+// samples form one job, pre-scanned like any unindexed input, and the
+// fused pass runs inline.
+func (t *Tool) analyzeTrace(td *TraceData, sc *traceScratch) (*Report, error) {
+	samples := make([]pebs.Sample, 0, len(td.Samples))
 	for _, r := range td.Samples {
 		s, err := fromRecord(r)
 		if err != nil {
 			return nil, err
 		}
-		if s.SrcNode < 0 || int(s.SrcNode) >= t.machine.Nodes() ||
-			s.HomeNode < 0 || int(s.HomeNode) >= t.machine.Nodes() {
-			return nil, fmt.Errorf("drbw: sample references node outside the %d-node machine", t.machine.Nodes())
-		}
 		samples = append(samples, s)
 	}
-
-	rep := &Report{Bench: td.Bench, Config: td.Config, Samples: int64(len(samples))}
-	var contended []topology.Channel
-	for ch, vec := range features.ChannelVectors(t.machine, samples, weight, t.detector.MinSamples) {
-		v := vec
-		label := features.Label(t.tree.Predict(v[:]))
-		core.CountPrediction(label)
-		if label == features.RMC {
-			rep.Detected = true
-			contended = append(contended, ch)
-		}
+	weight := td.Weight
+	if weight <= 0 {
+		weight = 1
 	}
-	sortChannelsStable(contended)
-	core.CountDetectCase(rep.Detected)
-	for _, ch := range contended {
-		rep.Channels = append(rep.Channels, ch.String())
+	p := &tracePlan{jobs: []traceJob{sliceJob(samples, weight)}, bounds: emptyBounds()}
+	ss := &scratchSet{inline: true, states: []*traceScratch{sc}}
+	if err := p.bound(ss, obs.SpanHandle{}); err != nil {
+		return nil, err
 	}
-	rep.attachTimeline(diagnose.Timeline(samples, timelineBuckets, weight))
-	if !rep.Detected {
-		return rep, nil
-	}
-	table, err := profiledata.NewTable(td.internalObjects())
+	rep, err := t.fusedPass(p, td.internalObjects(), ss, obs.SpanHandle{})
 	if err != nil {
 		return nil, err
 	}
-	diag := diagnose.Analyze(table, samples, contended, weight)
-	for _, o := range diag.Overall {
-		rep.Objects = append(rep.Objects, ObjectCF{
-			Name: o.Object.Name, Site: o.Object.Site.String(),
-			CF: o.CF, Samples: o.Samples,
-		})
-	}
-	rep.UnattributedCF = diag.UnattributedCF
+	rep.Bench, rep.Config = td.Bench, td.Config
 	return rep, nil
-}
-
-func sortChannelsStable(chs []topology.Channel) {
-	sort.Slice(chs, func(i, j int) bool {
-		return chs[i].Src < chs[j].Src ||
-			(chs[i].Src == chs[j].Src && chs[i].Dst < chs[j].Dst)
-	})
 }

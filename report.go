@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"drbw/internal/core"
 	"drbw/internal/diagnose"
 	"drbw/internal/dtree"
+	"drbw/internal/topology"
 )
 
 // ObjectCF is one data object's Contribution Fraction to the detected
@@ -66,35 +66,27 @@ func (r *Report) TimelineSparkline() string {
 	return diagnose.Sparkline(buckets, diagnose.RemoteLatencyMetric)
 }
 
-func (r *Report) attachTimeline(buckets []diagnose.Bucket) {
-	for _, b := range buckets {
-		r.Timeline = append(r.Timeline, TimelinePoint{
-			RemoteSamples: b.RemoteSamples, AvgRemoteLatency: b.AvgRemoteLatency,
-		})
-	}
-}
-
-func newReport(cr core.CaseResult, rep *diagnose.Report) *Report {
-	r := &Report{
-		Bench:             cr.Bench,
-		Input:             cr.Cfg.Input,
-		Config:            cr.Cfg.Label(),
-		Detected:          cr.Detected,
-		Evaluated:         cr.Evaluated,
-		Actual:            cr.Actual,
-		InterleaveSpeedup: cr.InterleaveSpeedup,
-	}
-	for _, ch := range cr.Contended {
+// newReport renders a verdict over n samples: the contended channels, the
+// diagnosis of them (nil when there are none) and the timeline. Live
+// detection and every offline analysis build their reports here.
+func newReport(contended []topology.Channel, diag *diagnose.Report, timeline []diagnose.Bucket, n int64) *Report {
+	r := &Report{Detected: len(contended) > 0, Samples: n}
+	for _, ch := range contended {
 		r.Channels = append(r.Channels, ch.String())
 	}
-	if rep != nil {
-		for _, o := range rep.Overall {
+	if diag != nil {
+		for _, o := range diag.Overall {
 			r.Objects = append(r.Objects, ObjectCF{
 				Name: o.Object.Name, Site: o.Object.Site.String(),
 				CF: o.CF, Samples: o.Samples,
 			})
 		}
-		r.UnattributedCF = rep.UnattributedCF
+		r.UnattributedCF = diag.UnattributedCF
+	}
+	for _, b := range timeline {
+		r.Timeline = append(r.Timeline, TimelinePoint{
+			RemoteSamples: b.RemoteSamples, AvgRemoteLatency: b.AvgRemoteLatency,
+		})
 	}
 	return r
 }

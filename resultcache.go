@@ -120,7 +120,7 @@ type toolFingerprints struct {
 // that are produced by simulating (AutoOptimize).
 func (t *Tool) fingerprints() (analysis, sim string, err error) {
 	t.fpOnce.Do(func() {
-		treeJSON, jerr := json.Marshal(t.tree)
+		treeJSON, jerr := json.Marshal(t.detector.Tree)
 		if jerr != nil {
 			t.fp = toolFingerprints{err: jerr}
 			return
@@ -213,20 +213,20 @@ func (t *Tool) shardsKey(samplePaths []string, objectsPath string) (rcache.Key, 
 // result itself is still valid and returned to the caller.
 var errNotCacheable = errors.New("drbw: result not cacheable")
 
-// cachedReport runs compute through the cache: a hit decodes a fresh
-// Report, a miss computes, stores and returns the live one. Concurrent
-// identical analyses share one computation (singleflight). A cache entry
-// that fails to decode falls back to recomputing — never to an error the
-// uncached path would not produce.
-func (t *Tool) cachedReport(key rcache.Key, compute func() (*Report, error)) (*Report, error) {
-	var computed *Report
-	val, _, err := t.cache.c.Do(key, func() ([]byte, error) {
-		rep, cerr := compute()
+// cached runs compute through the cache, for reports and optimizations
+// alike: a hit decodes a fresh *T, a miss computes, stores and returns the
+// live one. Concurrent identical computations share one run
+// (singleflight). A cache entry that fails to decode falls back to
+// recomputing — never to an error the uncached path would not produce.
+func cached[T any](c *Cache, key rcache.Key, compute func() (*T, error)) (*T, error) {
+	var computed *T
+	val, _, err := c.c.Do(key, func() ([]byte, error) {
+		v, cerr := compute()
 		if cerr != nil {
 			return nil, cerr
 		}
-		computed = rep
-		b, merr := json.Marshal(rep)
+		computed = v
+		b, merr := json.Marshal(v)
 		if merr != nil {
 			return nil, errNotCacheable
 		}
@@ -243,11 +243,11 @@ func (t *Tool) cachedReport(key rcache.Key, compute func() (*Report, error)) (*R
 		}
 		return nil, err
 	}
-	rep := new(Report)
-	if uerr := json.Unmarshal(val, rep); uerr != nil {
+	v := new(T)
+	if uerr := json.Unmarshal(val, v); uerr != nil {
 		return compute()
 	}
-	return rep, nil
+	return v, nil
 }
 
 // detectKey / baselineKey address AutoOptimize's intermediate products:

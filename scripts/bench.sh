@@ -114,7 +114,8 @@ END {
     }
     printf "},\n" >> out
     # trace_codec: binary-vs-CSV decode speedup and file-size ratio on the
-    # 1M-sample bench trace, plus the slice-vs-stream analysis ratio.
+    # 1M-sample bench trace, plus the in-memory (slice) vs streamed
+    # analysis ratio; both run the fused pass.
     # Informational: no gate reads them.
     dc = nsv["BenchmarkTraceDecode/csv"]
     db = nsv["BenchmarkTraceDecode/binary"]

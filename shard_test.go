@@ -42,12 +42,12 @@ func reblock(t *testing.T, samplesPath string, blockSize int) string {
 
 // TestAnalyzeTraceFileWorkerCountInvariance is the shard contract at the
 // top of the pipeline: the block-parallel analysis of an indexed recording
-// is bit-identical to the slice path at every worker count, and the CSV
+// is bit-identical to the reference analysis at every worker count, and the CSV
 // whole-file job agrees too.
 func TestAnalyzeTraceFileWorkerCountInvariance(t *testing.T) {
 	tl := sharedTool(t)
 	// Record to CSV first so every format below holds the identical
-	// grid-quantized samples (and the slice-path report carries no
+	// grid-quantized samples (and the reference report carries no
 	// Record-only metadata).
 	_, csvPath, oPath := recordTo(t, tl, 71, drbw.FormatCSV)
 	td, err := drbw.LoadTrace(csvPath, oPath)
@@ -59,7 +59,7 @@ func TestAnalyzeTraceFileWorkerCountInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	small := reblock(t, sPath, 64)
-	want, err := tl.AnalyzeTrace(td)
+	want, err := tl.AnalyzeTraceRef(td)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,14 +68,14 @@ func TestAnalyzeTraceFileWorkerCountInvariance(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, runtime.GOMAXPROCS(0)} {
 		core.SetPoolWorkers(workers)
 		// sPath and small fan block ranges out; csvPath streams as one
-		// whole-file job. All three must match the slice path bit for bit.
+		// whole-file job. All three must match the reference analysis bit for bit.
 		for _, path := range []string{sPath, small, csvPath} {
 			got, err := tl.AnalyzeTraceFile(path, oPath)
 			if err != nil {
 				t.Fatalf("workers=%d %s: %v", workers, path, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("workers=%d %s: sharded report differs from the slice path\n got %+v\nwant %+v", workers, path, got, want)
+				t.Fatalf("workers=%d %s: sharded report differs from the reference analysis\n got %+v\nwant %+v", workers, path, got, want)
 			}
 		}
 	}
@@ -117,7 +117,7 @@ func TestAnalyzeTraceShardsMatchesWhole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := tl.AnalyzeTrace(td)
+	want, err := tl.AnalyzeTraceRef(td)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestAnalyzeTraceFileRange(t *testing.T) {
 			want.Samples = append(want.Samples, s)
 		}
 	}
-	wantRep, err := tl.AnalyzeTrace(want)
+	wantRep, err := tl.AnalyzeTraceRef(want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestAnalyzeTraceFileRange(t *testing.T) {
 				t.Fatalf("workers=%d %s: %v", workers, path, err)
 			}
 			if !reflect.DeepEqual(got, wantRep) {
-				t.Fatalf("workers=%d %s: ranged report differs from the filtered slice path", workers, path)
+				t.Fatalf("workers=%d %s: ranged report differs from the filtered reference analysis", workers, path)
 			}
 		}
 	}

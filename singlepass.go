@@ -2,9 +2,10 @@ package drbw
 
 // One analysis path: plan, then one fused pass.
 //
-// Every file entry point — one recording, a time window of one, a batch,
-// a set of shards — first turns its inputs into a plan: a job list, each
-// job one independently decodable portion of a samples file, plus the
+// Every analysis entry point — a recording in memory or on disk, a time
+// window of one, a batch, a set of shards — first turns its inputs into a
+// plan: a job list, each job one independently decodable portion of a
+// samples file (or, in memory, the whole recording), plus the
 // bounds the timeline needs before it can bucket anything: the kept sample
 // count, their time range, and the collector weight. One fused pass then
 // streams every job exactly once, accumulating features, the pre-bounded
@@ -89,34 +90,24 @@ func (p *tracePlan) close() {
 }
 
 // traceJob is one independently decodable portion of a recording — a block
-// range of an indexed file, or a whole unindexed file. read opens the
-// portion on the worker's decode scratch and hands fn its reader; a job
-// yields the same samples every time it runs. name and [from, to) identify
-// the portion in trace spans: the block range, or the file and its index.
+// range of an indexed file, a whole unindexed file, or an in-memory
+// recording. blocks hands fn the portion's samples a block at a time,
+// decoding on the worker's scratch, and returns the portion's weight; a
+// job yields the same samples every time it runs. name and [from, to)
+// identify the portion in trace spans: the block range, or the file and
+// its index.
 type traceJob struct {
 	name     string
 	from, to int
-	read     func(bufs *profiledata.Buffers, fn func(*profiledata.SampleReader) error) error
+	blocks   func(bufs *profiledata.Buffers, fn func([]pebs.Sample) error) (weight float64, err error)
 }
 
 // each streams the job's samples inside tr to fn, returning the portion's
 // weight and its sample count before filtering.
 func (j *traceJob) each(bufs *profiledata.Buffers, tr timeRange, fn func([]pebs.Sample) error) (weight float64, raw int64, err error) {
-	err = j.read(bufs, func(sr *profiledata.SampleReader) error {
-		weight = sr.Weight()
-		for {
-			block, err := sr.Next()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			raw += int64(len(block))
-			if err := fn(tr.filter(block)); err != nil {
-				return err
-			}
-		}
+	weight, err = j.blocks(bufs, func(block []pebs.Sample) error {
+		raw += int64(len(block))
+		return fn(tr.filter(block))
 	})
 	return weight, raw, err
 }
@@ -268,13 +259,25 @@ func plan(samplePaths []string, tr timeRange, label string, ss *scratchSet, pare
 				p.bounds.merge(sampleBounds{n: int64(it.TotalSamples()), minT: lo, maxT: hi})
 			}
 		}
-	} else if err := p.prescan(ss, parent); err != nil {
+	}
+	if err := p.bound(ss, parent); err != nil {
 		return nil, err
 	}
-	if p.bounds.n == 0 {
-		return nil, errNoSamples(tr, p.raw)
-	}
 	return p, nil
+}
+
+// bound completes a plan's bounds: a plan without footer bounds is
+// pre-scanned, and a plan that keeps no samples is an error.
+func (p *tracePlan) bound(ss *scratchSet, parent obs.SpanHandle) error {
+	if !p.footer {
+		if err := p.prescan(ss, parent); err != nil {
+			return err
+		}
+	}
+	if p.bounds.n == 0 {
+		return errNoSamples(p.tr, p.raw)
+	}
+	return nil
 }
 
 // prescan streams every job once to establish the plan's weight and
@@ -324,10 +327,13 @@ func (p *tracePlan) prescan(ss *scratchSet, parent obs.SpanHandle) error {
 // fusedPass streams every job of p once, each worker accumulating
 // features, pre-bounded timeline buckets and dense CF together, then
 // merges the workers in worker order. Counts are integers and sums are
-// exact, so the report is bit-identical to AnalyzeTrace over the kept
-// samples at any worker count. A bad objects table only matters once
-// classification flags contention, exactly as on the slice path.
+// exact, so the report is bit-identical at any worker count and in any
+// split of the kept samples into jobs. A bad objects table only matters
+// once classification flags contention.
 func (t *Tool) fusedPass(p *tracePlan, objects []alloc.Object, ss *scratchSet, parent obs.SpanHandle) (*Report, error) {
+	if testHookPlanned != nil {
+		testHookPlanned(p.footer)
+	}
 	table, tableErr := profiledata.NewTable(objects)
 	tl := diagnose.NewTimelineAccumulator(timelineBuckets, p.weight)
 	tl.ObserveRange(p.bounds.minT, p.bounds.maxT, int(p.bounds.n))
@@ -419,43 +425,71 @@ func (t *Tool) fusedPass(p *tracePlan, objects []alloc.Object, ss *scratchSet, p
 			what, p.bounds.n, p.bounds.minT, p.bounds.maxT, p.bounds.out, seen.n, seen.minT, seen.maxT, seen.out)
 	}
 
-	rep := &Report{Samples: seen.n}
-	contended := t.classify(acc, p.weight, rep)
-	var cf *diagnose.CFAccumulator
-	if rep.Detected {
+	contended := t.detector.Classify(acc, p.weight)
+	var diag *diagnose.Report
+	if len(contended) > 0 {
 		if tableErr != nil {
 			return nil, tableErr
 		}
-		cf = dcf.Restrict(contended)
+		diag = dcf.Restrict(contended).Report()
 	}
-	return t.finishReport(rep, tl, cf)
+	return newReport(contended, diag, tl.Buckets(), seen.n), nil
 }
 
 // blockJob streams blocks [from, to) of an indexed recording.
 func blockJob(it *profiledata.IndexedTrace, name string, from, to int) traceJob {
-	return traceJob{name: name, from: from, to: to, read: func(bufs *profiledata.Buffers, fn func(*profiledata.SampleReader) error) error {
+	return traceJob{name: name, from: from, to: to, blocks: func(bufs *profiledata.Buffers, fn func([]pebs.Sample) error) (float64, error) {
 		sr, err := it.RangeReader(from, to, bufs)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		return fn(sr)
+		return drain(sr, fn)
 	}}
 }
 
 // fileJob streams a whole samples file, the shard-th input of its plan.
 func fileJob(path string, shard int) traceJob {
-	return traceJob{name: path, from: shard, to: shard + 1, read: func(bufs *profiledata.Buffers, fn func(*profiledata.SampleReader) error) error {
+	return traceJob{name: path, from: shard, to: shard + 1, blocks: func(bufs *profiledata.Buffers, fn func([]pebs.Sample) error) (float64, error) {
 		f, err := os.Open(path)
 		if err != nil {
-			return fmt.Errorf("drbw: %w", err)
+			return 0, fmt.Errorf("drbw: %w", err)
 		}
 		defer f.Close()
 		sr, err := profiledata.NewSampleReaderBuffers(f, bufs)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		return fn(sr)
+		return drain(sr, fn)
 	}}
+}
+
+// sliceJob streams an in-memory recording in decode-sized blocks.
+func sliceJob(samples []pebs.Sample, weight float64) traceJob {
+	return traceJob{name: "memory", to: 1, blocks: func(_ *profiledata.Buffers, fn func([]pebs.Sample) error) (float64, error) {
+		for lo := 0; lo < len(samples); lo += profiledata.DefaultBlockSize {
+			if err := fn(samples[lo:min(lo+profiledata.DefaultBlockSize, len(samples))]); err != nil {
+				return 0, err
+			}
+		}
+		return weight, nil
+	}}
+}
+
+// drain hands fn every block sr decodes and returns the recording's
+// weight.
+func drain(sr *profiledata.SampleReader, fn func([]pebs.Sample) error) (float64, error) {
+	for {
+		block, err := sr.Next()
+		if err == io.EOF {
+			return sr.Weight(), nil
+		}
+		if err != nil {
+			return 0, err
+		}
+		if err := fn(block); err != nil {
+			return 0, err
+		}
+	}
 }
 
 func errShardWeight(name string, weight, first float64) error {

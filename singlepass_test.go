@@ -3,6 +3,8 @@ package drbw_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -26,14 +28,20 @@ func recordPlans() (*[]bool, func()) {
 	return plans, restore
 }
 
-// TestFusedPassMatrix is the one-path equivalence matrix: for every
-// recording variant and worker count, the file analysis must be
-// bit-identical to the slice path (over the filtered slice for windows),
-// and exactly the unwindowed checksummed variants may skip the pre-scan.
-func TestFusedPassMatrix(t *testing.T) {
-	tl := sharedTool(t)
-	// Record to CSV first so every variant holds identical grid-quantized
-	// samples and the slice-path report carries no Record-only metadata.
+// recordingVariant is one on-disk encoding of the matrix recording.
+type recordingVariant struct {
+	name   string
+	path   string
+	footer bool // analyzed whole, it takes its bounds from the index footer
+}
+
+// matrixRecording records the equivalence matrix's trace and saves it in
+// every encoding the fused pass plans differently, returning the trace as
+// loaded from CSV, its objects path and the variants. CSV goes first so
+// every variant holds identical grid-quantized samples and the reference
+// report carries no Record-only metadata.
+func matrixRecording(t *testing.T, tl *drbw.Tool) (*drbw.TraceData, string, []recordingVariant) {
+	t.Helper()
 	_, csvPath, oPath := recordTo(t, tl, 73, drbw.FormatCSV)
 	td, err := drbw.LoadTrace(csvPath, oPath)
 	if err != nil {
@@ -45,32 +53,46 @@ func TestFusedPassMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	reblocked := reblock(t, indexed, 64)
-	compressed := rewriteSamples(t, indexed, profiledata.BinaryOptions{Compress: true})
+	return td, oPath, []recordingVariant{
+		{"indexed", indexed, true},
+		{"reblocked", reblocked, true},
+		{"legacy-index", legacyIndex(t, reblocked), false},
+		{"compressed", rewriteSamples(t, indexed, profiledata.BinaryOptions{Compress: true}), false},
+		{"csv", csvPath, false},
+	}
+}
 
-	want, err := tl.AnalyzeTrace(td)
+// TestFusedPassMatrix is the one-path equivalence matrix: for every
+// recording variant and worker count, the file analysis must be
+// bit-identical to the reference analysis (over the filtered slice for
+// windows), and exactly the unwindowed checksummed variants may skip the
+// pre-scan.
+func TestFusedPassMatrix(t *testing.T) {
+	tl := sharedTool(t)
+	td, oPath, variants := matrixRecording(t, tl)
+	want, err := tl.AnalyzeTraceRef(td)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lo, hi := timeWindow(td)
-	wantWindow, err := tl.AnalyzeTrace(windowed(td, lo, hi))
+	wantWindow, err := tl.AnalyzeTraceRef(windowed(td, lo, hi))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cases := []struct {
+	type matrixCase struct {
 		name     string
 		path     string
 		windowed bool
 		footer   bool
-	}{
-		{"indexed", indexed, false, true},
-		{"reblocked", reblocked, false, true},
-		{"legacy-index", legacyIndex(t, reblocked), false, false},
-		{"compressed", compressed, false, false},
-		{"csv", csvPath, false, false},
-		{"indexed-window", indexed, true, false},
-		{"csv-window", csvPath, true, false},
 	}
+	var cases []matrixCase
+	for _, v := range variants {
+		cases = append(cases, matrixCase{v.name, v.path, false, v.footer})
+	}
+	cases = append(cases,
+		matrixCase{"indexed-window", variants[0].path, true, false},
+		matrixCase{"csv-window", variants[4].path, true, false})
 	defer core.SetPoolWorkers(0)
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		core.SetPoolWorkers(workers)
@@ -94,8 +116,112 @@ func TestFusedPassMatrix(t *testing.T) {
 				wantRep = wantWindow
 			}
 			if !reflect.DeepEqual(got, wantRep) {
-				t.Fatalf("workers=%d %s: report differs from the slice path\n got %+v\nwant %+v", workers, tc.name, got, wantRep)
+				t.Fatalf("workers=%d %s: report differs from the reference analysis\n got %+v\nwant %+v", workers, tc.name, got, wantRep)
 			}
+		}
+	}
+}
+
+// TestAnalyzeTraceMatchesReference pins the in-memory fused pass to the
+// reference analysis: the same report, or the same error, for every
+// recording below — analyzed one at a time, and as one AnalyzeTraces
+// batch at pool widths 1 and 2.
+func TestAnalyzeTraceMatchesReference(t *testing.T) {
+	tl := sharedTool(t)
+	td, oPath, variants := matrixRecording(t, tl)
+	type input struct {
+		name    string
+		td      *drbw.TraceData
+		wantErr string // non-empty: the reference must fail with this
+	}
+	var inputs []input
+	for _, v := range variants {
+		loaded, err := drbw.LoadTrace(v.path, oPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, input{name: v.name, td: loaded})
+	}
+	lo, hi := timeWindow(td)
+	inputs = append(inputs, input{name: "window", td: windowed(td, lo, hi)})
+
+	nan := *td
+	nan.Samples = append([]drbw.SampleRecord(nil), td.Samples...)
+	nan.Samples[len(nan.Samples)/2].Time = math.NaN()
+	inputs = append(inputs, input{name: "nan-time", td: &nan})
+
+	// A raw recording whose collector overflowed: weight > 1, with the
+	// Bench and Config labels only Record sets.
+	restore := drbw.SetCollectorMaxKept(tl, 200)
+	heavy, err := tl.Record("Streamcluster", drbw.Case{Input: "native", Threads: 32, Nodes: 4, Seed: 80})
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if heavy.Weight <= 1 || heavy.Bench == "" {
+		t.Fatalf("recording has weight %v and bench %q, want an overflowed, labeled one", heavy.Weight, heavy.Bench)
+	}
+	inputs = append(inputs, input{name: "weighted", td: heavy})
+
+	inputs = append(inputs,
+		input{"empty", &drbw.TraceData{}, "no samples"},
+		input{"bad level", &drbw.TraceData{Samples: []drbw.SampleRecord{{Level: "L9"}}}, "unknown memory level"},
+		input{"node out of range", &drbw.TraceData{Samples: []drbw.SampleRecord{{Level: "MEM", SrcNode: 9}}}, "outside the 4-node machine"})
+	// An overlapping objects table is an error only once contention is
+	// flagged.
+	for _, rc := range []struct {
+		bench   string
+		wantErr string
+	}{{"Swaptions", ""}, {"Streamcluster", "overlap"}} {
+		rec, err := tl.Record(rc.bench, drbw.Case{Input: "native", Threads: 32, Nodes: 4, Seed: 79})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := rec.Objects[0]
+		rec.Objects = append(rec.Objects, drbw.ObjectRecord{ID: 1 << 20, Name: "overlap", Base: first.Base, Size: first.Size})
+		inputs = append(inputs, input{"overlap " + rc.bench, rec, rc.wantErr})
+	}
+
+	wants := make([]*drbw.Report, len(inputs))
+	wantErrs := make([]error, len(inputs))
+	tds := make([]*drbw.TraceData, len(inputs))
+	for i, in := range inputs {
+		tds[i] = in.td
+		wants[i], wantErrs[i] = tl.AnalyzeTraceRef(in.td)
+		if in.wantErr == "" && wantErrs[i] != nil {
+			t.Fatalf("%s: reference failed: %v", in.name, wantErrs[i])
+		}
+		if in.wantErr != "" && (wantErrs[i] == nil || !strings.Contains(wantErrs[i].Error(), in.wantErr)) {
+			t.Fatalf("%s: reference error = %v, want one containing %q", in.name, wantErrs[i], in.wantErr)
+		}
+	}
+	check := func(what string, i int, got *drbw.Report, err error) {
+		t.Helper()
+		if (err == nil) != (wantErrs[i] == nil) || (err != nil && err.Error() != wantErrs[i].Error()) {
+			t.Fatalf("%s %s: error = %v, want %v", what, inputs[i].name, err, wantErrs[i])
+		}
+		if !reflect.DeepEqual(got, wants[i]) {
+			t.Fatalf("%s %s: report differs from the reference analysis\n got %+v\nwant %+v", what, inputs[i].name, got, wants[i])
+		}
+	}
+	for i, in := range inputs {
+		got, err := tl.AnalyzeTrace(in.td)
+		check("AnalyzeTrace", i, got, err)
+	}
+	defer core.SetPoolWorkers(0)
+	for _, workers := range []int{1, 2} {
+		core.SetPoolWorkers(workers)
+		reports, err := tl.AnalyzeTraces(tds)
+		var be *drbw.BatchError
+		if !errors.As(err, &be) {
+			t.Fatalf("workers=%d: AnalyzeTraces error = %v, want a *BatchError", workers, err)
+		}
+		errs := make([]error, len(tds))
+		for _, ce := range be.Cases {
+			errs[ce.Index] = ce.Err
+		}
+		for i := range tds {
+			check(fmt.Sprintf("workers=%d AnalyzeTraces", workers), i, reports[i], errs[i])
 		}
 	}
 }
@@ -197,7 +323,7 @@ func legacyIndex(t *testing.T, path string) string {
 
 // TestSinglePassShardsMatchWhole: indexed shards take their bounds from
 // their footers, and the merged report is bit-identical to the whole-trace
-// slice analysis at any worker count.
+// reference analysis at any worker count.
 func TestSinglePassShardsMatchWhole(t *testing.T) {
 	tl := sharedTool(t)
 	_, sPath, objPath := recordTo(t, tl, 74, drbw.FormatBinary)
@@ -205,7 +331,7 @@ func TestSinglePassShardsMatchWhole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := tl.AnalyzeTrace(td)
+	want, err := tl.AnalyzeTraceRef(td)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +350,7 @@ func TestSinglePassShardsMatchWhole(t *testing.T) {
 			t.Fatalf("workers=%d: plans %v, want one with footer bounds", workers, *plans)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: sharded report differs from the slice path\n got %+v\nwant %+v", workers, got, want)
+			t.Fatalf("workers=%d: sharded report differs from the reference analysis\n got %+v\nwant %+v", workers, got, want)
 		}
 	}
 }
@@ -357,7 +483,7 @@ func TestSinglePassRejectsLyingIndexFooter(t *testing.T) {
 }
 
 // TestNaNTimeMatchesSlicePath: a sample with a NaN time is counted, not
-// rejected — it lands in the timeline exactly as the slice path puts it —
+// rejected — it lands in the timeline exactly as the reference analysis puts it —
 // on every input that takes the pre-scan.
 func TestNaNTimeMatchesSlicePath(t *testing.T) {
 	tl := sharedTool(t)
@@ -367,7 +493,7 @@ func TestNaNTimeMatchesSlicePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	td.Samples[len(td.Samples)/2].Time = math.NaN()
-	want, err := tl.AnalyzeTrace(td)
+	want, err := tl.AnalyzeTraceRef(td)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,17 +512,17 @@ func TestNaNTimeMatchesSlicePath(t *testing.T) {
 				t.Fatalf("workers=%d %s: %v", workers, path, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("workers=%d %s: report differs from the slice path\n got %+v\nwant %+v", workers, path, got, want)
+				t.Fatalf("workers=%d %s: report differs from the reference analysis\n got %+v\nwant %+v", workers, path, got, want)
 			}
 		}
 	}
 }
 
 // TestOverlappingObjectsFailOnlyWhenContended: the objects table only
-// matters once classification flags contention, exactly as on the slice
-// path — a clean recording with an overlapping table still analyzes, a
+// matters once classification flags contention, exactly as in the
+// reference analysis — a clean recording with an overlapping table still analyzes, a
 // contended one fails with the table's error. Indexed, CSV and windowed
-// inputs all agree with the slice path.
+// inputs all agree with the reference analysis.
 func TestOverlappingObjectsFailOnlyWhenContended(t *testing.T) {
 	tl := sharedTool(t)
 	for _, rc := range []struct {
@@ -427,15 +553,15 @@ func TestOverlappingObjectsFailOnlyWhenContended(t *testing.T) {
 		if err := td.SaveAs(binPath, oPath, drbw.FormatBinary); err != nil {
 			t.Fatal(err)
 		}
-		want, wantErr := tl.AnalyzeTrace(td)
+		want, wantErr := tl.AnalyzeTraceRef(td)
 		if rc.contended != (wantErr != nil) {
-			t.Fatalf("%s: slice path error = %v, want failure=%v", rc.bench, wantErr, rc.contended)
+			t.Fatalf("%s: reference error = %v, want failure=%v", rc.bench, wantErr, rc.contended)
 		}
 		if wantErr != nil && !strings.Contains(wantErr.Error(), "overlap") {
-			t.Fatalf("%s: slice path error = %v, want the overlap error", rc.bench, wantErr)
+			t.Fatalf("%s: reference error = %v, want the overlap error", rc.bench, wantErr)
 		}
 		lo, hi := timeWindow(td)
-		wantWin, wantWinErr := tl.AnalyzeTrace(windowed(td, lo, hi))
+		wantWin, wantWinErr := tl.AnalyzeTraceRef(windowed(td, lo, hi))
 
 		check := func(name string, got *drbw.Report, err error, want *drbw.Report, wantErr error) {
 			t.Helper()
@@ -443,7 +569,7 @@ func TestOverlappingObjectsFailOnlyWhenContended(t *testing.T) {
 				t.Fatalf("%s %s: error = %v, want %v", rc.bench, name, err, wantErr)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s %s: report differs from the slice path\n got %+v\nwant %+v", rc.bench, name, got, want)
+				t.Fatalf("%s %s: report differs from the reference analysis\n got %+v\nwant %+v", rc.bench, name, got, want)
 			}
 		}
 		for _, path := range []string{binPath, csvPath} {

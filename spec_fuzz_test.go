@@ -2,9 +2,11 @@ package drbw
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
+	"drbw/internal/features"
 	"drbw/internal/topology"
 )
 
@@ -110,5 +112,28 @@ func FuzzWorkloadSpec(f *testing.F) {
 		if total > maxWorkloadMiB {
 			t.Fatalf("accepted %d MiB of arrays, cap %d", total, maxWorkloadMiB)
 		}
+	})
+}
+
+// FuzzLoadModel parses arbitrary bytes as a saved model. Parsing must
+// error or succeed without panicking, and an accepted model's tree must
+// classify a Table I vector and render.
+func FuzzLoadModel(f *testing.F) {
+	const split = `{"leaf":false,"feature":%d,"threshold":0.5,"left":{"leaf":true},"right":{"leaf":true,"class":1}}`
+	f.Add([]byte(`{"version":1,"machine":"xeon-e5-4650","tree":{"num_features":13,"num_classes":2,"root":` + fmt.Sprintf(split, 5) + `}}`))
+	f.Add([]byte(`{"version":1,"tree":{"num_features":20,"num_classes":2,"root":` + fmt.Sprintf(split, 15) + `}}`))
+	f.Add([]byte(`{"version":1,"machine":"two-socket","tree":{"num_features":13,"root":{"leaf":true,"class":7}}}`))
+	f.Add([]byte(`{"version":1,"tree":{"num_features":13,"root":{"leaf":false,"feature":-1}}}`))
+	f.Add([]byte(`{"version":2,"tree":{}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tool, err := loadModel(data)
+		if err != nil {
+			return
+		}
+		if n := tool.detector.Tree.NumFeatures(); n != features.NumFeatures {
+			t.Fatalf("accepted a tree over %d features", n)
+		}
+		tool.detector.Tree.Predict(make([]float64, features.NumFeatures))
+		_ = tool.Tree()
 	})
 }

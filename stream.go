@@ -10,12 +10,9 @@ import (
 
 	"drbw/internal/alloc"
 	"drbw/internal/core"
-	"drbw/internal/diagnose"
-	"drbw/internal/features"
 	"drbw/internal/obs"
 	"drbw/internal/pebs"
 	"drbw/internal/profiledata"
-	"drbw/internal/topology"
 )
 
 // TraceFormat selects the on-disk samples encoding.
@@ -144,7 +141,7 @@ func (t *Tool) analyzeTraceFileRange(samplesPath, objectsPath string, tr timeRan
 	}
 	if t.cache != nil {
 		if key, err := t.analyzeFileKey(samplesPath, objectsPath, tr); err == nil {
-			return t.cachedReport(key, analyze)
+			return cached(t.cache, key, analyze)
 		}
 		// Fingerprinting failed — missing file, unreadable bytes. Fall
 		// through uncached so the analysis itself surfaces the real error.
@@ -166,41 +163,13 @@ func (t *Tool) AnalyzeTraceFiles(paths []TracePaths) ([]*Report, error) {
 		// its block ranges across the pool instead of streaming inline.
 		// The reports are bit-identical either way.
 		rep, err := t.AnalyzeTraceFile(paths[0].Samples, paths[0].Objects)
-		if err != nil {
-			return []*Report{nil}, &BatchError{Cases: []CaseError{{Index: 0, Err: err}}}
-		}
-		return []*Report{rep}, nil
+		return []*Report{rep}, batchError([]error{err}, nil)
 	}
-	reports := make([]*Report, len(paths))
-	errs := make([]error, len(paths))
-	scratch := make([]*traceScratch, core.PoolWorkers())
-	sp := obs.BeginSpan("analyze.tracefiles")
-	core.ParallelForLabeledSpans(len(paths), "analyze.tracefiles", sp, func(i, w int, cs obs.SpanHandle) {
+	reports, err := t.analyzeBatch(len(paths), "analyze.tracefiles", func(i int, sc *traceScratch, cs obs.SpanHandle) (*Report, error) {
 		cs.SetStr("samples", paths[i].Samples)
-		var sc *traceScratch
-		if w < len(scratch) {
-			if scratch[w] == nil {
-				scratch[w] = t.newScratch()
-			}
-			sc = scratch[w]
-		} else {
-			// The pool width changed mid-call; fall back to fresh scratch.
-			sc = t.newScratch()
-		}
-		reports[i], errs[i] = t.analyzeTraceFileRange(paths[i].Samples, paths[i].Objects, fullRange(), sc)
+		return t.analyzeTraceFileRange(paths[i].Samples, paths[i].Objects, fullRange(), sc)
 	})
-	sp.End()
-	var be BatchError
-	for i, err := range errs {
-		if err != nil {
-			be.Cases = append(be.Cases, CaseError{Index: i, Err: err})
-		}
-	}
-	if len(be.Cases) > 0 {
-		obs.FlightFailure("analyze.tracefiles", &be)
-		return reports, &be
-	}
-	return reports, nil
+	return reports, obs.FlightFailure("analyze.tracefiles", err)
 }
 
 // AnalyzeTraceShards analyzes one logical recording that was captured as
@@ -225,7 +194,7 @@ func (t *Tool) analyzeTraceShards(samplePaths []string, objectsPath string) (*Re
 	}
 	if t.cache != nil {
 		if key, err := t.shardsKey(samplePaths, objectsPath); err == nil {
-			return t.cachedReport(key, analyze)
+			return cached(t.cache, key, analyze)
 		}
 	}
 	return analyze()
@@ -284,49 +253,7 @@ func (t *Tool) analyzeFiles(samplePaths []string, objectsPath string, tr timeRan
 		return nil, err
 	}
 	defer p.close()
-	if testHookPlanned != nil {
-		testHookPlanned(p.footer)
-	}
 	return t.fusedPass(p, objects, ss, sp)
-}
-
-// classify runs the trained tree over the accumulated per-channel vectors,
-// marks the report, and returns the contended channels in stable order.
-func (t *Tool) classify(acc *features.Accumulator, weight float64, rep *Report) []topology.Channel {
-	var contended []topology.Channel
-	for ch, vec := range acc.Vectors(weight, t.detector.MinSamples) {
-		v := vec
-		label := features.Label(t.tree.Predict(v[:]))
-		core.CountPrediction(label)
-		if label == features.RMC {
-			rep.Detected = true
-			contended = append(contended, ch)
-		}
-	}
-	sortChannelsStable(contended)
-	core.CountDetectCase(rep.Detected)
-	for _, ch := range contended {
-		rep.Channels = append(rep.Channels, ch.String())
-	}
-	return contended
-}
-
-// finishReport attaches the timeline and, when a CF accumulator ran, the
-// object attribution.
-func (t *Tool) finishReport(rep *Report, tl *diagnose.TimelineAccumulator, cf *diagnose.CFAccumulator) (*Report, error) {
-	rep.attachTimeline(tl.Buckets())
-	if cf == nil {
-		return rep, nil
-	}
-	diag := cf.Report()
-	for _, o := range diag.Overall {
-		rep.Objects = append(rep.Objects, ObjectCF{
-			Name: o.Object.Name, Site: o.Object.Site.String(),
-			CF: o.CF, Samples: o.Samples,
-		})
-	}
-	rep.UnattributedCF = diag.UnattributedCF
-	return rep, nil
 }
 
 // errNoSamples distinguishes an empty recording from a time window that

@@ -92,10 +92,9 @@ func TestSaveAsFormatsLoadIdentically(t *testing.T) {
 	}
 }
 
-// TestAnalyzeTraceFileMatchesSlicePath pins the tentpole equivalence: the
-// streaming analysis of a recording on disk — in either format — produces
-// a report identical to LoadTrace + AnalyzeTrace, verdicts, features, CF
-// ranking, timeline and all.
+// TestAnalyzeTraceFileMatchesSlicePath pins the streaming analysis of a
+// recording on disk — in either format — to the reference analysis of
+// LoadTrace's slice: verdicts, features, CF ranking, timeline and all.
 func TestAnalyzeTraceFileMatchesSlicePath(t *testing.T) {
 	tl := sharedTool(t)
 	for _, format := range []drbw.TraceFormat{drbw.FormatCSV, drbw.FormatBinary} {
@@ -105,7 +104,7 @@ func TestAnalyzeTraceFileMatchesSlicePath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := tl.AnalyzeTrace(td)
+		want, err := tl.AnalyzeTraceRef(td)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +113,7 @@ func TestAnalyzeTraceFileMatchesSlicePath(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: streamed report differs from the slice path\n got %+v\nwant %+v", format, got, want)
+			t.Fatalf("%s: streamed report differs from the reference analysis\n got %+v\nwant %+v", format, got, want)
 		}
 		if !got.Contended() {
 			t.Fatalf("%s: streaming analysis missed the contention", format)
