@@ -125,8 +125,8 @@ func quoteFields(csv []byte) []byte {
 // recording. slice is LoadTrace + AnalyzeTrace: it materializes the trace,
 // then runs the fused pass over it in memory. stream is AnalyzeTraceFile:
 // the same fused pass block at a time off disk, memory bounded by the
-// decode block size (visible in B/op). The sub-benchmark names are what
-// scripts/bench.sh's stream_vs_slice ratio matches.
+// decode block size and the timeline's remote-sample column (visible in
+// B/op).
 func BenchmarkAnalyzeTrace(b *testing.B) {
 	tool := sharedTool(b)
 	td := codecTrace(benchTraceSamples)

@@ -2,6 +2,7 @@ package drbw
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"drbw/internal/diagnose"
@@ -9,6 +10,7 @@ import (
 	"drbw/internal/pebs"
 	"drbw/internal/profiledata"
 	"drbw/internal/topology"
+	"drbw/internal/xsum"
 )
 
 // SetCollectorMaxKept shrinks the detector's per-run sample cap so tests
@@ -21,10 +23,10 @@ func SetCollectorMaxKept(t *Tool, n int) (restore func()) {
 }
 
 // SetTestHookPlanned installs a hook that runs after an analysis has
-// planned its inputs and before the fused pass, told whether the plan's
-// bounds came from the index footer (true) or a pre-scan (false). Tests
-// use it to check which inputs skip the pre-scan and to mutate a recording
-// mid-analysis. It returns a restore function for the previous hook.
+// planned its inputs and before the fused pass, told whether the pass is
+// checked against index-footer bounds. Tests use it to check which inputs
+// are footer-checked and to mutate a recording mid-analysis. It returns a
+// restore function for the previous hook.
 func SetTestHookPlanned(f func(footer bool)) (restore func()) {
 	prev := testHookPlanned
 	testHookPlanned = f
@@ -33,9 +35,9 @@ func SetTestHookPlanned(f func(footer bool)) (restore func()) {
 
 // AnalyzeTraceRef is the reference analysis every equivalence test
 // compares against: the whole recording materialized as one slice, then
-// features.ChannelVectors, the tree, diagnose.Timeline and
-// diagnose.Analyze, each over all of it. It shares no accumulation code
-// with the fused pass. It does not bump the classifier's counters.
+// features.ChannelVectors, the tree, refTimeline and diagnose.Analyze,
+// each over all of it. It shares no accumulation code with the fused pass.
+// It does not bump the classifier's counters.
 func (t *Tool) AnalyzeTraceRef(td *TraceData) (*Report, error) {
 	if len(td.Samples) == 0 {
 		return nil, fmt.Errorf("drbw: recording has no samples")
@@ -76,7 +78,48 @@ func (t *Tool) AnalyzeTraceRef(td *TraceData) (*Report, error) {
 		}
 		diag = diagnose.Analyze(table, samples, contended, weight)
 	}
-	rep := newReport(contended, diag, diagnose.Timeline(samples, timelineBuckets, weight), int64(len(samples)))
+	rep := newReport(contended, diag, refTimeline(samples, timelineBuckets, weight), int64(len(samples)))
 	rep.Bench, rep.Config = td.Bench, td.Config
 	return rep, nil
+}
+
+// refTimeline is the report timeline computed naively: one loop finds the
+// time range, one loop buckets the remote-DRAM samples into n equal slices
+// of it. A zero-width range is widened to one cycle; a NaN time, outside
+// every range, clamps into it. Latency mass is an xsum.Sum, the exact sum
+// the reports are defined by.
+func refTimeline(samples []pebs.Sample, n int, weight float64) []diagnose.Bucket {
+	minT, maxT := math.Inf(1), math.Inf(-1)
+	for _, s := range samples {
+		if s.Time < minT {
+			minT = s.Time
+		}
+		if s.Time > maxT {
+			maxT = s.Time
+		}
+	}
+	if maxT <= minT {
+		maxT = minT + 1
+	}
+	span := maxT - minT
+	counts := make([]int, n)
+	mass := make([]xsum.Sum, n)
+	for _, s := range samples {
+		if !s.RemoteDRAM() {
+			continue
+		}
+		i := min(max(int(float64(n)*(s.Time-minT)/span), 0), n-1)
+		counts[i]++
+		mass[i].Add(s.Latency)
+	}
+	out := make([]diagnose.Bucket, n)
+	for i := range out {
+		out[i].Start = minT + span*float64(i)/float64(n)
+		out[i].End = minT + span*float64(i+1)/float64(n)
+		out[i].RemoteSamples = float64(counts[i]) * weight
+		if counts[i] > 0 {
+			out[i].AvgRemoteLatency = mass[i].Value() / float64(counts[i])
+		}
+	}
+	return out
 }

@@ -368,27 +368,17 @@ func (d *Detector) Detect(b program.Builder, m *topology.Machine, cfg program.Co
 // batch pipeline passes one accumulator per worker so a sweep allocates
 // extraction state per worker, not per case. nil means allocate fresh.
 func (d *Detector) detect(b program.Builder, m *topology.Machine, cfg program.Config, acc *features.Accumulator) (*Detection, error) {
-	p, err := b.New(m, cfg)
+	p, samples, weight, err := Profile(b, m, cfg, d.Ecfg, d.Ccfg)
 	if err != nil {
-		return nil, err
-	}
-	ccfg := d.Ccfg
-	ccfg.Flavor = d.Ecfg.SamplerFlavor
-	col := pebs.NewCollector(ccfg, cfg.Seed+101)
-	run := d.Ecfg
-	run.Collector = col
-	run.Seed = cfg.Seed + 103
-	if _, err := p.Run(run); err != nil {
 		return nil, err
 	}
 	dn := &Detection{
 		CaseResult: CaseResult{Bench: b.Name, Cfg: cfg},
 		Program:    p,
-		Samples:    col.Samples(),
-		Weight:     col.Weight(),
+		Samples:    samples,
+		Weight:     weight,
 		builder:    b,
 	}
-	mergeCollectorStats(col)
 	if acc == nil {
 		acc = features.NewAccumulator(m)
 	} else {
@@ -398,6 +388,28 @@ func (d *Detector) detect(b program.Builder, m *topology.Machine, cfg program.Co
 	dn.Contended = d.Classify(acc, dn.Weight)
 	dn.Detected = len(dn.Contended) > 0
 	return dn, nil
+}
+
+// Profile runs one case under a PEBS collector configured by ccfg, its
+// Flavor taken from ecfg.SamplerFlavor, and returns the program, the
+// collector's retained samples and their weight. The collector and run
+// seeds derive from the case seed, so every profiling run of a case — live
+// detection, a recording, the placement search's own profile — sees the
+// same samples.
+func Profile(b program.Builder, m *topology.Machine, cfg program.Config, ecfg engine.Config, ccfg pebs.Config) (*program.Program, []pebs.Sample, float64, error) {
+	p, err := b.New(m, cfg)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	ccfg.Flavor = ecfg.SamplerFlavor
+	col := pebs.NewCollector(ccfg, cfg.Seed+101)
+	ecfg.Collector = col
+	ecfg.Seed = cfg.Seed + 103
+	if _, err := p.Run(ecfg); err != nil {
+		return nil, nil, 0, err
+	}
+	mergeCollectorStats(col)
+	return p, col.Samples(), col.Weight(), nil
 }
 
 // Classify runs the tree over every channel vector acc yields at weight

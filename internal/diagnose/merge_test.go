@@ -10,94 +10,96 @@ import (
 )
 
 // TestTimelineAddClampsBelowRange is the regression test for the negative
-// bucket index panic: a pass-two sample earlier than anything pass one
-// observed (shard merged out of order, or a file mutated between passes)
-// used to index buckets[-something]. It must clamp into the first bucket
-// instead.
+// bucket index panic: a sample earlier than the stated range once indexed
+// buckets[-something]. Add widens the range, so such a sample lands in the
+// first bucket; a NaN time, which no range holds, clamps there too.
 func TestTimelineAddClampsBelowRange(t *testing.T) {
 	acc := NewTimelineAccumulator(4, 1)
 	observed := []pebs.Sample{mkSample(10, true, 100), mkSample(20, true, 100)}
-	acc.Observe(observed)
-	// Time 5 < minT 10: pre-fix this panicked with index out of range.
-	stray := []pebs.Sample{mkSample(5, true, 700)}
+	acc.ObserveRange(10, 20, len(observed))
+	stray := []pebs.Sample{mkSample(5, true, 700), mkSample(math.NaN(), true, 300)}
 	acc.Add(observed)
 	acc.Add(stray)
 	b := acc.Buckets()
 	if len(b) != 4 {
 		t.Fatalf("%d buckets", len(b))
 	}
-	if b[0].Samples != 2 {
-		t.Errorf("first bucket holds %v samples, want 2 (observed + clamped stray)", b[0].Samples)
+	if b[0].Start != 5 || b[0].RemoteSamples != 2 || b[0].AvgRemoteLatency != 500 {
+		t.Errorf("first bucket %+v, want start 5 holding the stray and the NaN sample", b[0])
 	}
 	var total float64
 	for _, x := range b {
-		total += x.Samples
+		total += x.RemoteSamples
 	}
-	if total != 3 {
-		t.Errorf("timeline holds %v samples, want all 3", total)
+	if total != 4 {
+		t.Errorf("timeline holds %v samples, want all 4", total)
 	}
 
-	// The slice form clamps identically.
+	// The slice form buckets identically.
 	all := append(append([]pebs.Sample{}, observed...), stray...)
-	if got := Timeline(all, 4, 1); got == nil {
-		t.Fatal("Timeline returned nil")
+	if got := Timeline(all, 4, 1); !reflect.DeepEqual(got, b) {
+		t.Errorf("Timeline = %+v, want %+v", got, b)
 	}
 }
 
-// TestTimelineForkMergeMatchesSerial is the shard contract for the
-// timeline: the range stated from per-part summaries, the counts merged
-// from Fork clones fed arbitrary disjoint chunks in arbitrary order,
-// bit-identical to the serial accumulator.
-func TestTimelineForkMergeMatchesSerial(t *testing.T) {
+// TestTimelineMergeMatchesSerial is the shard contract for the timeline:
+// random contiguous parts, each added to its own accumulator in random
+// chunks and merged in random order, are bit-identical to Timeline over
+// the whole slice — with NaN times, with every time equal, and with no
+// remote samples at all.
+func TestTimelineMergeMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	samples := make([]pebs.Sample, 3000)
-	for i := range samples {
-		samples[i] = mkSample(float64(i), rng.Intn(3) > 0, (100+1400*rng.Float64())*(0.8+0.4*rng.Float64()))
+	mk := func(time func(i int) float64, remote func() bool) []pebs.Sample {
+		samples := make([]pebs.Sample, 3000)
+		for i := range samples {
+			samples[i] = mkSample(time(i), remote(), (100+1400*rng.Float64())*(0.8+0.4*rng.Float64()))
+		}
+		return samples
+	}
+	someRemote := func() bool { return rng.Intn(3) > 0 }
+	inputs := map[string][]pebs.Sample{
+		"shuffled": mk(func(int) float64 { return float64(rng.Intn(100000)) }, someRemote),
+		"nan": mk(func(i int) float64 {
+			if i%97 == 0 {
+				return math.NaN()
+			}
+			return float64(i)
+		}, someRemote),
+		"all-equal": mk(func(int) float64 { return 42 }, someRemote),
+		"no-remote": mk(func(i int) float64 { return float64(i) }, func() bool { return false }),
 	}
 	const n, weight = 32, 2.5
-	want := Timeline(samples, n, weight)
-
-	for trial := 0; trial < 10; trial++ {
-		// Split into arbitrary contiguous parts.
-		nparts := 1 + rng.Intn(5)
-		var parts [][]pebs.Sample
-		start := 0
-		for i := 0; i < nparts; i++ {
-			end := len(samples)
-			if i < nparts-1 {
-				end = start + rng.Intn(len(samples)-start+1)
-			}
-			parts = append(parts, samples[start:end])
-			start = end
+	for name, samples := range inputs {
+		want := Timeline(samples, n, weight)
+		if len(want) != n {
+			t.Fatalf("%s: %d buckets, want %d", name, len(want), n)
 		}
-
-		// The range: each part summarized on its own, folded in shuffled
-		// order.
-		parent := NewTimelineAccumulator(n, weight)
-		for _, p := range rng.Perm(nparts) {
-			if len(parts[p]) == 0 {
-				continue
+		for trial := 0; trial < 10; trial++ {
+			nparts := 1 + rng.Intn(5)
+			parts := make([]*TimelineAccumulator, nparts)
+			start := 0
+			for i := range parts {
+				end := len(samples)
+				if i < nparts-1 {
+					end = start + rng.Intn(len(samples)-start+1)
+				}
+				parts[i] = NewTimelineAccumulator(n, weight)
+				for lo := start; lo < end; {
+					hi := min(end, lo+1+rng.Intn(700))
+					parts[i].Add(samples[lo:hi])
+					lo = hi
+				}
+				start = end
 			}
-			lo, hi := parts[p][0].Time, parts[p][0].Time
-			for _, s := range parts[p] {
-				lo, hi = math.Min(lo, s.Time), math.Max(hi, s.Time)
+			merged := NewTimelineAccumulator(n, weight)
+			for _, p := range rng.Perm(nparts) {
+				if err := merged.Merge(parts[p]); err != nil {
+					t.Fatal(err)
+				}
 			}
-			parent.ObserveRange(lo, hi, len(parts[p]))
-		}
-
-		// The counts: per-part forks, merged in a different shuffled order.
-		forks := make([]*TimelineAccumulator, nparts)
-		for i, part := range parts {
-			forks[i] = parent.Fork()
-			forks[i].Add(part)
-		}
-		for _, p := range rng.Perm(nparts) {
-			if err := parent.Merge(forks[p]); err != nil {
-				t.Fatal(err)
+			if got := merged.Buckets(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s trial %d: merged timeline differs from serial\n got %+v\nwant %+v", name, trial, got, want)
 			}
-		}
-		if got := parent.Buckets(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: sharded timeline differs from serial", trial)
 		}
 	}
 }
@@ -112,11 +114,8 @@ func TestTimelineMergeRejectsMismatch(t *testing.T) {
 	if err := a.Merge(NewTimelineAccumulator(8, 2)); err == nil {
 		t.Error("weight mismatch accepted")
 	}
-	one := []pebs.Sample{mkSample(1, true, 100)}
-	a.Observe(one)
-	frozen := a.Fork()
-	if err := a.Merge(frozen); err != nil {
-		// a froze when Fork ran, so this merge is legal; sanity only.
-		t.Errorf("fork merge failed: %v", err)
+	a.Add([]pebs.Sample{mkSample(1, true, 100)})
+	if err := a.Merge(NewTimelineAccumulator(8, 1)); err != nil {
+		t.Errorf("same-shape merge failed: %v", err)
 	}
 }

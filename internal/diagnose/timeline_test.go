@@ -40,10 +40,10 @@ func TestTimelineBuckets(t *testing.T) {
 	}
 	var total float64
 	for _, b := range buckets {
-		total += b.Samples
+		total += b.RemoteSamples
 	}
-	if total != 100 {
-		t.Errorf("buckets hold %f samples, want 100", total)
+	if total != 50 {
+		t.Errorf("buckets hold %f remote samples, want 50", total)
 	}
 	// Contiguous, ordered slices.
 	for i := 1; i < len(buckets); i++ {
@@ -56,7 +56,7 @@ func TestTimelineBuckets(t *testing.T) {
 func TestTimelineWeight(t *testing.T) {
 	samples := []pebs.Sample{mkSample(0, true, 500), mkSample(1, true, 500)}
 	buckets := Timeline(samples, 1, 10)
-	if buckets[0].Samples != 20 || buckets[0].RemoteSamples != 20 {
+	if buckets[0].RemoteSamples != 20 {
 		t.Errorf("weighted counts: %+v", buckets[0])
 	}
 	if buckets[0].AvgRemoteLatency != 500 {
@@ -78,7 +78,7 @@ func TestTimelineEdgeCases(t *testing.T) {
 	}
 	var total float64
 	for _, x := range b {
-		total += x.Samples
+		total += x.RemoteSamples
 	}
 	if total != 1 {
 		t.Errorf("sample lost: %f", total)

@@ -368,22 +368,11 @@ func simulate(o *Outcome, in Input, ecfg engine.Config, base *engine.Result) err
 // profile runs the case once with a PEBS collector to obtain the samples a
 // caller without a detection (benchmarks, ad-hoc tuning) did not supply.
 func profile(in *Input, ecfg engine.Config) error {
-	p, err := in.Builder.New(in.Machine, in.Cfg)
+	p, samples, weight, err := core.Profile(in.Builder, in.Machine, in.Cfg, ecfg, core.DefaultCollectorConfig())
 	if err != nil {
 		return err
 	}
-	ccfg := core.DefaultCollectorConfig()
-	ccfg.Flavor = ecfg.SamplerFlavor
-	col := pebs.NewCollector(ccfg, in.Cfg.Seed+101)
-	run := ecfg
-	run.Collector = col
-	run.Seed = in.Cfg.Seed + 103
-	if _, err := p.Run(run); err != nil {
-		return err
-	}
-	in.Heap = p.Heap
-	in.Samples = col.Samples()
-	in.Weight = col.Weight()
+	in.Heap, in.Samples, in.Weight = p.Heap, samples, weight
 	return nil
 }
 

@@ -17,7 +17,7 @@ import (
 // indexed block-range path and the shard fan-out, then checks the Chrome
 // export end to end: the JSON loads as trace-event format, every per-job
 // "case" span carries its portion identity ([from, to) plus worker id),
-// and together the pass-1 block-range spans tile the whole recording.
+// and together the block-range spans tile the whole recording.
 func TestChromeTraceCoversBlockRanges(t *testing.T) {
 	tl := sharedTool(t)
 	td, sPath, oPath := recordTo(t, tl, 91, drbw.FormatBinary)
@@ -63,7 +63,7 @@ func TestChromeTraceCoversBlockRanges(t *testing.T) {
 	}
 
 	roots := map[string]bool{}
-	// covered[from] = to for pass-1 block-range spans of the indexed path.
+	// covered[from] = to for the block-range spans of the indexed path.
 	covered := map[int]int{}
 	shardPortions := map[string]bool{}
 	for _, ev := range trace.TraceEvents {
@@ -87,11 +87,10 @@ func TestChromeTraceCoversBlockRanges(t *testing.T) {
 		}
 		from, okF := ev.Args["from"].(float64)
 		to, okT := ev.Args["to"].(float64)
-		pass, okP := ev.Args["pass"].(float64)
-		if !okF || !okT || !okP {
-			t.Fatalf("case span missing from/to/pass attrs: %+v", ev.Args)
+		if !okF || !okT {
+			t.Fatalf("case span missing from/to attrs: %+v", ev.Args)
 		}
-		if portion == "blocks" && pass == 1 {
+		if portion == "blocks" {
 			covered[int(from)] = int(to)
 		}
 		if strings.HasSuffix(portion, ".bin") {
@@ -104,7 +103,7 @@ func TestChromeTraceCoversBlockRanges(t *testing.T) {
 		}
 	}
 	if len(covered) == 0 {
-		t.Fatal("no pass-1 block-range spans recorded for the indexed path")
+		t.Fatal("no block-range spans recorded for the indexed path")
 	}
 	// The block ranges must tile [0, N) with no gaps.
 	next, max := 0, 0

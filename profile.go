@@ -7,6 +7,7 @@ import (
 
 	"drbw/internal/alloc"
 	"drbw/internal/cache"
+	"drbw/internal/core"
 	"drbw/internal/obs"
 	"drbw/internal/pebs"
 	"drbw/internal/profiledata"
@@ -82,6 +83,24 @@ func fromRecord(r SampleRecord) (pebs.Sample, error) {
 	}, nil
 }
 
+// samples converts the recording's sample records, checking every memory
+// level, and returns them with the collector weight (1 when unset).
+func (td *TraceData) samples() ([]pebs.Sample, float64, error) {
+	samples := make([]pebs.Sample, 0, len(td.Samples))
+	for _, r := range td.Samples {
+		s, err := fromRecord(r)
+		if err != nil {
+			return nil, 0, err
+		}
+		samples = append(samples, s)
+	}
+	weight := td.Weight
+	if weight <= 0 {
+		weight = 1
+	}
+	return samples, weight, nil
+}
+
 // Record profiles one case of a built-in benchmark and returns the raw
 // recording instead of an analysis — the collection half of the offline
 // workflow.
@@ -90,27 +109,18 @@ func (t *Tool) Record(bench string, c Case) (*TraceData, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := b.New(t.machine, c.config())
+	// The same profiling run as Detector.Detect, so a recording reproduces
+	// exactly the samples the live pipeline would see.
+	p, samples, weight, err := core.Profile(b, t.machine, c.config(), t.detector.Ecfg, t.detector.Ccfg)
 	if err != nil {
-		return nil, err
-	}
-	// Same collector configuration and seeds as Detector.Detect, so a
-	// recording reproduces exactly the samples the live pipeline would see.
-	ccfg := t.detector.Ccfg
-	ccfg.Flavor = t.detector.Ecfg.SamplerFlavor
-	col := pebs.NewCollector(ccfg, c.Seed+101)
-	run := t.cfg.engineConfig()
-	run.Collector = col
-	run.Seed = c.Seed + 103
-	if _, err := p.Run(run); err != nil {
 		return nil, err
 	}
 	td := &TraceData{
 		Bench:  bench,
 		Config: c.config().String(),
-		Weight: col.Weight(),
+		Weight: weight,
 	}
-	for _, s := range col.Samples() {
+	for _, s := range samples {
 		td.Samples = append(td.Samples, toRecord(s))
 	}
 	for _, o := range p.Heap.Live() {
@@ -124,30 +134,11 @@ func (t *Tool) Record(bench string, c Case) (*TraceData, error) {
 }
 
 // Save writes the recording as two CSV files (see internal/profiledata for
-// the exact format). Every record is validated before any file is created,
-// and a file that fails mid-write is removed, so a bad recording never
-// leaves a truncated CSV behind.
+// the exact format); it is SaveAs with FormatCSV. Every record is
+// validated before any file is created, and a file that fails mid-write is
+// removed, so a bad recording never leaves a truncated CSV behind.
 func (td *TraceData) Save(samplesPath, objectsPath string) error {
-	samples := make([]pebs.Sample, 0, len(td.Samples))
-	for _, r := range td.Samples {
-		s, err := fromRecord(r)
-		if err != nil {
-			return err
-		}
-		samples = append(samples, s)
-	}
-	weight := td.Weight
-	if weight <= 0 {
-		weight = 1
-	}
-	if err := writeFile(samplesPath, func(w io.Writer) error {
-		return profiledata.WriteSamples(w, samples, weight)
-	}); err != nil {
-		return err
-	}
-	return writeFile(objectsPath, func(w io.Writer) error {
-		return profiledata.WriteObjects(w, td.internalObjects())
-	})
+	return td.SaveAs(samplesPath, objectsPath, FormatCSV)
 }
 
 // writeFile creates path, runs write, and removes the file again if
@@ -229,27 +220,14 @@ func (t *Tool) AnalyzeTrace(td *TraceData) (*Report, error) {
 }
 
 // analyzeTrace is AnalyzeTrace on a caller's scratch: the converted
-// samples form one job, pre-scanned like any unindexed input, and the
-// fused pass runs inline.
+// samples form one job, and the fused pass runs inline.
 func (t *Tool) analyzeTrace(td *TraceData, sc *traceScratch) (*Report, error) {
-	samples := make([]pebs.Sample, 0, len(td.Samples))
-	for _, r := range td.Samples {
-		s, err := fromRecord(r)
-		if err != nil {
-			return nil, err
-		}
-		samples = append(samples, s)
-	}
-	weight := td.Weight
-	if weight <= 0 {
-		weight = 1
-	}
-	p := &tracePlan{jobs: []traceJob{sliceJob(samples, weight)}, bounds: emptyBounds()}
-	ss := &scratchSet{inline: true, states: []*traceScratch{sc}}
-	if err := p.bound(ss, obs.SpanHandle{}); err != nil {
+	samples, weight, err := td.samples()
+	if err != nil {
 		return nil, err
 	}
-	rep, err := t.fusedPass(p, td.internalObjects(), ss, obs.SpanHandle{})
+	p := &tracePlan{jobs: []traceJob{sliceJob(samples, weight)}, weight: weight}
+	rep, err := t.fusedPass(p, td.internalObjects(), sc, obs.SpanHandle{})
 	if err != nil {
 		return nil, err
 	}

@@ -114,22 +114,15 @@ END {
     }
     printf "},\n" >> out
     # trace_codec: binary-vs-CSV decode speedup and file-size ratio on the
-    # 1M-sample bench trace, plus the in-memory (slice) vs streamed
-    # analysis ratio; both run the fused pass.
-    # Informational: no gate reads them.
+    # 1M-sample bench trace. Informational: no gate reads them.
     dc = nsv["BenchmarkTraceDecode/csv"]
     db = nsv["BenchmarkTraceDecode/binary"]
-    as = nsv["BenchmarkAnalyzeTrace/slice"]
-    at = nsv["BenchmarkAnalyzeTrace/stream"]
     printf "  \"trace_codec\": {\"cores\": %d, \"gated\": false", cores >> out
     if (dc != "" && db != "" && db + 0 > 0) {
         printf ", \"decode_speedup\": %.2f", dc / db >> out
     }
     if (sizeratio != "") {
         printf ", \"csv_size_ratio\": %s", sizeratio >> out
-    }
-    if (as != "" && at != "" && at + 0 > 0) {
-        printf ", \"stream_vs_slice\": %.2f", as / at >> out
     }
     printf "},\n" >> out
     # optimizer: the closed-loop placement search. pruned_speedup is the

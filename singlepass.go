@@ -5,28 +5,23 @@ package drbw
 // Every analysis entry point — a recording in memory or on disk, a time
 // window of one, a batch, a set of shards — first turns its inputs into a
 // plan: a job list, each job one independently decodable portion of a
-// samples file (or, in memory, the whole recording), plus the
-// bounds the timeline needs before it can bucket anything: the kept sample
-// count, their time range, and the collector weight. One fused pass then
-// streams every job exactly once, accumulating features, the pre-bounded
-// timeline, and dense CF attribution for every channel together; the
-// classifier runs on the merged features and the dense counts are
-// restricted to the channels it flags.
+// samples file (or, in memory, the whole recording), plus the collector
+// weight, read from the first input's header. One fused pass then streams
+// every job exactly once, accumulating features, the timeline, and dense
+// CF attribution for every channel together; the classifier runs on the
+// merged features and the dense counts are restricted to the channels it
+// flags. No sample decodes before the fused pass: the timeline keeps the
+// few samples it buckets (remote DRAM only) and fixes its geometry once
+// the pass has seen the whole range.
 //
-// The bounds come from one of two places. A checksummed (DRBWIDX2)
-// indexed recording analyzed whole states them in its footer, so no sample
-// decodes before the fused pass. Everything else — CSV, compressed,
-// unindexed v3, DRBWIDX1, and any time-windowed query, whose kept range no
-// block-level bound can state exactly — takes a streaming pre-scan over
-// the same jobs that counts the kept samples and tracks their range.
-//
-// Either way the fused pass checks what it decoded against the plan: the
-// same count, the same range, and as many samples outside it (NaN times,
-// which no range holds). A footer that disagrees fails as "index disagrees
-// with recording"; a recording that differs from its pre-scan fails as
-// "recording changed during analysis". Footer plans additionally verify
-// every decoded block against its DRBWIDX2 checksum, which covers what the
-// footer's own claims cannot: the payload bytes.
+// After the pass, every job's weight must equal the plan's — shards
+// recorded at different weights do not merge. A checksummed (DRBWIDX2)
+// indexed recording analyzed whole also states its sample count and time
+// range in its footer; the pass's count and range must match it, with no
+// NaN times, or the analysis fails as "index disagrees with recording".
+// Such plans verify every decoded block against its DRBWIDX2 checksum
+// too, which covers what the footer's own claims cannot: the payload
+// bytes.
 
 import (
 	"fmt"
@@ -45,15 +40,15 @@ import (
 )
 
 // testHookPlanned, when non-nil, runs after planning and before the fused
-// pass, told whether the plan's bounds came from the index footer. Tests
-// use it to see which inputs skip the pre-scan and to mutate a recording
-// mid-analysis.
+// pass, told whether the pass is checked against index-footer bounds.
+// Tests use it to see which inputs are footer-checked and to mutate a
+// recording mid-analysis.
 var testHookPlanned func(footer bool)
 
-// sampleBounds is what the timeline needs to know about a run of samples
-// before bucketing them: n samples, out of them outside [minT, maxT].
+// sampleBounds summarizes a run of samples: n samples, nan of them with a
+// NaN time, the others spanning [minT, maxT].
 type sampleBounds struct {
-	n, out     int64
+	n, nan     int64
 	minT, maxT float64
 }
 
@@ -61,7 +56,7 @@ func emptyBounds() sampleBounds { return sampleBounds{minT: math.Inf(1), maxT: m
 
 func (b *sampleBounds) merge(o sampleBounds) {
 	b.n += o.n
-	b.out += o.out
+	b.nan += o.nan
 	if o.minT < b.minT {
 		b.minT = o.minT
 	}
@@ -71,15 +66,14 @@ func (b *sampleBounds) merge(o sampleBounds) {
 }
 
 // tracePlan is one analysis' input: the jobs that stream its samples and
-// the bounds of the samples they keep.
+// what is known of them before the pass.
 type tracePlan struct {
 	jobs   []traceJob
 	tr     timeRange
 	label  string // pool label of the job fan-out
 	weight float64
-	bounds sampleBounds
-	raw    int64 // pre-scanned samples before time filtering, plus pruned blocks'
-	footer bool  // bounds came from DRBWIDX2 footers, not a pre-scan
+	raw    int64         // samples in blocks the time window pruned
+	footer *sampleBounds // DRBWIDX2 footers' claim; nil unless every input has one and tr keeps all
 	its    []*profiledata.IndexedTrace
 }
 
@@ -92,10 +86,9 @@ func (p *tracePlan) close() {
 // traceJob is one independently decodable portion of a recording — a block
 // range of an indexed file, a whole unindexed file, or an in-memory
 // recording. blocks hands fn the portion's samples a block at a time,
-// decoding on the worker's scratch, and returns the portion's weight; a
-// job yields the same samples every time it runs. name and [from, to)
-// identify the portion in trace spans: the block range, or the file and
-// its index.
+// decoding on the worker's scratch, and returns the portion's weight. name
+// and [from, to) identify the portion in trace spans: the block range, or
+// the file and its index.
 type traceJob struct {
 	name     string
 	from, to int
@@ -113,15 +106,14 @@ func (j *traceJob) each(bufs *profiledata.Buffers, tr timeRange, fn func([]pebs.
 }
 
 // traceScratch is one worker's reusable analysis state: decode buffers
-// shared by the pre-scan and the fused pass, plus the fused pass's
-// accumulators. A batch worker keeps one across recordings, so a batch
-// allocates in proportion to its worker count, not its recording count.
+// plus the fused pass's accumulators. A batch worker keeps one across
+// recordings, so a batch's decode buffers scale with its worker count, not
+// its recording count.
 type traceScratch struct {
 	bufs profiledata.Buffers
 	acc  *features.Accumulator
 	tl   *diagnose.TimelineAccumulator
 	dcf  *diagnose.DenseCF // nil when the objects table is invalid
-	seen sampleBounds      // decoded samples, measured against the plan
 }
 
 func (t *Tool) newScratch() *traceScratch {
@@ -152,10 +144,10 @@ func (ss *scratchSet) get(w int) *traceScratch {
 }
 
 // forEachJob runs fn over every job of p. On the pool each job is a child
-// span of parent carrying its portion, [from, to), pass number and worker
-// id. Errors surface from the lowest-indexed failing job, so reruns are
+// span of parent carrying its portion, [from, to) and worker id. Errors
+// surface from the lowest-indexed failing job, so reruns are
 // deterministic.
-func (ss *scratchSet) forEachJob(p *tracePlan, pass int64, parent obs.SpanHandle, fn func(i int, st *traceScratch) error) error {
+func (ss *scratchSet) forEachJob(p *tracePlan, parent obs.SpanHandle, fn func(i int, st *traceScratch) error) error {
 	if ss.inline {
 		for i := range p.jobs {
 			if err := fn(i, ss.states[0]); err != nil {
@@ -170,7 +162,6 @@ func (ss *scratchSet) forEachJob(p *tracePlan, pass int64, parent obs.SpanHandle
 		cs.SetStr("portion", j.name)
 		cs.SetInt("from", int64(j.from))
 		cs.SetInt("to", int64(j.to))
-		cs.SetInt("pass", pass)
 		errs[i] = fn(i, ss.get(w))
 	})
 	for _, err := range errs {
@@ -182,13 +173,13 @@ func (ss *scratchSet) forEachJob(p *tracePlan, pass int64, parent obs.SpanHandle
 }
 
 // plan opens samplePaths — one logical recording, in order — and builds
-// their job list and bounds. Indexed files contribute block-range chunks
-// over the blocks that intersect tr, about four per pool worker so
-// stragglers rebalance, or one chunk per contiguous run when inline;
-// unindexed files contribute one whole-file job. Without footer bounds the
-// jobs are pre-scanned. A plan that keeps no samples is an error.
-func plan(samplePaths []string, tr timeRange, label string, ss *scratchSet, parent obs.SpanHandle) (_ *tracePlan, err error) {
-	p := &tracePlan{tr: tr, label: label, footer: !tr.limited, bounds: emptyBounds()}
+// their job list. Indexed files contribute block-range chunks over the
+// blocks that intersect tr, about four per pool worker so stragglers
+// rebalance, or one chunk per contiguous run when inline; unindexed files
+// contribute one whole-file job. The weight comes from the first input's
+// header; no sample decodes.
+func plan(samplePaths []string, tr timeRange, label string, inline bool) (_ *tracePlan, err error) {
+	p := &tracePlan{tr: tr, label: label}
 	defer func() {
 		if err != nil {
 			p.close()
@@ -205,18 +196,30 @@ func plan(samplePaths []string, tr timeRange, label string, ss *scratchSet, pare
 	}
 	var pieces []piece
 	kept := 0
+	footer, claim := !tr.limited, emptyBounds()
 	for i, path := range samplePaths {
 		it, err := profiledata.OpenIndexedTrace(path)
 		if err != nil {
 			// No usable index — CSV, compressed, foreign, or a damaged
 			// footer. A genuinely missing or unreadable file resurfaces
-			// when its job opens it.
-			p.footer = false
+			// when its header or its job opens it.
+			footer = false
 			pieces = append(pieces, piece{path: path, shard: i})
+			if i == 0 {
+				if p.weight, err = headerWeight(path); err != nil {
+					return nil, err
+				}
+			}
 			continue
 		}
 		p.its = append(p.its, it)
-		p.footer = p.footer && it.HasChecksums()
+		if i == 0 {
+			p.weight = it.Weight()
+		}
+		footer = footer && it.HasChecksums()
+		if lo, hi, ok := it.TimeBounds(); ok {
+			claim.merge(sampleBounds{n: int64(it.TotalSamples()), minT: lo, maxT: hi})
+		}
 		for b := 0; b < it.Blocks(); b++ {
 			if e := it.Entry(b); tr.skipBlock(e) {
 				p.raw += int64(e.Count)
@@ -230,8 +233,11 @@ func plan(samplePaths []string, tr timeRange, label string, ss *scratchSet, pare
 			}
 		}
 	}
+	if footer {
+		p.footer = &claim
+	}
 	perChunk := kept
-	if !ss.inline {
+	if !inline {
 		perChunk = kept / (core.PoolWorkers() * 4)
 	}
 	perChunk = max(perChunk, 1)
@@ -248,132 +254,45 @@ func plan(samplePaths []string, tr timeRange, label string, ss *scratchSet, pare
 			p.jobs = append(p.jobs, blockJob(pc.it, name, from, min(from+perChunk, pc.to)))
 		}
 	}
-
-	if p.footer {
-		p.weight = p.its[0].Weight()
-		for i, it := range p.its {
-			if it.Weight() != p.weight {
-				return nil, errShardWeight(samplePaths[i], it.Weight(), p.weight)
-			}
-			if lo, hi, ok := it.TimeBounds(); ok {
-				p.bounds.merge(sampleBounds{n: int64(it.TotalSamples()), minT: lo, maxT: hi})
-			}
-		}
-	}
-	if err := p.bound(ss, parent); err != nil {
-		return nil, err
-	}
 	return p, nil
 }
 
-// bound completes a plan's bounds: a plan without footer bounds is
-// pre-scanned, and a plan that keeps no samples is an error.
-func (p *tracePlan) bound(ss *scratchSet, parent obs.SpanHandle) error {
-	if !p.footer {
-		if err := p.prescan(ss, parent); err != nil {
-			return err
-		}
-	}
-	if p.bounds.n == 0 {
-		return errNoSamples(p.tr, p.raw)
-	}
-	return nil
-}
-
-// prescan streams every job once to establish the plan's weight and
-// bounds: the kept samples' count, the range of their times, and how many
-// have a NaN time — counted, not rejected, as the timeline counts them.
-func (p *tracePlan) prescan(ss *scratchSet, parent obs.SpanHandle) error {
-	found := make([]sampleBounds, len(p.jobs))
-	weights := make([]float64, len(p.jobs))
-	raws := make([]int64, len(p.jobs))
-	err := ss.forEachJob(p, 0, parent, func(i int, st *traceScratch) error {
-		b := emptyBounds()
-		var err error
-		weights[i], raws[i], err = p.jobs[i].each(&st.bufs, p.tr, func(block []pebs.Sample) error {
-			b.n += int64(len(block))
-			for j := range block {
-				tm := block[j].Time
-				if tm < b.minT {
-					b.minT = tm
-				}
-				if tm > b.maxT {
-					b.maxT = tm
-				}
-				if tm != tm {
-					b.out++
-				}
-			}
-			return nil
-		})
-		found[i] = b
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	for i := range p.jobs {
-		if i == 0 {
-			p.weight = weights[0]
-		} else if weights[i] != p.weight {
-			return errShardWeight(p.jobs[i].name, weights[i], p.weight)
-		}
-		p.bounds.merge(found[i])
-		p.raw += raws[i]
-	}
-	return nil
-}
-
 // fusedPass streams every job of p once, each worker accumulating
-// features, pre-bounded timeline buckets and dense CF together, then
-// merges the workers in worker order. Counts are integers and sums are
-// exact, so the report is bit-identical at any worker count and in any
-// split of the kept samples into jobs. A bad objects table only matters
-// once classification flags contention.
-func (t *Tool) fusedPass(p *tracePlan, objects []alloc.Object, ss *scratchSet, parent obs.SpanHandle) (*Report, error) {
+// features, timeline and dense CF together, then merges the workers in
+// worker order. Counts are integers and sums are exact, so the report is
+// bit-identical at any worker count and in any split of the kept samples
+// into jobs. The pass runs inline on sc when it is non-nil, on the pool
+// otherwise. A bad objects table only matters once classification flags
+// contention.
+func (t *Tool) fusedPass(p *tracePlan, objects []alloc.Object, sc *traceScratch, parent obs.SpanHandle) (*Report, error) {
 	if testHookPlanned != nil {
-		testHookPlanned(p.footer)
+		testHookPlanned(p.footer != nil)
 	}
 	table, tableErr := profiledata.NewTable(objects)
-	tl := diagnose.NewTimelineAccumulator(timelineBuckets, p.weight)
-	tl.ObserveRange(p.bounds.minT, p.bounds.maxT, int(p.bounds.n))
 	nodes := t.machine.Nodes()
 	ready := func(st *traceScratch) *traceScratch {
 		st.acc.Reset()
-		st.tl = tl.Fork()
+		st.tl = diagnose.NewTimelineAccumulator(timelineBuckets, p.weight)
 		st.dcf = nil
 		if tableErr == nil {
 			st.dcf = diagnose.NewDenseCF(table, nodes, p.weight)
 		}
-		st.seen = emptyBounds()
 		return st
 	}
-	for _, st := range ss.states {
-		if st != nil {
-			ready(st)
-		}
+	ss := &scratchSet{fresh: func() *traceScratch { return ready(t.newScratch()) }}
+	if sc != nil {
+		ss.inline, ss.states = true, []*traceScratch{ready(sc)}
 	}
-	ss.fresh = func() *traceScratch { return ready(t.newScratch()) }
 
-	lo, hi := p.bounds.minT, p.bounds.maxT
-	err := ss.forEachJob(p, 1, parent, func(i int, st *traceScratch) error {
-		weight, _, err := p.jobs[i].each(&st.bufs, p.tr, func(block []pebs.Sample) error {
-			st.seen.n += int64(len(block))
+	weights := make([]float64, len(p.jobs))
+	raws := make([]int64, len(p.jobs))
+	err := ss.forEachJob(p, parent, func(i int, st *traceScratch) error {
+		var err error
+		weights[i], raws[i], err = p.jobs[i].each(&st.bufs, p.tr, func(block []pebs.Sample) error {
 			for j := range block {
-				s := &block[j]
-				if s.SrcNode < 0 || int(s.SrcNode) >= nodes ||
+				if s := &block[j]; s.SrcNode < 0 || int(s.SrcNode) >= nodes ||
 					s.HomeNode < 0 || int(s.HomeNode) >= nodes {
 					return fmt.Errorf("drbw: sample references node outside the %d-node machine", nodes)
-				}
-				if s.Time >= lo && s.Time <= hi {
-					if s.Time < st.seen.minT {
-						st.seen.minT = s.Time
-					}
-					if s.Time > st.seen.maxT {
-						st.seen.maxT = s.Time
-					}
-				} else {
-					st.seen.out++
 				}
 			}
 			st.acc.Add(block)
@@ -383,31 +302,34 @@ func (t *Tool) fusedPass(p *tracePlan, objects []alloc.Object, ss *scratchSet, p
 			}
 			return nil
 		})
-		if err == nil && weight != p.weight {
-			err = fmt.Errorf("drbw: recording changed during analysis (weight %v, then %v)", p.weight, weight)
-		}
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
+	raw := p.raw
+	for i, w := range weights {
+		if w != p.weight {
+			return nil, errShardWeight(p.jobs[i].name, w, p.weight)
+		}
+		raw += raws[i]
+	}
 
 	var acc *features.Accumulator
+	var tl *diagnose.TimelineAccumulator
 	var dcf *diagnose.DenseCF
-	seen := emptyBounds()
 	for _, st := range ss.states {
 		if st == nil {
 			continue
 		}
-		if err := tl.Merge(st.tl); err != nil {
-			return nil, err
-		}
-		seen.merge(st.seen)
 		if acc == nil {
-			acc, dcf = st.acc, st.dcf
+			acc, tl, dcf = st.acc, st.tl, st.dcf
 			continue
 		}
 		if err := acc.Merge(st.acc); err != nil {
+			return nil, err
+		}
+		if err := tl.Merge(st.tl); err != nil {
 			return nil, err
 		}
 		if dcf != nil {
@@ -416,13 +338,16 @@ func (t *Tool) fusedPass(p *tracePlan, objects []alloc.Object, ss *scratchSet, p
 			}
 		}
 	}
-	if seen != p.bounds {
-		what := "recording changed during analysis (the pre-scan found"
-		if p.footer {
-			what = "index disagrees with recording (the index claims"
-		}
-		return nil, fmt.Errorf("drbw: %s %d samples in [%v, %v], %d outside it; decoded %d in [%v, %v], %d outside it)",
-			what, p.bounds.n, p.bounds.minT, p.bounds.maxT, p.bounds.out, seen.n, seen.minT, seen.maxT, seen.out)
+	seen := emptyBounds()
+	if tl != nil {
+		seen.n, seen.nan, seen.minT, seen.maxT = tl.Range()
+	}
+	if p.footer != nil && seen != *p.footer {
+		return nil, fmt.Errorf("drbw: index disagrees with recording (the index claims %d samples in [%v, %v]; decoded %d in [%v, %v], %d with a NaN time)",
+			p.footer.n, p.footer.minT, p.footer.maxT, seen.n, seen.minT, seen.maxT, seen.nan)
+	}
+	if seen.n == 0 {
+		return nil, errNoSamples(p.tr, raw)
 	}
 
 	contended := t.detector.Classify(acc, p.weight)
@@ -434,6 +359,20 @@ func (t *Tool) fusedPass(p *tracePlan, objects []alloc.Object, ss *scratchSet, p
 		diag = dcf.Restrict(contended).Report()
 	}
 	return newReport(contended, diag, tl.Buckets(), seen.n), nil
+}
+
+// headerWeight reads the collector weight from a samples file's header.
+func headerWeight(path string) (float64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, fmt.Errorf("drbw: %w", err)
+	}
+	defer f.Close()
+	sr, err := profiledata.NewSampleReader(f)
+	if err != nil {
+		return 0, err
+	}
+	return sr.Weight(), nil
 }
 
 // blockJob streams blocks [from, to) of an indexed recording.

@@ -15,13 +15,14 @@ import (
 
 	"drbw"
 	"drbw/internal/core"
+	"drbw/internal/obs"
 	"drbw/internal/pebs"
 	"drbw/internal/profiledata"
 )
 
-// recordPlans installs the planning hook as a recorder of where each
-// plan's bounds came from (true: the index footer, false: a pre-scan),
-// returning the record and a cleanup the test must call.
+// recordPlans installs the planning hook as a recorder of whether each
+// plan's pass is checked against index-footer bounds, returning the
+// record and a cleanup the test must call.
 func recordPlans() (*[]bool, func()) {
 	plans := new([]bool)
 	restore := drbw.SetTestHookPlanned(func(footer bool) { *plans = append(*plans, footer) })
@@ -32,7 +33,7 @@ func recordPlans() (*[]bool, func()) {
 type recordingVariant struct {
 	name   string
 	path   string
-	footer bool // analyzed whole, it takes its bounds from the index footer
+	footer bool // analyzed whole, its pass is checked against the index footer
 }
 
 // matrixRecording records the equivalence matrix's trace and saves it in
@@ -65,8 +66,8 @@ func matrixRecording(t *testing.T, tl *drbw.Tool) (*drbw.TraceData, string, []re
 // TestFusedPassMatrix is the one-path equivalence matrix: for every
 // recording variant and worker count, the file analysis must be
 // bit-identical to the reference analysis (over the filtered slice for
-// windows), and exactly the unwindowed checksummed variants may skip the
-// pre-scan.
+// windows), and exactly the unwindowed checksummed variants are checked
+// against their footers.
 func TestFusedPassMatrix(t *testing.T) {
 	tl := sharedTool(t)
 	td, oPath, variants := matrixRecording(t, tl)
@@ -226,6 +227,71 @@ func TestAnalyzeTraceMatchesReference(t *testing.T) {
 	}
 }
 
+// TestOneReadPerRecording pins the single read: with the tracer on and
+// two pool workers, every plan opens exactly one job span per job — no
+// input is streamed once to learn its bounds and again to analyze it.
+func TestOneReadPerRecording(t *testing.T) {
+	tl := sharedTool(t)
+	_, csvPath, oPath := recordTo(t, tl, 77, drbw.FormatCSV)
+	td, err := drbw.LoadTrace(csvPath, oPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexed := filepath.Join(t.TempDir(), "samples.bin")
+	if err := td.SaveAs(indexed, filepath.Join(t.TempDir(), "o.csv"), drbw.FormatBinary); err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := timeWindow(td)
+	inputs := []struct {
+		name   string
+		path   string
+		window bool
+	}{
+		{"csv", csvPath, false},
+		{"unindexed-v3", rewriteSamples(t, csvPath, profiledata.BinaryOptions{}), false},
+		{"legacy-index", legacyIndex(t, reblock(t, indexed, 64)), false},
+		{"indexed-window", reblock(t, indexed, 64), true},
+	}
+
+	core.SetPoolWorkers(2)
+	t.Cleanup(func() { core.SetPoolWorkers(0) })
+	for _, in := range inputs {
+		obs.StartTracing()
+		if in.window {
+			_, err = tl.AnalyzeTraceFileRange(in.path, oPath, lo, hi)
+		} else {
+			_, err = tl.AnalyzeTraceFile(in.path, oPath)
+		}
+		tr := obs.StopTracing()
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		var roots []*obs.SpanTree
+		for _, root := range tr.Tree() {
+			if root.Name == "analyze.trace_file" {
+				roots = append(roots, root)
+			}
+		}
+		if len(roots) != 1 {
+			t.Fatalf("%s: %d analysis spans, want 1", in.name, len(roots))
+		}
+		spans := map[int64]int{}
+		for _, c := range roots[0].Children {
+			if c.Name == "case" {
+				spans[c.Attrs["index"].(int64)]++
+			}
+		}
+		if len(spans) == 0 {
+			t.Fatalf("%s: no job spans", in.name)
+		}
+		for i := int64(0); i < int64(len(spans)); i++ {
+			if n := spans[i]; n != 1 {
+				t.Fatalf("%s: job %d has %d spans, want exactly 1 (jobs %v)", in.name, i, n, spans)
+			}
+		}
+	}
+}
+
 // timeWindow picks a [lo, hi] window spanning the middle half of td's
 // samples.
 func timeWindow(td *drbw.TraceData) (lo, hi float64) {
@@ -356,9 +422,8 @@ func TestSinglePassShardsMatchWhole(t *testing.T) {
 }
 
 // TestSinglePassRecordingMutatedDuringAnalysis proves the footer plan's
-// consistency check: with no pre-scan to compare against, corruption that
-// lands after the index was read must be caught by the per-block
-// checksums.
+// consistency check: corruption that lands after the index was read must
+// be caught by the per-block checksums.
 func TestSinglePassRecordingMutatedDuringAnalysis(t *testing.T) {
 	tl := sharedTool(t)
 	_, sPath, oPath := recordTo(t, tl, 75, drbw.FormatBinary)
@@ -484,7 +549,7 @@ func TestSinglePassRejectsLyingIndexFooter(t *testing.T) {
 
 // TestNaNTimeMatchesSlicePath: a sample with a NaN time is counted, not
 // rejected — it lands in the timeline exactly as the reference analysis puts it —
-// on every input that takes the pre-scan.
+// on every input that may hold one (the index writer refuses NaN times).
 func TestNaNTimeMatchesSlicePath(t *testing.T) {
 	tl := sharedTool(t)
 	_, csvPath, oPath := recordTo(t, tl, 78, drbw.FormatCSV)

@@ -31,20 +31,14 @@ const (
 	FormatBinary TraceFormat = "binary"
 )
 
-// SaveAs is Save with an explicit samples format. The objects table is
-// always CSV (it is tiny and hand-editable either way).
+// SaveAs writes the recording as a samples file in format and a CSV
+// objects table (it is tiny and hand-editable either way). Every record is
+// validated before any file is created, and a file that fails mid-write is
+// removed, so a bad recording never leaves a truncated file behind.
 func (td *TraceData) SaveAs(samplesPath, objectsPath string, format TraceFormat) error {
-	samples := make([]pebs.Sample, 0, len(td.Samples))
-	for _, r := range td.Samples {
-		s, err := fromRecord(r)
-		if err != nil {
-			return err
-		}
-		samples = append(samples, s)
-	}
-	weight := td.Weight
-	if weight <= 0 {
-		weight = 1
+	samples, weight, err := td.samples()
+	if err != nil {
+		return err
 	}
 	var writeSamples func(io.Writer) error
 	switch format {
@@ -108,9 +102,10 @@ func (tr timeRange) skipBlock(e profiledata.IndexEntry) bool {
 // with its own decode scratch into mergeable accumulators, and the merged
 // result is bit-identical to the serial analysis at any worker count.
 // Unindexed recordings (CSV, compressed, foreign) stream as one job. Either
-// way peak memory is bounded by block size × workers, never by the
-// recording length, and the report is bit-identical to LoadTrace +
-// AnalyzeTrace on the same files.
+// way peak memory is bounded by block size × workers plus the timeline's
+// column of 16 B per remote-DRAM sample — at most 1.92 MB for a recording
+// capped at the collector's default 120,000 kept samples — and the report
+// is bit-identical to LoadTrace + AnalyzeTrace on the same files.
 func (t *Tool) AnalyzeTraceFile(samplesPath, objectsPath string) (*Report, error) {
 	rep, err := t.analyzeTraceFileRange(samplesPath, objectsPath, fullRange(), nil)
 	return rep, obs.FlightFailure("analyze.trace_file", err)
@@ -244,16 +239,12 @@ func (t *Tool) analyzeFiles(samplePaths []string, objectsPath string, tr timeRan
 	if sc == nil && core.PoolWorkers() == 1 {
 		sc = t.newScratch()
 	}
-	ss := &scratchSet{fresh: t.newScratch}
-	if sc != nil {
-		ss.inline, ss.states = true, []*traceScratch{sc}
-	}
-	p, err := plan(samplePaths, tr, label, ss, sp)
+	p, err := plan(samplePaths, tr, label, sc != nil)
 	if err != nil {
 		return nil, err
 	}
 	defer p.close()
-	return t.fusedPass(p, objects, ss, sp)
+	return t.fusedPass(p, objects, sc, sp)
 }
 
 // errNoSamples distinguishes an empty recording from a time window that
