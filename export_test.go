@@ -33,6 +33,18 @@ func SetTestHookPlanned(f func(footer bool)) (restore func()) {
 	return func() { testHookPlanned = prev }
 }
 
+// CSVCutTargets returns the byte offsets a pool plan aims its cut points
+// at when it splits CSV data rows spanning [start, size) at the current
+// pool width, computed as csvCuts computes them. Each cut lands just after
+// the first '\n' at or after its target.
+func CSVCutTargets(start, size int64) []int64 {
+	var targets []int64
+	for n, k := csvRanges(size-start), 1; k < n; k++ {
+		targets = append(targets, start+int64(k)*(size-start)/int64(n))
+	}
+	return targets
+}
+
 // AnalyzeTraceRef is the reference analysis every equivalence test
 // compares against: the whole recording materialized as one slice, then
 // features.ChannelVectors, the tree, refTimeline and diagnose.Analyze,

@@ -14,8 +14,9 @@ import (
 	"drbw/internal/topology"
 )
 
-// csvBlockSize is the samples per Next chunk when streaming CSV.
-const csvBlockSize = 8192
+// csvBlockSize is the samples per Next chunk when streaming CSV: small,
+// since every job of a split recording holds one block on its worker.
+const csvBlockSize = 1024
 
 // sampleFields is the column count of a CSV data row.
 const sampleFields = 9
@@ -27,7 +28,7 @@ func (sr *SampleReader) readCSVHeader() error {
 	if err != nil {
 		return fmt.Errorf("profiledata: reading header: %w", err)
 	}
-	sr.weight, sr.format, sr.line = 1, FormatCSVv1, 2
+	sr.weight, sr.format = 1, FormatCSVv1
 	if len(header) > 0 && header[0] == metaTag {
 		if sr.weight, err = readMeta(header); err != nil {
 			return err
@@ -36,8 +37,8 @@ func (sr *SampleReader) readCSVHeader() error {
 			return fmt.Errorf("profiledata: reading header: %w", err)
 		}
 		sr.format = FormatCSVv2
-		sr.line = 3
 	}
+	sr.line = firstRecord(sr.format)
 	if len(header) != len(sampleHeader) {
 		return fmt.Errorf("profiledata: header has %d columns, want %d", len(header), len(sampleHeader))
 	}
@@ -71,6 +72,7 @@ func (sr *SampleReader) readLine() (raw, line []byte, err error) {
 		if err != nil && err != io.EOF {
 			return nil, nil, err
 		}
+		sr.offset += int64(len(raw))
 		sr.physLine++
 		line = raw
 		if n := len(line); line[n-1] == '\n' {
@@ -133,8 +135,53 @@ func (sr *SampleReader) headerRecord() ([]string, error) {
 	return strings.Split(string(line), ","), nil
 }
 
+// firstRecord is the record number of a CSV recording's first data row,
+// after the header row and, in v2, the meta row.
+func firstRecord(format string) int {
+	if format == FormatCSVv2 {
+		return 3
+	}
+	return 2
+}
+
+// CSVPos is a line boundary in a CSV recording: byte Offset, preceded by
+// Rows data rows and Lines physical lines, the header and blank lines
+// included.
+type CSVPos struct {
+	Offset      int64
+	Rows, Lines int
+}
+
+// Pos returns a CSV reader's position: where its data rows start before
+// the first Next, where they end once Next has returned io.EOF. It is the
+// zero CSVPos for a binary recording.
+func (sr *SampleReader) Pos() CSVPos {
+	if sr.lines == nil {
+		return CSVPos{}
+	}
+	return CSVPos{Offset: sr.offset, Rows: sr.line - firstRecord(sr.format), Lines: sr.physLine}
+}
+
+// NewCSVSectionReader starts the CSV row scanner of a recording with header
+// h on sec, whose first byte begins a line at position at. Rows and lines
+// are counted on from at, and blocks end where a front-to-back read of the
+// whole recording ends them, so when at is exact the reader yields the
+// samples and errors that read would yield for these lines. bufs is as for
+// NewSampleReaderBuffers.
+func NewCSVSectionReader(sec *io.SectionReader, h Header, at CSVPos, bufs *Buffers) *SampleReader {
+	if bufs == nil {
+		bufs = &Buffers{}
+	}
+	return &SampleReader{
+		weight: h.Weight, format: h.Format, bufs: bufs, lines: bufs.reader(sec),
+		offset: at.Offset, line: firstRecord(h.Format) + at.Rows, physLine: at.Lines,
+		skew: at.Rows % csvBlockSize,
+	}
+}
+
 func (sr *SampleReader) nextCSV() ([]pebs.Sample, error) {
-	out := sr.grow(csvBlockSize)
+	out := sr.grow(csvBlockSize)[sr.skew:]
+	sr.skew = 0
 	for n := range out {
 		raw, line, err := sr.readLine()
 		if err == io.EOF {

@@ -3,7 +3,11 @@ package profiledata
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"drbw/internal/pebs"
@@ -229,6 +233,100 @@ func FuzzReadObjects(f *testing.F) {
 		}
 		if !reflect.DeepEqual(again, objs) {
 			t.Fatalf("table changed across the round-trip:\n got %+v\nwant %+v", again, objs)
+		}
+	})
+}
+
+// FuzzReadBlockIndex drives the index footer parser on its own. A hostile
+// footer must error, never panic or size anything past the bytes present;
+// an index it accepts must be well formed, and OpenIndexedTrace on the
+// same bytes must either reject the header in front of it or agree with
+// it entry for entry.
+func FuzzReadBlockIndex(f *testing.F) {
+	samples := testTrace(300, 22)
+	for _, opt := range []BinaryOptions{{Index: true}, {BlockSize: 16, Index: true}, {BlockSize: 1, Index: true}} {
+		var bin bytes.Buffer
+		if err := WriteSamplesBinary(&bin, samples, 1.5, opt); err != nil {
+			f.Fatal(err)
+		}
+		data := bin.Bytes()
+		f.Add(data)
+		f.Add(data[:len(data)-1])
+		f.Add(data[len(data)-indexTailLen-40:])
+		idx, err := ReadBlockIndex(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		// The legacy DRBWIDX1 footer over the same body.
+		var v1 bytes.Buffer
+		v1.Write(data[:idx.DataEnd+1])
+		bw := bufio.NewWriter(&v1)
+		if err := writeBlockIndexVersioned(bw, idx.Entries, false); err != nil {
+			f.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(v1.Bytes())
+		// Damaged footers: a huge payload length, a huge entry count, and
+		// flipped bytes across the payload.
+		huge := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint64(huge[len(huge)-indexTailLen:], 1<<62)
+		f.Add(huge)
+		plen := int(binary.LittleEndian.Uint64(data[len(data)-indexTailLen:]))
+		count := append([]byte(nil), data...)
+		count[len(count)-indexTailLen-plen] = 0xff
+		f.Add(count)
+		for off := len(data) - indexTailLen - plen; off < len(data)-indexTailLen; off += 7 {
+			flipped := append([]byte(nil), data...)
+			flipped[off] ^= 0x81
+			f.Add(flipped)
+		}
+	}
+	f.Add([]byte(binaryMagic + strings.Repeat("\x00", 40) + indexMagicV2))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		size := int64(len(data))
+		idx, err := ReadBlockIndex(bytes.NewReader(data), size)
+		path := filepath.Join(t.TempDir(), "recording.bin")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		it, itErr := OpenIndexedTrace(path)
+		if itErr == nil {
+			defer it.Close()
+		}
+		if err != nil {
+			if itErr == nil {
+				t.Fatalf("OpenIndexedTrace accepted a footer ReadBlockIndex rejects: %v", err)
+			}
+			return
+		}
+		entryLen := int64(minIndexEntryLen)
+		if idx.HasSums {
+			entryLen = minIndexEntryLenV2
+		}
+		if idx.DataEnd <= int64(len(binaryMagic)) || idx.DataEnd >= size || int64(cap(idx.Entries))*entryLen > size {
+			t.Fatalf("accepted index ends its data at %d with room for %d entries in %d bytes", idx.DataEnd, cap(idx.Entries), size)
+		}
+		prev := int64(len(binaryMagic))
+		for i, e := range idx.Entries {
+			if e.Offset <= prev || e.Offset >= idx.DataEnd || e.Count <= 0 || e.Count > maxBlockSamples || !(e.MinTime <= e.MaxTime) {
+				t.Fatalf("accepted entry %d: %+v after offset %d, data end %d", i, e, prev, idx.DataEnd)
+			}
+			prev = e.Offset
+		}
+		if itErr != nil {
+			return
+		}
+		if it.Blocks() != len(idx.Entries) || it.HasChecksums() != idx.HasSums {
+			t.Fatalf("OpenIndexedTrace has %d blocks (checksums %v), ReadBlockIndex %d (%v)", it.Blocks(), it.HasChecksums(), len(idx.Entries), idx.HasSums)
+		}
+		for i, e := range idx.Entries {
+			if it.Entry(i) != e {
+				t.Fatalf("entry %d: OpenIndexedTrace %+v, ReadBlockIndex %+v", i, it.Entry(i), e)
+			}
 		}
 	})
 }

@@ -24,7 +24,11 @@
 // WriteSamples writes it (decimal digits, one decimal place, 0x-prefixed
 // hex, the level names, true and false) without allocating. A field in
 // any other spelling falls back to strconv, so "+3", "1e3", "NaN", "0X1F"
-// and decimal addresses read as strconv reads them.
+// and decimal addresses read as strconv reads them. Since a row never spans
+// lines, the data rows can also be read in byte ranges cut just after a
+// '\n': ReadHeader says where they start, and NewCSVSectionReader reads
+// one range, numbering rows and lines as a whole-file read would when told
+// how many came before.
 //
 // The v2 samples file opens with a meta row naming the format version and
 // the collector weight — the factor that scales the kept samples back to

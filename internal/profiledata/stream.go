@@ -21,9 +21,20 @@ import (
 type Buffers struct {
 	samples []pebs.Sample
 	payload []byte
-	column  []uint64 // batched column-decode scratch, one value per sample
-	line    []byte   // a CSV line longer than the read buffer, put together
-	fields  []byte   // the unquoted fields of a quoted CSV row
+	column  []uint64      // batched column-decode scratch, one value per sample
+	line    []byte        // a CSV line longer than the read buffer, put together
+	fields  []byte        // the unquoted fields of a quoted CSV row
+	rd      *bufio.Reader // the input's read buffer, reset for each reader
+}
+
+// reader returns the Buffers' 64 KiB read buffer, reset to read from r.
+func (b *Buffers) reader(r io.Reader) *bufio.Reader {
+	if b.rd == nil {
+		b.rd = bufio.NewReaderSize(r, 64<<10)
+	} else {
+		b.rd.Reset(r)
+	}
+	return b.rd
 }
 
 // SampleReader streams a sample recording block by block, autodetecting the
@@ -54,8 +65,10 @@ type SampleReader struct {
 
 	// CSV state.
 	lines    *bufio.Reader // nil for binary recordings
+	offset   int64         // byte offset of the next line
 	line     int           // record number of the next data row, for errors
 	physLine int           // lines read, blank ones included
+	skew     int           // rows the next block is short by, to end where a whole-file read's does
 	// quoted parses the lines holding a quote, fed one at a time through
 	// quotedLine; built on the first such line.
 	quoted     *csv.Reader
@@ -83,34 +96,62 @@ func NewSampleReaderBuffers(r io.Reader, bufs *Buffers) (*SampleReader, error) {
 	if bufs == nil {
 		bufs = &Buffers{}
 	}
-	avail := inputSize(r)
-	br := bufio.NewReaderSize(r, 64<<10)
+	sr, compressed, err := readHeader(bufs.reader(r), bufs)
+	if err != nil {
+		return nil, err
+	}
+	if sr.body != nil {
+		sr.avail = inputSize(r)
+		if compressed {
+			// The input size bounds compressed bytes, not decoded ones, so
+			// it says nothing useful about the sample count.
+			sr.avail = -1
+			sr.body = bufio.NewReaderSize(flate.NewReader(sr.body), 64<<10)
+		}
+	}
+	return sr, nil
+}
+
+// Header is what a recording's first bytes say: its collector weight, its
+// format and, for CSV, where its data rows start.
+type Header struct {
+	Weight float64
+	Format string
+	Data   CSVPos
+}
+
+// ReadHeader reads a recording's header through a small buffer; no sample
+// decodes. Its errors are NewSampleReader's.
+func ReadHeader(r io.Reader) (Header, error) {
+	sr, _, err := readHeader(bufio.NewReaderSize(r, 4<<10), &Buffers{})
+	if err != nil {
+		return Header{}, err
+	}
+	return Header{Weight: sr.weight, Format: sr.format, Data: sr.Pos()}, nil
+}
+
+// readHeader reads the header from br and returns a reader positioned at
+// the first block or data row: a binary one reads its body from br, before
+// any flate stream, and a CSV one its lines.
+func readHeader(br *bufio.Reader, bufs *Buffers) (_ *SampleReader, compressed bool, err error) {
 	head, err := br.Peek(len(binaryMagic))
 	if err == nil && string(head) == binaryMagic {
 		br.Discard(len(binaryMagic))
 		weight, total, levels, compressed, err := readBinaryHeader(br)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		sr := &SampleReader{weight: weight, format: FormatBinaryV3, bufs: bufs, total: total, avail: avail}
+		sr := &SampleReader{weight: weight, format: FormatBinaryV3, bufs: bufs, total: total, body: br}
 		sr.dec.levels = levels
-		if compressed {
-			// The input size bounds compressed bytes, not decoded ones, so
-			// it says nothing useful about the sample count.
-			sr.avail = -1
-			sr.body = bufio.NewReaderSize(flate.NewReader(br), 64<<10)
-		} else {
-			sr.body = br
-		}
-		return sr, nil
+		return sr, compressed, nil
 	}
 	// CSV v1/v2, read line by line from br, which still holds the peeked
 	// bytes.
 	sr := &SampleReader{bufs: bufs, lines: br}
 	if err := sr.readCSVHeader(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return sr, nil
+	return sr, false, nil
 }
 
 // Weight returns the collector weight recorded in the file (1 for v1).

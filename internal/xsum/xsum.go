@@ -12,11 +12,15 @@
 // finite float64 can occupy, one array for positive inputs and one for
 // negative. Adding a float deposits its 53-bit mantissa into the limbs at the
 // exponent's offset — an integer add, exact and commutative. Merging two Sums
-// adds their limb arrays — also exact. The canonical limb state is therefore
-// a function of the multiset of added values only, never of the order or
-// partitioning, and Value's deterministic low-to-high fold rounds that one
-// exact total to the one nearest float64. Any split of a sample stream,
-// summed in any order and merged in any shape, yields the same bits.
+// adds their limb arrays — also exact. The canonical limb state (the limbs
+// after carry) is therefore a function of the multiset of added values
+// only, never of the order or partitioning, and Value folds those limbs to
+// a float64 by a fixed low-to-high sequence of float additions. Any split
+// of a sample stream, summed in any order and merged in any shape, yields
+// the same bits. The fold rounds more than once, so the result is within
+// one ulp of the exact sum — the nearest float64 or a neighbour of it — but
+// not always the nearest: a few percent of 200-term latency sums land one
+// ulp off.
 //
 // This is the superaccumulator idea behind reproducible BLAS libraries,
 // sized for float64: exactness costs a fixed ~600 B per Sum and a handful of
@@ -179,9 +183,10 @@ func (s *Sum) IsZero() bool {
 	return true
 }
 
-// Value rounds the exact total to float64. The result depends only on the
-// multiset of added values: any insertion order, any chunking, any merge
-// tree produces identical bits. Value does not consume the sum.
+// Value rounds the exact total to float64, to within one ulp: the nearest
+// float64 or a neighbour of it. The result depends only on the multiset of
+// added values: any insertion order, any chunking, any merge tree produces
+// identical bits. Value does not consume the sum.
 func (s *Sum) Value() float64 {
 	switch {
 	case s.nan, s.posInf && s.negInf:
@@ -238,9 +243,9 @@ func subLimbs(d, a, b *[numLimbs]uint64) {
 	}
 }
 
-// assemble folds canonical limbs into a float64, low to high so each step
-// only rounds bits that are already below the running total's precision.
-// The input limbs are a pure function of the exact sum, so the fold is too.
+// assemble folds canonical limbs into a float64, low to high. Each step
+// may round, so the result can miss the nearest float64 by one ulp; the
+// input limbs are a pure function of the exact sum, so the result is too.
 func assemble(l *[numLimbs]uint64) float64 {
 	v := 0.0
 	for i := 0; i < numLimbs; i++ {

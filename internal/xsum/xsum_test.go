@@ -2,6 +2,7 @@ package xsum
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -136,6 +137,59 @@ func TestAccuracy(t *testing.T) {
 			t.Fatalf("trial %d: xsum %g vs compensated %g (diff %g)", trial, got, ref, diff)
 		}
 	}
+}
+
+// TestValueWithinOneULP pins what Value promises: the same bits for any
+// order and any merge tree of the same values, and a result within one ulp
+// of the exact sum — the float64 nearest it or a neighbour of that one.
+// Value does not always round correctly: a few percent of these sums land
+// one ulp off.
+func TestValueWithinOneULP(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	off := 0
+	const trials = 2000
+	for trial := 0; trial < trials; trial++ {
+		vs := randomValues(rng, 200)
+		for i := range vs {
+			switch trial % 3 {
+			case 0:
+				vs[i] = rng.Float64() * 4000 // latencies
+			case 1:
+				vs[i] = float64(rng.Intn(40000)) / 10 // latencies on a 0.1-cycle grid
+			}
+		}
+		got := sumOf(vs).Value()
+
+		parts := make([]*Sum, 1+rng.Intn(6))
+		for i := range parts {
+			parts[i] = &Sum{}
+		}
+		for _, i := range rng.Perm(len(vs)) {
+			parts[rng.Intn(len(parts))].Add(vs[i])
+		}
+		for len(parts) > 1 {
+			i := rng.Intn(len(parts) - 1)
+			parts[i].Merge(parts[i+1])
+			parts = append(parts[:i+1], parts[i+2:]...)
+		}
+		if merged := parts[0].Value(); math.Float64bits(merged) != math.Float64bits(got) {
+			t.Fatalf("trial %d: shuffled merge tree gives %x, serial %x", trial, merged, got)
+		}
+
+		exact := new(big.Float).SetPrec(4096)
+		for _, v := range vs {
+			exact.Add(exact, new(big.Float).SetFloat64(v))
+		}
+		nearest, _ := exact.Float64()
+		switch got {
+		case nearest:
+		case math.Nextafter(nearest, math.Inf(1)), math.Nextafter(nearest, math.Inf(-1)):
+			off++
+		default:
+			t.Fatalf("trial %d: Value %v, exact sum %v rounds to %v", trial, got, exact, nearest)
+		}
+	}
+	t.Logf("%d of %d sums one ulp from the nearest float64", off, trials)
 }
 
 func TestSpecialValues(t *testing.T) {

@@ -5,8 +5,10 @@ package drbw
 // Every analysis entry point — a recording in memory or on disk, a time
 // window of one, a batch, a set of shards — first turns its inputs into a
 // plan: a job list, each job one independently decodable portion of a
-// samples file (or, in memory, the whole recording), plus the collector
-// weight, read from the first input's header. One fused pass then streams
+// samples file — a block range of an indexed file, a byte range of whole
+// lines of a CSV file, or a whole unindexed binary file — or, in memory,
+// the whole recording, plus the collector weight, read from the first
+// input's header. One fused pass then streams
 // every job exactly once, accumulating features, the timeline, and dense
 // CF attribution for every channel together; the classifier runs on the
 // merged features and the dense counts are restricted to the channels it
@@ -21,9 +23,13 @@ package drbw
 // NaN times, or the analysis fails as "index disagrees with recording".
 // Such plans verify every decoded block against its DRBWIDX2 checksum
 // too, which covers what the footer's own claims cannot: the payload
-// bytes.
+// bytes. A CSV range must still start and end at a line boundary when it
+// is read, or the recording changed after it was cut. A failed CSV range
+// reports the error a whole-file read would, line numbers included.
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -75,24 +81,30 @@ type tracePlan struct {
 	raw    int64         // samples in blocks the time window pruned
 	footer *sampleBounds // DRBWIDX2 footers' claim; nil unless every input has one and tr keeps all
 	its    []*profiledata.IndexedTrace
+	files  []*os.File // CSV recordings, read by their range jobs
 }
 
 func (p *tracePlan) close() {
 	for _, it := range p.its {
 		it.Close()
 	}
+	for _, f := range p.files {
+		f.Close()
+	}
 }
 
 // traceJob is one independently decodable portion of a recording — a block
-// range of an indexed file, a whole unindexed file, or an in-memory
-// recording. blocks hands fn the portion's samples a block at a time,
-// decoding on the worker's scratch, and returns the portion's weight. name
-// and [from, to) identify the portion in trace spans: the block range, or
-// the file and its index.
+// range of an indexed file, a byte range of a CSV file, a whole unindexed
+// binary file, or an in-memory recording. blocks hands fn the portion's
+// samples a block at a time, decoding on the worker's scratch, and returns
+// the portion's weight. name and [from, to) identify the portion in trace
+// spans: the block range, the CSV file and its byte range, or the binary
+// file and its index.
 type traceJob struct {
 	name     string
 	from, to int
 	blocks   func(bufs *profiledata.Buffers, fn func([]pebs.Sample) error) (weight float64, err error)
+	csv      *csvRange // the byte range of a CSV job, else nil
 }
 
 // each streams the job's samples inside tr to fn, returning the portion's
@@ -145,16 +157,16 @@ func (ss *scratchSet) get(w int) *traceScratch {
 
 // forEachJob runs fn over every job of p. On the pool each job is a child
 // span of parent carrying its portion, [from, to) and worker id. Errors
-// surface from the lowest-indexed failing job, so reruns are
-// deterministic.
-func (ss *scratchSet) forEachJob(p *tracePlan, parent obs.SpanHandle, fn func(i int, st *traceScratch) error) error {
+// surface from the lowest-indexed failing job, returned with its index, so
+// reruns are deterministic; every job before it has completed.
+func (ss *scratchSet) forEachJob(p *tracePlan, parent obs.SpanHandle, fn func(i int, st *traceScratch) error) (int, error) {
 	if ss.inline {
 		for i := range p.jobs {
 			if err := fn(i, ss.states[0]); err != nil {
-				return err
+				return i, err
 			}
 		}
-		return nil
+		return 0, nil
 	}
 	errs := make([]error, len(p.jobs))
 	core.ParallelForLabeledSpans(len(p.jobs), p.label, parent, func(i, w int, cs obs.SpanHandle) {
@@ -164,20 +176,21 @@ func (ss *scratchSet) forEachJob(p *tracePlan, parent obs.SpanHandle, fn func(i 
 		cs.SetInt("to", int64(j.to))
 		errs[i] = fn(i, ss.get(w))
 	})
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
-			return err
+			return i, err
 		}
 	}
-	return nil
+	return 0, nil
 }
 
 // plan opens samplePaths — one logical recording, in order — and builds
 // their job list. Indexed files contribute block-range chunks over the
 // blocks that intersect tr, about four per pool worker so stragglers
-// rebalance, or one chunk per contiguous run when inline; unindexed files
-// contribute one whole-file job. The weight comes from the first input's
-// header; no sample decodes.
+// rebalance, or one chunk per contiguous run when inline. CSV files
+// contribute byte ranges of whole lines in the same way (see csvJobs), one
+// per file when inline; other unindexed files contribute one whole-file
+// job. The weight comes from the first input's header; no sample decodes.
 func plan(samplePaths []string, tr timeRange, label string, inline bool) (_ *tracePlan, err error) {
 	p := &tracePlan{tr: tr, label: label}
 	defer func() {
@@ -185,14 +198,16 @@ func plan(samplePaths []string, tr timeRange, label string, inline bool) (_ *tra
 			p.close()
 		}
 	}()
-	// A piece is a whole unindexed file (it == nil) or a maximal run of
-	// kept blocks; block time ranges need not be sorted, so pruning can
-	// split a file's keep-set.
+	// A piece is an unindexed file (it == nil), open as f when it is CSV,
+	// or a maximal run of kept blocks; block time ranges need not be
+	// sorted, so pruning can split a file's keep-set.
 	type piece struct {
 		path     string
 		shard    int
 		it       *profiledata.IndexedTrace
 		from, to int
+		f        *os.File
+		hdr      profiledata.Header
 	}
 	var pieces []piece
 	kept := 0
@@ -201,15 +216,21 @@ func plan(samplePaths []string, tr timeRange, label string, inline bool) (_ *tra
 		it, err := profiledata.OpenIndexedTrace(path)
 		if err != nil {
 			// No usable index — CSV, compressed, foreign, or a damaged
-			// footer. A genuinely missing or unreadable file resurfaces
-			// when its header or its job opens it.
+			// footer. A missing or unreadable file after the first
+			// resurfaces when its whole-file job opens it.
 			footer = false
-			pieces = append(pieces, piece{path: path, shard: i})
-			if i == 0 {
-				if p.weight, err = headerWeight(path); err != nil {
-					return nil, err
-				}
+			pc := piece{path: path, shard: i}
+			pc.f, pc.hdr, err = openUnindexed(path)
+			if err != nil && i == 0 {
+				return nil, err
 			}
+			if pc.f != nil {
+				p.files = append(p.files, pc.f)
+			}
+			if i == 0 {
+				p.weight = pc.hdr.Weight
+			}
+			pieces = append(pieces, pc)
 			continue
 		}
 		p.its = append(p.its, it)
@@ -242,19 +263,119 @@ func plan(samplePaths []string, tr timeRange, label string, inline bool) (_ *tra
 	}
 	perChunk = max(perChunk, 1)
 	for _, pc := range pieces {
-		if pc.it == nil {
+		switch {
+		case pc.f != nil:
+			jobs, err := csvJobs(pc.f, pc.path, pc.hdr, inline)
+			if err != nil {
+				return nil, err
+			}
+			p.jobs = append(p.jobs, jobs...)
+		case pc.it == nil:
 			p.jobs = append(p.jobs, fileJob(pc.path, pc.shard))
-			continue
-		}
-		name := "blocks"
-		if len(samplePaths) > 1 {
-			name = pc.path
-		}
-		for from := pc.from; from < pc.to; from += perChunk {
-			p.jobs = append(p.jobs, blockJob(pc.it, name, from, min(from+perChunk, pc.to)))
+		default:
+			name := "blocks"
+			if len(samplePaths) > 1 {
+				name = pc.path
+			}
+			for from := pc.from; from < pc.to; from += perChunk {
+				p.jobs = append(p.jobs, blockJob(pc.it, name, from, min(from+perChunk, pc.to)))
+			}
 		}
 	}
 	return p, nil
+}
+
+// openUnindexed reads the header of an unindexed recording. A CSV
+// recording stays open for its range jobs; any other is closed again.
+func openUnindexed(path string) (*os.File, profiledata.Header, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, profiledata.Header{}, fmt.Errorf("drbw: %w", err)
+	}
+	h, err := profiledata.ReadHeader(f)
+	if err != nil || h.Format == profiledata.FormatBinaryV3 {
+		f.Close()
+		return nil, h, err
+	}
+	return f, h, nil
+}
+
+// csvMinRange is the smallest byte range a CSV recording is split into.
+const csvMinRange = 64 << 10
+
+// csvJobs splits the data rows of the CSV recording f, from the header's
+// end to EOF, into byte-range jobs: one when inline, else about four per
+// pool worker of at least csvMinRange bytes each. The cut points are the
+// line boundaries found by csvCuts.
+func csvJobs(f *os.File, path string, h profiledata.Header, inline bool) ([]traceJob, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("drbw: %w", err)
+	}
+	start, size := h.Data.Offset, max(fi.Size(), h.Data.Offset)
+	n := 1
+	if !inline {
+		n = csvRanges(size - start)
+	}
+	cuts, err := csvCuts(f, start, size, n)
+	if err != nil {
+		return nil, fmt.Errorf("drbw: %s: %w", path, err)
+	}
+	cuts = append(append([]int64{start}, cuts...), size)
+	jobs := make([]traceJob, 0, len(cuts)-1)
+	var prev *csvRange
+	for k := 1; k < len(cuts); k++ {
+		r := &csvRange{f: f, hdr: h, name: path, from: cuts[k-1], to: cuts[k], last: k == len(cuts)-1, prev: prev}
+		jobs = append(jobs, r.job())
+		prev = r
+	}
+	return jobs, nil
+}
+
+// csvRanges is how many ranges a pool plan aims to cut n bytes of CSV
+// data rows into: about four per pool worker, each of at least csvMinRange
+// bytes.
+func csvRanges(n int64) int {
+	return int(min(int64(core.PoolWorkers()*4), n/csvMinRange))
+}
+
+// csvCuts returns the cut points that split [start, size) of r into at
+// most n ranges of whole lines: each target start + k·(size-start)/n, for
+// k in 1..n-1, moves to just after the first '\n' at or after it, found
+// with a few small ReadAt probes. A target inside the previous range's
+// last line is dropped, as is one with no '\n' left before size.
+func csvCuts(r io.ReaderAt, start, size int64, n int) ([]int64, error) {
+	var cuts []int64
+	var buf []byte
+	last := start
+	for k := 1; k < n; k++ {
+		off := start + int64(k)*(size-start)/int64(n)
+		if off < last {
+			continue
+		}
+		if buf == nil {
+			buf = make([]byte, 512)
+		}
+		for {
+			m, err := r.ReadAt(buf[:min(int64(len(buf)), size-off)], off)
+			if i := bytes.IndexByte(buf[:m], '\n'); i >= 0 {
+				off += int64(i) + 1
+				break
+			}
+			if err != nil && err != io.EOF {
+				return nil, err
+			}
+			if off += int64(m); m == 0 || off >= size {
+				return cuts, nil
+			}
+		}
+		if off >= size {
+			break
+		}
+		cuts = append(cuts, off)
+		last = off
+	}
+	return cuts, nil
 }
 
 // fusedPass streams every job of p once, each worker accumulating
@@ -284,16 +405,22 @@ func (t *Tool) fusedPass(p *tracePlan, objects []alloc.Object, sc *traceScratch,
 		ss.inline, ss.states = true, []*traceScratch{ready(sc)}
 	}
 
+	check := func(block []pebs.Sample) error {
+		for j := range block {
+			if s := &block[j]; s.SrcNode < 0 || int(s.SrcNode) >= nodes ||
+				s.HomeNode < 0 || int(s.HomeNode) >= nodes {
+				return fmt.Errorf("drbw: sample references node outside the %d-node machine", nodes)
+			}
+		}
+		return nil
+	}
 	weights := make([]float64, len(p.jobs))
 	raws := make([]int64, len(p.jobs))
-	err := ss.forEachJob(p, parent, func(i int, st *traceScratch) error {
+	failed, err := ss.forEachJob(p, parent, func(i int, st *traceScratch) error {
 		var err error
 		weights[i], raws[i], err = p.jobs[i].each(&st.bufs, p.tr, func(block []pebs.Sample) error {
-			for j := range block {
-				if s := &block[j]; s.SrcNode < 0 || int(s.SrcNode) >= nodes ||
-					s.HomeNode < 0 || int(s.HomeNode) >= nodes {
-					return fmt.Errorf("drbw: sample references node outside the %d-node machine", nodes)
-				}
+			if err := check(block); err != nil {
+				return err
 			}
 			st.acc.Add(block)
 			st.tl.Add(block)
@@ -305,6 +432,9 @@ func (t *Tool) fusedPass(p *tracePlan, objects []alloc.Object, sc *traceScratch,
 		return err
 	})
 	if err != nil {
+		if r := p.jobs[failed].csv; r != nil {
+			err = r.wholeFileError(err, p.tr, check)
+		}
 		return nil, err
 	}
 	raw := p.raw
@@ -361,20 +491,6 @@ func (t *Tool) fusedPass(p *tracePlan, objects []alloc.Object, sc *traceScratch,
 	return newReport(contended, diag, tl.Buckets(), seen.n), nil
 }
 
-// headerWeight reads the collector weight from a samples file's header.
-func headerWeight(path string) (float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("drbw: %w", err)
-	}
-	defer f.Close()
-	sr, err := profiledata.NewSampleReader(f)
-	if err != nil {
-		return 0, err
-	}
-	return sr.Weight(), nil
-}
-
 // blockJob streams blocks [from, to) of an indexed recording.
 func blockJob(it *profiledata.IndexedTrace, name string, from, to int) traceJob {
 	return traceJob{name: name, from: from, to: to, blocks: func(bufs *profiledata.Buffers, fn func([]pebs.Sample) error) (float64, error) {
@@ -384,6 +500,108 @@ func blockJob(it *profiledata.IndexedTrace, name string, from, to int) traceJob 
 		}
 		return drain(sr, fn)
 	}}
+}
+
+// csvRange is one job's share of a CSV recording's data rows: bytes
+// [from, to) of f, a run of whole lines, or from on to EOF for the file's
+// last range. prev is the file's range before it, nil for the first. Once
+// the range's job completes, read holds the rows and lines it held.
+type csvRange struct {
+	f        *os.File
+	hdr      profiledata.Header
+	name     string
+	from, to int64
+	last     bool
+	prev     *csvRange
+	read     profiledata.CSVPos
+}
+
+// job streams the range. The first range of a file counts rows and lines
+// from the header's end; a later one counts from zero, since the ranges
+// before it may still be running.
+func (r *csvRange) job() traceJob {
+	return traceJob{name: r.name, from: int(r.from), to: int(r.to), csv: r, blocks: func(bufs *profiledata.Buffers, fn func([]pebs.Sample) error) (float64, error) {
+		at := profiledata.CSVPos{Offset: r.from}
+		if r.prev == nil {
+			at = r.hdr.Data
+		}
+		return r.stream(bufs, at, fn)
+	}}
+}
+
+// stream hands fn the range's samples, counting rows and lines on from at.
+// A range after the first must follow a '\n', and one before the last must
+// end in one; otherwise the recording changed after it was cut, and a row
+// split across two ranges could parse as two valid rows.
+func (r *csvRange) stream(bufs *profiledata.Buffers, at profiledata.CSVPos, fn func([]pebs.Sample) error) (float64, error) {
+	if r.prev != nil {
+		if err := r.atLineStart(r.from); err != nil {
+			return 0, err
+		}
+	}
+	n := r.to - r.from
+	if r.last {
+		n = math.MaxInt64 - r.from
+	}
+	sr := profiledata.NewCSVSectionReader(io.NewSectionReader(r.f, r.from, n), r.hdr, at, bufs)
+	weight, err := drain(sr, fn)
+	if err != nil {
+		return 0, err
+	}
+	end := sr.Pos()
+	if !r.last {
+		if end.Offset != r.to {
+			return 0, errChanged(r.name, r.to)
+		}
+		if err := r.atLineStart(r.to); err != nil {
+			return 0, err
+		}
+	}
+	r.read = profiledata.CSVPos{Rows: end.Rows - at.Rows, Lines: end.Lines - at.Lines}
+	return weight, nil
+}
+
+// atLineStart checks that the byte before off is a '\n'.
+func (r *csvRange) atLineStart(off int64) error {
+	var b [1]byte
+	if _, err := r.f.ReadAt(b[:], off-1); err != nil || b[0] != '\n' {
+		return errChanged(r.name, off)
+	}
+	return nil
+}
+
+// wholeFileError turns err, the error of a failed range of a split file,
+// into the error a read of the whole file reports; a recording that
+// changed since it was cut keeps that error. It reads the file again
+// from the range's start, counting rows and lines from the file's start
+// through the ranges before it, which all completed, in a whole-file
+// read's blocks; check is the pass's sample check, run on the samples
+// inside tr. The read stops at the first error, which lies in the range or
+// in the block that straddles its end, so only the error path reads a
+// range twice.
+func (r *csvRange) wholeFileError(err error, tr timeRange, check func([]pebs.Sample) error) error {
+	if r.prev == nil && r.last || errors.Is(err, errChangedRecording) {
+		return err
+	}
+	at := r.hdr.Data
+	at.Offset = r.from
+	for q := r.prev; q != nil; q = q.prev {
+		at.Rows += q.read.Rows
+		at.Lines += q.read.Lines
+	}
+	rest := *r
+	rest.last = true
+	_, rerr := rest.stream(new(profiledata.Buffers), at, func(block []pebs.Sample) error { return check(tr.filter(block)) })
+	if rerr == nil {
+		return err
+	}
+	return rerr
+}
+
+var errChangedRecording = errors.New("changed during analysis")
+
+func errChanged(name string, off int64) error {
+	return fmt.Errorf("drbw: recording %s %w: byte %d no longer starts a line", name, errChangedRecording, off)
 }
 
 // fileJob streams a whole samples file, the shard-th input of its plan.

@@ -229,7 +229,9 @@ func TestAnalyzeTraceMatchesReference(t *testing.T) {
 
 // TestOneReadPerRecording pins the single read: with the tracer on and
 // two pool workers, every plan opens exactly one job span per job — no
-// input is streamed once to learn its bounds and again to analyze it.
+// input is streamed once to learn its bounds and again to analyze it. The
+// CSV recording is split, and its jobs' byte ranges tile its data rows,
+// from the header's end to EOF, with no gap or overlap.
 func TestOneReadPerRecording(t *testing.T) {
 	tl := sharedTool(t)
 	_, csvPath, oPath := recordTo(t, tl, 77, drbw.FormatCSV)
@@ -276,9 +278,12 @@ func TestOneReadPerRecording(t *testing.T) {
 			t.Fatalf("%s: %d analysis spans, want 1", in.name, len(roots))
 		}
 		spans := map[int64]int{}
+		ranges := map[int64][2]int64{}
 		for _, c := range roots[0].Children {
 			if c.Name == "case" {
-				spans[c.Attrs["index"].(int64)]++
+				i := c.Attrs["index"].(int64)
+				spans[i]++
+				ranges[i] = [2]int64{c.Attrs["from"].(int64), c.Attrs["to"].(int64)}
 			}
 		}
 		if len(spans) == 0 {
@@ -288,6 +293,30 @@ func TestOneReadPerRecording(t *testing.T) {
 			if n := spans[i]; n != 1 {
 				t.Fatalf("%s: job %d has %d spans, want exactly 1 (jobs %v)", in.name, i, n, spans)
 			}
+		}
+		if in.name != "csv" {
+			continue
+		}
+		data, err := os.ReadFile(in.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := profiledata.ReadHeader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ranges) < 2 {
+			t.Fatalf("csv: %d jobs, want the recording split", len(ranges))
+		}
+		at := h.Data.Offset
+		for i := int64(0); i < int64(len(ranges)); i++ {
+			if r := ranges[i]; r[0] != at || r[1] <= r[0] {
+				t.Fatalf("csv: job %d covers [%d, %d), want a range from %d (jobs %v)", i, r[0], r[1], at, ranges)
+			}
+			at = ranges[i][1]
+		}
+		if at != int64(len(data)) {
+			t.Fatalf("csv: jobs end at %d, want EOF at %d", at, len(data))
 		}
 	}
 }
