@@ -17,6 +17,7 @@ import (
 	"drbw/internal/alloc"
 	"drbw/internal/cache"
 	"drbw/internal/core"
+	"drbw/internal/diagnose"
 	"drbw/internal/dtree"
 	"drbw/internal/engine"
 	"drbw/internal/experiments"
@@ -438,9 +439,10 @@ func BenchmarkOptimizerSearch(b *testing.B) {
 	if _, err := p.Run(prof); err != nil {
 		b.Fatal(err)
 	}
+	samples := col.Samples()
 	in := search.Input{
-		Builder: bld, Machine: m, Cfg: cfg,
-		Heap: p.Heap, Samples: col.Samples(), Weight: col.Weight(),
+		Builder: bld, Machine: m, Cfg: cfg, Samples: samples,
+		Report: diagnose.Analyze(p.Heap, samples, floorContended(m, samples), col.Weight()),
 	}
 
 	var bestKey string
@@ -475,6 +477,30 @@ func BenchmarkOptimizerSearch(b *testing.B) {
 	b.Run("pruned", func(b *testing.B) {
 		run(b, search.Config{})
 	})
+}
+
+// floorContended stands in for a classifier verdict: every remote channel
+// whose DRAM sample count clears a floor of max(25, 1% of remote DRAM
+// samples), in canonical order.
+func floorContended(m *topology.Machine, samples []pebs.Sample) []topology.Channel {
+	counts := make([]int, m.NumChannels())
+	remote := 0
+	for i := range samples {
+		s := &samples[i]
+		if s.Level != cache.MEM || s.SrcNode == s.HomeNode {
+			continue
+		}
+		counts[m.ChannelIndex(s.Channel())]++
+		remote++
+	}
+	floor := max(remote/100, 25)
+	var out []topology.Channel
+	for ci := 0; ci < m.NumChannels(); ci++ {
+		if ch := m.ChannelAt(ci); !ch.Local() && counts[ci] >= floor {
+			out = append(out, ch)
+		}
+	}
+	return out
 }
 
 func BenchmarkInterleaveGroundTruthProbe(b *testing.B) {

@@ -37,7 +37,6 @@ import (
 	"sync"
 
 	"drbw/internal/core"
-	"drbw/internal/diagnose"
 	"drbw/internal/dtree"
 	"drbw/internal/engine"
 	"drbw/internal/features"
@@ -328,18 +327,10 @@ func (t *Tool) builder(bench string) (program.Builder, error) {
 	return e.Builder, nil
 }
 
-// timelineBuckets is the resolution of Report.Timeline.
-const timelineBuckets = 32
-
-// reportFromDetection turns a single-pass detection into the public report:
-// diagnosis of the contended channels (from the retained samples, without
-// re-simulating) plus the remote-pressure timeline.
+// reportFromDetection renders a single-pass detection as the public
+// report: the verdict, the diagnosis and the timeline its sweep computed.
 func reportFromDetection(dn *core.Detection) *Report {
-	var diag *diagnose.Report
-	if dn.Detected {
-		diag = dn.Diagnose()
-	}
-	r := newReport(dn.Contended, diag, diagnose.Timeline(dn.Samples, timelineBuckets, dn.Weight), int64(len(dn.Samples)))
+	r := newReport(dn.Contended, dn.Diagnose(), dn.Timeline, int64(len(dn.Samples)))
 	r.Bench, r.Input, r.Config = dn.Bench, dn.Cfg.Input, dn.Cfg.Label()
 	r.Evaluated, r.Actual, r.InterleaveSpeedup = dn.Evaluated, dn.Actual, dn.InterleaveSpeedup
 	return r

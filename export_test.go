@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"drbw/internal/core"
 	"drbw/internal/diagnose"
 	"drbw/internal/features"
 	"drbw/internal/pebs"
@@ -43,6 +44,17 @@ func CSVCutTargets(start, size int64) []int64 {
 		targets = append(targets, start+int64(k)*(size-start)/int64(n))
 	}
 	return targets
+}
+
+// ClassifiedChannels counts the channels of a recording whose samples
+// clear the detector's MinSamples gate: the channels one analysis of it
+// classifies.
+func ClassifiedChannels(t *Tool, td *TraceData) (int, error) {
+	samples, weight, err := td.samples()
+	if err != nil {
+		return 0, err
+	}
+	return len(features.ChannelVectors(t.machine, samples, weight, t.detector.MinSamples)), nil
 }
 
 // AnalyzeTraceRef is the reference analysis every equivalence test
@@ -90,7 +102,7 @@ func (t *Tool) AnalyzeTraceRef(td *TraceData) (*Report, error) {
 		}
 		diag = diagnose.Analyze(table, samples, contended, weight)
 	}
-	rep := newReport(contended, diag, refTimeline(samples, timelineBuckets, weight), int64(len(samples)))
+	rep := newReport(contended, diag, refTimeline(samples, core.TimelineBuckets, weight), int64(len(samples)))
 	rep.Bench, rep.Config = td.Bench, td.Config
 	return rep, nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"drbw/internal/features"
 	"drbw/internal/program"
 	"drbw/internal/topology"
 )
@@ -43,20 +42,22 @@ func (d *Detector) batch(m *topology.Machine, jobs []BatchJob, evaluate bool) []
 		label = "evaluate.sweep"
 	}
 	out := make([]BatchResult, len(jobs))
-	// One feature accumulator per worker: extraction scratch is reused
-	// across the cases a worker claims, so the sweep's allocation count
-	// scales with the pool width, not the job count.
-	accs := make([]*features.Accumulator, PoolWorkers())
+	// One sweep per worker: feature-extraction scratch is reused across
+	// the cases a worker claims, so the batch's allocation count scales
+	// with the pool width, not the job count.
+	sweeps := make([]*Sweep, PoolWorkers())
 	ParallelForLabeledWorker(len(jobs), label, func(i, w int) {
-		var acc *features.Accumulator
-		if w < len(accs) {
-			if accs[w] == nil {
-				accs[w] = features.NewAccumulator(m)
+		var sw *Sweep
+		if w < len(sweeps) {
+			if sweeps[w] == nil {
+				sweeps[w] = NewSweep(m)
 			}
-			acc = accs[w]
+			sw = sweeps[w]
+		} else {
+			sw = NewSweep(m)
 		}
 		j := jobs[i]
-		dn, err := d.detect(j.Builder, m, j.Cfg, acc)
+		dn, err := d.detect(j.Builder, m, j.Cfg, sw)
 		if err == nil && evaluate {
 			err = d.GroundTruth(dn)
 		}

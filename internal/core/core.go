@@ -20,6 +20,7 @@ import (
 	"drbw/internal/micro"
 	"drbw/internal/optimize"
 	"drbw/internal/pebs"
+	"drbw/internal/profiledata"
 	"drbw/internal/program"
 	"drbw/internal/topology"
 )
@@ -333,22 +334,24 @@ type CaseResult struct {
 }
 
 // Detection is the single-pass outcome of profiling one case: the
-// classification verdict plus everything later pipeline stages need — the
-// simulated program (for its heap), the retained samples and the collector
-// weight — so diagnosis, evaluation and reporting never re-run the
-// simulation.
+// classification verdict, its diagnosis and timeline, plus everything later
+// pipeline stages need — the simulated program, the retained samples and
+// the collector weight — so evaluation, reporting and the placement search
+// never re-run the simulation.
 type Detection struct {
 	CaseResult
-	// Program is the simulated program the samples came from; its heap
-	// drives object attribution.
+	// Program is the simulated program the samples came from.
 	Program *program.Program
 	// Samples are the collector's retained samples, scaled by Weight.
 	Samples []pebs.Sample
 	// Weight scales kept samples to true counts (1 unless the collector hit
 	// its memory bound).
 	Weight float64
+	// Timeline buckets the run's remote pressure over time.
+	Timeline []diagnose.Bucket
 
-	builder program.Builder
+	diagnosis *diagnose.Report // nil when nothing was detected
+	builder   program.Builder
 }
 
 // Builder returns the builder that materialized the detection's program,
@@ -359,17 +362,28 @@ func (dn *Detection) Builder() program.Builder { return dn.builder }
 // Detect runs one case with profiling and classifies every remote channel;
 // the case is rmc if at least one channel is (the paper's rule 1). This is
 // the only simulation of the case the pipeline performs: the returned
-// Detection carries the run's program, samples and weight for diagnosis.
+// Detection carries the diagnosis and timeline with the run's program and
+// samples.
 func (d *Detector) Detect(b program.Builder, m *topology.Machine, cfg program.Config) (*Detection, error) {
-	return d.detect(b, m, cfg, nil)
+	return d.detect(b, m, cfg, NewSweep(m))
 }
 
-// detect is Detect with optional reusable feature-extraction scratch; the
-// batch pipeline passes one accumulator per worker so a sweep allocates
-// extraction state per worker, not per case. nil means allocate fresh.
-func (d *Detector) detect(b program.Builder, m *topology.Machine, cfg program.Config, acc *features.Accumulator) (*Detection, error) {
+// detect is Detect on a reusable sweep; the batch pipeline passes one per
+// worker so a sweep allocates feature-extraction state per worker, not per
+// case. The sweep runs over the retained samples with the program's live
+// heap as the object table: the accumulation an offline analysis of the
+// recording takes.
+func (d *Detector) detect(b program.Builder, m *topology.Machine, cfg program.Config, sw *Sweep) (*Detection, error) {
 	p, samples, weight, err := Profile(b, m, cfg, d.Ecfg, d.Ccfg)
 	if err != nil {
+		return nil, err
+	}
+	table, err := profiledata.NewTable(p.Heap.Live())
+	if err != nil {
+		return nil, err
+	}
+	sw.Reset(table, weight)
+	if err := sw.Add(samples); err != nil {
 		return nil, err
 	}
 	dn := &Detection{
@@ -379,13 +393,7 @@ func (d *Detector) detect(b program.Builder, m *topology.Machine, cfg program.Co
 		Weight:     weight,
 		builder:    b,
 	}
-	if acc == nil {
-		acc = features.NewAccumulator(m)
-	} else {
-		acc.Reset()
-	}
-	acc.Add(dn.Samples)
-	dn.Contended = d.Classify(acc, dn.Weight)
+	dn.Contended, dn.diagnosis, dn.Timeline = sw.Finish(d)
 	dn.Detected = len(dn.Contended) > 0
 	return dn, nil
 }
@@ -414,9 +422,9 @@ func Profile(b program.Builder, m *topology.Machine, cfg program.Config, ecfg en
 
 // Classify runs the tree over every channel vector acc yields at weight
 // and returns the contended (rmc) channels in (Src, Dst) order — nil when
-// none is. It is the one place a verdict is rendered: live detection and
-// every offline analysis call it, and it keeps the dtree.predict.* and
-// detect.* counters.
+// none is. It is the one place a verdict is rendered: Sweep.Finish calls
+// it for live detection and every offline analysis alike, and it keeps the
+// dtree.predict.* and detect.* counters.
 func (d *Detector) Classify(acc *features.Accumulator, weight float64) []topology.Channel {
 	var contended []topology.Channel
 	for ch, vec := range acc.Vectors(weight, d.MinSamples) {
@@ -435,14 +443,14 @@ func (d *Detector) Classify(acc *features.Accumulator, weight float64) []topolog
 	return contended
 }
 
-// Diagnose attributes the contended channels' samples to data objects using
-// the detection's retained state — no re-simulation. It returns an empty
+// Diagnose returns the attribution of the contended channels' samples to
+// data objects that detection computed in its sweep. It returns an empty
 // report when nothing was detected.
 func (dn *Detection) Diagnose() *diagnose.Report {
-	if !dn.Detected {
+	if dn.diagnosis == nil {
 		return &diagnose.Report{}
 	}
-	return diagnose.Analyze(dn.Program.Heap, dn.Samples, dn.Contended, dn.Weight)
+	return dn.diagnosis
 }
 
 // GroundTruth runs the paper's probe (whole-program interleave, ≥10%
@@ -492,34 +500,6 @@ func (s BenchmarkSummary) Class() features.Label {
 		return features.RMC
 	}
 	return features.Good
-}
-
-// EvaluateBenchmark sweeps every input × standard configuration of one
-// benchmark. seedBase decorrelates benchmarks.
-func (d *Detector) EvaluateBenchmark(b program.Builder, m *topology.Machine, seedBase uint64) (BenchmarkSummary, error) {
-	sum := BenchmarkSummary{Name: b.Name}
-	seed := seedBase
-	for _, input := range b.Inputs {
-		for _, cfg := range program.StandardConfigs() {
-			c := cfg
-			c.Input = input
-			c.Seed = seed
-			seed += 17
-			dn, err := d.Evaluate(b, m, c)
-			if err != nil {
-				return sum, fmt.Errorf("core: %s %s: %w", b.Name, c, err)
-			}
-			sum.Cases++
-			if dn.Actual {
-				sum.Actual++
-			}
-			if dn.Detected {
-				sum.Detected++
-			}
-			sum.Results = append(sum.Results, dn.CaseResult)
-		}
-	}
-	return sum, nil
 }
 
 // CaseStats holds the Table VI accuracy metrics.

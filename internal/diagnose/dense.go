@@ -31,13 +31,10 @@ import (
 // 0..Len()-1 in ascending base-address order, so per-object counts can
 // live in a flat array and lookups can binary-search the slot ranges.
 // Object(SlotID(i)) must describe slot i's address range — DenseCF
-// flattens those ranges for its per-sample search, and LookupSlot must
-// agree with them. The offline range table (profiledata.Table) implements
-// it.
+// flattens those ranges for its per-sample search, and Lookup must agree
+// with them. The range table (profiledata.Table) implements it.
 type SlotAttributor interface {
 	Attributor
-	// LookupSlot resolves addr to the slot of its containing object.
-	LookupSlot(addr uint64) (int, bool)
 	// SlotID returns the ID of the object occupying slot.
 	SlotID(slot int) alloc.ObjectID
 	// Len returns the number of slots.
@@ -114,7 +111,7 @@ func (d *DenseCF) Add(samples []pebs.Sample) {
 			continue
 		}
 		// First index with base > addr, then bounds-check its
-		// predecessor — the same range rule Table.LookupSlot applies.
+		// predecessor — the same range rule Table.Lookup applies.
 		lo, hi := 0, len(bases)
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)

@@ -62,7 +62,8 @@ type Attributor interface {
 // weight scales kept samples to true counts (pebs.Collector.Weight).
 // Channels are processed in input order (duplicates collapsed), so the
 // report is deterministic and matches the streaming CFAccumulator bit for
-// bit.
+// bit. Reports restrict a DenseCF instead; Analyze serves local channels
+// (internal/llc) and the tests' oracles.
 func Analyze(heap Attributor, samples []pebs.Sample, contended []topology.Channel, weight float64) *Report {
 	acc := NewCFAccumulator(heap, contended, weight)
 	acc.Add(samples)

@@ -23,7 +23,7 @@ type Bucket struct {
 // profiler-style view of *when* remote pressure happened (AMG's solve phase
 // lights up while init stays dark). weight scales kept samples to true
 // counts. Timeline is the slice form of TimelineAccumulator and is defined
-// as exactly that: add, then finalize.
+// as exactly that: add, then finalize. Reports use the accumulator.
 func Timeline(samples []pebs.Sample, n int, weight float64) []Bucket {
 	acc := NewTimelineAccumulator(n, weight)
 	acc.Add(samples)

@@ -343,7 +343,8 @@ func (d *Detector) Analyze(m *topology.Machine, b program.Builder, cfg program.C
 		return res, nil
 	}
 	// Attribute L3-miss samples on the contended sockets: reuse the CF
-	// machinery with the sockets' local channels.
+	// machinery with the sockets' local channels. DenseCF counts remote
+	// channels only, so this is the one library caller of diagnose.Analyze.
 	var channels []topology.Channel
 	for _, n := range res.Contended {
 		channels = append(channels, topology.Channel{Src: n, Dst: n})

@@ -111,10 +111,12 @@ type BinaryOptions struct {
 }
 
 // WriteSamplesBinary writes samples in the binary columnar v3 format. A
-// non-positive weight is written as 1, mirroring WriteSamples.
+// NaN or infinite weight is an error; a finite non-positive one is written
+// as 1, mirroring WriteSamples.
 func WriteSamplesBinary(w io.Writer, samples []pebs.Sample, weight float64, opt BinaryOptions) error {
-	if !(weight > 0) {
-		weight = 1
+	weight, err := writeWeight(weight)
+	if err != nil {
+		return err
 	}
 	blockSize := opt.BlockSize
 	if blockSize <= 0 {

@@ -93,8 +93,15 @@ func TestBinaryPreservesNaNLatency(t *testing.T) {
 	}
 }
 
+// TestBinaryWeightClampedToOne checks that a finite non-positive weight is
+// written as 1 and that a NaN or infinite one is an error.
 func TestBinaryWeightClampedToOne(t *testing.T) {
-	for _, w := range []float64{0, -3, math.Inf(-1)} {
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := WriteSamplesBinary(io.Discard, testTrace(5, 1), w, BinaryOptions{}); err == nil {
+			t.Errorf("weight %v written", w)
+		}
+	}
+	for _, w := range []float64{0, -3} {
 		var buf bytes.Buffer
 		if err := WriteSamplesBinary(&buf, testTrace(5, 1), w, BinaryOptions{}); err != nil {
 			t.Fatal(err)

@@ -201,6 +201,7 @@ func csvDialectCases() []dialectCase {
 		{name: "wrong header", in: csvLines("time,cpu,thread,addr,level,latency,write,src,home_node"), err: `profiledata: header column 7 is "src", want "src_node"`},
 		{name: "short meta", in: csvLines("#drbw-samples,v2,weight", csvHeader), err: "profiledata: malformed meta row"},
 		{name: "bad meta weight", in: csvLines("#drbw-samples,v2,weight,NaN", csvHeader), err: "profiledata: meta weight NaN is not positive"},
+		{name: "infinite meta weight", in: csvLines("#drbw-samples,v2,weight,inf", csvHeader), err: "profiledata: meta weight +Inf is not positive and finite"},
 	}
 }
 
@@ -383,7 +384,7 @@ func writeSamplesReference(w io.Writer, samples []pebs.Sample, weight float64) e
 
 // TestWriteSamplesBytes checks WriteSamples byte for byte against the
 // csv.Writer reference, over a random trace and the edge values a
-// recording can carry.
+// recording can carry, and that a weight no reader accepts is an error.
 func TestWriteSamplesBytes(t *testing.T) {
 	samples := testTrace(2000, 9)
 	nan, inf := math.NaN(), math.Inf(1)
@@ -392,7 +393,12 @@ func TestWriteSamplesBytes(t *testing.T) {
 			pebs.Sample{Time: v, CPU: -1, Thread: math.MaxInt, Addr: math.MaxUint64, Level: cache.MEM, Latency: v, SrcNode: -3, HomeNode: 7},
 			pebs.Sample{Time: v, Level: cache.Level(9), Latency: -v, Write: true})
 	}
-	for _, weight := range []float64{2.5, 1, 0, -3, nan, inf, 1e-300, 1.0 / 3} {
+	for _, weight := range []float64{nan, inf, -inf} {
+		if err := WriteSamples(io.Discard, samples, weight); err == nil {
+			t.Errorf("weight %v written", weight)
+		}
+	}
+	for _, weight := range []float64{2.5, 1, 0, -3, 1e-300, 1.0 / 3} {
 		var got, want bytes.Buffer
 		if err := WriteSamples(&got, samples, weight); err != nil {
 			t.Fatal(err)

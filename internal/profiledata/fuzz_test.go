@@ -95,6 +95,8 @@ func FuzzReadSamples(f *testing.F) {
 	}
 	f.Add([]byte(binaryMagic))
 	f.Add([]byte("time,cpu\n1,2\n"))
+	// A weight the binary re-encoding cannot carry must not decode.
+	f.Add([]byte("#drbw-samples,v2,weight,inf\n" + strings.Join(sampleHeader, ",") + "\n1,0,0,0x10,MEM,300,false,0,1\n"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -64,6 +64,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -82,11 +83,13 @@ const metaTag = "#drbw-samples"
 const sampleVersion = "v2"
 
 // WriteSamples writes samples as CSV, preceded by the v2 meta row carrying
-// the collector weight. A non-positive weight is written as 1. No field it
-// writes needs quoting, so each row is appended into one reused buffer.
+// the collector weight. A NaN or infinite weight is an error; a finite
+// non-positive one is written as 1. No field it writes needs quoting, so
+// each row is appended into one reused buffer.
 func WriteSamples(w io.Writer, samples []pebs.Sample, weight float64) error {
-	if !(weight > 0) {
-		weight = 1
+	weight, err := writeWeight(weight)
+	if err != nil {
+		return err
 	}
 	bw := bufio.NewWriterSize(w, 64<<10)
 	row := append([]byte(nil), metaTag+","+sampleVersion+",weight,"...)
@@ -122,6 +125,19 @@ func WriteSamples(w io.Writer, samples []pebs.Sample, weight float64) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// writeWeight applies the writers' weight rule: a NaN or infinite weight
+// is an error, since no reader accepts one, and a finite non-positive one
+// is written as 1.
+func writeWeight(w float64) (float64, error) {
+	if math.IsNaN(w) || math.IsInf(w, 0) {
+		return 0, fmt.Errorf("profiledata: weight %v is not finite", w)
+	}
+	if w <= 0 {
+		return 1, nil
+	}
+	return w, nil
 }
 
 func parseLevel(s string) (cache.Level, error) {
@@ -160,8 +176,8 @@ func readMeta(rec []string) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("profiledata: meta weight: %w", err)
 	}
-	if !(w > 0) {
-		return 0, fmt.Errorf("profiledata: meta weight %v is not positive", w)
+	if !(w > 0) || math.IsInf(w, 0) {
+		return 0, fmt.Errorf("profiledata: meta weight %v is not positive and finite", w)
 	}
 	return w, nil
 }
@@ -308,22 +324,6 @@ func (t *Table) Object(id alloc.ObjectID) alloc.Object { return t.byID[id] }
 // Len returns the number of ranges.
 func (t *Table) Len() int { return len(t.objects) }
 
-// LookupSlot resolves addr to the dense slot of its containing range.
-// Slots number the table's ranges in base order, 0..Len()-1, so an
-// accumulator can count per-slot into a flat array instead of per-ID into
-// a map; SlotID recovers the object behind a slot. The map-free form of
-// Lookup for hot attribution loops.
-func (t *Table) LookupSlot(addr uint64) (int, bool) {
-	idx := sort.Search(len(t.objects), func(i int) bool { return t.objects[i].Base > addr })
-	if idx == 0 {
-		return 0, false
-	}
-	o := &t.objects[idx-1]
-	if addr >= o.Base+o.Size {
-		return 0, false
-	}
-	return idx - 1, true
-}
-
-// SlotID returns the ID of the object occupying a slot LookupSlot returned.
+// SlotID returns the ID of the object in slot, the slot-th range in base
+// order (0..Len()-1).
 func (t *Table) SlotID(slot int) alloc.ObjectID { return t.objects[slot].ID }

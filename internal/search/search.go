@@ -1,6 +1,6 @@
-// Package search closes DR-BW's loop: from a detection (classifier verdict,
-// retained samples, diagnosed objects) it finds the placement fix to apply,
-// instead of leaving the choice to the analyst as the paper does.
+// Package search closes DR-BW's loop: from a detection (diagnosed objects
+// and retained samples) it finds the placement fix to apply, instead of
+// leaving the choice to the analyst as the paper does.
 //
 // The search is a branch-and-bound over candidate placements:
 //
@@ -100,25 +100,18 @@ func (c Candidate) Transform() optimize.Transform {
 	}
 }
 
-// Input is everything the search needs about one detected case. Samples,
-// Weight, Heap and Contended normally come from a core.Detection (see
-// FromDetection); when Samples is nil the search profiles the case itself
-// with one collector-instrumented run.
+// Input is everything the search needs about one detected case. Report
+// and Samples normally come from a core.Detection (see FromDetection).
 type Input struct {
 	Builder program.Builder
 	Machine *topology.Machine
 	Cfg     program.Config
-	// Heap attributes sample addresses to objects (the profiled program's
-	// heap, or an offline range table).
-	Heap diagnose.Attributor
-	// Samples are the retained profile samples; Weight scales them to true
-	// counts.
+	// Report is the case's diagnosis; the enumeration places its top-CF
+	// objects.
+	Report *diagnose.Report
+	// Samples are the retained profile samples the analytic score counts
+	// traffic from.
 	Samples []pebs.Sample
-	Weight  float64
-	// Contended lists the channels to attribute over. Empty with non-nil
-	// Samples means "derive from the samples": every remote channel whose
-	// DRAM sample count clears a small floor.
-	Contended []topology.Channel
 }
 
 // DefaultWaveSize is the fixed number of candidate simulations per
@@ -209,39 +202,32 @@ func (r *Result) Speedup() float64 {
 }
 
 // FromDetection runs the search for a detected case, reusing the
-// detection's program heap, retained samples and contended channels — no
-// re-profiling.
+// detection's diagnosis and retained samples — no re-profiling and no
+// second diagnosis.
 func FromDetection(dn *core.Detection, ecfg engine.Config, cfg Config) (*Result, error) {
 	return Run(Input{
-		Builder:   dn.Builder(),
-		Machine:   dn.Program.Machine,
-		Cfg:       dn.Cfg,
-		Heap:      dn.Program.Heap,
-		Samples:   dn.Samples,
-		Weight:    dn.Weight,
-		Contended: dn.Contended,
+		Builder: dn.Builder(),
+		Machine: dn.Program.Machine,
+		Cfg:     dn.Cfg,
+		Report:  dn.Diagnose(),
+		Samples: dn.Samples,
 	}, ecfg, cfg)
 }
 
-// Run executes the full search: diagnose, enumerate, score, then simulate
-// the frontier under the branch-and-bound budget. ecfg configures every
-// simulation (baseline and candidates alike); its CycleBudget field is
-// overwritten by the bound.
+// Run executes the full search: enumerate over the diagnosis, score, then
+// simulate the frontier under the branch-and-bound budget. ecfg configures
+// every simulation (baseline and candidates alike); its CycleBudget field
+// is overwritten by the bound.
 func Run(in Input, ecfg engine.Config, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	m := in.Machine
 	if m == nil {
 		return nil, fmt.Errorf("search: no machine")
 	}
-	if in.Samples == nil {
-		if err := profile(&in, ecfg); err != nil {
-			return nil, err
-		}
+	rep := in.Report
+	if rep == nil {
+		return nil, fmt.Errorf("search: no diagnosis")
 	}
-	if len(in.Contended) == 0 {
-		in.Contended = deriveContended(m, in.Samples)
-	}
-	rep := diagnose.Analyze(in.Heap, in.Samples, in.Contended, in.Weight)
 	top := rep.Top(cover)
 	if len(top) > cfg.TopObjects {
 		top = top[:cfg.TopObjects]
@@ -363,45 +349,6 @@ func simulate(o *Outcome, in Input, ecfg engine.Config, base *engine.Result) err
 		o.Comparison = optimize.Compare(base, r)
 	}
 	return nil
-}
-
-// profile runs the case once with a PEBS collector to obtain the samples a
-// caller without a detection (benchmarks, ad-hoc tuning) did not supply.
-func profile(in *Input, ecfg engine.Config) error {
-	p, samples, weight, err := core.Profile(in.Builder, in.Machine, in.Cfg, ecfg, core.DefaultCollectorConfig())
-	if err != nil {
-		return err
-	}
-	in.Heap, in.Samples, in.Weight = p.Heap, samples, weight
-	return nil
-}
-
-// deriveContended picks the channels to diagnose over when no classifier
-// verdict is supplied: every remote channel whose DRAM sample count clears
-// a floor of max(25, 1% of remote DRAM samples), in canonical order.
-func deriveContended(m *topology.Machine, samples []pebs.Sample) []topology.Channel {
-	counts := make([]int, m.NumChannels())
-	remote := 0
-	for i := range samples {
-		s := &samples[i]
-		if s.Level != cache.MEM || s.SrcNode == s.HomeNode {
-			continue
-		}
-		counts[m.ChannelIndex(s.Channel())]++
-		remote++
-	}
-	floor := remote / 100
-	if floor < 25 {
-		floor = 25
-	}
-	var out []topology.Channel
-	for ci := 0; ci < m.NumChannels(); ci++ {
-		ch := m.ChannelAt(ci)
-		if !ch.Local() && counts[ci] >= floor {
-			out = append(out, ch)
-		}
-	}
-	return out
 }
 
 // enumerate builds the candidate set: every assignment of the strategies

@@ -5,10 +5,13 @@ import (
 	"runtime"
 	"testing"
 
+	"drbw/internal/cache"
+	"drbw/internal/core"
 	"drbw/internal/diagnose"
 	"drbw/internal/engine"
 	"drbw/internal/micro"
 	"drbw/internal/optimize"
+	"drbw/internal/pebs"
 	"drbw/internal/program"
 	"drbw/internal/topology"
 )
@@ -17,12 +20,48 @@ func ecfgT() engine.Config {
 	return engine.Config{Window: 2048, Warmup: 512, ReservoirSize: 256, Seed: 21}
 }
 
-func contendedInput(b program.Builder, seed uint64) Input {
-	return Input{
-		Builder: b,
-		Machine: topology.XeonE5_4650(),
-		Cfg:     program.Config{Threads: 32, Nodes: 4, Seed: seed},
+func contendedInput(t testing.TB, b program.Builder, seed uint64) Input {
+	return profiledInput(t, b, program.Config{Threads: 32, Nodes: 4, Seed: seed})
+}
+
+// profiledInput profiles the case once on the paper's machine, with the
+// collector and run seeds live detection uses, and diagnoses the channels
+// floorContended picks — a search input without a trained classifier.
+func profiledInput(t testing.TB, b program.Builder, cfg program.Config) Input {
+	t.Helper()
+	m := topology.XeonE5_4650()
+	p, samples, weight, err := core.Profile(b, m, cfg, ecfgT(), core.DefaultCollectorConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
+	return Input{
+		Builder: b, Machine: m, Cfg: cfg, Samples: samples,
+		Report: diagnose.Analyze(p.Heap, samples, floorContended(m, samples), weight),
+	}
+}
+
+// floorContended stands in for a classifier verdict: every remote channel
+// whose DRAM sample count clears a floor of max(25, 1% of remote DRAM
+// samples), in canonical order.
+func floorContended(m *topology.Machine, samples []pebs.Sample) []topology.Channel {
+	counts := make([]int, m.NumChannels())
+	remote := 0
+	for i := range samples {
+		s := &samples[i]
+		if s.Level != cache.MEM || s.SrcNode == s.HomeNode {
+			continue
+		}
+		counts[m.ChannelIndex(s.Channel())]++
+		remote++
+	}
+	floor := max(remote/100, 25)
+	var out []topology.Channel
+	for ci := 0; ci < m.NumChannels(); ci++ {
+		if ch := m.ChannelAt(ci); !ch.Local() && counts[ci] >= floor {
+			out = append(out, ch)
+		}
+	}
+	return out
 }
 
 func TestCandidateKey(t *testing.T) {
@@ -85,7 +124,7 @@ func TestSearchFindsSpeedupOnContended(t *testing.T) {
 		{"dotv", micro.Dotv(micro.BigCentralized, 0), 43},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Run(contendedInput(tc.b, tc.seed), ecfgT(), Config{})
+			res, err := Run(contendedInput(t, tc.b, tc.seed), ecfgT(), Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,11 +146,7 @@ func TestSearchFindsSpeedupOnContended(t *testing.T) {
 }
 
 func TestSearchCleanCaseNoRegression(t *testing.T) {
-	in := Input{
-		Builder: micro.Sumv(micro.SmallShared, 0),
-		Machine: topology.XeonE5_4650(),
-		Cfg:     program.Config{Threads: 16, Nodes: 4, Seed: 47},
-	}
+	in := profiledInput(t, micro.Sumv(micro.SmallShared, 0), program.Config{Threads: 16, Nodes: 4, Seed: 47})
 	res, err := Run(in, ecfgT(), Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -126,9 +161,10 @@ func TestSearchCleanCaseNoRegression(t *testing.T) {
 // same chosen placement, same cycle counts, same abort set.
 func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 	workers := []int{1, 2, runtime.GOMAXPROCS(0)}
+	in := contendedInput(t, micro.Sumv(micro.BigCentralized, 0), 53)
 	var ref *Result
 	for _, w := range workers {
-		res, err := Run(contendedInput(micro.Sumv(micro.BigCentralized, 0), 53), ecfgT(), Config{Workers: w})
+		res, err := Run(in, ecfgT(), Config{Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +185,7 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 // budget still finds the same winner the exhaustive search does on the
 // contended micro case.
 func TestPrunedMatchesExhaustive(t *testing.T) {
-	in := contendedInput(micro.Dotv(micro.BigCentralized, 0), 59)
+	in := contendedInput(t, micro.Dotv(micro.BigCentralized, 0), 59)
 	exh, err := Run(in, ecfgT(), Config{Frontier: -1, DisableBudget: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +219,7 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 // later-wave runs that cannot beat the incumbent should abort. Dotv has two
 // hot objects, so the frontier spans several waves.
 func TestBudgetAbortsLosers(t *testing.T) {
-	res, err := Run(contendedInput(micro.Dotv(micro.BigCentralized, 0), 61), ecfgT(), Config{})
+	res, err := Run(contendedInput(t, micro.Dotv(micro.BigCentralized, 0), 61), ecfgT(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package drbw
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"drbw/internal/alloc"
@@ -84,8 +85,12 @@ func fromRecord(r SampleRecord) (pebs.Sample, error) {
 }
 
 // samples converts the recording's sample records, checking every memory
-// level, and returns them with the collector weight (1 when unset).
+// level, and returns them with the collector weight: 1 when unset or not
+// positive, and an error when NaN or infinite.
 func (td *TraceData) samples() ([]pebs.Sample, float64, error) {
+	if math.IsNaN(td.Weight) || math.IsInf(td.Weight, 0) {
+		return nil, 0, fmt.Errorf("drbw: recording weight %v is not finite", td.Weight)
+	}
 	samples := make([]pebs.Sample, 0, len(td.Samples))
 	for _, r := range td.Samples {
 		s, err := fromRecord(r)

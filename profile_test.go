@@ -1,11 +1,22 @@
 package drbw_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"drbw"
+	"drbw/internal/cache"
+	"drbw/internal/obs"
+	"drbw/internal/pebs"
+	"drbw/internal/profiledata"
 )
 
 func TestRecordAndAnalyzeTrace(t *testing.T) {
@@ -32,6 +43,94 @@ func TestRecordAndAnalyzeTrace(t *testing.T) {
 	}
 	if top := rep.TopObjects(1); len(top) == 0 || top[0] != "block" {
 		t.Errorf("offline diagnosis top = %v", top)
+	}
+}
+
+// TestLiveMatchesRecording pins that live detection and the analysis of
+// its recording are one accumulation: the reports are identical apart from
+// the case labels a recording does not carry.
+func TestLiveMatchesRecording(t *testing.T) {
+	tl := sharedTool(t)
+	verdicts := map[bool]int{}
+	for _, tc := range []struct {
+		bench string
+		c     drbw.Case
+	}{
+		{"Streamcluster", drbw.Case{Input: "native", Threads: 32, Nodes: 4, Seed: 61}},
+		{"Ferret", drbw.Case{Input: "native", Threads: 32, Nodes: 4, Seed: 62}},
+		{"AMG2006", drbw.Case{Threads: 32, Nodes: 4, Seed: 63}},
+		{"Streamcluster", drbw.Case{Threads: 16, Nodes: 2, Seed: 64}},
+		{"Ferret", drbw.Case{Threads: 16, Nodes: 2, Seed: 65}},
+		{"AMG2006", drbw.Case{Threads: 16, Nodes: 2, Seed: 66}},
+	} {
+		live, err := tl.Analyze(tc.bench, tc.c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		td, err := tl.Record(tc.bench, tc.c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offline, err := tl.AnalyzeTrace(td)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verdicts[live.Detected]++
+		for _, r := range []*drbw.Report{live, offline} {
+			r.Bench, r.Input, r.Config = "", "", ""
+		}
+		if !reflect.DeepEqual(live, offline) {
+			t.Errorf("%s %+v: live report\n%+v\ndiffers from its recording's\n%+v", tc.bench, tc.c, live, offline)
+		}
+	}
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Errorf("cases cover only one verdict: %v", verdicts)
+	}
+}
+
+// TestOneClassificationPerVerdict checks that a live analysis and an
+// offline one each classify once: one detect.cases tick, and one
+// prediction per channel that clears MinSamples.
+func TestOneClassificationPerVerdict(t *testing.T) {
+	tl := sharedTool(t)
+	cases := obs.Default.Counter("detect.cases")
+	good, rmc := obs.Default.Counter("dtree.predict.good"), obs.Default.Counter("dtree.predict.rmc")
+	for _, tc := range []struct {
+		bench string
+		c     drbw.Case
+	}{
+		{"Streamcluster", drbw.Case{Input: "native", Threads: 32, Nodes: 4, Seed: 67}},
+		{"Ferret", drbw.Case{Threads: 16, Nodes: 2, Seed: 68}},
+	} {
+		td, err := tl.Record(tc.bench, tc.c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		channels, err := drbw.ClassifiedChannels(tl, td)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if channels == 0 {
+			t.Fatalf("%s: no channel clears MinSamples", tc.bench)
+		}
+		for _, run := range []struct {
+			name string
+			fn   func() error
+		}{
+			{"Analyze", func() error { _, err := tl.Analyze(tc.bench, tc.c); return err }},
+			{"AnalyzeTrace", func() error { _, err := tl.AnalyzeTrace(td); return err }},
+		} {
+			c0, p0 := cases.Value(), good.Value()+rmc.Value()
+			if err := run.fn(); err != nil {
+				t.Fatal(err)
+			}
+			if d := cases.Value() - c0; d != 1 {
+				t.Errorf("%s %s: detect.cases rose by %d, want 1", tc.bench, run.name, d)
+			}
+			if d := good.Value() + rmc.Value() - p0; d != int64(channels) {
+				t.Errorf("%s %s: %d predictions, want %d", tc.bench, run.name, d, channels)
+			}
+		}
 	}
 }
 
@@ -176,5 +275,55 @@ func TestLoadTraceMissingFiles(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := drbw.LoadTrace(filepath.Join(dir, "a.csv"), filepath.Join(dir, "b.csv")); err == nil {
 		t.Error("missing sample file accepted")
+	}
+}
+
+// TestNonFiniteWeightRejected pins one weight rule on every edge: a NaN or
+// infinite collector weight is an error when a CSV or binary recording is
+// written or read, and when an in-memory recording is analyzed or saved.
+func TestNonFiniteWeightRejected(t *testing.T) {
+	samples := []pebs.Sample{{Time: 1, Addr: 0x10, Level: cache.MEM, Latency: 300, SrcNode: 0, HomeNode: 1}}
+	var good bytes.Buffer
+	if err := profiledata.WriteSamplesBinary(&good, samples, 2.5, profiledata.BinaryOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var bits [8]byte
+	binary.LittleEndian.PutUint64(bits[:], math.Float64bits(2.5))
+	at := bytes.Index(good.Bytes(), bits[:])
+	if at < 0 {
+		t.Fatal("binary header carries no weight")
+	}
+	for _, w := range []float64{math.NaN(), math.Inf(1)} {
+		t.Run(fmt.Sprint(w), func(t *testing.T) {
+			t.Run("csv", func(t *testing.T) {
+				if err := profiledata.WriteSamples(io.Discard, samples, w); err == nil {
+					t.Error("written")
+				}
+				in := fmt.Sprintf("#drbw-samples,v2,weight,%v\ntime,cpu,thread,addr,level,latency,write,src_node,home_node\n1,0,0,0x10,MEM,300,false,0,1\n", w)
+				if _, weight, err := profiledata.ReadSamples(strings.NewReader(in)); err == nil {
+					t.Errorf("read with weight %v", weight)
+				}
+			})
+			t.Run("binary", func(t *testing.T) {
+				if err := profiledata.WriteSamplesBinary(io.Discard, samples, w, profiledata.BinaryOptions{}); err == nil {
+					t.Error("written")
+				}
+				data := bytes.Clone(good.Bytes())
+				binary.LittleEndian.PutUint64(data[at:], math.Float64bits(w))
+				if _, weight, err := profiledata.ReadSamples(bytes.NewReader(data)); err == nil {
+					t.Errorf("read with weight %v", weight)
+				}
+			})
+			t.Run("memory", func(t *testing.T) {
+				td := &drbw.TraceData{Weight: w, Samples: []drbw.SampleRecord{{Time: 1, Addr: 0x10, Level: "MEM", Latency: 300, HomeNode: 1}}}
+				if _, err := sharedTool(t).AnalyzeTrace(td); err == nil {
+					t.Error("analyzed")
+				}
+				dir := t.TempDir()
+				if err := td.SaveAs(filepath.Join(dir, "s.bin"), filepath.Join(dir, "o.csv"), drbw.FormatBinary); err == nil {
+					t.Error("saved")
+				}
+			})
+		})
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"math"
 	"strconv"
 
+	"drbw/internal/core"
 	"drbw/internal/engine"
 	"drbw/internal/obs"
 	"drbw/internal/profiledata"
@@ -131,7 +132,7 @@ func (t *Tool) fingerprints() (analysis, sim string, err error) {
 			"machine":          t.machine.Name(),
 			"tree":             hex.EncodeToString(treeHash[:]),
 			"min_samples":      strconv.Itoa(t.detector.MinSamples),
-			"timeline_buckets": strconv.Itoa(timelineBuckets),
+			"timeline_buckets": strconv.Itoa(core.TimelineBuckets),
 		}
 		t.fp.analysis = obs.HashConfig(cfg)
 		ecfg := t.cfg.engineConfig()

@@ -38,8 +38,6 @@ import (
 
 	"drbw/internal/alloc"
 	"drbw/internal/core"
-	"drbw/internal/diagnose"
-	"drbw/internal/features"
 	"drbw/internal/obs"
 	"drbw/internal/pebs"
 	"drbw/internal/profiledata"
@@ -118,18 +116,16 @@ func (j *traceJob) each(bufs *profiledata.Buffers, tr timeRange, fn func([]pebs.
 }
 
 // traceScratch is one worker's reusable analysis state: decode buffers
-// plus the fused pass's accumulators. A batch worker keeps one across
-// recordings, so a batch's decode buffers scale with its worker count, not
-// its recording count.
+// plus the fused pass's sweep. A batch worker keeps one across recordings,
+// so a batch's decode buffers scale with its worker count, not its
+// recording count.
 type traceScratch struct {
-	bufs profiledata.Buffers
-	acc  *features.Accumulator
-	tl   *diagnose.TimelineAccumulator
-	dcf  *diagnose.DenseCF // nil when the objects table is invalid
+	bufs  profiledata.Buffers
+	sweep *core.Sweep
 }
 
 func (t *Tool) newScratch() *traceScratch {
-	return &traceScratch{acc: features.NewAccumulator(t.machine)}
+	return &traceScratch{sweep: core.NewSweep(t.machine)}
 }
 
 // scratchSet hands each job its worker's scratch. Inline, it holds the
@@ -378,9 +374,10 @@ func csvCuts(r io.ReaderAt, start, size int64, n int) ([]int64, error) {
 	return cuts, nil
 }
 
-// fusedPass streams every job of p once, each worker accumulating
-// features, timeline and dense CF together, then merges the workers in
-// worker order. Counts are integers and sums are exact, so the report is
+// fusedPass streams every job of p once, each worker accumulating into
+// its own core.Sweep — features, timeline and dense CF together, the same
+// accumulation live detection takes — then merges the workers in worker
+// order. Counts are integers and sums are exact, so the report is
 // bit-identical at any worker count and in any split of the kept samples
 // into jobs. The pass runs inline on sc when it is non-nil, on the pool
 // otherwise. A bad objects table only matters once classification flags
@@ -390,14 +387,8 @@ func (t *Tool) fusedPass(p *tracePlan, objects []alloc.Object, sc *traceScratch,
 		testHookPlanned(p.footer != nil)
 	}
 	table, tableErr := profiledata.NewTable(objects)
-	nodes := t.machine.Nodes()
 	ready := func(st *traceScratch) *traceScratch {
-		st.acc.Reset()
-		st.tl = diagnose.NewTimelineAccumulator(timelineBuckets, p.weight)
-		st.dcf = nil
-		if tableErr == nil {
-			st.dcf = diagnose.NewDenseCF(table, nodes, p.weight)
-		}
+		st.sweep.Reset(table, p.weight)
 		return st
 	}
 	ss := &scratchSet{fresh: func() *traceScratch { return ready(t.newScratch()) }}
@@ -405,35 +396,16 @@ func (t *Tool) fusedPass(p *tracePlan, objects []alloc.Object, sc *traceScratch,
 		ss.inline, ss.states = true, []*traceScratch{ready(sc)}
 	}
 
-	check := func(block []pebs.Sample) error {
-		for j := range block {
-			if s := &block[j]; s.SrcNode < 0 || int(s.SrcNode) >= nodes ||
-				s.HomeNode < 0 || int(s.HomeNode) >= nodes {
-				return fmt.Errorf("drbw: sample references node outside the %d-node machine", nodes)
-			}
-		}
-		return nil
-	}
 	weights := make([]float64, len(p.jobs))
 	raws := make([]int64, len(p.jobs))
 	failed, err := ss.forEachJob(p, parent, func(i int, st *traceScratch) error {
 		var err error
-		weights[i], raws[i], err = p.jobs[i].each(&st.bufs, p.tr, func(block []pebs.Sample) error {
-			if err := check(block); err != nil {
-				return err
-			}
-			st.acc.Add(block)
-			st.tl.Add(block)
-			if st.dcf != nil {
-				st.dcf.Add(block)
-			}
-			return nil
-		})
+		weights[i], raws[i], err = p.jobs[i].each(&st.bufs, p.tr, st.sweep.Add)
 		return err
 	})
 	if err != nil {
 		if r := p.jobs[failed].csv; r != nil {
-			err = r.wholeFileError(err, p.tr, check)
+			err = r.wholeFileError(err, p.tr, ss.get(0).sweep.Check)
 		}
 		return nil, err
 	}
@@ -445,32 +417,20 @@ func (t *Tool) fusedPass(p *tracePlan, objects []alloc.Object, sc *traceScratch,
 		raw += raws[i]
 	}
 
-	var acc *features.Accumulator
-	var tl *diagnose.TimelineAccumulator
-	var dcf *diagnose.DenseCF
+	var sw *core.Sweep
 	for _, st := range ss.states {
 		if st == nil {
 			continue
 		}
-		if acc == nil {
-			acc, tl, dcf = st.acc, st.tl, st.dcf
-			continue
-		}
-		if err := acc.Merge(st.acc); err != nil {
+		if sw == nil {
+			sw = st.sweep
+		} else if err := sw.Merge(st.sweep); err != nil {
 			return nil, err
-		}
-		if err := tl.Merge(st.tl); err != nil {
-			return nil, err
-		}
-		if dcf != nil {
-			if err := dcf.Merge(st.dcf); err != nil {
-				return nil, err
-			}
 		}
 	}
 	seen := emptyBounds()
-	if tl != nil {
-		seen.n, seen.nan, seen.minT, seen.maxT = tl.Range()
+	if sw != nil {
+		seen.n, seen.nan, seen.minT, seen.maxT = sw.Range()
 	}
 	if p.footer != nil && seen != *p.footer {
 		return nil, fmt.Errorf("drbw: index disagrees with recording (the index claims %d samples in [%v, %v]; decoded %d in [%v, %v], %d with a NaN time)",
@@ -480,15 +440,11 @@ func (t *Tool) fusedPass(p *tracePlan, objects []alloc.Object, sc *traceScratch,
 		return nil, errNoSamples(p.tr, raw)
 	}
 
-	contended := t.detector.Classify(acc, p.weight)
-	var diag *diagnose.Report
-	if len(contended) > 0 {
-		if tableErr != nil {
-			return nil, tableErr
-		}
-		diag = dcf.Restrict(contended).Report()
+	contended, diag, timeline := sw.Finish(t.detector)
+	if len(contended) > 0 && tableErr != nil {
+		return nil, tableErr
 	}
-	return newReport(contended, diag, tl.Buckets(), seen.n), nil
+	return newReport(contended, diag, timeline, seen.n), nil
 }
 
 // blockJob streams blocks [from, to) of an indexed recording.
