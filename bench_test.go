@@ -10,6 +10,7 @@ package drbw_test
 // the reproduced results.
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -410,6 +411,48 @@ func BenchmarkEngineContendedRun(b *testing.B) {
 	b.Run("workers=1", func(b *testing.B) { run(b, 1) })
 	b.Run("workers=2", func(b *testing.B) { run(b, 2) })
 	b.Run("workers=max", func(b *testing.B) { run(b, 0) })
+}
+
+// BenchmarkProfile times one profiled run of Streamcluster T32-N4, the
+// simulation behind live detection and recording, and reports its sample
+// count and allocated bytes per kept sample. The engine reserves the
+// collector's buffer once and the collector hands it over without a copy,
+// so B/sample is the buffer's own 72 B plus the simulation's fixed cost;
+// scripts/bench.sh gates it via MAX_PROFILE_BYTES_PER_SAMPLE, which trips
+// if per-append regrowth or a defensive copy comes back. The ratio does
+// not depend on the core count.
+func BenchmarkProfile(b *testing.B) {
+	m := topology.XeonE5_4650()
+	sc, ok := workloads.ByName("Streamcluster")
+	if !ok {
+		b.Fatal("Streamcluster missing")
+	}
+	cfg := program.Config{Threads: 32, Nodes: 4, Input: "native", Seed: 1}
+	ecfg := core.DefaultEngineConfig(1)
+	// One untimed run fills the simulator's scratch pools, so B/sample is
+	// the steady-state cost even at -benchtime 1x.
+	if _, _, _, err := core.Profile(sc.Builder, m, cfg, ecfg, core.DefaultCollectorConfig()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	samples := 0
+	for i := 0; i < b.N; i++ {
+		_, s, _, err := core.Profile(sc.Builder, m, cfg, ecfg, core.DefaultCollectorConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		samples += len(s)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	if samples == 0 {
+		b.Fatal("profile kept no samples")
+	}
+	b.ReportMetric(float64(samples)/float64(b.N), "samples/op")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(samples), "B/sample")
 }
 
 // BenchmarkOptimizerSearch times the closed-loop placement search on a

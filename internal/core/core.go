@@ -342,7 +342,8 @@ type Detection struct {
 	CaseResult
 	// Program is the simulated program the samples came from.
 	Program *program.Program
-	// Samples are the collector's retained samples, scaled by Weight.
+	// Samples are the collector's retained samples in emission order,
+	// scaled by Weight.
 	Samples []pebs.Sample
 	// Weight scales kept samples to true counts (1 unless the collector hit
 	// its memory bound).
@@ -400,10 +401,11 @@ func (d *Detector) detect(b program.Builder, m *topology.Machine, cfg program.Co
 
 // Profile runs one case under a PEBS collector configured by ccfg, its
 // Flavor taken from ecfg.SamplerFlavor, and returns the program, the
-// collector's retained samples and their weight. The collector and run
-// seeds derive from the case seed, so every profiling run of a case — live
-// detection, a recording, the placement search's own profile — sees the
-// same samples.
+// collector's retained samples in emission order and their weight. The
+// engine reserves the sample buffer once, so the run allocates it once; the
+// caller owns the slice. The collector and run seeds derive from the case
+// seed, so every profiling run of a case — live detection, a recording, the
+// placement search's own profile — sees the same samples.
 func Profile(b program.Builder, m *topology.Machine, cfg program.Config, ecfg engine.Config, ccfg pebs.Config) (*program.Program, []pebs.Sample, float64, error) {
 	p, err := b.New(m, cfg)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"drbw/internal/memsim"
+	"drbw/internal/pebs"
 	"drbw/internal/topology"
 	"drbw/internal/trace"
 )
@@ -100,5 +101,41 @@ func TestCycleBudgetSkipsLaterPhases(t *testing.T) {
 	}
 	if len(cut.Phases) >= 2 && !cut.Phases[1].Aborted {
 		t.Errorf("second phase completed under a budget inside it: %+v", cut.Phases)
+	}
+}
+
+// TestHostileOpsReserveCapped pins that the collector reservation, sized
+// from untrusted workload specs, stays under the collector's ceiling: one
+// thread claims 1e15 accesses under an unbounded collector, and a one-cycle
+// budget stops the run after its first epoch.
+func TestHostileOpsReserveCapped(t *testing.T) {
+	m := topology.XeonE5_4650()
+	as, ph, _, _ := scanWorkload(t, m, 16, memsim.BindTo(0), 2e6)
+	ph.Threads[0].Ops = 1e15
+	bind, err := EvenBinding(m, 16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := pebs.NewCollector(pebs.Config{}, 1)
+	cfg := testConfig(8)
+	cfg.Collector = col
+	cfg.CycleBudget = 1
+	e, err := New(m, as, smallCaches(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run([]trace.Phase{ph}, bind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Aborted {
+		t.Fatal("one-cycle budget did not abort the run")
+	}
+	if bound := sampleBound([]trace.Phase{ph}, col.Period()); bound < 1e11 {
+		t.Fatalf("bound %d does not reflect the hostile Ops", bound)
+	}
+	// 1<<18 is pebs' reservation ceiling for a collector without MaxKept.
+	if c := col.Cap(); c > 1<<18 {
+		t.Errorf("hostile spec reserved %d samples, past the 1<<18 ceiling", c)
 	}
 }

@@ -402,6 +402,9 @@ func (e *Engine) Run(phases []trace.Phase, bind Binding) (*Result, error) {
 	sp := obs.BeginSpan("engine.run")
 	sp.SetInt("phases", int64(len(phases)))
 	rng := rand.New(rand.NewSource(int64(e.cfg.Seed) ^ 0x51ed2701))
+	if c := e.cfg.Collector; c != nil {
+		c.Reserve(sampleBound(phases, c.Period()))
+	}
 	for pi, ph := range phases {
 		if len(ph.Threads) != len(bind) {
 			sp.End()
@@ -435,6 +438,26 @@ func (e *Engine) Run(phases []trace.Phase, bind Binding) (*Result, error) {
 	sp.End()
 	st.merge()
 	return res, nil
+}
+
+// sampleBound is an upper bound on the samples a run of phases emits, the
+// threshold-dropped ones included: integrate emits one sample per period of
+// a thread's completed accesses, so a thread contributes at most
+// floor(Ops/period), plus one for the rounding of its float accumulation.
+// The sum saturates at math.MaxInt; the collector caps the reservation.
+func sampleBound(phases []trace.Phase, period int) int {
+	bound := 0.0
+	for _, ph := range phases {
+		for _, t := range ph.Threads {
+			if t.Ops > 0 {
+				bound += math.Floor(t.Ops/float64(period)) + 1
+			}
+		}
+	}
+	if bound >= math.MaxInt {
+		return math.MaxInt
+	}
+	return int(bound)
 }
 
 func (e *Engine) runPhase(ph trace.Phase, bind Binding, start float64, rng *rand.Rand, phaseIdx uint64, st *runStats) (*PhaseResult, error) {

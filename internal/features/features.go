@@ -142,8 +142,8 @@ func Extract(samples []pebs.Sample, ch topology.Channel, weight float64) Vector 
 // either per-source-socket (shared by all channels of that socket) or per
 // directed channel, so one walk accumulates both and the vectors assemble at
 // the end — O(samples + channels) instead of Extract's O(channels × samples).
-// The output is bit-identical to calling Extract per channel: each
-// accumulator adds the same floats in the same (global sample) order.
+// The output is bit-identical to calling Extract per channel: both sum
+// latencies through xsum, which depends on the sample multiset alone.
 func ChannelVectors(m *topology.Machine, samples []pebs.Sample, weight float64, minSamples int) map[topology.Channel]Vector {
 	acc := NewAccumulator(m)
 	acc.Add(samples)
@@ -339,7 +339,8 @@ func (a *Accumulator) Vectors(weight float64, minSamples int) map[topology.Chann
 
 // Candidates computes the full candidate statistics list of Section V-B for
 // one sample batch (typically the batch of one source socket). Keys are
-// stable; SelectRelevant consumes them.
+// stable; SelectRelevant consumes them. Latency sums run through xsum, so
+// the statistics depend on the sample multiset, not on its order.
 func Candidates(samples []pebs.Sample, weight float64) map[string]float64 {
 	if weight <= 0 {
 		weight = 1
@@ -348,28 +349,33 @@ func Candidates(samples []pebs.Sample, weight float64) map[string]float64 {
 	if len(samples) == 0 {
 		return out
 	}
-	var latSum float64
+	var latSum, remoteLat, localLat xsum.Sum
 	levelCount := map[cache.Level]float64{}
-	levelLat := map[cache.Level]float64{}
-	var remote, remoteLat, local, localLat float64
+	levelLat := map[cache.Level]*xsum.Sum{}
+	var remote, local float64
 	cpus := map[topology.CPUID]float64{}
 	threads := map[int]float64{}
 	nodes := map[topology.NodeID]float64{}
 	var above [5]float64
 	for _, s := range samples {
-		latSum += s.Latency
+		latSum.Add(s.Latency)
 		levelCount[s.Level]++
-		levelLat[s.Level] += s.Latency
+		ls := levelLat[s.Level]
+		if ls == nil {
+			ls = new(xsum.Sum)
+			levelLat[s.Level] = ls
+		}
+		ls.Add(s.Latency)
 		cpus[s.CPU]++
 		threads[s.Thread]++
 		nodes[s.SrcNode]++
 		if s.RemoteDRAM() {
 			remote++
-			remoteLat += s.Latency
+			remoteLat.Add(s.Latency)
 		}
 		if s.LocalDRAM() {
 			local++
-			localLat += s.Latency
+			localLat.Add(s.Latency)
 		}
 		for i, th := range latencyThresholds {
 			if s.Latency > th {
@@ -383,19 +389,19 @@ func Candidates(samples []pebs.Sample, weight float64) map[string]float64 {
 	for i, th := range latencyThresholds {
 		out[fmt.Sprintf("ratio_latency_above_%d", int(th))] = above[i] / n
 	}
-	out["avg_latency"] = latSum / n
+	out["avg_latency"] = latSum.Value() / n
 	for lvl, c := range levelCount {
 		if c > 0 {
-			out["avg_latency_"+lvl.String()] = levelLat[lvl] / c
+			out["avg_latency_"+lvl.String()] = levelLat[lvl].Value() / c
 		}
 	}
 	if remote > 0 {
-		out["avg_latency_remote_dram"] = remoteLat / remote
+		out["avg_latency_remote_dram"] = remoteLat.Value() / remote
 	} else {
 		out["avg_latency_remote_dram"] = 0
 	}
 	if local > 0 {
-		out["avg_latency_local_dram"] = localLat / local
+		out["avg_latency_local_dram"] = localLat.Value() / local
 	} else {
 		out["avg_latency_local_dram"] = 0
 	}

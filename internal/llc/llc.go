@@ -40,6 +40,7 @@ import (
 	"drbw/internal/program"
 	"drbw/internal/topology"
 	"drbw/internal/trace"
+	"drbw/internal/xsum"
 )
 
 const (
@@ -194,20 +195,22 @@ var FeatureNames = [NumFeatures]string{
 // Vector is one per-socket feature vector.
 type Vector [NumFeatures]float64
 
-// Extract computes the vector for socket node from a run's samples.
+// Extract computes the vector for socket node from a run's samples. Latency
+// sums run through xsum, so the vector depends on the sample multiset, not
+// on the order the profiler emitted it in.
 func Extract(samples []pebs.Sample, node topology.NodeID, weight float64) Vector {
 	if weight <= 0 {
 		weight = 1
 	}
 	var v Vector
 	var batch, l3hit, l3miss, localDRAM float64
-	var latSum, localLat float64
+	var latSum, localLat xsum.Sum
 	for _, s := range samples {
 		if s.SrcNode != node {
 			continue
 		}
 		batch++
-		latSum += s.Latency
+		latSum.Add(s.Latency)
 		switch {
 		case s.Level == cache.L3:
 			l3hit++
@@ -216,7 +219,7 @@ func Extract(samples []pebs.Sample, node topology.NodeID, weight float64) Vector
 		}
 		if s.LocalDRAM() {
 			localDRAM++
-			localLat += s.Latency
+			localLat.Add(s.Latency)
 		}
 	}
 	if batch == 0 {
@@ -229,9 +232,9 @@ func Extract(samples []pebs.Sample, node topology.NodeID, weight float64) Vector
 	}
 	v[3] = localDRAM * weight
 	if localDRAM > 0 {
-		v[4] = localLat / localDRAM
+		v[4] = localLat.Value() / localDRAM
 	}
-	v[5] = latSum / batch
+	v[5] = latSum.Value() / batch
 	v[6] = batch * weight
 	return v
 }

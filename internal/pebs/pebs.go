@@ -21,7 +21,6 @@ package pebs
 
 import (
 	"math/rand"
-	"sort"
 
 	"drbw/internal/cache"
 	"drbw/internal/memsim"
@@ -114,6 +113,12 @@ type Config struct {
 	OverheadCycles float64
 }
 
+// reserveCeiling caps a reservation when MaxKept does not bound the
+// buffer: 2^18 samples, about 18 MiB. Reservations are sized from workload
+// specs, which are untrusted, so a hostile Ops count must not turn into an
+// allocation; samples past the ceiling still land, by append.
+const reserveCeiling = 1 << 18
+
 // Collector accumulates samples during a run.
 type Collector struct {
 	cfg     Config
@@ -170,12 +175,40 @@ func (c *Collector) Add(s Sample) {
 	}
 }
 
-// Samples returns the kept samples ordered by time.
+// Reserve makes room for n more samples, so that Add does not regrow the
+// buffer while they arrive. The buffer never grows past the kept bound:
+// MaxKept when set, reserveCeiling otherwise.
+func (c *Collector) Reserve(n int) {
+	limit := c.cfg.MaxKept
+	if limit <= 0 {
+		limit = reserveCeiling
+	}
+	have := len(c.samples)
+	if n <= 0 || have >= limit {
+		return
+	}
+	want := limit
+	if n < limit-have {
+		want = have + n
+	}
+	if want <= cap(c.samples) {
+		return
+	}
+	buf := make([]Sample, have, want)
+	copy(buf, c.samples)
+	c.samples = buf
+}
+
+// Cap returns how many samples the buffer holds before Add must regrow it.
+func (c *Collector) Cap() int { return cap(c.samples) }
+
+// Samples returns the kept samples in emission order; a reservoir
+// replacement takes the slot of the sample it evicts. The slice shares the
+// collector's storage and stays valid until the next Add or Reset. Every
+// consumer of a profiled run is order-independent; the one that needs time
+// order, a recording, sorts the slice itself.
 func (c *Collector) Samples() []Sample {
-	out := make([]Sample, len(c.samples))
-	copy(out, c.samples)
-	sort.Slice(out, func(i, j int) bool { return out[i].Time < out[j].Time })
-	return out
+	return c.samples[:len(c.samples):len(c.samples)]
 }
 
 // Total returns how many samples passed the threshold, including any that

@@ -1,6 +1,7 @@
 package pebs
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -63,18 +64,53 @@ func TestWeightWithoutEviction(t *testing.T) {
 	}
 }
 
-func TestSamplesSortedByTime(t *testing.T) {
+func TestSamplesInEmissionOrder(t *testing.T) {
 	c := NewCollector(Config{}, 1)
-	for _, tm := range []float64{30, 10, 20} {
+	times := []float64{30, 10, 20}
+	for _, tm := range times {
 		s := sample(100, cache.MEM, 0, 0)
 		s.Time = tm
 		c.Add(s)
 	}
 	got := c.Samples()
-	for i := 1; i < len(got); i++ {
-		if got[i].Time < got[i-1].Time {
-			t.Fatalf("samples out of order: %v", got)
+	if len(got) != len(times) {
+		t.Fatalf("kept %d samples, want %d", len(got), len(times))
+	}
+	for i, s := range got {
+		if s.Time != times[i] {
+			t.Fatalf("sample %d at time %g, want %g: Samples must keep emission order", i, s.Time, times[i])
 		}
+	}
+}
+
+func TestAddDoesNotAllocateAfterReserve(t *testing.T) {
+	for _, maxKept := range []int{0, 50} {
+		c := NewCollector(Config{MaxKept: maxKept}, 1)
+		c.Reserve(200)
+		s := sample(100, cache.MEM, 0, 1)
+		if allocs := testing.AllocsPerRun(150, func() { c.Add(s) }); allocs != 0 {
+			t.Errorf("MaxKept %d: Add allocates %g times per call after Reserve", maxKept, allocs)
+		}
+	}
+}
+
+func TestReserveCapped(t *testing.T) {
+	c := NewCollector(Config{}, 1)
+	c.Reserve(math.MaxInt)
+	if c.Cap() != reserveCeiling {
+		t.Errorf("unbounded collector reserved %d samples, want the %d ceiling", c.Cap(), reserveCeiling)
+	}
+	k := NewCollector(Config{MaxKept: 100}, 1)
+	k.Reserve(math.MaxInt)
+	if k.Cap() != 100 {
+		t.Errorf("MaxKept 100 collector reserved %d samples", k.Cap())
+	}
+	// A reservation adds to the samples already kept and keeps them.
+	r := NewCollector(Config{}, 1)
+	r.Add(sample(100, cache.MEM, 0, 1))
+	r.Reserve(10)
+	if r.Cap() != 11 || len(r.Samples()) != 1 || r.Samples()[0].Latency != 100 {
+		t.Errorf("reserve after one sample: cap %d, samples %v", r.Cap(), r.Samples())
 	}
 }
 

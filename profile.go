@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sort"
 
 	"drbw/internal/alloc"
 	"drbw/internal/cache"
@@ -120,13 +121,18 @@ func (t *Tool) Record(bench string, c Case) (*TraceData, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Profiling hands samples over in emission order; a recording is the
+	// one consumer that needs time order (index block time ranges and
+	// window queries rely on it), so it sorts here, once.
+	sort.Slice(samples, func(i, j int) bool { return samples[i].Time < samples[j].Time })
 	td := &TraceData{
-		Bench:  bench,
-		Config: c.config().String(),
-		Weight: weight,
+		Bench:   bench,
+		Config:  c.config().String(),
+		Weight:  weight,
+		Samples: make([]SampleRecord, len(samples)),
 	}
-	for _, s := range samples {
-		td.Samples = append(td.Samples, toRecord(s))
+	for i, s := range samples {
+		td.Samples[i] = toRecord(s)
 	}
 	for _, o := range p.Heap.Live() {
 		td.Objects = append(td.Objects, ObjectRecord{

@@ -88,6 +88,45 @@ func TestLiveMatchesRecording(t *testing.T) {
 	}
 }
 
+// TestRecordSortedByTime pins that a recording is in time order: profiling
+// hands samples over in emission order, and Record is the one consumer
+// that sorts them (index block time ranges and window queries rely on it).
+func TestRecordSortedByTime(t *testing.T) {
+	tl := sharedTool(t)
+	verdicts := map[bool]int{}
+	for _, tc := range []struct {
+		bench string
+		c     drbw.Case
+	}{
+		{"Streamcluster", drbw.Case{Input: "native", Threads: 32, Nodes: 4, Seed: 71}},
+		{"Ferret", drbw.Case{Input: "native", Threads: 32, Nodes: 4, Seed: 72}},
+		{"AMG2006", drbw.Case{Threads: 16, Nodes: 2, Seed: 73}},
+		{"Swaptions", drbw.Case{Threads: 16, Nodes: 2, Seed: 74}},
+	} {
+		live, err := tl.Analyze(tc.bench, tc.c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verdicts[live.Detected]++
+		td, err := tl.Record(tc.bench, tc.c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(td.Samples) == 0 {
+			t.Fatalf("%s %+v: empty recording", tc.bench, tc.c)
+		}
+		for i := 1; i < len(td.Samples); i++ {
+			if td.Samples[i].Time < td.Samples[i-1].Time {
+				t.Fatalf("%s %+v: sample %d at time %g precedes sample %d at %g",
+					tc.bench, tc.c, i, td.Samples[i].Time, i-1, td.Samples[i-1].Time)
+			}
+		}
+	}
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Errorf("cases cover only one verdict: %v", verdicts)
+	}
+}
+
 // TestOneClassificationPerVerdict checks that a live analysis and an
 // offline one each classify once: one detect.cases tick, and one
 // prediction per channel that clears MinSamples.

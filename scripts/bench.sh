@@ -33,6 +33,12 @@
 #                     than this many times faster than the serial exhaustive
 #                     search; skipped with a warning on hosts with fewer
 #                     than 4 cores, where the parallel waves degenerate
+#   MAX_PROFILE_BYTES_PER_SAMPLE when set, fail if BenchmarkProfile (one
+#                     profiled Streamcluster T32-N4 run) allocates more
+#                     than this many bytes per kept sample: the collector
+#                     buffer is reserved once and handed over without a
+#                     copy, so per-append regrowth or a defensive copy
+#                     coming back trips it; core-count independent
 #   LEDGER_OUT        when set, also run a quick drbw-bench pass with
 #                     -ledger here, stamping the bench host with a
 #                     machine-readable drbw.ledger/1 audit record (config
@@ -42,8 +48,9 @@
 # The benchmarks tracked here cover the simulation hot path end to end plus
 # the offline trace pipeline: a full contended engine run, the batch
 # evaluation sweep built on it, the raw cache-hierarchy access loop, trace
-# generation, the CSV-vs-binary trace decode pair, and the slice-vs-stream
-# analysis of a 1M-sample recording. The committed BENCH_engine.json records the trajectory;
+# generation, the CSV-vs-binary trace decode pair, the slice-vs-stream
+# analysis of a 1M-sample recording, and one profiled run's allocation per
+# kept sample. The committed BENCH_engine.json records the trajectory;
 # the "baseline" block holds the pre-fast-path numbers the 2x acceptance
 # bar is measured against. Every speedup block carries the host's core
 # count and a "gated" flag saying whether its gate enforces on that host
@@ -53,7 +60,7 @@ cd "$(dirname "$0")/.."
 
 out=${1:-BENCH_engine.json}
 benchtime=${BENCHTIME:-2s}
-pattern='^(BenchmarkEngineContendedRun|BenchmarkBatchEvaluation|BenchmarkCacheHierarchyAccess|BenchmarkStreamGeneration|BenchmarkTraceDecode|BenchmarkAnalyzeTrace|BenchmarkAnalyzeCached|BenchmarkShardAnalyze|BenchmarkOptimizerSearch)$'
+pattern='^(BenchmarkEngineContendedRun|BenchmarkBatchEvaluation|BenchmarkCacheHierarchyAccess|BenchmarkStreamGeneration|BenchmarkTraceDecode|BenchmarkAnalyzeTrace|BenchmarkAnalyzeCached|BenchmarkShardAnalyze|BenchmarkOptimizerSearch|BenchmarkProfile)$'
 
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
@@ -192,6 +199,21 @@ if [ -n "${MAX_ENGINE_ALLOCS:-}" ]; then
         exit 1
     fi
     echo "allocation gate: $allocs allocs/op <= $MAX_ENGINE_ALLOCS (worst worker variant)"
+fi
+
+if [ -n "${MAX_PROFILE_BYTES_PER_SAMPLE:-}" ]; then
+    bps=$(awk '/^BenchmarkProfile/ {
+        for (i = 2; i <= NF; i++) if ($i == "B/sample") print $(i-1)
+    }' "$raw" | sort -n | tail -1)
+    if [ -z "$bps" ]; then
+        echo "profile gate: BenchmarkProfile B/sample not found in output" >&2
+        exit 1
+    fi
+    if awk -v b="$bps" -v max="$MAX_PROFILE_BYTES_PER_SAMPLE" 'BEGIN { exit !(b > max) }'; then
+        echo "profile gate: a profiled run allocates ${bps} B/sample (limit $MAX_PROFILE_BYTES_PER_SAMPLE)" >&2
+        exit 1
+    fi
+    echo "profile gate: ${bps} B/sample <= $MAX_PROFILE_BYTES_PER_SAMPLE"
 fi
 
 if [ -n "${MIN_BATCH_SPEEDUP:-}" ]; then
