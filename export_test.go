@@ -11,7 +11,6 @@ import (
 	"drbw/internal/pebs"
 	"drbw/internal/profiledata"
 	"drbw/internal/topology"
-	"drbw/internal/xsum"
 )
 
 // SetCollectorMaxKept shrinks the detector's per-run sample cap so tests
@@ -71,10 +70,13 @@ func (t *Tool) AnalyzeTraceRef(td *TraceData) (*Report, error) {
 		weight = 1
 	}
 	var samples []pebs.Sample
-	for _, r := range td.Samples {
+	for i, r := range td.Samples {
 		s, err := fromRecord(r)
 		if err != nil {
 			return nil, err
+		}
+		if err := pebs.Check(&s); err != nil {
+			return nil, fmt.Errorf("drbw: sample %d: %w", i, err)
 		}
 		if s.SrcNode < 0 || int(s.SrcNode) >= t.machine.Nodes() ||
 			s.HomeNode < 0 || int(s.HomeNode) >= t.machine.Nodes() {
@@ -109,9 +111,9 @@ func (t *Tool) AnalyzeTraceRef(td *TraceData) (*Report, error) {
 
 // refTimeline is the report timeline computed naively: one loop finds the
 // time range, one loop buckets the remote-DRAM samples into n equal slices
-// of it. A zero-width range is widened to one cycle; a NaN time, outside
-// every range, clamps into it. Latency mass is an xsum.Sum, the exact sum
-// the reports are defined by.
+// of it. A zero-width range is widened to one cycle. Latency mass is the
+// integer sum of whole-cycle latencies, the exact sum the reports are
+// defined by.
 func refTimeline(samples []pebs.Sample, n int, weight float64) []diagnose.Bucket {
 	minT, maxT := math.Inf(1), math.Inf(-1)
 	for _, s := range samples {
@@ -127,14 +129,14 @@ func refTimeline(samples []pebs.Sample, n int, weight float64) []diagnose.Bucket
 	}
 	span := maxT - minT
 	counts := make([]int, n)
-	mass := make([]xsum.Sum, n)
+	mass := make([]uint64, n)
 	for _, s := range samples {
 		if !s.RemoteDRAM() {
 			continue
 		}
 		i := min(max(int(float64(n)*(s.Time-minT)/span), 0), n-1)
 		counts[i]++
-		mass[i].Add(s.Latency)
+		mass[i] += uint64(s.Latency)
 	}
 	out := make([]diagnose.Bucket, n)
 	for i := range out {
@@ -142,7 +144,7 @@ func refTimeline(samples []pebs.Sample, n int, weight float64) []diagnose.Bucket
 		out[i].End = minT + span*float64(i+1)/float64(n)
 		out[i].RemoteSamples = float64(counts[i]) * weight
 		if counts[i] > 0 {
-			out[i].AvgRemoteLatency = mass[i].Value() / float64(counts[i])
+			out[i].AvgRemoteLatency = float64(mass[i]) / float64(counts[i])
 		}
 	}
 	return out

@@ -19,7 +19,7 @@ const TimelineBuckets = 32
 // every remote channel, so one pass over the samples gives a verdict, its
 // diagnosis and its timeline. Live detection sweeps a profiled run's
 // samples; offline analysis runs one sweep per worker and merges them.
-// Every part is integer counts and exact sums, so the result depends on
+// Every part is integer counts and sums, so the result depends on
 // the sample multiset alone, never on blocks, order or merge shape.
 type Sweep struct {
 	nodes    int
@@ -91,9 +91,9 @@ func (s *Sweep) Merge(o *Sweep) error {
 	return nil
 }
 
-// Range reports the samples accumulated: their count, how many had a NaN
-// time, and the others' time range (+Inf, -Inf when there are none).
-func (s *Sweep) Range() (n, nan int64, minT, maxT float64) { return s.timeline.Range() }
+// Range reports the samples accumulated: their count and time range
+// (+Inf, -Inf when there are none).
+func (s *Sweep) Range() (n int64, minT, maxT float64) { return s.timeline.Range() }
 
 // Finish classifies the channels with d, once, and returns the contended
 // ones, their diagnosis — the dense CF counts restricted to them, nil when

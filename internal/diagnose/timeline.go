@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"drbw/internal/pebs"
-	"drbw/internal/xsum"
 )
 
 // Bucket is one time slice of a profiled run.
@@ -39,21 +38,24 @@ func Timeline(samples []pebs.Sample, n int, weight float64) []Bucket {
 //
 // Accumulation is mergeable for shard-parallel analysis: each worker adds
 // into its own accumulator, folded together with Merge. Counts are
-// integers, ranges are min/max and the latency mass is an exact xsum
-// total, so the result is a function of the sample multiset alone — chunk
-// order, shard boundaries and merge shape never show in the output, and
-// any streamed or sharded schedule is bit-identical to Timeline over the
-// whole slice.
+// integers, ranges are min/max and the latency mass is an integer sum of
+// whole cycles, so the result is a function of the sample multiset alone —
+// chunk order, shard boundaries and merge shape never show in the output,
+// and any streamed or sharded schedule is bit-identical to Timeline over
+// the whole slice.
 type TimelineAccumulator struct {
 	n          int
 	weight     float64
 	minT, maxT float64
-	count, nan int64
+	count      int64
 	remote     []remoteSample
 }
 
 // remoteSample is what bucketing needs of one remote-DRAM sample.
-type remoteSample struct{ time, latency float64 }
+type remoteSample struct {
+	time    float64
+	latency uint64
+}
 
 // NewTimelineAccumulator prepares an n-bucket timeline. weight scales kept
 // samples to true counts; non-positive means 1.
@@ -89,19 +91,15 @@ func (t *TimelineAccumulator) widen(minT, maxT float64) {
 	}
 }
 
-// Add accounts a chunk: it widens the range, counts the samples and those
-// with a NaN time, and keeps the remote-DRAM samples' times and latencies
-// for Buckets.
+// Add accounts a chunk: it widens the range, counts the samples, and keeps
+// the remote-DRAM samples' times and latencies for Buckets.
 func (t *TimelineAccumulator) Add(samples []pebs.Sample) {
 	t.count += int64(len(samples))
 	for i := range samples {
 		s := &samples[i]
 		t.widen(s.Time, s.Time)
-		if s.Time != s.Time {
-			t.nan++
-		}
 		if s.RemoteDRAM() {
-			t.remote = append(t.remote, remoteSample{s.Time, s.Latency})
+			t.remote = append(t.remote, remoteSample{s.Time, uint64(s.Latency)})
 		}
 	}
 }
@@ -115,25 +113,21 @@ func (t *TimelineAccumulator) Merge(o *TimelineAccumulator) error {
 	}
 	t.widen(o.minT, o.maxT)
 	t.count += o.count
-	t.nan += o.nan
 	t.remote = append(t.remote, o.remote...)
 	return nil
 }
 
-// Range reports what Add has seen: the sample count, how many of those
-// had a NaN time, and the range of every time Add and Observe saw (+Inf,
-// -Inf when there was none).
-func (t *TimelineAccumulator) Range() (n, nan int64, minT, maxT float64) {
-	return t.count, t.nan, t.minT, t.maxT
+// Range reports what Add has seen: the sample count and the range of every
+// time Add and Observe saw (+Inf, -Inf when there was none).
+func (t *TimelineAccumulator) Range() (n int64, minT, maxT float64) {
+	return t.count, t.minT, t.maxT
 }
 
 // Buckets finalizes and returns the timeline (nil when no samples were
 // added). The geometry spans the whole range, a zero-width range widened
-// to one cycle; a NaN time, which no range holds, clamps into the bucket
-// range. Weighted counts are
-// count×weight products and the average latency is the exact latency mass
-// over the exact count, so finalization is as order-blind as the
-// accumulation.
+// to one cycle. Weighted counts are count×weight products and the average
+// latency is the exact latency mass over the exact count, so finalization
+// is as order-blind as the accumulation.
 func (t *TimelineAccumulator) Buckets() []Bucket {
 	if t.count == 0 || t.n <= 0 {
 		return nil
@@ -144,7 +138,7 @@ func (t *TimelineAccumulator) Buckets() []Bucket {
 	}
 	start, span := t.minT, maxT-t.minT
 	remote := make([]int64, t.n)
-	lat := make([]xsum.Sum, t.n)
+	lat := make([]uint64, t.n)
 	for _, r := range t.remote {
 		i := int(float64(t.n) * (r.time - start) / span)
 		if i >= t.n {
@@ -154,7 +148,7 @@ func (t *TimelineAccumulator) Buckets() []Bucket {
 			i = 0
 		}
 		remote[i]++
-		lat[i].Add(r.latency)
+		lat[i] += r.latency
 	}
 	out := make([]Bucket, t.n)
 	for i := range out {
@@ -162,7 +156,7 @@ func (t *TimelineAccumulator) Buckets() []Bucket {
 		out[i].End = start + span*float64(i+1)/float64(t.n)
 		out[i].RemoteSamples = float64(remote[i]) * t.weight
 		if remote[i] > 0 {
-			out[i].AvgRemoteLatency = lat[i].Value() / float64(remote[i])
+			out[i].AvgRemoteLatency = float64(lat[i]) / float64(remote[i])
 		}
 	}
 	return out

@@ -17,7 +17,7 @@ func randomSamples(n int, seed int64) []pebs.Sample {
 	for i := range out {
 		out[i] = pebs.Sample{
 			Time:     float64(i * 100),
-			Latency:  float64(rng.Intn(12000)) / 10,
+			Latency:  float64(rng.Intn(1200)),
 			Level:    levels[rng.Intn(len(levels))],
 			Write:    rng.Intn(4) == 0,
 			SrcNode:  topology.NodeID(rng.Intn(4)),

@@ -42,7 +42,7 @@ func TestChannelVectorsMatchesExtract(t *testing.T) {
 				home = topology.InvalidNode // untouched page in profiler view
 			}
 			samples[i] = pebs.Sample{
-				Latency:  10 + 1500*rng.Float64(),
+				Latency:  float64(10 + rng.Intn(1500)),
 				Level:    levels[rng.Intn(len(levels))],
 				SrcNode:  src,
 				HomeNode: home,

@@ -24,7 +24,6 @@ import (
 	"drbw/internal/cache"
 	"drbw/internal/pebs"
 	"drbw/internal/topology"
-	"drbw/internal/xsum"
 )
 
 // Label is the training/detection class of one run or channel.
@@ -78,23 +77,25 @@ var latencyThresholds = [5]float64{1000, 500, 200, 100, 50}
 // sample set of a run. weight scales sample counts back to true totals when
 // the collector used a reservoir (pebs.Collector.Weight).
 //
-// Latency sums run through xsum, like every analysis-path accumulator, so
-// the vector is a function of the sample multiset alone — the same bits as
-// the streaming Accumulator regardless of how either side chunks the trace.
+// Latencies are whole cycles (pebs.Check), so their sums are exact
+// integers and the vector is a function of the sample multiset alone — the
+// same bits as the streaming Accumulator however either side chunks the
+// trace.
 func Extract(samples []pebs.Sample, ch topology.Channel, weight float64) Vector {
 	if weight <= 0 {
 		weight = 1
 	}
 	var v Vector
 	var batch, remote, local, lfb float64
-	var latSum, remoteLat, localLat, lfbLat xsum.Sum
+	var latSum, remoteLat, localLat, lfbLat uint64
 	var above [5]float64
 	for _, s := range samples {
 		if s.SrcNode != ch.Src {
 			continue
 		}
 		batch++
-		latSum.Add(s.Latency)
+		lat := uint64(s.Latency)
+		latSum += lat
 		for i, th := range latencyThresholds {
 			if s.Latency > th {
 				above[i]++
@@ -103,13 +104,13 @@ func Extract(samples []pebs.Sample, ch topology.Channel, weight float64) Vector 
 		switch {
 		case s.Level == cache.MEM && s.HomeNode == ch.Dst && !ch.Local():
 			remote++
-			remoteLat.Add(s.Latency)
+			remoteLat += lat
 		case s.Level == cache.MEM && s.HomeNode == s.SrcNode:
 			local++
-			localLat.Add(s.Latency)
+			localLat += lat
 		case s.Level == cache.LFB:
 			lfb++
-			lfbLat.Add(s.Latency)
+			lfbLat += lat
 		}
 	}
 	if batch == 0 {
@@ -120,17 +121,17 @@ func Extract(samples []pebs.Sample, ch topology.Channel, weight float64) Vector 
 	}
 	v[5] = remote * weight
 	if remote > 0 {
-		v[6] = remoteLat.Value() / remote
+		v[6] = float64(remoteLat) / remote
 	}
 	v[7] = local * weight
 	if local > 0 {
-		v[8] = localLat.Value() / local
+		v[8] = float64(localLat) / local
 	}
 	v[9] = batch * weight
-	v[10] = latSum.Value() / batch
+	v[10] = float64(latSum) / batch
 	v[11] = lfb * weight
 	if lfb > 0 {
-		v[12] = lfbLat.Value() / lfb
+		v[12] = float64(lfbLat) / lfb
 	}
 	return v
 }
@@ -143,7 +144,8 @@ func Extract(samples []pebs.Sample, ch topology.Channel, weight float64) Vector 
 // directed channel, so one walk accumulates both and the vectors assemble at
 // the end — O(samples + channels) instead of Extract's O(channels × samples).
 // The output is bit-identical to calling Extract per channel: both sum
-// latencies through xsum, which depends on the sample multiset alone.
+// whole-cycle latencies in integers, which depend on the sample multiset
+// alone.
 func ChannelVectors(m *topology.Machine, samples []pebs.Sample, weight float64, minSamples int) map[topology.Channel]Vector {
 	acc := NewAccumulator(m)
 	acc.Add(samples)
@@ -152,30 +154,29 @@ func ChannelVectors(m *topology.Machine, samples []pebs.Sample, weight float64, 
 
 // Accumulator builds Table I channel vectors incrementally — the streaming
 // form of ChannelVectors. Feed it sample chunks with Add (a block iterator's
-// output, or one whole slice) and finish with Vectors. Counts are int64
-// (converted to float64 exactly at assembly time) and latency sums are
-// exact xsum accumulators, so the
-// result is bit-identical to a single ChannelVectors call over the same
-// sample multiset — chunking, ordering and Merge trees do not matter —
-// while peak memory stays O(nodes²) regardless of trace length. An
-// Accumulator is not safe for concurrent use; Reset recycles one between
-// traces without reallocating.
+// output, or one whole slice) and finish with Vectors. Counts and the
+// whole-cycle latency sums are integers, converted to float64 at assembly
+// time, so the result is bit-identical to a single ChannelVectors call
+// over the same sample multiset — chunking, ordering and Merge trees do
+// not matter — while peak memory stays O(nodes²) regardless of trace
+// length. An Accumulator is not safe for concurrent use; Reset recycles one
+// between traces without reallocating.
 type Accumulator struct {
 	m  *topology.Machine
 	nn int
 	// Per-source-socket aggregates.
 	batch    []int64
-	latSum   []xsum.Sum
+	latSum   []uint64
 	above    [][5]int64
 	local    []int64
-	localLat []xsum.Sum
+	localLat []uint64
 	lfb      []int64
-	lfbLat   []xsum.Sum
+	lfbLat   []uint64
 	// Per directed channel: remote-DRAM terms and the minSamples gate (the
 	// gate mirrors pebs.Associate, which files MEM/LFB samples under their
 	// src→home channel).
 	remote    []int64
-	remoteLat []xsum.Sum
+	remoteLat []uint64
 	assoc     []int
 }
 
@@ -186,11 +187,11 @@ func NewAccumulator(m *topology.Machine) *Accumulator {
 	return &Accumulator{
 		m: m, nn: nn,
 		batch:  make([]int64, nn),
-		latSum: make([]xsum.Sum, nn),
+		latSum: make([]uint64, nn),
 		above:  make([][5]int64, nn),
-		local:  make([]int64, nn), localLat: make([]xsum.Sum, nn),
-		lfb: make([]int64, nn), lfbLat: make([]xsum.Sum, nn),
-		remote: make([]int64, nch), remoteLat: make([]xsum.Sum, nch),
+		local:  make([]int64, nn), localLat: make([]uint64, nn),
+		lfb: make([]int64, nn), lfbLat: make([]uint64, nn),
+		remote: make([]int64, nch), remoteLat: make([]uint64, nch),
 		assoc: make([]int, nch),
 	}
 }
@@ -198,24 +199,21 @@ func NewAccumulator(m *topology.Machine) *Accumulator {
 // Reset clears the running sums so the accumulator can take the next trace.
 func (a *Accumulator) Reset() {
 	for i := range a.batch {
-		a.batch[i] = 0
-		a.latSum[i].Reset()
+		a.batch[i], a.latSum[i] = 0, 0
 		a.above[i] = [5]int64{}
 		a.local[i], a.lfb[i] = 0, 0
-		a.localLat[i].Reset()
-		a.lfbLat[i].Reset()
+		a.localLat[i], a.lfbLat[i] = 0, 0
 	}
 	for i := range a.remote {
-		a.remote[i], a.assoc[i] = 0, 0
-		a.remoteLat[i].Reset()
+		a.remote[i], a.assoc[i], a.remoteLat[i] = 0, 0, 0
 	}
 }
 
 // Merge folds other's running statistics into a, exactly as if other's
 // samples had been Added to a directly — the accumulator half of the
 // shard-parallel pipeline. Summation order is immaterial by construction:
-// counts are exact integer arithmetic and latency mass merges through
-// xsum's exact limb addition, so any merge tree over any partition of a
+// counts and whole-cycle latency sums are exact integer arithmetic, so any
+// merge tree over any partition of a
 // trace reproduces the serial accumulator bit for bit. other is logically
 // unchanged. Both accumulators must describe the same machine shape.
 func (a *Accumulator) Merge(other *Accumulator) error {
@@ -224,18 +222,18 @@ func (a *Accumulator) Merge(other *Accumulator) error {
 	}
 	for i := range a.batch {
 		a.batch[i] += other.batch[i]
-		a.latSum[i].Merge(&other.latSum[i])
+		a.latSum[i] += other.latSum[i]
 		for j := range a.above[i] {
 			a.above[i][j] += other.above[i][j]
 		}
 		a.local[i] += other.local[i]
-		a.localLat[i].Merge(&other.localLat[i])
+		a.localLat[i] += other.localLat[i]
 		a.lfb[i] += other.lfb[i]
-		a.lfbLat[i].Merge(&other.lfbLat[i])
+		a.lfbLat[i] += other.lfbLat[i]
 	}
 	for i := range a.remote {
 		a.remote[i] += other.remote[i]
-		a.remoteLat[i].Merge(&other.remoteLat[i])
+		a.remoteLat[i] += other.remoteLat[i]
 		a.assoc[i] += other.assoc[i]
 	}
 	return nil
@@ -253,9 +251,9 @@ func (a *Accumulator) Add(samples []pebs.Sample) {
 		if src < 0 || src >= nn {
 			continue // cannot belong to any channel's source batch
 		}
-		lat := s.Latency
+		lat, cycles := s.Latency, uint64(s.Latency)
 		a.batch[src]++
-		a.latSum[src].Add(lat)
+		a.latSum[src] += cycles
 		ab := &a.above[src]
 		for j := len(latencyThresholds) - 1; j >= 0 && lat > latencyThresholds[j]; j-- {
 			ab[j]++
@@ -267,17 +265,17 @@ func (a *Accumulator) Add(samples []pebs.Sample) {
 			if homeValid && home != src {
 				ci := src*nn + home
 				a.remote[ci]++
-				a.remoteLat[ci].Add(lat)
+				a.remoteLat[ci] += cycles
 			} else if s.HomeNode == s.SrcNode {
 				a.local[src]++
-				a.localLat[src].Add(lat)
+				a.localLat[src] += cycles
 			}
 			if homeValid {
 				a.assoc[src*nn+home]++
 			}
 		case cache.LFB:
 			a.lfb[src]++
-			a.lfbLat[src].Add(lat)
+			a.lfbLat[src] += cycles
 			if homeValid {
 				a.assoc[src*nn+home]++
 			}
@@ -320,17 +318,17 @@ func (a *Accumulator) Vectors(weight float64, minSamples int) map[topology.Chann
 		}
 		v[5] = float64(a.remote[ci]) * weight
 		if a.remote[ci] > 0 {
-			v[6] = a.remoteLat[ci].Value() / float64(a.remote[ci])
+			v[6] = float64(a.remoteLat[ci]) / float64(a.remote[ci])
 		}
 		v[7] = float64(a.local[src]) * weight
 		if a.local[src] > 0 {
-			v[8] = a.localLat[src].Value() / float64(a.local[src])
+			v[8] = float64(a.localLat[src]) / float64(a.local[src])
 		}
 		v[9] = batch * weight
-		v[10] = a.latSum[src].Value() / batch
+		v[10] = float64(a.latSum[src]) / batch
 		v[11] = float64(a.lfb[src]) * weight
 		if a.lfb[src] > 0 {
-			v[12] = a.lfbLat[src].Value() / float64(a.lfb[src])
+			v[12] = float64(a.lfbLat[src]) / float64(a.lfb[src])
 		}
 		out[ch] = v
 	}
@@ -339,8 +337,9 @@ func (a *Accumulator) Vectors(weight float64, minSamples int) map[topology.Chann
 
 // Candidates computes the full candidate statistics list of Section V-B for
 // one sample batch (typically the batch of one source socket). Keys are
-// stable; SelectRelevant consumes them. Latency sums run through xsum, so
-// the statistics depend on the sample multiset, not on its order.
+// stable; SelectRelevant consumes them. Whole-cycle latencies sum in
+// integers, so the statistics depend on the sample multiset, not on its
+// order.
 func Candidates(samples []pebs.Sample, weight float64) map[string]float64 {
 	if weight <= 0 {
 		weight = 1
@@ -349,33 +348,29 @@ func Candidates(samples []pebs.Sample, weight float64) map[string]float64 {
 	if len(samples) == 0 {
 		return out
 	}
-	var latSum, remoteLat, localLat xsum.Sum
+	var latSum, remoteLat, localLat uint64
 	levelCount := map[cache.Level]float64{}
-	levelLat := map[cache.Level]*xsum.Sum{}
+	levelLat := map[cache.Level]uint64{}
 	var remote, local float64
 	cpus := map[topology.CPUID]float64{}
 	threads := map[int]float64{}
 	nodes := map[topology.NodeID]float64{}
 	var above [5]float64
 	for _, s := range samples {
-		latSum.Add(s.Latency)
+		lat := uint64(s.Latency)
+		latSum += lat
 		levelCount[s.Level]++
-		ls := levelLat[s.Level]
-		if ls == nil {
-			ls = new(xsum.Sum)
-			levelLat[s.Level] = ls
-		}
-		ls.Add(s.Latency)
+		levelLat[s.Level] += lat
 		cpus[s.CPU]++
 		threads[s.Thread]++
 		nodes[s.SrcNode]++
 		if s.RemoteDRAM() {
 			remote++
-			remoteLat.Add(s.Latency)
+			remoteLat += lat
 		}
 		if s.LocalDRAM() {
 			local++
-			localLat.Add(s.Latency)
+			localLat += lat
 		}
 		for i, th := range latencyThresholds {
 			if s.Latency > th {
@@ -389,19 +384,19 @@ func Candidates(samples []pebs.Sample, weight float64) map[string]float64 {
 	for i, th := range latencyThresholds {
 		out[fmt.Sprintf("ratio_latency_above_%d", int(th))] = above[i] / n
 	}
-	out["avg_latency"] = latSum.Value() / n
+	out["avg_latency"] = float64(latSum) / n
 	for lvl, c := range levelCount {
 		if c > 0 {
-			out["avg_latency_"+lvl.String()] = levelLat[lvl].Value() / c
+			out["avg_latency_"+lvl.String()] = float64(levelLat[lvl]) / c
 		}
 	}
 	if remote > 0 {
-		out["avg_latency_remote_dram"] = remoteLat.Value() / remote
+		out["avg_latency_remote_dram"] = float64(remoteLat) / remote
 	} else {
 		out["avg_latency_remote_dram"] = 0
 	}
 	if local > 0 {
-		out["avg_latency_local_dram"] = localLat.Value() / local
+		out["avg_latency_local_dram"] = float64(localLat) / local
 	} else {
 		out["avg_latency_local_dram"] = 0
 	}

@@ -40,7 +40,6 @@ import (
 	"drbw/internal/program"
 	"drbw/internal/topology"
 	"drbw/internal/trace"
-	"drbw/internal/xsum"
 )
 
 const (
@@ -195,22 +194,22 @@ var FeatureNames = [NumFeatures]string{
 // Vector is one per-socket feature vector.
 type Vector [NumFeatures]float64
 
-// Extract computes the vector for socket node from a run's samples. Latency
-// sums run through xsum, so the vector depends on the sample multiset, not
-// on the order the profiler emitted it in.
+// Extract computes the vector for socket node from a run's samples.
+// Whole-cycle latencies sum in integers, so the vector depends on the
+// sample multiset, not on the order the profiler emitted it in.
 func Extract(samples []pebs.Sample, node topology.NodeID, weight float64) Vector {
 	if weight <= 0 {
 		weight = 1
 	}
 	var v Vector
 	var batch, l3hit, l3miss, localDRAM float64
-	var latSum, localLat xsum.Sum
+	var latSum, localLat uint64
 	for _, s := range samples {
 		if s.SrcNode != node {
 			continue
 		}
 		batch++
-		latSum.Add(s.Latency)
+		latSum += uint64(s.Latency)
 		switch {
 		case s.Level == cache.L3:
 			l3hit++
@@ -219,7 +218,7 @@ func Extract(samples []pebs.Sample, node topology.NodeID, weight float64) Vector
 		}
 		if s.LocalDRAM() {
 			localDRAM++
-			localLat.Add(s.Latency)
+			localLat += uint64(s.Latency)
 		}
 	}
 	if batch == 0 {
@@ -232,9 +231,9 @@ func Extract(samples []pebs.Sample, node topology.NodeID, weight float64) Vector
 	}
 	v[3] = localDRAM * weight
 	if localDRAM > 0 {
-		v[4] = localLat.Value() / localDRAM
+		v[4] = float64(localLat) / localDRAM
 	}
-	v[5] = latSum.Value() / batch
+	v[5] = float64(latSum) / batch
 	v[6] = batch * weight
 	return v
 }

@@ -462,9 +462,6 @@ func (as *AddressSpace) SetPolicy(base uint64, pol Policy) error {
 	return as.Map(base, size, pol, huge)
 }
 
-// Regions returns the number of mapped regions.
-func (as *AddressSpace) Regions() int { return len(as.regions) }
-
 // RegionBases returns the base address of every mapped region in address
 // order. numactl-style whole-process policies (interleave everything,
 // including static data) iterate these.

@@ -28,14 +28,6 @@ func newTextLogger(w io.Writer, level slog.Level) *slog.Logger {
 // obs.Logger().Info("msg", "component", "engine", ...).
 func Logger() *slog.Logger { return logger.Load() }
 
-// SetLogger replaces the package logger (nil restores the default).
-func SetLogger(l *slog.Logger) {
-	if l == nil {
-		l = newTextLogger(os.Stderr, slog.LevelWarn)
-	}
-	logger.Store(l)
-}
-
 // ParseLevel maps a CLI level name to a slog.Level.
 func ParseLevel(s string) (slog.Level, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {

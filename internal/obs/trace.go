@@ -97,9 +97,6 @@ func StopTracing() *Tracer {
 	return tr
 }
 
-// TracingEnabled reports whether a tracer is installed.
-func TracingEnabled() bool { return curTracer.Load() != nil }
-
 // SpanHandle addresses one live span. The zero value is a valid no-op
 // handle: every method nil-checks the tracer and returns, allocation-free,
 // so instrumented code calls unconditionally.

@@ -12,6 +12,11 @@
 //   - the access latency in core cycles,
 //   - the CPU (hardware thread) that executed the instruction.
 //
+// Load latency and time are whole numbers of cycles, as the hardware
+// reports them (a latency count and a TSC value): Collector.Add rounds both
+// once, and Check is the rule every reader and writer of recorded samples
+// applies.
+//
 // The source NUMA node of a sample is derived from the CPU via the machine
 // topology; the home node of the data is derived from the address via the
 // simulated page tables (the libnuma query). Associate groups samples into
@@ -20,6 +25,8 @@
 package pebs
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 
 	"drbw/internal/cache"
@@ -37,17 +44,42 @@ const DefaultLatencyThreshold = 3
 
 // Sample is one address sample.
 type Sample struct {
-	Time    float64 // cycles since run start
+	Time    float64 // whole cycles since run start
 	CPU     topology.CPUID
 	Thread  int
 	Addr    uint64
 	Level   cache.Level // memory layer that served the access
-	Latency float64     // cycles
+	Latency float64     // whole cycles
 	Write   bool
 	// SrcNode is the NUMA node of the issuing CPU; HomeNode the node holding
 	// the data. Both are resolved by the profiler, not reported by hardware.
 	SrcNode  topology.NodeID
 	HomeNode topology.NodeID
+}
+
+// MaxTime and MaxLatency bound a sample's whole-cycle fields: Time lies in
+// [0, MaxTime], where a float64 still holds every whole number, and Latency
+// in [0, MaxLatency], the range of a 32-bit latency counter.
+const (
+	MaxTime    = 1 << 53
+	MaxLatency = 1<<32 - 1
+)
+
+// Check returns an error, naming the field and its value, unless s.Time
+// and s.Latency are whole cycle counts within MaxTime and MaxLatency.
+func Check(s *Sample) error {
+	if !wholeUpTo(s.Time, MaxTime) {
+		return fmt.Errorf("time %v is not a whole cycle count in [0, 2^53]", s.Time)
+	}
+	if !wholeUpTo(s.Latency, MaxLatency) {
+		return fmt.Errorf("latency %v is not a whole cycle count in [0, 2^32)", s.Latency)
+	}
+	return nil
+}
+
+// wholeUpTo reports whether v is a whole number in [0, max]; NaN is not.
+func wholeUpTo(v, max float64) bool {
+	return v >= 0 && v <= max && v == math.Trunc(v)
 }
 
 // Channel returns the directed channel this sample travelled.
@@ -158,12 +190,14 @@ func (c *Collector) Period() int { return c.cfg.Period }
 func (c *Collector) OverheadCycles() float64 { return c.cfg.OverheadCycles }
 
 // Add records one sample, applying the latency threshold and the reservoir
-// bound.
+// bound. A kept sample's time and latency are rounded to whole cycles; the
+// threshold sees the latency before rounding.
 func (c *Collector) Add(s Sample) {
 	if s.Latency < c.cfg.LatencyThreshold {
 		c.droppedThreshold++
 		return
 	}
+	s.Time, s.Latency = math.Round(s.Time), math.Round(s.Latency)
 	c.total++
 	if c.cfg.MaxKept <= 0 || len(c.samples) < c.cfg.MaxKept {
 		c.samples = append(c.samples, s)

@@ -1,43 +1,44 @@
 package profiledata
 
-// Binary columnar samples format (v3).
+// Binary columnar samples format (v4).
 //
 // CSV recordings (v1/v2) cost where it hurts at scale: every field is
 // re-parsed through encoding/csv + strconv, and a 1M-sample trace is tens
-// of megabytes of text. v3 stores the same nine sample fields as packed
+// of megabytes of text. v4 stores the same nine sample fields as packed
 // per-block columns:
 //
-//	header:  magic "DRBWPD3\n", version byte, flags byte,
+//	header:  magic "DRBWPD4\n", version byte, flags byte,
 //	         weight float64 LE, uvarint total sample count (0 when the
 //	         writer did not know it), level dictionary (count, then
 //	         length-prefixed level names in index order)
 //	body:    blocks until a zero sample count; optionally one flate
 //	         stream when the header flags bit 0 is set
 //	block:   uvarint sampleCount, uvarint payloadLen, payload
-//	payload: time column    tag byte (raw|delta), then either count
-//	                        float64 LE or zigzag-varint deltas of the
-//	                        integral cycle values (running across blocks)
+//	payload: time column    zigzag-varint deltas of the cycle count
+//	                        (running across blocks)
 //	         cpu column     zigzag varint per sample
 //	         thread column  zigzag varint per sample
 //	         addr column    zigzag varint delta per sample (running)
 //	         level column   one dictionary index byte per sample
-//	         latency column tag byte (raw|fixed ×10), then float64s or
-//	                        zigzag-varint deltas of latency*10 (running)
+//	         latency column uvarint cycles per sample
 //	         write column   ceil(count/8) bytes, LSB first
 //	         src column     zigzag varint per sample
 //	         home column    zigzag varint per sample
 //
-// The integer encodings are used only when they are exactly invertible
-// (times integral, latencies on a 0.1-cycle grid — what the simulator and
-// the CSV writer both produce); otherwise the column falls back to raw
-// float64 bits, so any sample list round-trips bit-exactly. The level
-// dictionary makes the format self-describing: indexes are resolved
-// through the recorded names, not through cache.Level values.
+// Times and latencies are whole cycles (pebs.Check): the writer rejects a
+// sample that is not, and the reader rejects a decoded time outside
+// [0, 2^53] or latency outside [0, 2^32), so every recording round-trips
+// exactly. The level dictionary makes the format self-describing: indexes
+// are resolved through the recorded names, not through cache.Level values.
+//
+// v3 recordings, whose columns carried fractional cycles, are rejected
+// with an error that says to re-record them.
 
 import (
 	"bufio"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -47,22 +48,21 @@ import (
 	"drbw/internal/topology"
 )
 
-// binaryMagic opens every v3 samples file. No CSV recording can collide:
+// binaryMagic opens every v4 samples file. No CSV recording can collide:
 // v2 starts with "#drbw-sa", v1 with "time,cpu".
-const binaryMagic = "DRBWPD3\n"
+const binaryMagic = "DRBWPD4\n"
 
 // binaryVersion is the format version the writer emits and the only one
 // the reader accepts.
-const binaryVersion = 3
+const binaryVersion = 4
+
+// binaryMagicV3 opened the retired v3 format.
+const binaryMagicV3 = "DRBWPD3\n"
+
+var errBinaryV3 = errors.New("profiledata: binary v3 recording: v3 stored fractional cycles and is no longer read; re-record it to write v4")
 
 // flagCompressed marks a flate-compressed block stream.
 const flagCompressed = 1 << 0
-
-// Column encoding tags.
-const (
-	encRaw   = 0 // float64 bits, little endian
-	encDelta = 1 // zigzag varints: integral deltas (time), fixed-point ×10 deltas (latency)
-)
 
 // DefaultBlockSize is the samples-per-block default of WriteSamplesBinary —
 // large enough to amortize per-block overhead, small enough that a
@@ -104,18 +104,21 @@ type BinaryOptions struct {
 	// decoder seed state, discovered by a trailing magic. Streaming readers
 	// stop at the terminator and never see it; indexed readers
 	// (OpenIndexedTrace) use it to decode block ranges independently.
-	// Ignored when Compress is set — a flate body has no seekable block
-	// boundaries — and skipped when any block's time column defeats the
-	// min/max scan (NaN times).
+	// Ignored when Compress is set: a flate body has no seekable block
+	// boundaries.
 	Index bool
 }
 
-// WriteSamplesBinary writes samples in the binary columnar v3 format. A
-// NaN or infinite weight is an error; a finite non-positive one is written
-// as 1, mirroring WriteSamples.
+// WriteSamplesBinary writes samples in the binary columnar v4 format. A
+// sample failing pebs.Check or a NaN or infinite weight is an error, and
+// nothing is written; a finite non-positive weight is written as 1,
+// mirroring WriteSamples.
 func WriteSamplesBinary(w io.Writer, samples []pebs.Sample, weight float64, opt BinaryOptions) error {
 	weight, err := writeWeight(weight)
 	if err != nil {
+		return err
+	}
+	if err := checkSamples(samples); err != nil {
 		return err
 	}
 	blockSize := opt.BlockSize
@@ -184,16 +187,10 @@ func WriteSamplesBinary(w io.Writer, samples []pebs.Sample, weight float64, opt 
 			// stand *before* this block.
 			e = IndexEntry{
 				Offset: off, Count: len(block),
-				PrevTime: enc.prevTime, PrevAddr: enc.prevAddr, PrevLat: enc.prevLat,
+				PrevTime: enc.prevTime, PrevAddr: enc.prevAddr,
 				MinTime: block[0].Time, MaxTime: block[0].Time,
 			}
 			for i := range block {
-				if math.IsNaN(block[i].Time) {
-					// An unordered time defeats the range; without a
-					// trustworthy range the index is not worth writing.
-					writeIndex = false
-					break
-				}
 				if block[i].Time < e.MinTime {
 					e.MinTime = block[i].Time
 				}
@@ -247,9 +244,8 @@ func WriteSamplesBinary(w io.Writer, samples []pebs.Sample, weight float64, opt 
 // blockEncoder carries the running deltas and the scratch buffer across the
 // blocks of one file.
 type blockEncoder struct {
-	prevTime int64  // last encoded integral time
+	prevTime int64  // last encoded time
 	prevAddr uint64 // last encoded address
-	prevLat  int64  // last encoded latency, fixed-point ×10
 	buf      []byte
 }
 
@@ -259,73 +255,27 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// integralTime reports whether t encodes exactly as an int64 cycle count.
-func integralTime(t float64) (int64, bool) {
-	if t != math.Trunc(t) || t < -(1<<62) || t > 1<<62 {
-		return 0, false
-	}
-	v := int64(t)
-	return v, float64(v) == t
-}
-
-// fixedLatency reports whether l encodes exactly on the 0.1-cycle grid.
-func fixedLatency(l float64) (int64, bool) {
-	f := math.Round(l * 10)
-	if f < -(1<<62) || f > 1<<62 || math.IsNaN(f) {
-		return 0, false
-	}
-	v := int64(f)
-	return v, float64(v)/10 == l
-}
-
-// encode serializes one block's columns into the reused scratch buffer.
+// encode serializes one block's columns into the reused scratch buffer. The
+// samples have passed pebs.Check, so times and latencies convert to
+// integers exactly.
 func (e *blockEncoder) encode(block []pebs.Sample) ([]byte, error) {
 	buf := e.buf[:0]
-	var v8 [binary.MaxVarintLen64]byte
-	putUvarint := func(u uint64) {
-		n := binary.PutUvarint(v8[:], u)
-		buf = append(buf, v8[:n]...)
-	}
-	putFloat := func(f float64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
-		buf = append(buf, b[:]...)
-	}
-
-	// time column: delta encoding only if every time in the block is
-	// exactly integral.
-	timesIntegral := true
+	prevTime := e.prevTime
 	for i := range block {
-		if _, ok := integralTime(block[i].Time); !ok {
-			timesIntegral = false
-			break
-		}
+		t := int64(block[i].Time)
+		buf = binary.AppendUvarint(buf, zigzag(t-prevTime))
+		prevTime = t
 	}
-	if timesIntegral {
-		buf = append(buf, encDelta)
-		prev := e.prevTime
-		for i := range block {
-			v, _ := integralTime(block[i].Time)
-			putUvarint(zigzag(v - prev))
-			prev = v
-		}
-		e.prevTime = prev
-	} else {
-		buf = append(buf, encRaw)
-		for i := range block {
-			putFloat(block[i].Time)
-		}
-	}
-
+	e.prevTime = prevTime
 	for i := range block {
-		putUvarint(zigzag(int64(block[i].CPU)))
+		buf = binary.AppendUvarint(buf, zigzag(int64(block[i].CPU)))
 	}
 	for i := range block {
-		putUvarint(zigzag(int64(block[i].Thread)))
+		buf = binary.AppendUvarint(buf, zigzag(int64(block[i].Thread)))
 	}
 	prevAddr := e.prevAddr
 	for i := range block {
-		putUvarint(zigzag(int64(block[i].Addr - prevAddr)))
+		buf = binary.AppendUvarint(buf, zigzag(int64(block[i].Addr-prevAddr)))
 		prevAddr = block[i].Addr
 	}
 	e.prevAddr = prevAddr
@@ -336,29 +286,8 @@ func (e *blockEncoder) encode(block []pebs.Sample) ([]byte, error) {
 		}
 		buf = append(buf, byte(lvl))
 	}
-
-	// latency column: fixed-point ×10 only if every latency inverts exactly.
-	latFixed := true
 	for i := range block {
-		if _, ok := fixedLatency(block[i].Latency); !ok {
-			latFixed = false
-			break
-		}
-	}
-	if latFixed {
-		buf = append(buf, encDelta)
-		prev := e.prevLat
-		for i := range block {
-			v, _ := fixedLatency(block[i].Latency)
-			putUvarint(zigzag(v - prev))
-			prev = v
-		}
-		e.prevLat = prev
-	} else {
-		buf = append(buf, encRaw)
-		for i := range block {
-			putFloat(block[i].Latency)
-		}
+		buf = binary.AppendUvarint(buf, uint64(block[i].Latency))
 	}
 
 	// write column, bit-packed LSB first.
@@ -377,21 +306,30 @@ func (e *blockEncoder) encode(block []pebs.Sample) ([]byte, error) {
 	}
 
 	for i := range block {
-		putUvarint(zigzag(int64(block[i].SrcNode)))
+		buf = binary.AppendUvarint(buf, zigzag(int64(block[i].SrcNode)))
 	}
 	for i := range block {
-		putUvarint(zigzag(int64(block[i].HomeNode)))
+		buf = binary.AppendUvarint(buf, zigzag(int64(block[i].HomeNode)))
 	}
 
 	e.buf = buf
 	return buf, nil
 }
 
+// checkSamples applies pebs.Check to every sample a writer is given.
+func checkSamples(samples []pebs.Sample) error {
+	for i := range samples {
+		if err := pebs.Check(&samples[i]); err != nil {
+			return fmt.Errorf("profiledata: sample %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // blockDecoder mirrors blockEncoder on the read side.
 type blockDecoder struct {
 	prevTime int64
 	prevAddr uint64
-	prevLat  int64
 	levels   []cache.Level // dictionary index -> level
 }
 
@@ -476,21 +414,6 @@ func (p *payloadReader) uvarints(dst []uint64) error {
 	return nil
 }
 
-// fixed64s reads len(dst) fixed-width little-endian uint64s (a raw float
-// column) with one bounds check for the whole run.
-func (p *payloadReader) fixed64s(dst []uint64) error {
-	n := len(dst)
-	if p.pos+8*n > len(p.buf) {
-		return errCorrupt
-	}
-	buf := p.buf[p.pos:]
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint64(buf[8*i:])
-	}
-	p.pos += 8 * n
-	return nil
-}
-
 // bytes returns the next n payload bytes without copying.
 func (p *payloadReader) bytes(n int) ([]byte, error) {
 	if p.pos+n > len(p.buf) {
@@ -501,29 +424,12 @@ func (p *payloadReader) bytes(n int) ([]byte, error) {
 	return b, nil
 }
 
-func (p *payloadReader) byte() (byte, error) {
-	if p.pos >= len(p.buf) {
-		return 0, errCorrupt
-	}
-	b := p.buf[p.pos]
-	p.pos++
-	return b, nil
-}
-
-func (p *payloadReader) float() (float64, error) {
-	if p.pos+8 > len(p.buf) {
-		return 0, errCorrupt
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(p.buf[p.pos:]))
-	p.pos += 8
-	return v, nil
-}
-
 // decode fills out (already sized to the block's sample count) from one
 // payload. Each column is decoded as a whole run — varints batched into the
 // caller's reusable scratch, then converted in a second tight loop — so the
 // per-sample cost is a couple of cache-resident array passes instead of
-// nine bounds-checked method calls.
+// nine bounds-checked method calls. A time or latency outside pebs.Check's
+// ranges fails the block.
 func (d *blockDecoder) decode(payload []byte, out []pebs.Sample, scratch *[]uint64) error {
 	n := len(out)
 	if cap(*scratch) < n {
@@ -533,31 +439,18 @@ func (d *blockDecoder) decode(payload []byte, out []pebs.Sample, scratch *[]uint
 	out = out[:len(col)] // teach the bounds prover: every out[i] below is in range
 	p := payloadReader{buf: payload}
 
-	tag, err := p.byte()
-	if err != nil {
+	if err := p.uvarints(col); err != nil {
 		return err
 	}
-	switch tag {
-	case encDelta:
-		if err := p.uvarints(col); err != nil {
-			return err
+	prev := d.prevTime
+	for i, u := range col {
+		prev += unzigzag(u)
+		if uint64(prev) > pebs.MaxTime {
+			return fmt.Errorf("profiledata: time %d is not a whole cycle count in [0, 2^53]", prev)
 		}
-		prev := d.prevTime
-		for i, u := range col {
-			prev += unzigzag(u)
-			out[i].Time = float64(prev)
-		}
-		d.prevTime = prev
-	case encRaw:
-		if err := p.fixed64s(col); err != nil {
-			return err
-		}
-		for i, u := range col {
-			out[i].Time = math.Float64frombits(u)
-		}
-	default:
-		return errCorrupt
+		out[i].Time = float64(prev)
 	}
+	d.prevTime = prev
 
 	if err := p.uvarints(col); err != nil {
 		return err
@@ -593,29 +486,14 @@ func (d *blockDecoder) decode(payload []byte, out []pebs.Sample, scratch *[]uint
 		out[i].Level = d.levels[b]
 	}
 
-	if tag, err = p.byte(); err != nil {
+	if err := p.uvarints(col); err != nil {
 		return err
 	}
-	switch tag {
-	case encDelta:
-		if err := p.uvarints(col); err != nil {
-			return err
+	for i, u := range col {
+		if u > pebs.MaxLatency {
+			return fmt.Errorf("profiledata: latency %d is not a whole cycle count in [0, 2^32)", u)
 		}
-		prev := d.prevLat
-		for i, u := range col {
-			prev += unzigzag(u)
-			out[i].Latency = float64(prev) / 10
-		}
-		d.prevLat = prev
-	case encRaw:
-		if err := p.fixed64s(col); err != nil {
-			return err
-		}
-		for i, u := range col {
-			out[i].Latency = math.Float64frombits(u)
-		}
-	default:
-		return errCorrupt
+		out[i].Latency = float64(u)
 	}
 
 	bits, err := p.bytes((n + 7) / 8)

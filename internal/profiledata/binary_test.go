@@ -16,8 +16,8 @@ import (
 )
 
 // testTrace generates n samples shaped like real collector output:
-// monotonically increasing integral times, clustered addresses, latencies
-// on the 0.1-cycle grid.
+// monotonically increasing times and whole-cycle latencies, clustered
+// addresses.
 func testTrace(n int, seed int64) []pebs.Sample {
 	rng := rand.New(rand.NewSource(seed))
 	levels := []cache.Level{cache.L1, cache.L2, cache.L3, cache.LFB, cache.MEM}
@@ -31,7 +31,7 @@ func testTrace(n int, seed int64) []pebs.Sample {
 			Thread:   rng.Intn(32),
 			Addr:     0x10000000 + uint64(rng.Intn(1<<26)),
 			Level:    levels[rng.Intn(len(levels))],
-			Latency:  float64(rng.Intn(6000)) / 10,
+			Latency:  float64(rng.Intn(600)),
 			Write:    rng.Intn(3) == 0,
 			SrcNode:  topology.NodeID(rng.Intn(4)),
 			HomeNode: topology.NodeID(rng.Intn(4)),
@@ -46,10 +46,11 @@ func TestBinaryRoundTrip(t *testing.T) {
 			for _, blockSize := range []int{0, 1, 7, 4096} {
 				samples := testTrace(n, int64(n)+1)
 				if n > 4 {
-					// Force the raw-float fallbacks mid-trace.
-					samples[2].Time = 1234.5
-					samples[3].Latency = math.Pi
-					samples[4].Time = math.Inf(1)
+					// The widest values mid-trace, and a time that runs
+					// backwards.
+					samples[2].Time = pebs.MaxTime
+					samples[3].Latency = pebs.MaxLatency
+					samples[4].Time = 0
 				}
 				var buf bytes.Buffer
 				opt := BinaryOptions{BlockSize: blockSize, Compress: compress}
@@ -77,22 +78,6 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryPreservesNaNLatency(t *testing.T) {
-	samples := testTrace(3, 7)
-	samples[1].Latency = math.NaN()
-	var buf bytes.Buffer
-	if err := WriteSamplesBinary(&buf, samples, 1, BinaryOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := ReadSamples(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gb, wb := math.Float64bits(got[1].Latency), math.Float64bits(samples[1].Latency); gb != wb {
-		t.Fatalf("NaN latency bits changed: %#x != %#x", gb, wb)
-	}
-}
-
 // TestBinaryWeightClampedToOne checks that a finite non-positive weight is
 // written as 1 and that a NaN or infinite one is an error.
 func TestBinaryWeightClampedToOne(t *testing.T) {
@@ -117,8 +102,8 @@ func TestBinaryWeightClampedToOne(t *testing.T) {
 }
 
 // TestBinaryCSVEquivalence is the cross-format property: any sample list
-// the CSV writer can represent round-trips identically through both
-// formats — same samples, same weight.
+// the writers accept round-trips identically through both formats — same
+// samples, same weight.
 func TestBinaryCSVEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		samples := testTrace(997, seed)
@@ -193,7 +178,7 @@ func TestSampleReaderFormats(t *testing.T) {
 	}{
 		{"v1", FormatCSVv1, v1, 1},
 		{"v2", FormatCSVv2, v2.String(), 2},
-		{"binary", FormatBinaryV3, bin.String(), 2},
+		{"binary", FormatBinaryV4, bin.String(), 2},
 	}
 	for _, tc := range cases {
 		sr, err := NewSampleReader(strings.NewReader(tc.data))
@@ -257,12 +242,11 @@ func TestBinaryReadErrors(t *testing.T) {
 		"missing terminator":   vb[:len(vb)-1],
 		"lying sample count":   lyingCount(vb),
 		"truncated block":      vb[:len(vb)/2],
-		"trailing payload byte": binaryWithBlockHeader(1, 11,
-			[]byte{encDelta, 0, 0, 0, 0, 0, encDelta, 0, 0, 0, 0}),
-		"bad time tag": binaryWithBlockHeader(1, 10,
-			[]byte{7, 0, 0, 0, 0, 0, encDelta, 0, 0, 0}),
-		"level outside dictionary": binaryWithBlockHeader(1, 10,
-			[]byte{encDelta, 0, 0, 0, 0, 99, encDelta, 0, 0, 0}),
+		"trailing payload byte": binaryWithBlockHeader(1, 10,
+			[]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0}),
+		"level outside dictionary": binaryWithBlockHeader(1, 9,
+			[]byte{0, 0, 0, 0, 99, 0, 0, 0, 0}),
+		"v3 magic":            append([]byte(binaryMagicV3), vb[len(binaryMagic):]...),
 		"count over limit":    binaryWithBlockHeader(maxBlockSamples+1, 8*(maxBlockSamples+1), nil),
 		"payload implausible": binaryWithBlockHeader(8, 3, []byte{1, 2, 3}),
 		"payload oversized":   binaryWithBlockHeader(1, maxSampleEncoded*2+32, nil),

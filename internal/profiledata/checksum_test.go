@@ -1,12 +1,11 @@
 package profiledata
 
-// Tests for the DRBWIDX2 checksummed footer and the content fingerprints
-// built on it: the v1 form must keep parsing (and reading it must behave as
-// if no checksums exist), the v2 sums must pin the payload bytes exactly,
-// and corruption must surface as a checksum error on the damaged block only.
+// Tests for the checksummed index footer and the content fingerprints
+// built on it: the sums must pin the payload bytes exactly, corruption must
+// surface as a checksum error on the damaged block only, and a footer
+// closed by a retired magic must read as no index at all.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"os"
@@ -16,115 +15,55 @@ import (
 	"testing"
 )
 
-// rewriteFooterV1 replaces a recording's DRBWIDX2 footer with the legacy
-// DRBWIDX1 form carrying the same entries.
-func rewriteFooterV1(t *testing.T, data []byte) []byte {
-	t.Helper()
-	idx, err := ReadBlockIndex(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	out.Write(data[:idx.DataEnd+1])
-	bw := bufio.NewWriter(&out)
-	if err := writeBlockIndexVersioned(bw, idx.Entries, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes()
-}
-
-// TestFooterV1Compat: a legacy DRBWIDX1 footer still parses — without
-// checksums — and everything built on checksums degrades exactly as
-// documented: no index fingerprint, no range verification, and
-// FileFingerprint falls back to the full-content hash.
-func TestFooterV1Compat(t *testing.T) {
+// TestFooterLegacyMagicIsNoIndex: the footers of v3 recordings (DRBWIDX1,
+// DRBWIDX2) laid out their entries differently, so a footer closed by
+// either magic is no index. The body still streams, and FileFingerprint
+// falls back to the full-content hash.
+func TestFooterLegacyMagicIsNoIndex(t *testing.T) {
 	samples := testTrace(500, 31)
 	var buf bytes.Buffer
 	if err := WriteSamplesBinary(&buf, samples, 2, BinaryOptions{BlockSize: 64, Index: true}); err != nil {
 		t.Fatal(err)
 	}
-	v2 := buf.Bytes()
-	v1 := rewriteFooterV1(t, v2)
-
-	idx2, err := ReadBlockIndex(bytes.NewReader(v2), int64(len(v2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx1, err := ReadBlockIndex(bytes.NewReader(v1), int64(len(v1)))
-	if err != nil {
-		t.Fatalf("v1 footer no longer parses: %v", err)
-	}
-	if !idx2.HasSums || idx1.HasSums {
-		t.Fatalf("HasSums: v2=%v v1=%v, want true/false", idx2.HasSums, idx1.HasSums)
-	}
-	stripped := append([]IndexEntry(nil), idx2.Entries...)
-	for i := range stripped {
-		stripped[i].Sum = 0
-	}
-	if !reflect.DeepEqual(idx1.Entries, stripped) {
-		t.Fatal("v1 entries differ from v2 entries beyond the checksum field")
-	}
-
-	// The v1 recording still range-reads in full (just unverified) ...
-	it, err := NewIndexedTrace(bytes.NewReader(v1), int64(len(v1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if it.HasChecksums() {
-		t.Fatal("v1 trace claims checksums")
-	}
-	if _, ok := it.Fingerprint(); ok {
-		t.Fatal("v1 trace produced an index fingerprint")
-	}
-	rr, err := it.RangeReader(0, it.Blocks(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := rr.appendRemaining(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, samples) {
-		t.Fatal("v1 range read differs from the written samples")
-	}
-	// ... and the streaming reader never cared about either footer.
-	for name, data := range map[string][]byte{"v1": v1, "v2": v2} {
-		dec, w, err := ReadSamples(bytes.NewReader(data))
-		if err != nil || w != 2 || !reflect.DeepEqual(dec, samples) {
-			t.Fatalf("%s: streaming read differs (err %v)", name, err)
-		}
-	}
-
-	// FileFingerprint: index form for v2, full-hash fallback for v1.
+	current := buf.Bytes()
 	dir := t.TempDir()
-	p2, p1 := filepath.Join(dir, "v2.bin"), filepath.Join(dir, "v1.bin")
-	if err := os.WriteFile(p2, v2, 0o644); err != nil {
+	path := filepath.Join(dir, "current.bin")
+	if err := os.WriteFile(path, current, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(p1, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fp2, err := FileFingerprint(p2)
+	fp, err := FileFingerprint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp1, err := FileFingerprint(p1)
+	it, err := OpenIndexedTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fp1 == fp2 {
-		t.Fatal("full-hash and index fingerprints collided")
+	defer it.Close()
+	if got := it.Fingerprint(); got != fp {
+		t.Fatalf("FileFingerprint = %s, want the index fingerprint %s", fp, got)
 	}
-	it2, err := OpenIndexedTrace(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it2.Close()
-	if fp, ok := it2.Fingerprint(); !ok || fp != fp2 {
-		t.Fatalf("FileFingerprint(%s) = %s, want the index fingerprint %s", p2, fp2, fp)
+
+	for _, magic := range []string{"DRBWIDX1", "DRBWIDX2"} {
+		legacy := bytes.Clone(current)
+		copy(legacy[len(legacy)-len(indexMagic):], magic)
+		if _, err := ReadBlockIndex(bytes.NewReader(legacy), int64(len(legacy))); err != ErrNoIndex {
+			t.Fatalf("%s: ReadBlockIndex error %v, want ErrNoIndex", magic, err)
+		}
+		if _, err := NewIndexedTrace(bytes.NewReader(legacy), int64(len(legacy))); err != ErrNoIndex {
+			t.Fatalf("%s: NewIndexedTrace error %v, want ErrNoIndex", magic, err)
+		}
+		dec, w, err := ReadSamples(bytes.NewReader(legacy))
+		if err != nil || w != 2 || !reflect.DeepEqual(dec, samples) {
+			t.Fatalf("%s: streaming read differs (err %v)", magic, err)
+		}
+		p := filepath.Join(dir, magic+".bin")
+		if err := os.WriteFile(p, legacy, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := FileFingerprint(p); err != nil || got == fp {
+			t.Fatalf("%s: FileFingerprint = %s, %v; want a full-content hash unlike the index form", magic, got, err)
+		}
 	}
 }
 

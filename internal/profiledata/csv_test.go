@@ -69,7 +69,8 @@ func readSamplesOracle(r io.Reader) ([]pebs.Sample, float64, string, error) {
 	}
 }
 
-// parseSampleRow parses one CSV data row into s.
+// parseSampleRow parses one CSV data row into s: each field as strconv
+// reads it, then the whole-cycle rule on time and latency.
 func parseSampleRow(rec []string, line int, s *pebs.Sample) error {
 	var err error
 	if s.Time, err = strconv.ParseFloat(rec[0], 64); err != nil {
@@ -104,19 +105,22 @@ func parseSampleRow(rec []string, line int, s *pebs.Sample) error {
 		return fmt.Errorf("profiledata: line %d home_node: %w", line, err)
 	}
 	s.SrcNode, s.HomeNode = topology.NodeID(src), topology.NodeID(home)
+	if err := pebs.Check(s); err != nil {
+		return fmt.Errorf("profiledata: line %d: %w", line, err)
+	}
 	return nil
 }
 
 const (
 	csvMeta   = "#drbw-samples,v2,weight,2.5"
 	csvHeader = "time,cpu,thread,addr,level,latency,write,src_node,home_node"
-	csvRow1   = "1000,3,1,0x10000000,MEM,612.5,false,1,0"
-	csvRow2   = "2000,17,9,0x10200040,L1,4.2,true,2,2"
+	csvRow1   = "1000,3,1,0x10000000,MEM,612,false,1,0"
+	csvRow2   = "2000,17,9,0x10200040,L1,4,true,2,2"
 )
 
 var (
-	csvSample1 = pebs.Sample{Time: 1000, CPU: 3, Thread: 1, Addr: 0x10000000, Level: cache.MEM, Latency: 612.5, SrcNode: 1, HomeNode: 0}
-	csvSample2 = pebs.Sample{Time: 2000, CPU: 17, Thread: 9, Addr: 0x10200040, Level: cache.L1, Latency: 4.2, Write: true, SrcNode: 2, HomeNode: 2}
+	csvSample1 = pebs.Sample{Time: 1000, CPU: 3, Thread: 1, Addr: 0x10000000, Level: cache.MEM, Latency: 612, SrcNode: 1, HomeNode: 0}
+	csvSample2 = pebs.Sample{Time: 2000, CPU: 17, Thread: 9, Addr: 0x10200040, Level: cache.L1, Latency: 4, Write: true, SrcNode: 2, HomeNode: 2}
 )
 
 // csvLines joins lines with LF and a final LF.
@@ -148,38 +152,44 @@ func csvDialectCases() []dialectCase {
 		{name: "no final newline", in: csvMeta + "\n" + csvHeader + "\n" + csvRow1 + "\n" + csvRow2, weight: 2.5, want: both},
 		{name: "no final newline after cr", in: csvMeta + "\n" + csvHeader + "\n" + csvRow1 + "\n" + csvRow2 + "\r", weight: 2.5, want: both},
 		{name: "quoted fields", in: csvLines(`"#drbw-samples",v2,"weight",2.5`, `"time",cpu,thread,addr,level,latency,write,src_node,"home_node"`,
-			`"1000",3,1,"0x10000000","MEM",612.5,false,1,"0"`, csvRow2), weight: 2.5, want: both},
-		{name: "quoted crlf", in: csvMeta + "\r\n" + csvHeader + "\r\n" + `1000,3,1,0x10000000,"MEM",612.5,false,1,"0"` + "\r\n", weight: 2.5, want: both[:1]},
+			`"1000",3,1,"0x10000000","MEM",612,false,1,"0"`, csvRow2), weight: 2.5, want: both},
+		{name: "quoted crlf", in: csvMeta + "\r\n" + csvHeader + "\r\n" + `1000,3,1,0x10000000,"MEM",612,false,1,"0"` + "\r\n", weight: 2.5, want: both[:1]},
 		{name: "quoted comma", in: csvLines(csvMeta, csvHeader, `"1,000",3,1,0x10,L1,5,false,0,0`), err: "profiledata: line 3 time:"},
 		{name: "escaped quote", in: csvLines(csvMeta, csvHeader, csvRow1, `1,2,3,0x10,"L1""",5,false,0,0`), err: `profiledata: line 4: unknown memory level "L1\""`},
 		{name: "bare quote", in: csvLines(csvMeta, "", csvHeader, csvRow1, "", `1"0,3,1,0x10,L1,5,false,0,0`),
 			err: `profiledata: line 4: parse error on line 6, column 2: bare " in non-quoted-field`},
 		{name: "quote after quoted field", in: csvLines(csvMeta, csvHeader, `"1"0,3,1,0x10,L1,5,false,0,0`),
 			err: `profiledata: line 3: parse error on line 3, column 3: extraneous or missing " in quoted-field`},
-		{name: "quote spans lines", in: csvLines(csvMeta, csvHeader, csvRow1, `2000,17,9,0x10200040,"L1`, `",4.2,true,2,2`), err: "profiledata: line 4"},
+		{name: "quote spans lines", in: csvLines(csvMeta, csvHeader, csvRow1, `2000,17,9,0x10200040,"L1`, `",4,true,2,2`), err: "profiledata: line 4"},
 		{name: "unterminated quote", in: csvMeta + "\n" + csvHeader + "\n" + `1000,3,1,0x10000000,"MEM`, err: "profiledata: line 3"},
 		{name: "quoted header spans lines", in: csvLines(`"time`, `",cpu`), err: "profiledata: "},
 		{name: "long line accepted", in: csvLines(csvMeta, csvHeader, long+csvRow1, csvRow2), weight: 2.5, want: both},
-		{name: "long line quoted", in: csvLines(csvMeta, csvHeader, `"`+long+`1000",3,1,0x10000000,MEM,612.5,false,1,0`), weight: 2.5, want: both[:1]},
+		{name: "long line quoted", in: csvLines(csvMeta, csvHeader, `"`+long+`1000",3,1,0x10000000,MEM,612,false,1,0`), weight: 2.5, want: both[:1]},
 		{name: "long line rejected", in: csvLines(csvMeta, csvHeader, csvRow1, "2000,17,"+long+"x,0x10,L1,5,false,0,0"), err: "profiledata: line 4 thread:"},
 		{name: "long header", in: csvLines(csvMeta, csvHeader+","+long), err: "profiledata: header has 10 columns, want 9"},
 		{name: "fallback spellings", in: csvLines(csvHeader,
 			"+3,+3,007,0X1F,L2,1e3,True,+0,01",
-			"1e3,-1,-2,4096,L3,12.25,1,0,0",
-			"NaN,0,0,0x0000000000000000001,LFB,-Inf,F,0,0",
-			"-5,9223372036854775807,0,0xffffffffffffffff,MEM,NaN,t,0,0",
-			"1234567890123456789,0,0,0xFFFFFFFFFFFFFFFF,L1,0.0,FALSE,0,0",
+			"1e3,-1,-2,4096,L3,1.2e1,1,0,0",
+			"0x1p4,0,0,0x0000000000000000001,LFB,+0,F,0,0",
+			"5e0,9223372036854775807,0,0xffffffffffffffff,MEM,0.0e3,t,0,0",
+			"9007199254740992,0,0,0xFFFFFFFFFFFFFFFF,L1,0.0,FALSE,0,0",
 			"0001000,0,0,18446744073709551615,L1,-0,false,0,0",
-			"5.,0,0,0x10,L1,.5,false,0,0"),
+			"5.,0,0,0x10,L1,4294967295,false,0,0"),
 			weight: 1, want: []pebs.Sample{
 				{Time: 3, CPU: 3, Thread: 7, Addr: 0x1f, Level: cache.L2, Latency: 1000, Write: true, SrcNode: 0, HomeNode: 1},
-				{Time: 1000, CPU: -1, Thread: -2, Addr: 4096, Level: cache.L3, Latency: 12.25, Write: true},
-				{Time: math.NaN(), Addr: 1, Level: cache.LFB, Latency: math.Inf(-1)},
-				{Time: -5, CPU: math.MaxInt, Addr: math.MaxUint64, Level: cache.MEM, Latency: math.NaN(), Write: true},
-				{Time: 1234567890123456789, Addr: math.MaxUint64, Level: cache.L1},
+				{Time: 1000, CPU: -1, Thread: -2, Addr: 4096, Level: cache.L3, Latency: 12, Write: true},
+				{Time: 16, Addr: 1, Level: cache.LFB},
+				{Time: 5, CPU: math.MaxInt, Addr: math.MaxUint64, Level: cache.MEM, Write: true},
+				{Time: 1 << 53, Addr: math.MaxUint64, Level: cache.L1},
 				{Time: 1000, Addr: math.MaxUint64, Level: cache.L1, Latency: math.Copysign(0, -1)},
-				{Time: 5, Addr: 0x10, Level: cache.L1, Latency: 0.5},
+				{Time: 5, Addr: 0x10, Level: cache.L1, Latency: 1<<32 - 1},
 			}},
+		{name: "NaN time", in: csvLines(csvHeader, csvRow1, "NaN,0,0,0x10,L1,5,false,0,0"), err: "profiledata: line 3: time NaN is not a whole cycle count"},
+		{name: "infinite latency", in: csvLines(csvHeader, "1,0,0,0x10,L1,-Inf,false,0,0"), err: "profiledata: line 2: latency -Inf is not a whole cycle count"},
+		{name: "fractional latency", in: csvLines(csvMeta, csvHeader, "1,0,0,0x10,L1,.5,false,0,0"), err: "profiledata: line 3: latency 0.5 is not a whole cycle count"},
+		{name: "negative time", in: csvLines(csvHeader, "-5,0,0,0x10,L1,5,false,0,0"), err: "profiledata: line 2: time -5 is not a whole cycle count"},
+		{name: "time past 2^53", in: csvLines(csvHeader, "9007199254740994,0,0,0x10,L1,5,false,0,0"), err: "profiledata: line 2: time 9.007199254740994e+15 is not a whole cycle count"},
+		{name: "latency 2^32", in: csvLines(csvHeader, "1,0,0,0x10,L1,4294967296,false,0,0"), err: "profiledata: line 2: latency 4.294967296e+09 is not a whole cycle count"},
 		{name: "cpu overflow", in: csvLines(csvHeader, "1,9223372036854775808,0,0x10,L1,5,false,0,0"), err: "profiledata: line 2 cpu:"},
 		{name: "addr overflow", in: csvLines(csvHeader, "1,0,0,0x10000000000000000,L1,5,false,0,0"), err: "profiledata: line 2 addr:"},
 		{name: "bare 0x", in: csvLines(csvHeader, "1,0,0,0x,L1,5,false,0,0"), err: "profiledata: line 2 addr:"},
@@ -206,7 +216,7 @@ func csvDialectCases() []dialectCase {
 }
 
 // identical is sameSample that also tells the float fields apart by their
-// bits, so -0 differs from 0 and NaN payloads must match.
+// bits, so -0 differs from 0.
 func identical(a, b pebs.Sample) bool {
 	return sameSample(a, b) && math.Float64bits(a.Time) == math.Float64bits(b.Time) &&
 		math.Float64bits(a.Latency) == math.Float64bits(b.Latency)
@@ -369,7 +379,7 @@ func writeSamplesReference(w io.Writer, samples []pebs.Sample, weight float64) e
 			strconv.Itoa(s.Thread),
 			"0x" + strconv.FormatUint(s.Addr, 16),
 			s.Level.String(),
-			strconv.FormatFloat(s.Latency, 'f', 1, 64),
+			strconv.FormatFloat(s.Latency, 'f', 0, 64),
 			strconv.FormatBool(s.Write),
 			strconv.Itoa(int(s.SrcNode)),
 			strconv.Itoa(int(s.HomeNode)),
@@ -388,10 +398,10 @@ func writeSamplesReference(w io.Writer, samples []pebs.Sample, weight float64) e
 func TestWriteSamplesBytes(t *testing.T) {
 	samples := testTrace(2000, 9)
 	nan, inf := math.NaN(), math.Inf(1)
-	for _, v := range []float64{nan, inf, -inf, 0.5, 1.5, 2.5, -0.4, math.Copysign(0, -1), 1e300, 4.25, 0.05, 123456789.96} {
+	for _, v := range []float64{0, 1, 9, 10, 1e9, pebs.MaxLatency} {
 		samples = append(samples,
 			pebs.Sample{Time: v, CPU: -1, Thread: math.MaxInt, Addr: math.MaxUint64, Level: cache.MEM, Latency: v, SrcNode: -3, HomeNode: 7},
-			pebs.Sample{Time: v, Level: cache.Level(9), Latency: -v, Write: true})
+			pebs.Sample{Time: pebs.MaxTime - v, Level: cache.Level(9), Latency: pebs.MaxLatency - v, Write: true})
 	}
 	for _, weight := range []float64{nan, inf, -inf} {
 		if err := WriteSamples(io.Discard, samples, weight); err == nil {

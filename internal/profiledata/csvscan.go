@@ -255,7 +255,7 @@ func parseSampleFields(rec *[sampleFields][]byte, fields, line int, s *pebs.Samp
 		return fmt.Errorf("profiledata: line %d has %d fields, want %d", line, fields, sampleFields)
 	}
 	var err error
-	if s.Time, err = parseFloat(rec[0]); err != nil {
+	if s.Time, err = parseCycles(rec[0]); err != nil {
 		return fmt.Errorf("profiledata: line %d time: %w", line, err)
 	}
 	cpu, err := atoi(rec[1])
@@ -272,7 +272,7 @@ func parseSampleFields(rec *[sampleFields][]byte, fields, line int, s *pebs.Samp
 	if s.Level, err = parseLevelBytes(rec[4]); err != nil {
 		return fmt.Errorf("profiledata: line %d: %w", line, err)
 	}
-	if s.Latency, err = parseFloat(rec[5]); err != nil {
+	if s.Latency, err = parseCycles(rec[5]); err != nil {
 		return fmt.Errorf("profiledata: line %d latency: %w", line, err)
 	}
 	if s.Write, err = parseBool(rec[6]); err != nil {
@@ -287,6 +287,9 @@ func parseSampleFields(rec *[sampleFields][]byte, fields, line int, s *pebs.Samp
 		return fmt.Errorf("profiledata: line %d home_node: %w", line, err)
 	}
 	s.SrcNode, s.HomeNode = topology.NodeID(src), topology.NodeID(home)
+	if err := pebs.Check(s); err != nil {
+		return fmt.Errorf("profiledata: line %d: %w", line, err)
+	}
 	return nil
 }
 
@@ -301,18 +304,12 @@ func atoi(b []byte) (int, error) {
 	return strconv.Atoi(string(b))
 }
 
-// parseFloat reads "digits" and "digits.digit" of at most 15 digits
-// directly. The decimal mantissa m then stays below 2^53, where float64(m)
-// is exact, so float64(m)/10 is the correctly rounded value of the decimal:
-// the value strconv.ParseFloat returns.
-func parseFloat(b []byte) (float64, error) {
-	n := len(b)
-	if n >= 3 && n <= 16 && b[n-2] == '.' && b[n-1]-'0' <= 9 {
-		if m, ok := digits(b[:n-2]); ok {
-			return float64(m*10+uint64(b[n-1]-'0')) / 10, nil
-		}
-	} else if m, ok := digits(b); ok && n <= 15 {
-		return float64(m), nil
+// parseCycles reads a time or latency field as strconv.ParseFloat does,
+// reading plain digits up to 2^53, where float64 is exact, directly.
+// pebs.Check then decides whether the number is a whole cycle count.
+func parseCycles(b []byte) (float64, error) {
+	if v, ok := digits(b); ok && v <= pebs.MaxTime {
+		return float64(v), nil
 	}
 	return strconv.ParseFloat(string(b), 64)
 }

@@ -1,10 +1,7 @@
 package profiledata
 
-// Micro-benchmark isolating the block-decode kernel: the same in-memory
-// blocks through the batched column decoder and through a copy of the
-// scalar per-sample decoder it replaced. Running both in one process
-// cancels host noise, so the ratio is trustworthy where absolute ns/op on
-// a shared machine is not.
+// Micro-benchmark isolating the block-decode kernel: in-memory blocks
+// through the batched column decoder, with no I/O.
 
 import (
 	"bytes"
@@ -12,7 +9,6 @@ import (
 
 	"drbw/internal/cache"
 	"drbw/internal/pebs"
-	"drbw/internal/topology"
 )
 
 // benchBlocks encodes n samples and returns the per-block payloads with
@@ -57,145 +53,14 @@ func BenchmarkBlockDecode(b *testing.B) {
 	payloads, entries, levels := benchBlocks(b, n)
 	out := make([]pebs.Sample, DefaultBlockSize)
 	var scratch []uint64
-	b.Run("batched", func(b *testing.B) {
-		b.SetBytes(int64(n))
-		for i := 0; i < b.N; i++ {
-			for j, payload := range payloads {
-				e := &entries[j]
-				d := blockDecoder{prevTime: e.PrevTime, prevAddr: e.PrevAddr, prevLat: e.PrevLat, levels: levels}
-				if err := d.decode(payload, out[:e.Count], &scratch); err != nil {
-					b.Fatal(err)
-				}
+	b.SetBytes(int64(n))
+	for i := 0; i < b.N; i++ {
+		for j, payload := range payloads {
+			e := &entries[j]
+			d := blockDecoder{prevTime: e.PrevTime, prevAddr: e.PrevAddr, levels: levels}
+			if err := d.decode(payload, out[:e.Count], &scratch); err != nil {
+				b.Fatal(err)
 			}
 		}
-	})
-	b.Run("scalar", func(b *testing.B) {
-		b.SetBytes(int64(n))
-		for i := 0; i < b.N; i++ {
-			for j, payload := range payloads {
-				e := &entries[j]
-				d := blockDecoder{prevTime: e.PrevTime, prevAddr: e.PrevAddr, prevLat: e.PrevLat, levels: levels}
-				if err := decodeScalar(&d, payload, out[:e.Count]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-}
-
-// decodeScalar is the pre-batching decoder, kept verbatim as the benchmark
-// baseline for BenchmarkBlockDecode.
-func decodeScalar(d *blockDecoder, payload []byte, out []pebs.Sample) error {
-	p := payloadReader{buf: payload}
-
-	tag, err := p.byte()
-	if err != nil {
-		return err
 	}
-	switch tag {
-	case encDelta:
-		prev := d.prevTime
-		for i := range out {
-			u, err := p.uvarint()
-			if err != nil {
-				return err
-			}
-			prev += unzigzag(u)
-			out[i].Time = float64(prev)
-		}
-		d.prevTime = prev
-	case encRaw:
-		for i := range out {
-			if out[i].Time, err = p.float(); err != nil {
-				return err
-			}
-		}
-	default:
-		return errCorrupt
-	}
-
-	for i := range out {
-		u, err := p.uvarint()
-		if err != nil {
-			return err
-		}
-		out[i].CPU = topology.CPUID(unzigzag(u))
-	}
-	for i := range out {
-		u, err := p.uvarint()
-		if err != nil {
-			return err
-		}
-		out[i].Thread = int(unzigzag(u))
-	}
-	prevAddr := d.prevAddr
-	for i := range out {
-		u, err := p.uvarint()
-		if err != nil {
-			return err
-		}
-		prevAddr += uint64(unzigzag(u))
-		out[i].Addr = prevAddr
-	}
-	d.prevAddr = prevAddr
-	for i := range out {
-		b, err := p.byte()
-		if err != nil {
-			return err
-		}
-		if int(b) >= len(d.levels) {
-			return errCorrupt
-		}
-		out[i].Level = d.levels[b]
-	}
-
-	if tag, err = p.byte(); err != nil {
-		return err
-	}
-	switch tag {
-	case encDelta:
-		prev := d.prevLat
-		for i := range out {
-			u, err := p.uvarint()
-			if err != nil {
-				return err
-			}
-			prev += unzigzag(u)
-			out[i].Latency = float64(prev) / 10
-		}
-		d.prevLat = prev
-	case encRaw:
-		for i := range out {
-			if out[i].Latency, err = p.float(); err != nil {
-				return err
-			}
-		}
-	default:
-		return errCorrupt
-	}
-
-	for i := range out {
-		if i&7 == 0 {
-			if _, err = p.byte(); err != nil {
-				return err
-			}
-		}
-		out[i].Write = p.buf[p.pos-1]&(1<<(uint(i)&7)) != 0
-	}
-
-	for i := range out {
-		u, err := p.uvarint()
-		if err != nil {
-			return err
-		}
-		out[i].SrcNode = topology.NodeID(unzigzag(u))
-	}
-	for i := range out {
-		u, err := p.uvarint()
-		if err != nil {
-			return err
-		}
-		out[i].HomeNode = topology.NodeID(unzigzag(u))
-	}
-	return nil
 }

@@ -3,14 +3,14 @@ package profiledata
 // Content fingerprints for recordings.
 //
 // The result cache keys cached analyses by what a recording *contains*, not
-// where it lives or when it was written. For an indexed recording with a
-// DRBWIDX2 footer the content is already summarized: the header fields fix
-// the weight, sample count and level dictionary, and every block's payload
-// bytes are pinned by its index checksum. Hashing that summary identifies
-// the recording in O(index bytes) — a few hundred bytes of I/O for a
-// gigabyte trace — instead of rehashing the whole file. Everything else
-// (CSV, compressed, unindexed, pre-checksum DRBWIDX1 files, objects tables)
-// falls back to a streaming SHA-256 of the raw bytes.
+// where it lives or when it was written. For an indexed recording the
+// content is already summarized: the header fields fix the weight, sample
+// count and level dictionary, and every block's payload bytes are pinned
+// by its index checksum. Hashing that summary identifies the recording in
+// O(index bytes) — a few hundred bytes of I/O for a gigabyte trace —
+// instead of rehashing the whole file. Everything else (CSV, compressed,
+// unindexed, objects tables, foreign files) falls back to a streaming
+// SHA-256 of the raw bytes.
 //
 // The two forms hash different material, so they carry distinct domain
 // prefixes: the same file always fingerprints the same way through the same
@@ -35,13 +35,8 @@ const (
 )
 
 // Fingerprint returns a stable hex identity of the recording's content,
-// derived from the header and the per-block index checksums. It is only
-// available for checksummed (DRBWIDX2) indexes: ok is false otherwise and
-// the caller should hash the file in full.
-func (it *IndexedTrace) Fingerprint() (fp string, ok bool) {
-	if !it.idx.HasSums {
-		return "", false
-	}
+// derived from the header and the per-block index checksums.
+func (it *IndexedTrace) Fingerprint() string {
 	h := sha256.New()
 	io.WriteString(h, fingerprintIndexSchema)
 	writeU64(h, math.Float64bits(it.weight))
@@ -57,7 +52,7 @@ func (it *IndexedTrace) Fingerprint() (fp string, ok bool) {
 		writeU64(h, uint64(e.Count))
 		writeU64(h, e.Sum)
 	}
-	return hex.EncodeToString(h.Sum(nil)), true
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 func writeU64(h hash.Hash, v uint64) {
@@ -67,8 +62,8 @@ func writeU64(h hash.Hash, v uint64) {
 }
 
 // FileFingerprint returns a stable hex identity of the file's content: the
-// O(index bytes) index fingerprint when the file is an indexed recording
-// with block checksums, a streaming SHA-256 of the raw bytes otherwise
+// O(index bytes) index fingerprint when the file is an indexed recording,
+// a streaming SHA-256 of the raw bytes otherwise
 // (CSV, compressed, unindexed binary, objects tables, foreign files).
 func FileFingerprint(path string) (string, error) {
 	f, err := os.Open(path)
@@ -84,9 +79,7 @@ func FileFingerprint(path string) (string, error) {
 		// NewIndexedTrace reads via ReadAt, so the streaming fallback below
 		// still starts from offset zero when it declines.
 		if it, err := NewIndexedTrace(f, fi.Size()); err == nil {
-			if fp, ok := it.Fingerprint(); ok {
-				return fp, nil
-			}
+			return it.Fingerprint(), nil
 		}
 	}
 	h := sha256.New()

@@ -1,7 +1,6 @@
 package profiledata
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"os"
@@ -14,10 +13,10 @@ import (
 )
 
 // FuzzReadSamples drives the autodetecting decoder — CSV v1/v2 and binary
-// v3 — with arbitrary bytes. Malformed or truncated input must come back
-// as an error, never a panic, and anything that does decode must re-encode
-// and decode to the same samples (the decoder accepts nothing it cannot
-// represent).
+// v4 — with arbitrary bytes. Malformed or truncated input must come back
+// as an error, never a panic; anything that does decode must hold whole
+// cycles (pebs.Check) and re-encode and decode to the same samples (the
+// decoder accepts nothing it cannot represent).
 func FuzzReadSamples(f *testing.F) {
 	samples := testTrace(300, 21)
 
@@ -42,9 +41,9 @@ func FuzzReadSamples(f *testing.F) {
 			f.Add(bin.Bytes()[:bin.Len()-indexTailLen]) // footerless tail
 		}
 	}
-	// Footer-version seeds: the legacy DRBWIDX1 form, and targeted bit
-	// flips in the DRBWIDX2 checksum region (damaged sums must read as
-	// checksum errors or ErrNoIndex, never as silently different samples).
+	// Footer seeds: a retired footer magic, and targeted bit flips in the
+	// checksum region (damaged sums must read as checksum errors or
+	// ErrNoIndex, never as silently different samples).
 	{
 		var bin bytes.Buffer
 		if err := WriteSamplesBinary(&bin, samples, 2.5, BinaryOptions{BlockSize: 16, Index: true}); err != nil {
@@ -55,22 +54,15 @@ func FuzzReadSamples(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		var v1 bytes.Buffer
-		v1.Write(data[:idx.DataEnd+1])
-		bw := bufio.NewWriter(&v1)
-		if err := writeBlockIndexVersioned(bw, idx.Entries, false); err != nil {
-			f.Fatal(err)
-		}
-		if err := bw.Flush(); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(v1.Bytes())
+		legacy := bytes.Clone(data)
+		copy(legacy[len(legacy)-len(indexMagic):], "DRBWIDX2")
+		f.Add(legacy)
 		for _, off := range []int{len(data) - indexTailLen - 1, len(data) - indexTailLen - 9, int(idx.DataEnd) + 2} {
 			flipped := append([]byte(nil), data...)
 			flipped[off] ^= 1
 			f.Add(flipped)
 		}
-		// Lying-footer seeds: structurally valid DRBWIDX2 footers whose
+		// Lying-footer seeds: structurally valid footers whose
 		// MinTime/MaxTime claims disagree with the decoded samples. The
 		// entry times are not covered by the block checksums, so these open
 		// cleanly here; the single-pass analysis upstream must catch the
@@ -98,6 +90,31 @@ func FuzzReadSamples(f *testing.F) {
 	// A weight the binary re-encoding cannot carry must not decode.
 	f.Add([]byte("#drbw-samples,v2,weight,inf\n" + strings.Join(sampleHeader, ",") + "\n1,0,0,0x10,MEM,300,false,0,1\n"))
 	f.Add([]byte{})
+	// Whole-cycle rule seeds: CSV rows and binary v4 blocks whose time or
+	// latency breaks it, and a v3 header.
+	for _, row := range []string{
+		"NaN,0,0,0x10,MEM,300,false,0,1", "1,0,0,0x10,MEM,NaN,false,0,1",
+		"+Inf,0,0,0x10,MEM,300,false,0,1", "1,0,0,0x10,MEM,-Inf,false,0,1",
+		"1.5,0,0,0x10,MEM,300,false,0,1", "1,0,0,0x10,MEM,300.5,false,0,1",
+		"1,0,0,0x10,MEM,-300,false,0,1", "1,0,0,0x10,MEM,4294967296,false,0,1",
+		"9007199254740994,0,0,0x10,MEM,300,false,0,1",
+	} {
+		f.Add([]byte(strings.Join(sampleHeader, ",") + "\n" + row + "\n"))
+	}
+	for _, col := range [][2]uint64{{zigzag(1<<53 + 1), 300}, {zigzag(-1), 300}, {2, 1 << 32}} {
+		payload := binary.AppendUvarint(nil, col[0]) // time delta
+		payload = append(payload, 0, 0, 0x20, 4)     // cpu, thread, addr 0x10, level MEM
+		payload = binary.AppendUvarint(payload, col[1])
+		payload = append(payload, 0, 0, 2) // write, src 0, home 1
+		f.Add(append(binaryWithBlockHeader(1, uint64(len(payload)), payload), 0))
+	}
+	{
+		var bin bytes.Buffer
+		if err := WriteSamplesBinary(&bin, samples, 2.5, BinaryOptions{}); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append([]byte(binaryMagicV3), bin.Bytes()[len(binaryMagic):]...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The indexed opener must never panic on arbitrary bytes. A footer
@@ -125,6 +142,11 @@ func FuzzReadSamples(f *testing.F) {
 		if !(weight > 0) {
 			t.Fatalf("decoded weight %v is not positive", weight)
 		}
+		for i := range got {
+			if err := pebs.Check(&got[i]); err != nil {
+				t.Fatalf("decoded sample %d: %v", i, err)
+			}
+		}
 		// Round-trip: whatever decoded must survive binary re-encoding
 		// bit for bit.
 		var buf bytes.Buffer
@@ -149,16 +171,13 @@ func FuzzReadSamples(f *testing.F) {
 
 		// Indexed round-trip: re-encode with the footer and decode back
 		// through block ranges. Our own writer's index is trusted, so here
-		// full equivalence holds (ErrNoIndex is legitimate: NaN times).
+		// full equivalence holds.
 		var ibuf bytes.Buffer
 		if err := WriteSamplesBinary(&ibuf, got, weight, BinaryOptions{BlockSize: 32, Index: true}); err != nil {
 			t.Fatalf("indexed re-encode failed: %v", err)
 		}
 		it, err := NewIndexedTrace(bytes.NewReader(ibuf.Bytes()), int64(ibuf.Len()))
 		if err != nil {
-			if err == ErrNoIndex {
-				return
-			}
 			t.Fatalf("opening our own indexed encoding failed: %v", err)
 		}
 		var ranged []pebs.Sample
@@ -182,21 +201,11 @@ func FuzzReadSamples(f *testing.F) {
 	})
 }
 
-// sameSample is bit-level equality: NaN times or latencies (CSV accepts
-// "NaN") still count as equal when their bits match.
+// sameSample is field-by-field equality. Decoded samples hold whole
+// cycles, never NaN, so float == serves; it counts -0 equal to 0, which a
+// CSV "-0" latency becomes once re-encoded in binary.
 func sameSample(a, b pebs.Sample) bool {
-	a.Time, b.Time = float64frombitsNorm(a.Time), float64frombitsNorm(b.Time)
-	a.Latency, b.Latency = float64frombitsNorm(a.Latency), float64frombitsNorm(b.Latency)
 	return reflect.DeepEqual(a, b)
-}
-
-// float64frombitsNorm collapses every NaN payload to zero so DeepEqual can
-// compare the rest of the struct.
-func float64frombitsNorm(f float64) float64 {
-	if f != f {
-		return 0
-	}
-	return f
 }
 
 // FuzzReadObjects drives the objects-table reader with arbitrary bytes.
@@ -255,23 +264,15 @@ func FuzzReadBlockIndex(f *testing.F) {
 		f.Add(data)
 		f.Add(data[:len(data)-1])
 		f.Add(data[len(data)-indexTailLen-40:])
-		idx, err := ReadBlockIndex(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
+		if _, err := ReadBlockIndex(bytes.NewReader(data), int64(len(data))); err != nil {
 			f.Fatal(err)
 		}
-		// The legacy DRBWIDX1 footer over the same body.
-		var v1 bytes.Buffer
-		v1.Write(data[:idx.DataEnd+1])
-		bw := bufio.NewWriter(&v1)
-		if err := writeBlockIndexVersioned(bw, idx.Entries, false); err != nil {
-			f.Fatal(err)
-		}
-		if err := bw.Flush(); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(v1.Bytes())
+		// A retired footer magic over the same footer.
+		legacy := bytes.Clone(data)
+		copy(legacy[len(legacy)-len(indexMagic):], "DRBWIDX1")
+		f.Add(legacy)
 		// Damaged footers: a huge payload length, a huge entry count, and
-		// flipped bytes across the payload.
+		// a flipped byte every four across the payload, several per entry.
 		huge := append([]byte(nil), data...)
 		binary.LittleEndian.PutUint64(huge[len(huge)-indexTailLen:], 1<<62)
 		f.Add(huge)
@@ -279,13 +280,13 @@ func FuzzReadBlockIndex(f *testing.F) {
 		count := append([]byte(nil), data...)
 		count[len(count)-indexTailLen-plen] = 0xff
 		f.Add(count)
-		for off := len(data) - indexTailLen - plen; off < len(data)-indexTailLen; off += 7 {
+		for off := len(data) - indexTailLen - plen; off < len(data)-indexTailLen; off += 4 {
 			flipped := append([]byte(nil), data...)
 			flipped[off] ^= 0x81
 			f.Add(flipped)
 		}
 	}
-	f.Add([]byte(binaryMagic + strings.Repeat("\x00", 40) + indexMagicV2))
+	f.Add([]byte(binaryMagic + strings.Repeat("\x00", 40) + indexMagic))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -305,16 +306,12 @@ func FuzzReadBlockIndex(f *testing.F) {
 			}
 			return
 		}
-		entryLen := int64(minIndexEntryLen)
-		if idx.HasSums {
-			entryLen = minIndexEntryLenV2
-		}
-		if idx.DataEnd <= int64(len(binaryMagic)) || idx.DataEnd >= size || int64(cap(idx.Entries))*entryLen > size {
+		if idx.DataEnd <= int64(len(binaryMagic)) || idx.DataEnd >= size || int64(cap(idx.Entries))*minIndexEntryLen > size {
 			t.Fatalf("accepted index ends its data at %d with room for %d entries in %d bytes", idx.DataEnd, cap(idx.Entries), size)
 		}
 		prev := int64(len(binaryMagic))
 		for i, e := range idx.Entries {
-			if e.Offset <= prev || e.Offset >= idx.DataEnd || e.Count <= 0 || e.Count > maxBlockSamples || !(e.MinTime <= e.MaxTime) {
+			if e.Offset <= prev || e.Offset >= idx.DataEnd || e.Count <= 0 || e.Count > maxBlockSamples || !(e.MinTime <= e.MaxTime) || e.MaxTime > pebs.MaxTime {
 				t.Fatalf("accepted entry %d: %+v after offset %d, data end %d", i, e, prev, idx.DataEnd)
 			}
 			prev = e.Offset
@@ -322,8 +319,8 @@ func FuzzReadBlockIndex(f *testing.F) {
 		if itErr != nil {
 			return
 		}
-		if it.Blocks() != len(idx.Entries) || it.HasChecksums() != idx.HasSums {
-			t.Fatalf("OpenIndexedTrace has %d blocks (checksums %v), ReadBlockIndex %d (%v)", it.Blocks(), it.HasChecksums(), len(idx.Entries), idx.HasSums)
+		if it.Blocks() != len(idx.Entries) {
+			t.Fatalf("OpenIndexedTrace has %d blocks, ReadBlockIndex %d", it.Blocks(), len(idx.Entries))
 		}
 		for i, e := range idx.Entries {
 			if it.Entry(i) != e {

@@ -10,8 +10,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"drbw/internal/pebs"
 )
 
 // TestIndexRoundTrip: every block range of an indexed recording decodes to
@@ -161,8 +159,8 @@ func TestOpenIndexedTrace(t *testing.T) {
 }
 
 // TestIndexAbsent: everything that legitimately has no footer reports
-// ErrNoIndex — unindexed binary, compressed (even when Index was requested),
-// CSV, and NaN-time recordings where the writer cannot vouch for ranges.
+// ErrNoIndex — unindexed binary, compressed (even when Index was requested)
+// and CSV.
 func TestIndexAbsent(t *testing.T) {
 	samples := testTrace(500, 9)
 	cases := map[string]func(*bytes.Buffer) error{
@@ -175,11 +173,6 @@ func TestIndexAbsent(t *testing.T) {
 		"csv": func(b *bytes.Buffer) error {
 			return WriteSamples(b, samples, 1)
 		},
-		"nan-times": func(b *bytes.Buffer) error {
-			bad := append([]pebs.Sample(nil), samples...)
-			bad[100].Time = math.NaN()
-			return WriteSamplesBinary(b, bad, 1, BinaryOptions{BlockSize: 64, Index: true})
-		},
 	}
 	for name, write := range cases {
 		var buf bytes.Buffer
@@ -189,7 +182,7 @@ func TestIndexAbsent(t *testing.T) {
 		if _, err := NewIndexedTrace(bytes.NewReader(buf.Bytes()), int64(buf.Len())); !errors.Is(err, ErrNoIndex) {
 			t.Errorf("%s: got %v, want ErrNoIndex", name, err)
 		}
-		// And the recording itself still reads (NaN-time binary included).
+		// And the recording itself still reads.
 		if _, _, err := ReadSamples(bytes.NewReader(buf.Bytes())); err != nil {
 			t.Errorf("%s: streaming read: %v", name, err)
 		}

@@ -21,10 +21,10 @@
 // record, blank lines not counted. No sample field may span lines. The
 // reader works on bytes: it splits each row on commas (by encoding/csv
 // when the row holds a quote) and reads a field spelled the way
-// WriteSamples writes it (decimal digits, one decimal place, 0x-prefixed
-// hex, the level names, true and false) without allocating. A field in
-// any other spelling falls back to strconv, so "+3", "1e3", "NaN", "0X1F"
-// and decimal addresses read as strconv reads them. Since a row never spans
+// WriteSamples writes it (decimal digits, 0x-prefixed hex, the level
+// names, true and false) without allocating. A field in any other spelling
+// falls back to strconv, so "+3", "1e3", "0X1F" and decimal addresses read
+// as strconv reads them. Since a row never spans
 // lines, the data rows can also be read in byte ranges cut just after a
 // '\n': ReadHeader says where they start, and NewCSVSectionReader reads
 // one range, numbering rows and lines as a whole-file read would when told
@@ -42,18 +42,23 @@
 // resolves them via the topology and the page tables while the process is
 // alive; they cannot be reconstructed afterwards).
 //
-// Binary columnar (v3) is the compact format for large traces, written by
-// WriteSamplesBinary and recognized on read by its "DRBWPD3\n" magic. The
+// Every format holds the time and latency of a sample as whole cycles, the
+// way PEBS reports them. Both writers and the CSV reader apply pebs.Check,
+// and the binary reader applies its bounds to the decoded integers, so a
+// NaN, infinite, fractional, negative or out-of-range time or latency is an
+// error naming the field and the value (and, in CSV, the line).
+//
+// Binary columnar (v4) is the compact format for large traces, written by
+// WriteSamplesBinary and recognized on read by its "DRBWPD4\n" magic. The
 // header carries the version, a flags byte (bit 0: flate-compressed body),
 // the collector weight, and a dictionary of level names; the body is a
 // sequence of blocks, each a sample count, a payload length, and a payload
 // holding one column per field. Timestamps and addresses are delta-encoded
 // zigzag varints with deltas running across block boundaries; latencies
-// use fixed-point ×10 varints; levels are single dictionary indices; the
-// write flags are packed eight to a byte. Columns that a block cannot
-// represent losslessly (fractional timestamps, latencies that are not
-// exact tenths) fall back to raw float64 bits for that block, so decoding
-// always reproduces the samples bit for bit. A zero sample count
+// are plain varints; levels are single dictionary indices; the write flags
+// are packed eight to a byte, so decoding reproduces the samples bit for
+// bit. v3 recordings are rejected with an error saying to re-record them.
+// A zero sample count
 // terminates the body. The block structure is what makes streaming decode
 // possible: SampleReader yields one block at a time and analysis memory
 // stays bounded by the block size regardless of trace length.
@@ -83,12 +88,16 @@ const metaTag = "#drbw-samples"
 const sampleVersion = "v2"
 
 // WriteSamples writes samples as CSV, preceded by the v2 meta row carrying
-// the collector weight. A NaN or infinite weight is an error; a finite
-// non-positive one is written as 1. No field it writes needs quoting, so
-// each row is appended into one reused buffer.
+// the collector weight. A sample failing pebs.Check or a NaN or infinite
+// weight is an error, and nothing is written; a finite non-positive weight
+// is written as 1. No field it writes needs quoting, so each row is
+// appended into one reused buffer.
 func WriteSamples(w io.Writer, samples []pebs.Sample, weight float64) error {
 	weight, err := writeWeight(weight)
 	if err != nil {
+		return err
+	}
+	if err := checkSamples(samples); err != nil {
 		return err
 	}
 	bw := bufio.NewWriterSize(w, 64<<10)
@@ -102,7 +111,7 @@ func WriteSamples(w io.Writer, samples []pebs.Sample, weight float64) error {
 	}
 	for i := range samples {
 		s := &samples[i]
-		row = strconv.AppendFloat(row[:0], s.Time, 'f', 0, 64)
+		row = strconv.AppendUint(row[:0], uint64(s.Time), 10)
 		row = append(row, ',')
 		row = strconv.AppendInt(row, int64(s.CPU), 10)
 		row = append(row, ',')
@@ -112,7 +121,7 @@ func WriteSamples(w io.Writer, samples []pebs.Sample, weight float64) error {
 		row = append(row, ',')
 		row = append(row, s.Level.String()...)
 		row = append(row, ',')
-		row = strconv.AppendFloat(row, s.Latency, 'f', 1, 64)
+		row = strconv.AppendUint(row, uint64(s.Latency), 10)
 		row = append(row, ',')
 		row = strconv.AppendBool(row, s.Write)
 		row = append(row, ',')
@@ -182,7 +191,7 @@ func readMeta(rec []string) (float64, error) {
 	return w, nil
 }
 
-// ReadSamples parses a sample recording — binary v3 or CSV v1/v2, detected
+// ReadSamples parses a sample recording — binary v4 or CSV v1/v2, detected
 // from the first bytes — and returns the samples plus the collector weight.
 // v1 recordings (no meta row) read with weight 1.
 func ReadSamples(r io.Reader) ([]pebs.Sample, float64, error) {

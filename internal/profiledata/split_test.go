@@ -85,7 +85,7 @@ func TestCSVSectionReaderPositions(t *testing.T) {
 	if err := WriteSamplesBinary(bin, got, 2.5, BinaryOptions{Compress: true}); err != nil {
 		t.Fatal(err)
 	}
-	if h, err := ReadHeader(bin); err != nil || h != (Header{Weight: 2.5, Format: FormatBinaryV3}) {
+	if h, err := ReadHeader(bin); err != nil || h != (Header{Weight: 2.5, Format: FormatBinaryV4}) {
 		t.Fatalf("binary header %+v, %v", h, err)
 	}
 }
@@ -151,7 +151,7 @@ func FuzzCSVSplit(f *testing.F) {
 			}
 			return
 		}
-		if h.Format == FormatBinaryV3 {
+		if h.Format == FormatBinaryV4 {
 			return
 		}
 		var cuts []int64

@@ -38,7 +38,7 @@ func (b *Buffers) reader(r io.Reader) *bufio.Reader {
 }
 
 // SampleReader streams a sample recording block by block, autodetecting the
-// format: binary columnar v3 by its magic, otherwise CSV (v2 with the meta
+// format: binary columnar v4 by its magic, otherwise CSV (v2 with the meta
 // row, or v1 starting directly at the header). Weight is available as soon
 // as the reader is constructed; Next yields chunks of samples in trace
 // order without ever materializing the whole trace, so analysis memory is
@@ -60,7 +60,7 @@ type SampleReader struct {
 	limited    bool
 	blocksLeft int
 	// sums, when non-nil, holds the range's per-block payload checksums
-	// (DRBWIDX2 indexes); every block read is verified against its entry.
+	// from the index; every block read is verified against its entry.
 	sums []uint64
 
 	// CSV state.
@@ -81,7 +81,7 @@ type SampleReader struct {
 const (
 	FormatCSVv1    = "csv-v1"
 	FormatCSVv2    = "csv-v2"
-	FormatBinaryV3 = "binary-v3"
+	FormatBinaryV4 = "binary-v4"
 )
 
 // NewSampleReader opens a recording for streaming, autodetecting the
@@ -135,13 +135,16 @@ func ReadHeader(r io.Reader) (Header, error) {
 // any flate stream, and a CSV one its lines.
 func readHeader(br *bufio.Reader, bufs *Buffers) (_ *SampleReader, compressed bool, err error) {
 	head, err := br.Peek(len(binaryMagic))
+	if err == nil && string(head) == binaryMagicV3 {
+		return nil, false, errBinaryV3
+	}
 	if err == nil && string(head) == binaryMagic {
 		br.Discard(len(binaryMagic))
 		weight, total, levels, compressed, err := readBinaryHeader(br)
 		if err != nil {
 			return nil, false, err
 		}
-		sr := &SampleReader{weight: weight, format: FormatBinaryV3, bufs: bufs, total: total, body: br}
+		sr := &SampleReader{weight: weight, format: FormatBinaryV4, bufs: bufs, total: total, body: br}
 		sr.dec.levels = levels
 		return sr, compressed, nil
 	}
@@ -158,7 +161,7 @@ func readHeader(br *bufio.Reader, bufs *Buffers) (_ *SampleReader, compressed bo
 func (sr *SampleReader) Weight() float64 { return sr.weight }
 
 // Format names the detected recording format: FormatCSVv1, FormatCSVv2 or
-// FormatBinaryV3.
+// FormatBinaryV4.
 func (sr *SampleReader) Format() string { return sr.format }
 
 // Next returns the next chunk of samples, or (nil, io.EOF) when the

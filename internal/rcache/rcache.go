@@ -36,7 +36,8 @@ import (
 // SchemaVersion names the cached-payload schema. Callers fold it into
 // every key, so bumping it on an incompatible payload change orphans all
 // old entries at once — invalidation by versioning, no migration code.
-const SchemaVersion = "drbw.rcache/1"
+// Version 2 orphans the reports built from fractional-cycle samples.
+const SchemaVersion = "drbw.rcache/2"
 
 // Key addresses one cached value. Derive it with KeyOf from every input
 // that determines the value.

@@ -215,13 +215,6 @@ func (m *Machine) Name() string { return m.name }
 // Nodes returns the number of NUMA nodes.
 func (m *Machine) Nodes() int { return m.nodes }
 
-// Cores returns descriptions of all physical cores, ordered by CoreID.
-func (m *Machine) Cores() []Core {
-	out := make([]Core, len(m.cores))
-	copy(out, m.cores)
-	return out
-}
-
 // NumCPUs returns the total number of hardware threads.
 func (m *Machine) NumCPUs() int { return len(m.cpuToNode) }
 

@@ -60,9 +60,6 @@ func LU() program.Builder { return npbStencil("LU", 4, 8, 4, 9) }
 // MG: multigrid. Class: good.
 func MG() program.Builder { return npbStencil("MG", 3, 12, 5, 8) }
 
-// BTArrays exposes BT's array count for tests.
-const BTArrays = 5
-
 // CG: conjugate gradient — CSR sparse matrix-vector products. The matrix
 // rows are co-located; the gathered x vector is shared but small enough to
 // stay cache resident. Class: good.

@@ -20,12 +20,12 @@ import (
 // sample, with node resolution already applied (the collector resolves
 // source and home while the process is alive).
 type SampleRecord struct {
-	Time     float64 // cycles since run start
+	Time     float64 // whole cycles since run start, at most 2^53
 	CPU      int
 	Thread   int
 	Addr     uint64
-	Level    string // "L1", "L2", "L3", "LFB" or "MEM"
-	Latency  float64
+	Level    string  // "L1", "L2", "L3", "LFB" or "MEM"
+	Latency  float64 // whole cycles, below 2^32
 	Write    bool
 	SrcNode  int
 	HomeNode int
@@ -86,17 +86,21 @@ func fromRecord(r SampleRecord) (pebs.Sample, error) {
 }
 
 // samples converts the recording's sample records, checking every memory
-// level, and returns them with the collector weight: 1 when unset or not
+// level and, with pebs.Check, that every time and latency is a whole cycle
+// count. It returns them with the collector weight: 1 when unset or not
 // positive, and an error when NaN or infinite.
 func (td *TraceData) samples() ([]pebs.Sample, float64, error) {
 	if math.IsNaN(td.Weight) || math.IsInf(td.Weight, 0) {
 		return nil, 0, fmt.Errorf("drbw: recording weight %v is not finite", td.Weight)
 	}
 	samples := make([]pebs.Sample, 0, len(td.Samples))
-	for _, r := range td.Samples {
+	for i, r := range td.Samples {
 		s, err := fromRecord(r)
 		if err != nil {
 			return nil, 0, err
+		}
+		if err := pebs.Check(&s); err != nil {
+			return nil, 0, fmt.Errorf("drbw: sample %d: %w", i, err)
 		}
 		samples = append(samples, s)
 	}

@@ -366,3 +366,110 @@ func TestNonFiniteWeightRejected(t *testing.T) {
 		})
 	}
 }
+
+// TestNonWholeCyclesRejected pins the whole-cycle rule at every way a
+// sample enters or leaves a recording: a time or latency that is not a
+// whole cycle count in range is an error naming the field, from the CSV
+// reader (with the line), from a hand-built binary v4 block, from
+// TraceData analysis and saving, and from both writers. A binary v4 column
+// holds only integers, so only the integers outside the ranges get a
+// hand-built block. A binary v3 recording is rejected too.
+func TestNonWholeCyclesRejected(t *testing.T) {
+	var empty bytes.Buffer
+	if err := profiledata.WriteSamplesBinary(&empty, nil, 1, profiledata.BinaryOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	header := empty.Bytes()[:empty.Len()-1] // drop the body terminator
+	cases := []struct {
+		name, field string
+		v           float64
+	}{
+		{"NaN time", "time", math.NaN()},
+		{"NaN latency", "latency", math.NaN()},
+		{"+Inf time", "time", math.Inf(1)},
+		{"-Inf time", "time", math.Inf(-1)},
+		{"+Inf latency", "latency", math.Inf(1)},
+		{"-Inf latency", "latency", math.Inf(-1)},
+		{"fractional time", "time", 1000.5},
+		{"fractional latency", "latency", 300.25},
+		{"negative time", "time", -1},
+		{"negative latency", "latency", -300},
+		{"latency 2^32", "latency", 1 << 32},
+		{"time past 2^53", "time", 1<<53 + 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := pebs.Sample{Time: 1000, Addr: 0x10, Level: cache.MEM, Latency: 300, HomeNode: 1}
+			rec := drbw.SampleRecord{Time: 1000, Addr: 0x10, Level: "MEM", Latency: 300, HomeNode: 1}
+			if c.field == "time" {
+				s.Time, rec.Time = c.v, c.v
+			} else {
+				s.Latency, rec.Latency = c.v, c.v
+			}
+			named := fmt.Sprintf("%s %v ", c.field, c.v)
+			want := func(what string, err error, text string) {
+				t.Helper()
+				if err == nil {
+					t.Errorf("%s: accepted", what)
+				} else if !strings.Contains(err.Error(), text) {
+					t.Errorf("%s: error %q does not contain %q", what, err, text)
+				}
+			}
+
+			want("WriteSamples", profiledata.WriteSamples(io.Discard, []pebs.Sample{s}, 1), named)
+			want("WriteSamplesBinary", profiledata.WriteSamplesBinary(io.Discard, []pebs.Sample{s}, 1, profiledata.BinaryOptions{}), named)
+
+			csv := fmt.Sprintf("time,cpu,thread,addr,level,latency,write,src_node,home_node\n%v,0,0,0x10,MEM,%v,false,0,1\n", s.Time, s.Latency)
+			_, _, err := profiledata.ReadSamples(strings.NewReader(csv))
+			want("CSV reader", err, "line 2: "+named)
+
+			if whole := c.v == math.Trunc(c.v) && !math.IsInf(c.v, 0); whole && (c.field == "time" || c.v >= 0) {
+				var payload []byte
+				payload = binary.AppendUvarint(payload, uint64(int64(s.Time)<<1^int64(s.Time)>>63)) // zigzag
+				payload = append(payload, 0, 0, 0x20, 4)                                            // cpu, thread, addr 0x10, level MEM
+				payload = binary.AppendUvarint(payload, uint64(s.Latency))
+				payload = append(payload, 0, 0, 2) // write, src 0, home 1
+				data := binary.AppendUvarint(bytes.Clone(header), 1)
+				data = binary.AppendUvarint(data, uint64(len(payload)))
+				data = append(append(data, payload...), 0)
+				_, _, err := profiledata.ReadSamples(bytes.NewReader(data))
+				want("binary reader", err, fmt.Sprintf("%s %d ", c.field, int64(c.v)))
+			}
+
+			td := &drbw.TraceData{Samples: []drbw.SampleRecord{rec}}
+			_, err = sharedTool(t).AnalyzeTrace(td)
+			want("AnalyzeTrace", err, named)
+			dir := t.TempDir()
+			for _, f := range []drbw.TraceFormat{drbw.FormatCSV, drbw.FormatBinary} {
+				path := filepath.Join(dir, "s."+string(f))
+				want("SaveAs "+string(f), td.SaveAs(path, filepath.Join(dir, "o.csv"), f), named)
+				if _, err := os.Stat(path); err == nil {
+					t.Errorf("SaveAs %s left %s behind", f, path)
+				}
+			}
+		})
+	}
+	t.Run("v3 magic", func(t *testing.T) {
+		dir := t.TempDir()
+		path, objects := filepath.Join(dir, "s.bin"), filepath.Join(dir, "o.csv")
+		td := &drbw.TraceData{Samples: []drbw.SampleRecord{{Time: 1000, Addr: 0x10, Level: "MEM", Latency: 300, HomeNode: 1}}}
+		if err := td.SaveAs(path, objects, drbw.FormatBinary); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(data, "DRBWPD3\n")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = profiledata.ReadSamples(bytes.NewReader(data))
+		if err == nil || !strings.Contains(err.Error(), "re-record") {
+			t.Errorf("ReadSamples: error %v, want one saying to re-record", err)
+		}
+		if _, err := sharedTool(t).AnalyzeTraceFile(path, objects); err == nil || !strings.Contains(err.Error(), "re-record") {
+			t.Errorf("AnalyzeTraceFile: error %v, want one saying to re-record", err)
+		}
+	})
+}

@@ -17,15 +17,15 @@ package drbw
 // the pass has seen the whole range.
 //
 // After the pass, every job's weight must equal the plan's — shards
-// recorded at different weights do not merge. A checksummed (DRBWIDX2)
-// indexed recording analyzed whole also states its sample count and time
-// range in its footer; the pass's count and range must match it, with no
-// NaN times, or the analysis fails as "index disagrees with recording".
-// Such plans verify every decoded block against its DRBWIDX2 checksum
-// too, which covers what the footer's own claims cannot: the payload
-// bytes. A CSV range must still start and end at a line boundary when it
-// is read, or the recording changed after it was cut. A failed CSV range
-// reports the error a whole-file read would, line numbers included.
+// recorded at different weights do not merge. An indexed recording
+// analyzed whole also states its sample count and time range in its
+// footer; the pass's count and range must match it, or the analysis fails
+// as "index disagrees with recording". Every decoded block of an indexed
+// recording is verified against its footer checksum too, which covers what
+// the footer's own claims cannot: the payload bytes. A CSV range must
+// still start and end at a line boundary when it is read, or the recording
+// changed after it was cut. A failed CSV range reports the error a
+// whole-file read would, line numbers included.
 
 import (
 	"bytes"
@@ -49,10 +49,10 @@ import (
 // recording mid-analysis.
 var testHookPlanned func(footer bool)
 
-// sampleBounds summarizes a run of samples: n samples, nan of them with a
-// NaN time, the others spanning [minT, maxT].
+// sampleBounds summarizes a run of samples: n samples spanning [minT,
+// maxT].
 type sampleBounds struct {
-	n, nan     int64
+	n          int64
 	minT, maxT float64
 }
 
@@ -60,7 +60,6 @@ func emptyBounds() sampleBounds { return sampleBounds{minT: math.Inf(1), maxT: m
 
 func (b *sampleBounds) merge(o sampleBounds) {
 	b.n += o.n
-	b.nan += o.nan
 	if o.minT < b.minT {
 		b.minT = o.minT
 	}
@@ -77,7 +76,7 @@ type tracePlan struct {
 	label  string // pool label of the job fan-out
 	weight float64
 	raw    int64         // samples in blocks the time window pruned
-	footer *sampleBounds // DRBWIDX2 footers' claim; nil unless every input has one and tr keeps all
+	footer *sampleBounds // index footers' claim; nil unless every input has one and tr keeps all
 	its    []*profiledata.IndexedTrace
 	files  []*os.File // CSV recordings, read by their range jobs
 }
@@ -233,7 +232,6 @@ func plan(samplePaths []string, tr timeRange, label string, inline bool) (_ *tra
 		if i == 0 {
 			p.weight = it.Weight()
 		}
-		footer = footer && it.HasChecksums()
 		if lo, hi, ok := it.TimeBounds(); ok {
 			claim.merge(sampleBounds{n: int64(it.TotalSamples()), minT: lo, maxT: hi})
 		}
@@ -289,7 +287,7 @@ func openUnindexed(path string) (*os.File, profiledata.Header, error) {
 		return nil, profiledata.Header{}, fmt.Errorf("drbw: %w", err)
 	}
 	h, err := profiledata.ReadHeader(f)
-	if err != nil || h.Format == profiledata.FormatBinaryV3 {
+	if err != nil || h.Format == profiledata.FormatBinaryV4 {
 		f.Close()
 		return nil, h, err
 	}
@@ -430,11 +428,11 @@ func (t *Tool) fusedPass(p *tracePlan, objects []alloc.Object, sc *traceScratch,
 	}
 	seen := emptyBounds()
 	if sw != nil {
-		seen.n, seen.nan, seen.minT, seen.maxT = sw.Range()
+		seen.n, seen.minT, seen.maxT = sw.Range()
 	}
 	if p.footer != nil && seen != *p.footer {
-		return nil, fmt.Errorf("drbw: index disagrees with recording (the index claims %d samples in [%v, %v]; decoded %d in [%v, %v], %d with a NaN time)",
-			p.footer.n, p.footer.minT, p.footer.maxT, seen.n, seen.minT, seen.maxT, seen.nan)
+		return nil, fmt.Errorf("drbw: index disagrees with recording (the index claims %d samples in [%v, %v]; decoded %d in [%v, %v])",
+			p.footer.n, p.footer.minT, p.footer.maxT, seen.n, seen.minT, seen.maxT)
 	}
 	if seen.n == 0 {
 		return nil, errNoSamples(p.tr, raw)

@@ -2,7 +2,6 @@ package drbw_test
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -149,7 +148,7 @@ func TestAnalyzeTraceMatchesReference(t *testing.T) {
 	nan := *td
 	nan.Samples = append([]drbw.SampleRecord(nil), td.Samples...)
 	nan.Samples[len(nan.Samples)/2].Time = math.NaN()
-	inputs = append(inputs, input{name: "nan-time", td: &nan})
+	inputs = append(inputs, input{name: "nan-time", td: &nan, wantErr: "time NaN is not a whole cycle count"})
 
 	// A raw recording whose collector overflowed: weight > 1, with the
 	// Bench and Config labels only Record sets.
@@ -250,7 +249,7 @@ func TestOneReadPerRecording(t *testing.T) {
 		window bool
 	}{
 		{"csv", csvPath, false},
-		{"unindexed-v3", rewriteSamples(t, csvPath, profiledata.BinaryOptions{}), false},
+		{"unindexed-binary", rewriteSamples(t, csvPath, profiledata.BinaryOptions{}), false},
 		{"legacy-index", legacyIndex(t, reblock(t, indexed, 64)), false},
 		{"indexed-window", reblock(t, indexed, 64), true},
 	}
@@ -380,37 +379,18 @@ func rewriteSamples(t *testing.T, path string, opts profiledata.BinaryOptions) s
 	return out
 }
 
-// legacyIndex copies an indexed recording with its footer downgraded to
-// the pre-checksum DRBWIDX1 form: the same block entries, no checksums.
+// legacyIndex copies an indexed recording with its footer closed by the
+// retired DRBWIDX2 magic of v3 recordings. That footer reads as no index,
+// so the copy analyzes as one unindexed binary job.
 func legacyIndex(t *testing.T, path string) string {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := profiledata.ReadBlockIndex(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	footer := binary.AppendUvarint(nil, uint64(len(idx.Entries)))
-	prev := int64(0)
-	for _, e := range idx.Entries {
-		footer = binary.AppendUvarint(footer, uint64(e.Offset-prev))
-		prev = e.Offset
-		footer = binary.AppendUvarint(footer, uint64(e.Count))
-		footer = binary.AppendVarint(footer, e.PrevTime)
-		footer = binary.AppendUvarint(footer, e.PrevAddr)
-		footer = binary.AppendVarint(footer, e.PrevLat)
-		footer = binary.LittleEndian.AppendUint64(footer, math.Float64bits(e.MinTime))
-		footer = binary.LittleEndian.AppendUint64(footer, math.Float64bits(e.MaxTime))
-	}
-	// Body plus its zero-count terminator at DataEnd, then the old footer.
-	out := append([]byte(nil), data[:idx.DataEnd+1]...)
-	out = append(out, footer...)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(footer)))
-	out = append(out, "DRBWIDX1"...)
+	copy(data[len(data)-len("DRBWIDX2"):], "DRBWIDX2")
 	legacy := filepath.Join(t.TempDir(), "legacy.bin")
-	if err := os.WriteFile(legacy, out, 0o644); err != nil {
+	if err := os.WriteFile(legacy, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return legacy
@@ -571,42 +551,6 @@ func TestSinglePassRejectsLyingIndexFooter(t *testing.T) {
 			}
 			if err == nil || !strings.Contains(err.Error(), "index disagrees with recording") {
 				t.Fatalf("workers=%d %s: error = %v, want index-disagrees", workers, name, err)
-			}
-		}
-	}
-}
-
-// TestNaNTimeMatchesSlicePath: a sample with a NaN time is counted, not
-// rejected — it lands in the timeline exactly as the reference analysis puts it —
-// on every input that may hold one (the index writer refuses NaN times).
-func TestNaNTimeMatchesSlicePath(t *testing.T) {
-	tl := sharedTool(t)
-	_, csvPath, oPath := recordTo(t, tl, 78, drbw.FormatCSV)
-	td, err := drbw.LoadTrace(csvPath, oPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	td.Samples[len(td.Samples)/2].Time = math.NaN()
-	want, err := tl.AnalyzeTraceRef(td)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nanCSV := filepath.Join(t.TempDir(), "nan.csv")
-	if err := td.SaveAs(nanCSV, filepath.Join(t.TempDir(), "o.csv"), drbw.FormatCSV); err != nil {
-		t.Fatal(err)
-	}
-	unindexed := rewriteSamples(t, nanCSV, profiledata.BinaryOptions{})
-
-	defer core.SetPoolWorkers(0)
-	for _, workers := range []int{1, 2} {
-		core.SetPoolWorkers(workers)
-		for _, path := range []string{nanCSV, unindexed} {
-			got, err := tl.AnalyzeTraceFile(path, oPath)
-			if err != nil {
-				t.Fatalf("workers=%d %s: %v", workers, path, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("workers=%d %s: report differs from the reference analysis\n got %+v\nwant %+v", workers, path, got, want)
 			}
 		}
 	}

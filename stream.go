@@ -24,7 +24,7 @@ const (
 	// FormatCSV is the line-oriented text format (v2 with the weight meta
 	// row) — greppable, produced and consumed by shell tooling.
 	FormatCSV TraceFormat = "csv"
-	// FormatBinary is the binary columnar format (v3) — several times
+	// FormatBinary is the binary columnar format (v4) — several times
 	// smaller and faster to decode, the right choice for large traces.
 	// Written with the block index footer, so AnalyzeTraceFile can fan the
 	// blocks across the worker pool.
