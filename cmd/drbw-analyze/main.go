@@ -19,14 +19,15 @@
 // does not abort the others. Samples files may be CSV or the binary
 // columnar format; the reader autodetects. Analysis streams recordings
 // block by block, so memory stays bounded however large the trace is;
-// indexed binary recordings additionally fan block ranges across the
-// worker pool, with a merged report bit-identical to the serial one.
+// binary recordings fan block ranges across the worker pool through their
+// index footer, and CSV recordings byte ranges of whole lines, with a
+// merged report bit-identical to the serial one.
 //
 // -shards analyzes a directory holding one recording split across several
 // samples files (named *.samples.*) plus a single *.objects.csv, merging
 // them into one report as if the shards had been one file. -range
 // restricts the analysis to samples with lo <= time <= hi (two floats
-// separated by a colon); on indexed recordings whole blocks outside the
+// separated by a colon); on binary recordings whole blocks outside the
 // window are never read.
 //
 // -convert transcodes the recordings to <prefix>.samples.{csv,bin} and
@@ -213,8 +214,7 @@ func main() {
 	ferrs := make([]error, len(sampleFiles))
 	if haveRange {
 		// The batch runner has no windowed form; ranged recordings are
-		// analyzed one at a time (each still fans out internally when the
-		// recording is indexed).
+		// analyzed one at a time (each still fans out internally).
 		reports = make([]*drbw.Report, len(sampleFiles))
 		for i := range sampleFiles {
 			rep, rerr := tool.AnalyzeTraceFileRange(sampleFiles[i], objectFiles[i], lo, hi)

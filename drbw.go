@@ -346,11 +346,7 @@ func (t *Tool) Analyze(bench string, c Case) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	dn, err := t.detector.Detect(b, t.machine, c.config())
-	if err != nil {
-		return nil, err
-	}
-	return reportFromDetection(dn), nil
+	return t.detect(b, c, t.detector.Detect)
 }
 
 // Evaluate runs Analyze plus the paper's ground-truth probe (whole-program
@@ -362,7 +358,14 @@ func (t *Tool) Evaluate(bench string, c Case) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	dn, err := t.detector.Evaluate(b, t.machine, c.config())
+	return t.detect(b, c, t.detector.Evaluate)
+}
+
+// detect runs one of the detector's pipelines, Detect or Evaluate, on a
+// case of b and renders the report: the body of Analyze, Evaluate and
+// their workload forms.
+func (t *Tool) detect(b program.Builder, c Case, run func(program.Builder, *topology.Machine, program.Config) (*core.Detection, error)) (*Report, error) {
+	dn, err := run(b, t.machine, c.config())
 	if err != nil {
 		return nil, err
 	}
@@ -432,6 +435,12 @@ func (t *Tool) Optimize(bench string, c Case, s Strategy, objects ...string) (Co
 	if err != nil {
 		return Comparison{}, err
 	}
+	return t.measure(b, c, s, objects)
+}
+
+// measure simulates a placement fix on a case of b: the body of Optimize
+// and OptimizeWorkload.
+func (t *Tool) measure(b program.Builder, c Case, s Strategy, objects []string) (Comparison, error) {
 	strat, err := s.internal()
 	if err != nil {
 		return Comparison{}, err

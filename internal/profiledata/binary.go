@@ -7,12 +7,12 @@ package profiledata
 // of megabytes of text. v4 stores the same nine sample fields as packed
 // per-block columns:
 //
-//	header:  magic "DRBWPD4\n", version byte, flags byte,
+//	header:  magic "DRBWPD4\n", version byte, flags byte (always 0),
 //	         weight float64 LE, uvarint total sample count (0 when the
 //	         writer did not know it), level dictionary (count, then
 //	         length-prefixed level names in index order)
-//	body:    blocks until a zero sample count; optionally one flate
-//	         stream when the header flags bit 0 is set
+//	body:    blocks until a zero sample count
+//	footer:  the block index (see index.go)
 //	block:   uvarint sampleCount, uvarint payloadLen, payload
 //	payload: time column    zigzag-varint deltas of the cycle count
 //	                        (running across blocks)
@@ -30,13 +30,14 @@ package profiledata
 // [0, 2^53] or latency outside [0, 2^32), so every recording round-trips
 // exactly. The level dictionary makes the format self-describing: indexes
 // are resolved through the recorded names, not through cache.Level values.
+// Every v4 file has one layout: uncompressed blocks closed by the index
+// footer, so analysis can decode any block range on its own.
 //
 // v3 recordings, whose columns carried fractional cycles, are rejected
 // with an error that says to re-record them.
 
 import (
 	"bufio"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -61,10 +62,7 @@ const binaryMagicV3 = "DRBWPD3\n"
 
 var errBinaryV3 = errors.New("profiledata: binary v3 recording: v3 stored fractional cycles and is no longer read; re-record it to write v4")
 
-// flagCompressed marks a flate-compressed block stream.
-const flagCompressed = 1 << 0
-
-// DefaultBlockSize is the samples-per-block default of WriteSamplesBinary —
+// DefaultBlockSize is the samples per block TraceData.SaveAs writes —
 // large enough to amortize per-block overhead, small enough that a
 // streaming reader holds only a few hundred KB per trace.
 const DefaultBlockSize = 8192
@@ -91,29 +89,15 @@ var levelNames = []string{
 	cache.LFB.String(), cache.MEM.String(),
 }
 
-// BinaryOptions controls WriteSamplesBinary.
-type BinaryOptions struct {
-	// BlockSize is the samples per block; <= 0 uses DefaultBlockSize.
-	BlockSize int
-	// Compress flate-compresses the block stream. Roughly halves the file
-	// again at a decode-speed cost; the uncompressed form is already
-	// several times smaller than CSV.
-	Compress bool
-	// Index appends the block index footer (see index.go) after the body
-	// terminator: per-block file offsets, sample counts, time ranges and
-	// decoder seed state, discovered by a trailing magic. Streaming readers
-	// stop at the terminator and never see it; indexed readers
-	// (OpenIndexedTrace) use it to decode block ranges independently.
-	// Ignored when Compress is set: a flate body has no seekable block
-	// boundaries.
-	Index bool
-}
-
-// WriteSamplesBinary writes samples in the binary columnar v4 format. A
-// sample failing pebs.Check or a NaN or infinite weight is an error, and
-// nothing is written; a finite non-positive weight is written as 1,
-// mirroring WriteSamples.
-func WriteSamplesBinary(w io.Writer, samples []pebs.Sample, weight float64, opt BinaryOptions) error {
+// WriteSamplesBinary writes samples in the binary columnar v4 format,
+// blockSize samples to a block, closed by the block index footer. A sample
+// failing pebs.Check, a NaN or infinite weight, or a block size outside
+// [1, 2^20] is an error, and nothing is written; a finite non-positive
+// weight is written as 1, mirroring WriteSamples.
+func WriteSamplesBinary(w io.Writer, samples []pebs.Sample, weight float64, blockSize int) error {
+	if blockSize < 1 || blockSize > maxBlockSamples {
+		return fmt.Errorf("profiledata: block size %d outside [1, %d]", blockSize, maxBlockSamples)
+	}
 	weight, err := writeWeight(weight)
 	if err != nil {
 		return err
@@ -121,23 +105,12 @@ func WriteSamplesBinary(w io.Writer, samples []pebs.Sample, weight float64, opt 
 	if err := checkSamples(samples); err != nil {
 		return err
 	}
-	blockSize := opt.BlockSize
-	if blockSize <= 0 {
-		blockSize = DefaultBlockSize
-	}
-	if blockSize > maxBlockSamples {
-		blockSize = maxBlockSamples
-	}
 
 	bw := bufio.NewWriter(w)
 	// Header.
 	bw.WriteString(binaryMagic)
 	bw.WriteByte(binaryVersion)
-	flags := byte(0)
-	if opt.Compress {
-		flags |= flagCompressed
-	}
-	bw.WriteByte(flags)
+	bw.WriteByte(0) // flags
 	var f8 [8]byte
 	binary.LittleEndian.PutUint64(f8[:], math.Float64bits(weight))
 	bw.Write(f8[:])
@@ -152,21 +125,8 @@ func WriteSamplesBinary(w io.Writer, samples []pebs.Sample, weight float64, opt 
 		bw.WriteString(name)
 	}
 
-	// Body, optionally behind flate.
-	body := io.Writer(bw)
-	var fw *flate.Writer
-	if opt.Compress {
-		var err error
-		if fw, err = flate.NewWriter(bw, flate.BestSpeed); err != nil {
-			return fmt.Errorf("profiledata: %w", err)
-		}
-		body = fw
-	}
-
-	// Block offsets for the index are computed arithmetically — the header
-	// length plus every block written so far — which only works for the
-	// uncompressed body the index is defined on.
-	writeIndex := opt.Index && !opt.Compress
+	// Block offsets for the index are computed arithmetically: the header
+	// length plus every block written so far.
 	off := int64(len(binaryMagic)) + 2 + 8 + int64(ncnt) + 1
 	for _, name := range levelNames {
 		off += 1 + int64(len(name))
@@ -176,64 +136,37 @@ func WriteSamplesBinary(w io.Writer, samples []pebs.Sample, weight float64, opt 
 	var enc blockEncoder
 	var head [2 * binary.MaxVarintLen64]byte
 	for start := 0; start < len(samples); start += blockSize {
-		end := start + blockSize
-		if end > len(samples) {
-			end = len(samples)
+		block := samples[start:min(start+blockSize, len(samples))]
+		// Decoder seed state is the encoder's running deltas as they stand
+		// *before* this block.
+		e := IndexEntry{
+			Offset: off, Count: len(block),
+			PrevTime: enc.prevTime, PrevAddr: enc.prevAddr,
+			MinTime: block[0].Time, MaxTime: block[0].Time,
 		}
-		block := samples[start:end]
-		var e IndexEntry
-		if writeIndex {
-			// Decoder seed state is the encoder's running deltas as they
-			// stand *before* this block.
-			e = IndexEntry{
-				Offset: off, Count: len(block),
-				PrevTime: enc.prevTime, PrevAddr: enc.prevAddr,
-				MinTime: block[0].Time, MaxTime: block[0].Time,
-			}
-			for i := range block {
-				if block[i].Time < e.MinTime {
-					e.MinTime = block[i].Time
-				}
-				if block[i].Time > e.MaxTime {
-					e.MaxTime = block[i].Time
-				}
-			}
+		for i := range block {
+			e.MinTime = min(e.MinTime, block[i].Time)
+			e.MaxTime = max(e.MaxTime, block[i].Time)
 		}
 		payload, err := enc.encode(block)
 		if err != nil {
 			return err
 		}
-		if writeIndex {
-			// The entry checksums the payload bytes as written, so range
-			// reads can verify blocks and FileFingerprint can identify the
-			// recording's content from the index alone.
-			e.Sum = blockChecksum(payload)
-			entries = append(entries, e)
-		}
+		// The entry checksums the payload bytes as written, so range reads
+		// can verify blocks and FileFingerprint can identify the
+		// recording's content from the index alone.
+		e.Sum = blockChecksum(payload)
+		entries = append(entries, e)
 		n := binary.PutUvarint(head[:], uint64(len(block)))
 		n += binary.PutUvarint(head[n:], uint64(len(payload)))
-		if _, err := body.Write(head[:n]); err != nil {
-			return fmt.Errorf("profiledata: %w", err)
-		}
-		if _, err := body.Write(payload); err != nil {
-			return fmt.Errorf("profiledata: %w", err)
-		}
+		bw.Write(head[:n])
+		bw.Write(payload)
 		off += int64(n) + int64(len(payload))
 	}
-	// Zero-count terminator.
-	n := binary.PutUvarint(head[:], 0)
-	if _, err := body.Write(head[:n]); err != nil {
-		return fmt.Errorf("profiledata: %w", err)
-	}
-	if fw != nil {
-		if err := fw.Close(); err != nil {
-			return fmt.Errorf("profiledata: %w", err)
-		}
-	}
-	if writeIndex {
-		if err := writeBlockIndex(bw, entries); err != nil {
-			return err
-		}
+	// Zero-count terminator, then the footer.
+	bw.WriteByte(0)
+	if err := writeBlockIndex(bw, entries); err != nil {
+		return err
 	}
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("profiledata: %w", err)
@@ -524,55 +457,54 @@ func (d *blockDecoder) decode(payload []byte, out []pebs.Sample, scratch *[]uint
 
 // readBinaryHeader parses everything after the magic (which the caller has
 // already consumed) and returns the weight, the total sample count written
-// by the encoder (0 when unknown), the level dictionary, and whether the
-// body is flate-compressed.
-func readBinaryHeader(r *bufio.Reader) (weight float64, total uint64, levels []cache.Level, compressed bool, err error) {
+// by the encoder (0 when unknown) and the level dictionary.
+func readBinaryHeader(r *bufio.Reader) (weight float64, total uint64, levels []cache.Level, err error) {
 	version, err := r.ReadByte()
 	if err != nil {
-		return 0, 0, nil, false, fmt.Errorf("profiledata: reading binary header: %w", err)
+		return 0, 0, nil, fmt.Errorf("profiledata: reading binary header: %w", err)
 	}
 	if version != binaryVersion {
-		return 0, 0, nil, false, fmt.Errorf("profiledata: unsupported binary samples version %d (this reader handles %d)", version, binaryVersion)
+		return 0, 0, nil, fmt.Errorf("profiledata: unsupported binary samples version %d (this reader handles %d)", version, binaryVersion)
 	}
 	flags, err := r.ReadByte()
 	if err != nil {
-		return 0, 0, nil, false, fmt.Errorf("profiledata: reading binary header: %w", err)
+		return 0, 0, nil, fmt.Errorf("profiledata: reading binary header: %w", err)
 	}
-	if flags&^flagCompressed != 0 {
-		return 0, 0, nil, false, fmt.Errorf("profiledata: unknown binary header flags %#x", flags)
+	if flags != 0 {
+		return 0, 0, nil, fmt.Errorf("profiledata: binary header flags %#x, want 0", flags)
 	}
 	var f8 [8]byte
 	if _, err := io.ReadFull(r, f8[:]); err != nil {
-		return 0, 0, nil, false, fmt.Errorf("profiledata: reading binary header: %w", err)
+		return 0, 0, nil, fmt.Errorf("profiledata: reading binary header: %w", err)
 	}
 	weight = math.Float64frombits(binary.LittleEndian.Uint64(f8[:]))
 	if !(weight > 0) || math.IsInf(weight, 0) {
-		return 0, 0, nil, false, fmt.Errorf("profiledata: binary header weight %v is not positive and finite", weight)
+		return 0, 0, nil, fmt.Errorf("profiledata: binary header weight %v is not positive and finite", weight)
 	}
 	if total, err = binary.ReadUvarint(r); err != nil {
-		return 0, 0, nil, false, fmt.Errorf("profiledata: reading binary header: %w", corruptEOF(err))
+		return 0, 0, nil, fmt.Errorf("profiledata: reading binary header: %w", corruptEOF(err))
 	}
 	nlevels, err := r.ReadByte()
 	if err != nil {
-		return 0, 0, nil, false, fmt.Errorf("profiledata: reading binary header: %w", err)
+		return 0, 0, nil, fmt.Errorf("profiledata: reading binary header: %w", err)
 	}
 	if nlevels == 0 {
-		return 0, 0, nil, false, fmt.Errorf("profiledata: binary header has an empty level dictionary")
+		return 0, 0, nil, fmt.Errorf("profiledata: binary header has an empty level dictionary")
 	}
 	var name [255]byte
 	for i := 0; i < int(nlevels); i++ {
 		n, err := r.ReadByte()
 		if err != nil {
-			return 0, 0, nil, false, fmt.Errorf("profiledata: reading level dictionary: %w", err)
+			return 0, 0, nil, fmt.Errorf("profiledata: reading level dictionary: %w", err)
 		}
 		if _, err := io.ReadFull(r, name[:n]); err != nil {
-			return 0, 0, nil, false, fmt.Errorf("profiledata: reading level dictionary: %w", err)
+			return 0, 0, nil, fmt.Errorf("profiledata: reading level dictionary: %w", err)
 		}
 		lvl, err := parseLevel(string(name[:n]))
 		if err != nil {
-			return 0, 0, nil, false, fmt.Errorf("profiledata: level dictionary: %w", err)
+			return 0, 0, nil, fmt.Errorf("profiledata: level dictionary: %w", err)
 		}
 		levels = append(levels, lvl)
 	}
-	return weight, total, levels, flags&flagCompressed != 0, nil
+	return weight, total, levels, nil
 }

@@ -42,38 +42,46 @@ func testTrace(n int, seed int64) []pebs.Sample {
 
 func TestBinaryRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 9, 8192, 20000} {
-		for _, compress := range []bool{false, true} {
-			for _, blockSize := range []int{0, 1, 7, 4096} {
-				samples := testTrace(n, int64(n)+1)
-				if n > 4 {
-					// The widest values mid-trace, and a time that runs
-					// backwards.
-					samples[2].Time = pebs.MaxTime
-					samples[3].Latency = pebs.MaxLatency
-					samples[4].Time = 0
-				}
-				var buf bytes.Buffer
-				opt := BinaryOptions{BlockSize: blockSize, Compress: compress}
-				if err := WriteSamplesBinary(&buf, samples, 3.25, opt); err != nil {
-					t.Fatalf("write n=%d compress=%v block=%d: %v", n, compress, blockSize, err)
-				}
-				got, weight, err := ReadSamples(&buf)
-				if err != nil {
-					t.Fatalf("read n=%d compress=%v block=%d: %v", n, compress, blockSize, err)
-				}
-				if weight != 3.25 {
-					t.Fatalf("weight = %v, want 3.25", weight)
-				}
-				if len(got) != len(samples) {
-					t.Fatalf("n=%d: decoded %d samples", n, len(got))
-				}
-				for i := range samples {
-					if !reflect.DeepEqual(samples[i], got[i]) {
-						t.Fatalf("n=%d compress=%v block=%d sample %d:\n got %+v\nwant %+v",
-							n, compress, blockSize, i, got[i], samples[i])
-					}
+		for _, blockSize := range []int{1, 7, 4096, DefaultBlockSize} {
+			samples := testTrace(n, int64(n)+1)
+			if n > 4 {
+				// The widest values mid-trace, and a time that runs
+				// backwards.
+				samples[2].Time = pebs.MaxTime
+				samples[3].Latency = pebs.MaxLatency
+				samples[4].Time = 0
+			}
+			var buf bytes.Buffer
+			if err := WriteSamplesBinary(&buf, samples, 3.25, blockSize); err != nil {
+				t.Fatalf("write n=%d block=%d: %v", n, blockSize, err)
+			}
+			got, weight, err := ReadSamples(&buf)
+			if err != nil {
+				t.Fatalf("read n=%d block=%d: %v", n, blockSize, err)
+			}
+			if weight != 3.25 {
+				t.Fatalf("weight = %v, want 3.25", weight)
+			}
+			if len(got) != len(samples) {
+				t.Fatalf("n=%d: decoded %d samples", n, len(got))
+			}
+			for i := range samples {
+				if !reflect.DeepEqual(samples[i], got[i]) {
+					t.Fatalf("n=%d block=%d sample %d:\n got %+v\nwant %+v",
+						n, blockSize, i, got[i], samples[i])
 				}
 			}
+		}
+	}
+}
+
+// TestBinaryBlockSizeBounds: a block size outside [1, 2^20] is an error,
+// and nothing is written.
+func TestBinaryBlockSizeBounds(t *testing.T) {
+	for _, bs := range []int{-1, 0, maxBlockSamples + 1} {
+		var buf bytes.Buffer
+		if err := WriteSamplesBinary(&buf, testTrace(5, 1), 1, bs); err == nil || buf.Len() != 0 {
+			t.Errorf("block size %d: error %v, %d bytes written", bs, err, buf.Len())
 		}
 	}
 }
@@ -82,13 +90,13 @@ func TestBinaryRoundTrip(t *testing.T) {
 // written as 1 and that a NaN or infinite one is an error.
 func TestBinaryWeightClampedToOne(t *testing.T) {
 	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if err := WriteSamplesBinary(io.Discard, testTrace(5, 1), w, BinaryOptions{}); err == nil {
+		if err := WriteSamplesBinary(io.Discard, testTrace(5, 1), w, DefaultBlockSize); err == nil {
 			t.Errorf("weight %v written", w)
 		}
 	}
 	for _, w := range []float64{0, -3} {
 		var buf bytes.Buffer
-		if err := WriteSamplesBinary(&buf, testTrace(5, 1), w, BinaryOptions{}); err != nil {
+		if err := WriteSamplesBinary(&buf, testTrace(5, 1), w, DefaultBlockSize); err != nil {
 			t.Fatal(err)
 		}
 		_, weight, err := ReadSamples(&buf)
@@ -113,7 +121,7 @@ func TestBinaryCSVEquivalence(t *testing.T) {
 		if err := WriteSamples(&csvBuf, samples, weight); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteSamplesBinary(&binBuf, samples, weight, BinaryOptions{}); err != nil {
+		if err := WriteSamplesBinary(&binBuf, samples, weight, DefaultBlockSize); err != nil {
 			t.Fatal(err)
 		}
 
@@ -137,26 +145,20 @@ func TestBinaryCSVEquivalence(t *testing.T) {
 	}
 }
 
-// TestBinarySmallerThanCSV pins the acceptance bound: the columnar file is
-// at least 2x smaller than the CSV on a realistic trace, and flate shrinks
-// it further.
+// TestBinarySmallerThanCSV pins the acceptance bound: the columnar file,
+// index footer included, is at least 2x smaller than the CSV on a
+// realistic trace.
 func TestBinarySmallerThanCSV(t *testing.T) {
 	samples := testTrace(50000, 42)
-	var csvBuf, binBuf, flateBuf bytes.Buffer
+	var csvBuf, binBuf bytes.Buffer
 	if err := WriteSamples(&csvBuf, samples, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSamplesBinary(&binBuf, samples, 2, BinaryOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSamplesBinary(&flateBuf, samples, 2, BinaryOptions{Compress: true}); err != nil {
+	if err := WriteSamplesBinary(&binBuf, samples, 2, DefaultBlockSize); err != nil {
 		t.Fatal(err)
 	}
 	if binBuf.Len()*2 > csvBuf.Len() {
 		t.Fatalf("binary %d bytes vs csv %d bytes: less than 2x smaller", binBuf.Len(), csvBuf.Len())
-	}
-	if flateBuf.Len() >= binBuf.Len() {
-		t.Fatalf("flate %d bytes >= uncompressed binary %d bytes", flateBuf.Len(), binBuf.Len())
 	}
 }
 
@@ -166,7 +168,7 @@ func TestSampleReaderFormats(t *testing.T) {
 	if err := WriteSamples(&v2, samples, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSamplesBinary(&bin, samples, 2, BinaryOptions{}); err != nil {
+	if err := WriteSamplesBinary(&bin, samples, 2, DefaultBlockSize); err != nil {
 		t.Fatal(err)
 	}
 	v1 := strings.SplitN(v2.String(), "\n", 2)[1] // drop the meta row
@@ -212,9 +214,8 @@ func TestSampleReaderFormats(t *testing.T) {
 // block header, for decoder hardening tests.
 func binaryWithBlockHeader(count, payloadLen uint64, payload []byte) []byte {
 	var buf bytes.Buffer
-	WriteSamplesBinary(&buf, nil, 1, BinaryOptions{}) // header + terminator
-	data := buf.Bytes()
-	data = data[:len(data)-1] // drop the zero-count terminator
+	WriteSamplesBinary(&buf, nil, 1, DefaultBlockSize) // header, terminator, footer
+	data := buf.Bytes()[:dataEnd(buf.Bytes())]         // drop the terminator and footer
 	var v8 [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(v8[:], count)
 	data = append(data, v8[:n]...)
@@ -225,21 +226,24 @@ func binaryWithBlockHeader(count, payloadLen uint64, payload []byte) []byte {
 
 func TestBinaryReadErrors(t *testing.T) {
 	var valid bytes.Buffer
-	if err := WriteSamplesBinary(&valid, testTrace(100, 9), 2, BinaryOptions{}); err != nil {
+	if err := WriteSamplesBinary(&valid, testTrace(100, 9), 2, DefaultBlockSize); err != nil {
 		t.Fatal(err)
 	}
 	vb := valid.Bytes()
+	compressed := bytes.Clone(vb)
+	compressed[len(binaryMagic)+1] = 1 // the flags bit retired flate recordings set
 
 	cases := map[string][]byte{
 		"magic only":           []byte(binaryMagic),
 		"bad version":          append([]byte(binaryMagic), 9),
 		"unknown flags":        append([]byte(binaryMagic), binaryVersion, 0xfe),
+		"compressed flag":      compressed,
 		"truncated weight":     append([]byte(binaryMagic), binaryVersion, 0, 1, 2, 3),
 		"zero weight":          append([]byte(binaryMagic), binaryVersion, 0, 0, 0, 0, 0, 0, 0, 0, 0),
 		"empty dictionary":     binaryHeaderWithDict(nil),
 		"unknown level name":   binaryHeaderWithDict([]string{"L9"}),
 		"truncated dictionary": append(binaryHeaderWithDict(nil)[:len(binaryMagic)+11], 2, 2, 'L'),
-		"missing terminator":   vb[:len(vb)-1],
+		"missing terminator":   vb[:dataEnd(vb)],
 		"lying sample count":   lyingCount(vb),
 		"truncated block":      vb[:len(vb)/2],
 		"trailing payload byte": binaryWithBlockHeader(1, 10,
@@ -256,6 +260,16 @@ func TestBinaryReadErrors(t *testing.T) {
 			t.Errorf("%s: expected an error", name)
 		}
 	}
+}
+
+// dataEnd returns the offset of a v4 recording's body terminator, read
+// from its footer.
+func dataEnd(data []byte) int {
+	idx, err := ReadBlockIndex(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		panic(err)
+	}
+	return int(idx.DataEnd)
 }
 
 // lyingCount rewrites a valid 100-sample file's header count hint to 99,
@@ -287,16 +301,17 @@ func binaryHeaderWithDict(names []string) []byte {
 }
 
 // TestBinaryTruncationNeverOverAllocates feeds every prefix of a valid
-// file to the reader: all must fail cleanly (or succeed, for the full
-// file) without panicking, and a truncated prefix must never decode more
-// samples than the bytes it contains can plausibly hold.
+// file that cuts its body, terminator included, to the streaming reader
+// (which stops at the terminator and never reads the footer): all must
+// fail cleanly without panicking, and a truncated prefix must never decode
+// more samples than the bytes it contains can plausibly hold.
 func TestBinaryTruncationNeverOverAllocates(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteSamplesBinary(&buf, testTrace(500, 11), 2, BinaryOptions{BlockSize: 64}); err != nil {
+	if err := WriteSamplesBinary(&buf, testTrace(500, 11), 2, 64); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	for cut := 0; cut < len(data); cut++ {
+	for cut := 0; cut <= dataEnd(data); cut++ {
 		samples, _, err := ReadSamples(bytes.NewReader(data[:cut]))
 		if err == nil {
 			t.Fatalf("prefix of %d/%d bytes read without error", cut, len(data))
@@ -313,7 +328,7 @@ func TestBinaryTruncationNeverOverAllocates(t *testing.T) {
 // decode memory is bounded by the block size, not the trace.
 func TestSampleReaderBoundedAllocs(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteSamplesBinary(&buf, testTrace(32*1024, 13), 2, BinaryOptions{BlockSize: 1024}); err != nil {
+	if err := WriteSamplesBinary(&buf, testTrace(32*1024, 13), 2, 1024); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()

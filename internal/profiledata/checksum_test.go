@@ -22,7 +22,7 @@ import (
 func TestFooterLegacyMagicIsNoIndex(t *testing.T) {
 	samples := testTrace(500, 31)
 	var buf bytes.Buffer
-	if err := WriteSamplesBinary(&buf, samples, 2, BinaryOptions{BlockSize: 64, Index: true}); err != nil {
+	if err := WriteSamplesBinary(&buf, samples, 2, 64); err != nil {
 		t.Fatal(err)
 	}
 	current := buf.Bytes()
@@ -72,7 +72,7 @@ func TestFooterLegacyMagicIsNoIndex(t *testing.T) {
 func TestFooterV2Sums(t *testing.T) {
 	samples := testTrace(300, 37)
 	var buf bytes.Buffer
-	if err := WriteSamplesBinary(&buf, samples, 1, BinaryOptions{BlockSize: 32, Index: true}); err != nil {
+	if err := WriteSamplesBinary(&buf, samples, 1, 32); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -97,7 +97,7 @@ func TestFooterV2Sums(t *testing.T) {
 func TestBlockChecksumDetectsCorruption(t *testing.T) {
 	samples := testTrace(400, 41)
 	var buf bytes.Buffer
-	if err := WriteSamplesBinary(&buf, samples, 1, BinaryOptions{BlockSize: 64, Index: true}); err != nil {
+	if err := WriteSamplesBinary(&buf, samples, 1, 64); err != nil {
 		t.Fatal(err)
 	}
 	data := append([]byte(nil), buf.Bytes()...)
@@ -151,7 +151,7 @@ func TestFileFingerprintIdentity(t *testing.T) {
 		return p
 	}
 	var a bytes.Buffer
-	if err := WriteSamplesBinary(&a, samples, 1, BinaryOptions{BlockSize: 32, Index: true}); err != nil {
+	if err := WriteSamplesBinary(&a, samples, 1, 32); err != nil {
 		t.Fatal(err)
 	}
 	fpOf := func(name string, data []byte) string {
@@ -170,7 +170,7 @@ func TestFileFingerprintIdentity(t *testing.T) {
 	changed := testTrace(200, 43)
 	changed[100].Latency += 1
 	var c bytes.Buffer
-	if err := WriteSamplesBinary(&c, changed, 1, BinaryOptions{BlockSize: 32, Index: true}); err != nil {
+	if err := WriteSamplesBinary(&c, changed, 1, 32); err != nil {
 		t.Fatal(err)
 	}
 	if fpOf("c.bin", c.Bytes()) == fpA {

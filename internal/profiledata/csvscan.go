@@ -164,10 +164,9 @@ func (sr *SampleReader) Pos() CSVPos {
 
 // NewCSVSectionReader starts the CSV row scanner of a recording with header
 // h on sec, whose first byte begins a line at position at. Rows and lines
-// are counted on from at, and blocks end where a front-to-back read of the
-// whole recording ends them, so when at is exact the reader yields the
-// samples and errors that read would yield for these lines. bufs is as for
-// NewSampleReaderBuffers.
+// are counted on from at, so when at is exact the reader yields the samples
+// and errors a front-to-back read would yield for these lines; its blocks
+// are counted from sec's first row. bufs is as for NewSampleReaderBuffers.
 func NewCSVSectionReader(sec *io.SectionReader, h Header, at CSVPos, bufs *Buffers) *SampleReader {
 	if bufs == nil {
 		bufs = &Buffers{}
@@ -175,13 +174,11 @@ func NewCSVSectionReader(sec *io.SectionReader, h Header, at CSVPos, bufs *Buffe
 	return &SampleReader{
 		weight: h.Weight, format: h.Format, bufs: bufs, lines: bufs.reader(sec),
 		offset: at.Offset, line: firstRecord(h.Format) + at.Rows, physLine: at.Lines,
-		skew: at.Rows % csvBlockSize,
 	}
 }
 
 func (sr *SampleReader) nextCSV() ([]pebs.Sample, error) {
-	out := sr.grow(csvBlockSize)[sr.skew:]
-	sr.skew = 0
+	out := sr.grow(csvBlockSize)
 	for n := range out {
 		raw, line, err := sr.readLine()
 		if err == io.EOF {

@@ -16,7 +16,7 @@ import (
 func benchBlocks(b *testing.B, n int) ([][]byte, []IndexEntry, []cache.Level) {
 	samples := testTrace(n, 7)
 	var buf bytes.Buffer
-	if err := WriteSamplesBinary(&buf, samples, 2, BinaryOptions{Index: true}); err != nil {
+	if err := WriteSamplesBinary(&buf, samples, 2, DefaultBlockSize); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()

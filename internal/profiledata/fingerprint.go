@@ -8,9 +8,10 @@ package profiledata
 // count and level dictionary, and every block's payload bytes are pinned
 // by its index checksum. Hashing that summary identifies the recording in
 // O(index bytes) — a few hundred bytes of I/O for a gigabyte trace —
-// instead of rehashing the whole file. Everything else (CSV, compressed,
-// unindexed, objects tables, foreign files) falls back to a streaming
-// SHA-256 of the raw bytes.
+// instead of rehashing the whole file. Everything else (CSV, objects
+// tables, foreign files, and a v4 recording whose footer is missing or
+// damaged, which analysis rejects) falls back to a streaming SHA-256 of
+// the raw bytes.
 //
 // The two forms hash different material, so they carry distinct domain
 // prefixes: the same file always fingerprints the same way through the same
@@ -63,8 +64,7 @@ func writeU64(h hash.Hash, v uint64) {
 
 // FileFingerprint returns a stable hex identity of the file's content: the
 // O(index bytes) index fingerprint when the file is an indexed recording,
-// a streaming SHA-256 of the raw bytes otherwise
-// (CSV, compressed, unindexed binary, objects tables, foreign files).
+// a streaming SHA-256 of the raw bytes otherwise.
 func FileFingerprint(path string) (string, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -28,25 +28,33 @@ func FuzzReadSamples(f *testing.F) {
 	f.Add(v2.Bytes()[bytes.IndexByte(v2.Bytes(), '\n')+1:]) // v1: no meta row
 	f.Add(v2.Bytes()[:v2.Len()/2])                          // truncated CSV
 
-	for _, opt := range []BinaryOptions{{}, {Compress: true}, {BlockSize: 16}, {Index: true}, {BlockSize: 16, Index: true}, {Compress: true, Index: true}} {
+	var data []byte
+	for _, blockSize := range []int{DefaultBlockSize, 64, 16, 1} {
 		var bin bytes.Buffer
-		if err := WriteSamplesBinary(&bin, samples, 2.5, opt); err != nil {
+		if err := WriteSamplesBinary(&bin, samples, 2.5, blockSize); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(bin.Bytes())
-		f.Add(bin.Bytes()[:bin.Len()/2]) // truncated binary
-		f.Add(bin.Bytes()[:12])          // truncated header
-		if opt.Index && !opt.Compress {
-			f.Add(bin.Bytes()[:bin.Len()-8])            // truncated index trailer
-			f.Add(bin.Bytes()[:bin.Len()-indexTailLen]) // footerless tail
-		}
+		data = bin.Bytes()
+		f.Add(data)
+		f.Add(data[:len(data)/2])            // truncated binary
+		f.Add(data[:12])                     // truncated header
+		f.Add(data[:len(data)-8])            // truncated index trailer
+		f.Add(data[:len(data)-indexTailLen]) // footerless tail
+		f.Add(data[:dataEnd(data)+1])        // footerless body
+	}
+	// Header flags seeds: the bit retired flate recordings set, and one
+	// never defined, each over a valid one-block-per-sample recording.
+	for _, flags := range []byte{1, 0x80} {
+		flagged := bytes.Clone(data)
+		flagged[len(binaryMagic)+1] = flags
+		f.Add(flagged)
 	}
 	// Footer seeds: a retired footer magic, and targeted bit flips in the
 	// checksum region (damaged sums must read as checksum errors or
 	// ErrNoIndex, never as silently different samples).
 	{
 		var bin bytes.Buffer
-		if err := WriteSamplesBinary(&bin, samples, 2.5, BinaryOptions{BlockSize: 16, Index: true}); err != nil {
+		if err := WriteSamplesBinary(&bin, samples, 2.5, 16); err != nil {
 			f.Fatal(err)
 		}
 		data := bin.Bytes()
@@ -110,7 +118,7 @@ func FuzzReadSamples(f *testing.F) {
 	}
 	{
 		var bin bytes.Buffer
-		if err := WriteSamplesBinary(&bin, samples, 2.5, BinaryOptions{}); err != nil {
+		if err := WriteSamplesBinary(&bin, samples, 2.5, DefaultBlockSize); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(append([]byte(binaryMagicV3), bin.Bytes()[len(binaryMagic):]...))
@@ -148,12 +156,12 @@ func FuzzReadSamples(f *testing.F) {
 			}
 		}
 		// Round-trip: whatever decoded must survive binary re-encoding
-		// bit for bit.
+		// bit for bit, read front to back and through block ranges.
 		var buf bytes.Buffer
-		if err := WriteSamplesBinary(&buf, got, weight, BinaryOptions{BlockSize: 32}); err != nil {
+		if err := WriteSamplesBinary(&buf, got, weight, 32); err != nil {
 			t.Fatalf("re-encode of decoded samples failed: %v", err)
 		}
-		again, w2, err := ReadSamples(&buf)
+		again, w2, err := ReadSamples(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
@@ -169,14 +177,9 @@ func FuzzReadSamples(f *testing.F) {
 			}
 		}
 
-		// Indexed round-trip: re-encode with the footer and decode back
-		// through block ranges. Our own writer's index is trusted, so here
-		// full equivalence holds.
-		var ibuf bytes.Buffer
-		if err := WriteSamplesBinary(&ibuf, got, weight, BinaryOptions{BlockSize: 32, Index: true}); err != nil {
-			t.Fatalf("indexed re-encode failed: %v", err)
-		}
-		it, err := NewIndexedTrace(bytes.NewReader(ibuf.Bytes()), int64(ibuf.Len()))
+		// Our own writer's index is trusted, so here full equivalence
+		// holds.
+		it, err := NewIndexedTrace(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 		if err != nil {
 			t.Fatalf("opening our own indexed encoding failed: %v", err)
 		}
@@ -255,9 +258,9 @@ func FuzzReadObjects(f *testing.F) {
 // it entry for entry.
 func FuzzReadBlockIndex(f *testing.F) {
 	samples := testTrace(300, 22)
-	for _, opt := range []BinaryOptions{{Index: true}, {BlockSize: 16, Index: true}, {BlockSize: 1, Index: true}} {
+	for _, blockSize := range []int{DefaultBlockSize, 16, 1} {
 		var bin bytes.Buffer
-		if err := WriteSamplesBinary(&bin, samples, 1.5, opt); err != nil {
+		if err := WriteSamplesBinary(&bin, samples, 1.5, blockSize); err != nil {
 			f.Fatal(err)
 		}
 		data := bin.Bytes()

@@ -2,13 +2,13 @@ package profiledata
 
 // Block index footer.
 //
-// An indexed recording carries, after the body's zero-count terminator, a
-// footer describing every block: its absolute file offset, sample count,
+// A v4 recording carries, after the body's zero-count terminator, a footer
+// describing every block: its absolute file offset, sample count,
 // time range, decoder seed state (the running time and address deltas as
 // they stood before the block) and payload checksum. The footer is
 // discovered from the end of the file by a trailing magic, so it is
 // invisible to streaming readers — they stop at the terminator and never
-// reach it — and absent from CSV and compressed recordings:
+// reach it. Analysis reads every binary recording through it:
 //
 //	footer:  payload, uint64 LE payload length, magic "DRBWIDX3"
 //	payload: uvarint entry count, then per entry:
@@ -62,9 +62,10 @@ const indexTailLen = 8 + len(indexMagic)
 // plausibly claim.
 const minIndexEntryLen = 6 + 8
 
-// ErrNoIndex reports that a recording carries no block index footer — it is
-// CSV, compressed, written without BinaryOptions.Index, or truncated before
-// the trailing magic. Callers fall back to the streaming reader.
+// ErrNoIndex reports that a recording carries no block index footer: it is
+// not a v4 recording (CSV, say), or a v4 one truncated before the trailing
+// magic or closed by a retired footer magic. Analysis reads a CSV
+// recording by byte ranges instead and rejects such a v4 one.
 var ErrNoIndex = errors.New("profiledata: recording has no block index")
 
 // IndexEntry describes one block of an indexed recording.
@@ -101,7 +102,7 @@ func blockChecksum(payload []byte) uint64 {
 
 // WriteBlockIndex appends a block index footer to w — the writing half of
 // ReadBlockIndex, for tools and tests that rebuild or rewrite footers on an
-// existing body. WriteSamplesBinary emits the same footer for every indexed
+// existing body. WriteSamplesBinary emits the same footer for every
 // recording it writes; entries it did not compute itself are the caller's
 // responsibility to keep truthful (the single-pass analysis cross-checks
 // them against the decoded samples).
@@ -253,10 +254,9 @@ type IndexedTrace struct {
 }
 
 // NewIndexedTrace opens an indexed recording over an io.ReaderAt of the
-// given size. It returns ErrNoIndex for anything without a valid v4 header
-// and index footer pair (CSV, compressed, unindexed), and a descriptive
-// error for a footer that fails validation; callers treat any error as
-// "use the streaming path".
+// given size. It returns ErrNoIndex for anything without a v4 header or
+// without an index footer (see ErrNoIndex), and a descriptive error for a
+// header or footer that fails validation.
 func NewIndexedTrace(r io.ReaderAt, size int64) (*IndexedTrace, error) {
 	hr := bufio.NewReaderSize(io.NewSectionReader(r, 0, size), 4<<10)
 	head, err := hr.Peek(len(binaryMagic))
@@ -264,12 +264,9 @@ func NewIndexedTrace(r io.ReaderAt, size int64) (*IndexedTrace, error) {
 		return nil, ErrNoIndex
 	}
 	hr.Discard(len(binaryMagic))
-	weight, total, levels, compressed, err := readBinaryHeader(hr)
+	weight, total, levels, err := readBinaryHeader(hr)
 	if err != nil {
 		return nil, err
-	}
-	if compressed {
-		return nil, ErrNoIndex
 	}
 	idx, err := ReadBlockIndex(r, size)
 	if err != nil {

@@ -17,10 +17,10 @@ import (
 // arbitrary contiguous ranges, and the whole file.
 func TestIndexRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 3, 100, 8192, 20000} {
-		for _, blockSize := range []int{0, 1, 7, 4096} {
+		for _, blockSize := range []int{1, 7, 4096, DefaultBlockSize} {
 			samples := testTrace(n, int64(n)+int64(blockSize))
 			var buf bytes.Buffer
-			if err := WriteSamplesBinary(&buf, samples, 2.5, BinaryOptions{BlockSize: blockSize, Index: true}); err != nil {
+			if err := WriteSamplesBinary(&buf, samples, 2.5, blockSize); err != nil {
 				t.Fatalf("n=%d block=%d: %v", n, blockSize, err)
 			}
 			data := buf.Bytes()
@@ -41,11 +41,7 @@ func TestIndexRoundTrip(t *testing.T) {
 			if it.Weight() != 2.5 || it.TotalSamples() != n {
 				t.Fatalf("n=%d block=%d: weight %v total %d", n, blockSize, it.Weight(), it.TotalSamples())
 			}
-			bs := blockSize
-			if bs <= 0 {
-				bs = DefaultBlockSize
-			}
-			wantBlocks := (n + bs - 1) / bs
+			wantBlocks := (n + blockSize - 1) / blockSize
 			if it.Blocks() != wantBlocks {
 				t.Fatalf("n=%d block=%d: %d index entries, want %d", n, blockSize, it.Blocks(), wantBlocks)
 			}
@@ -129,7 +125,7 @@ func TestOpenIndexedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSamplesBinary(f, samples, 4, BinaryOptions{BlockSize: 128, Index: true}); err != nil {
+	if err := WriteSamplesBinary(f, samples, 4, 128); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -158,32 +154,26 @@ func TestOpenIndexedTrace(t *testing.T) {
 	}
 }
 
-// TestIndexAbsent: everything that legitimately has no footer reports
-// ErrNoIndex — unindexed binary, compressed (even when Index was requested)
-// and CSV.
+// TestIndexAbsent: a recording without a footer reports ErrNoIndex — CSV,
+// and a v4 body cut off at its terminator — and still streams.
 func TestIndexAbsent(t *testing.T) {
 	samples := testTrace(500, 9)
-	cases := map[string]func(*bytes.Buffer) error{
-		"unindexed": func(b *bytes.Buffer) error {
-			return WriteSamplesBinary(b, samples, 1, BinaryOptions{BlockSize: 64})
-		},
-		"compressed": func(b *bytes.Buffer) error {
-			return WriteSamplesBinary(b, samples, 1, BinaryOptions{BlockSize: 64, Compress: true, Index: true})
-		},
-		"csv": func(b *bytes.Buffer) error {
-			return WriteSamples(b, samples, 1)
-		},
+	var csv, bin bytes.Buffer
+	if err := WriteSamples(&csv, samples, 1); err != nil {
+		t.Fatal(err)
 	}
-	for name, write := range cases {
-		var buf bytes.Buffer
-		if err := write(&buf); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if _, err := NewIndexedTrace(bytes.NewReader(buf.Bytes()), int64(buf.Len())); !errors.Is(err, ErrNoIndex) {
+	if err := WriteSamplesBinary(&bin, samples, 1, 64); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"csv":        csv.Bytes(),
+		"footerless": bin.Bytes()[:dataEnd(bin.Bytes())+1],
+	} {
+		if _, err := NewIndexedTrace(bytes.NewReader(data), int64(len(data))); !errors.Is(err, ErrNoIndex) {
 			t.Errorf("%s: got %v, want ErrNoIndex", name, err)
 		}
 		// And the recording itself still reads.
-		if _, _, err := ReadSamples(bytes.NewReader(buf.Bytes())); err != nil {
+		if _, _, err := ReadSamples(bytes.NewReader(data)); err != nil {
 			t.Errorf("%s: streaming read: %v", name, err)
 		}
 	}
@@ -195,15 +185,11 @@ func TestIndexAbsent(t *testing.T) {
 func TestIndexTruncatedFooter(t *testing.T) {
 	samples := testTrace(300, 13)
 	var buf bytes.Buffer
-	if err := WriteSamplesBinary(&buf, samples, 1.5, BinaryOptions{BlockSize: 32, Index: true}); err != nil {
+	if err := WriteSamplesBinary(&buf, samples, 1.5, 32); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	var plain bytes.Buffer
-	if err := WriteSamplesBinary(&plain, samples, 1.5, BinaryOptions{BlockSize: 32}); err != nil {
-		t.Fatal(err)
-	}
-	footerLen := len(full) - plain.Len()
+	footerLen := len(full) - dataEnd(full) - 1
 	if footerLen <= indexTailLen {
 		t.Fatalf("footer is only %d bytes", footerLen)
 	}
@@ -230,7 +216,7 @@ func TestIndexTruncatedFooter(t *testing.T) {
 func TestIndexCorruptFooter(t *testing.T) {
 	samples := testTrace(400, 17)
 	var buf bytes.Buffer
-	if err := WriteSamplesBinary(&buf, samples, 1, BinaryOptions{BlockSize: 32, Index: true}); err != nil {
+	if err := WriteSamplesBinary(&buf, samples, 1, 32); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -239,8 +225,15 @@ func TestIndexCorruptFooter(t *testing.T) {
 		return err
 	}
 
-	// Payload length pointing outside the file.
+	// A nonzero header flags byte in front of an intact footer.
 	data := append([]byte(nil), full...)
+	data[len(binaryMagic)+1] = 1
+	if open(data) == nil {
+		t.Error("nonzero header flags accepted")
+	}
+
+	// Payload length pointing outside the file.
+	data = append([]byte(nil), full...)
 	binary.LittleEndian.PutUint64(data[len(data)-indexTailLen:], uint64(len(data)))
 	if open(data) == nil {
 		t.Error("oversized payload length accepted")
@@ -302,7 +295,7 @@ func TestAppendRemainingHintSizesWholeTrace(t *testing.T) {
 	n := maxBlockSamples + 3
 	samples := testTrace(n, 23)
 	var buf bytes.Buffer
-	if err := WriteSamplesBinary(&buf, samples, 1, BinaryOptions{}); err != nil {
+	if err := WriteSamplesBinary(&buf, samples, 1, DefaultBlockSize); err != nil {
 		t.Fatal(err)
 	}
 	got, _, err := ReadSamples(bytes.NewReader(buf.Bytes()))
@@ -322,7 +315,7 @@ func TestAppendRemainingHintSizesWholeTrace(t *testing.T) {
 // bounded by the bytes actually present.
 func TestAppendRemainingHintBoundsForgedHeader(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteSamplesBinary(&buf, testTrace(4, 1), 1, BinaryOptions{}); err != nil {
+	if err := WriteSamplesBinary(&buf, testTrace(4, 1), 1, DefaultBlockSize); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()

@@ -50,18 +50,19 @@
 //
 // Binary columnar (v4) is the compact format for large traces, written by
 // WriteSamplesBinary and recognized on read by its "DRBWPD4\n" magic. The
-// header carries the version, a flags byte (bit 0: flate-compressed body),
-// the collector weight, and a dictionary of level names; the body is a
+// header carries the version, a flags byte (0; any other value is
+// rejected), the collector weight, and a dictionary of level names; the
+// body is a
 // sequence of blocks, each a sample count, a payload length, and a payload
 // holding one column per field. Timestamps and addresses are delta-encoded
 // zigzag varints with deltas running across block boundaries; latencies
 // are plain varints; levels are single dictionary indices; the write flags
 // are packed eight to a byte, so decoding reproduces the samples bit for
 // bit. v3 recordings are rejected with an error saying to re-record them.
-// A zero sample count
-// terminates the body. The block structure is what makes streaming decode
-// possible: SampleReader yields one block at a time and analysis memory
-// stays bounded by the block size regardless of trace length.
+// A zero sample count terminates the body, and the block index footer
+// (index.go) follows it. The block structure is what makes streaming
+// decode possible: SampleReader yields one block at a time and analysis
+// memory stays bounded by the block size regardless of trace length.
 package profiledata
 
 import (

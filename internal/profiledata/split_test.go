@@ -12,13 +12,11 @@ import (
 // readSplit reads the CSV recording data in the ranges between cuts, line
 // boundaries after its header, the way the fused pass reads them: the
 // first range counts rows and lines from the header's end, the others from
-// zero. A failed range is read again from its start to EOF, counting from
-// the file's start through the ranges before it, and that read's error is
-// returned.
+// zero. When a range fails, the whole file is read again from its header,
+// and that read's error is returned.
 func readSplit(data []byte, h Header, cuts []int64) ([]pebs.Sample, error) {
 	r := bytes.NewReader(data)
 	bounds := append(append([]int64{h.Data.Offset}, cuts...), int64(len(data)))
-	done := h.Data
 	bufs := &Buffers{}
 	var out []pebs.Sample
 	for k := 1; k < len(bounds); k++ {
@@ -30,19 +28,15 @@ func readSplit(data []byte, h Header, cuts []int64) ([]pebs.Sample, error) {
 		sr := NewCSVSectionReader(io.NewSectionReader(r, from, to-from), h, at, bufs)
 		var err error
 		if out, err = sr.appendRemaining(out); err != nil {
-			done.Offset = from
-			again := NewCSVSectionReader(io.NewSectionReader(r, from, int64(len(data))-from), h, done, bufs)
-			if _, err = again.appendRemaining(nil); err == nil {
-				panic("a failed range read again from its start succeeded")
+			whole := NewCSVSectionReader(io.NewSectionReader(r, h.Data.Offset, int64(len(data))-h.Data.Offset), h, h.Data, bufs)
+			if _, err = whole.appendRemaining(nil); err == nil {
+				panic("a failed range read again with the whole file succeeded")
 			}
 			return nil, err
 		}
-		end := sr.Pos()
-		if end.Offset != to {
+		if sr.Pos().Offset != to {
 			panic("a range ended before its cut")
 		}
-		done.Rows += end.Rows - at.Rows
-		done.Lines += end.Lines - at.Lines
 	}
 	return out, nil
 }
@@ -82,7 +76,7 @@ func TestCSVSectionReaderPositions(t *testing.T) {
 	}
 
 	bin := new(bytes.Buffer)
-	if err := WriteSamplesBinary(bin, got, 2.5, BinaryOptions{Compress: true}); err != nil {
+	if err := WriteSamplesBinary(bin, got, 2.5, DefaultBlockSize); err != nil {
 		t.Fatal(err)
 	}
 	if h, err := ReadHeader(bin); err != nil || h != (Header{Weight: 2.5, Format: FormatBinaryV4}) {

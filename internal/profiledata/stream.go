@@ -2,7 +2,6 @@ package profiledata
 
 import (
 	"bufio"
-	"compress/flate"
 	"encoding/binary"
 	"encoding/csv"
 	"fmt"
@@ -49,7 +48,7 @@ type SampleReader struct {
 	bufs   *Buffers
 
 	// Binary state.
-	body    *bufio.Reader // header-stripped body, possibly behind flate
+	body    *bufio.Reader // header-stripped body
 	dec     blockDecoder
 	total   uint64 // header sample-count hint; 0 when the writer didn't know
 	decoded uint64 // samples decoded so far, checked against total at the end
@@ -68,7 +67,6 @@ type SampleReader struct {
 	offset   int64         // byte offset of the next line
 	line     int           // record number of the next data row, for errors
 	physLine int           // lines read, blank ones included
-	skew     int           // rows the next block is short by, to end where a whole-file read's does
 	// quoted parses the lines holding a quote, fed one at a time through
 	// quotedLine; built on the first such line.
 	quoted     *csv.Reader
@@ -96,18 +94,12 @@ func NewSampleReaderBuffers(r io.Reader, bufs *Buffers) (*SampleReader, error) {
 	if bufs == nil {
 		bufs = &Buffers{}
 	}
-	sr, compressed, err := readHeader(bufs.reader(r), bufs)
+	sr, err := readHeader(bufs.reader(r), bufs)
 	if err != nil {
 		return nil, err
 	}
 	if sr.body != nil {
 		sr.avail = inputSize(r)
-		if compressed {
-			// The input size bounds compressed bytes, not decoded ones, so
-			// it says nothing useful about the sample count.
-			sr.avail = -1
-			sr.body = bufio.NewReaderSize(flate.NewReader(sr.body), 64<<10)
-		}
 	}
 	return sr, nil
 }
@@ -123,7 +115,7 @@ type Header struct {
 // ReadHeader reads a recording's header through a small buffer; no sample
 // decodes. Its errors are NewSampleReader's.
 func ReadHeader(r io.Reader) (Header, error) {
-	sr, _, err := readHeader(bufio.NewReaderSize(r, 4<<10), &Buffers{})
+	sr, err := readHeader(bufio.NewReaderSize(r, 4<<10), &Buffers{})
 	if err != nil {
 		return Header{}, err
 	}
@@ -131,30 +123,30 @@ func ReadHeader(r io.Reader) (Header, error) {
 }
 
 // readHeader reads the header from br and returns a reader positioned at
-// the first block or data row: a binary one reads its body from br, before
-// any flate stream, and a CSV one its lines.
-func readHeader(br *bufio.Reader, bufs *Buffers) (_ *SampleReader, compressed bool, err error) {
+// the first block or data row: a binary one reads its blocks from br, and
+// a CSV one its lines.
+func readHeader(br *bufio.Reader, bufs *Buffers) (*SampleReader, error) {
 	head, err := br.Peek(len(binaryMagic))
 	if err == nil && string(head) == binaryMagicV3 {
-		return nil, false, errBinaryV3
+		return nil, errBinaryV3
 	}
 	if err == nil && string(head) == binaryMagic {
 		br.Discard(len(binaryMagic))
-		weight, total, levels, compressed, err := readBinaryHeader(br)
+		weight, total, levels, err := readBinaryHeader(br)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		sr := &SampleReader{weight: weight, format: FormatBinaryV4, bufs: bufs, total: total, body: br}
 		sr.dec.levels = levels
-		return sr, compressed, nil
+		return sr, nil
 	}
 	// CSV v1/v2, read line by line from br, which still holds the peeked
 	// bytes.
 	sr := &SampleReader{bufs: bufs, lines: br}
 	if err := sr.readCSVHeader(); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	return sr, false, nil
+	return sr, nil
 }
 
 // Weight returns the collector weight recorded in the file (1 for v1).

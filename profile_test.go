@@ -323,7 +323,7 @@ func TestLoadTraceMissingFiles(t *testing.T) {
 func TestNonFiniteWeightRejected(t *testing.T) {
 	samples := []pebs.Sample{{Time: 1, Addr: 0x10, Level: cache.MEM, Latency: 300, SrcNode: 0, HomeNode: 1}}
 	var good bytes.Buffer
-	if err := profiledata.WriteSamplesBinary(&good, samples, 2.5, profiledata.BinaryOptions{}); err != nil {
+	if err := profiledata.WriteSamplesBinary(&good, samples, 2.5, profiledata.DefaultBlockSize); err != nil {
 		t.Fatal(err)
 	}
 	var bits [8]byte
@@ -344,7 +344,7 @@ func TestNonFiniteWeightRejected(t *testing.T) {
 				}
 			})
 			t.Run("binary", func(t *testing.T) {
-				if err := profiledata.WriteSamplesBinary(io.Discard, samples, w, profiledata.BinaryOptions{}); err == nil {
+				if err := profiledata.WriteSamplesBinary(io.Discard, samples, w, profiledata.DefaultBlockSize); err == nil {
 					t.Error("written")
 				}
 				data := bytes.Clone(good.Bytes())
@@ -376,10 +376,14 @@ func TestNonFiniteWeightRejected(t *testing.T) {
 // hand-built block. A binary v3 recording is rejected too.
 func TestNonWholeCyclesRejected(t *testing.T) {
 	var empty bytes.Buffer
-	if err := profiledata.WriteSamplesBinary(&empty, nil, 1, profiledata.BinaryOptions{}); err != nil {
+	if err := profiledata.WriteSamplesBinary(&empty, nil, 1, profiledata.DefaultBlockSize); err != nil {
 		t.Fatal(err)
 	}
-	header := empty.Bytes()[:empty.Len()-1] // drop the body terminator
+	idx, err := profiledata.ReadBlockIndex(bytes.NewReader(empty.Bytes()), int64(empty.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := empty.Bytes()[:idx.DataEnd] // drop the body terminator and the footer
 	cases := []struct {
 		name, field string
 		v           float64
@@ -417,7 +421,7 @@ func TestNonWholeCyclesRejected(t *testing.T) {
 			}
 
 			want("WriteSamples", profiledata.WriteSamples(io.Discard, []pebs.Sample{s}, 1), named)
-			want("WriteSamplesBinary", profiledata.WriteSamplesBinary(io.Discard, []pebs.Sample{s}, 1, profiledata.BinaryOptions{}), named)
+			want("WriteSamplesBinary", profiledata.WriteSamplesBinary(io.Discard, []pebs.Sample{s}, 1, profiledata.DefaultBlockSize), named)
 
 			csv := fmt.Sprintf("time,cpu,thread,addr,level,latency,write,src_node,home_node\n%v,0,0,0x10,MEM,%v,false,0,1\n", s.Time, s.Latency)
 			_, _, err := profiledata.ReadSamples(strings.NewReader(csv))

@@ -165,16 +165,13 @@ func optsToken(o SearchOptions) string {
 	return fmt.Sprintf("topk=%d,frontier=%d,exhaustive=%v", o.TopObjects, o.Frontier, o.Exhaustive)
 }
 
-// analyzeFileKey derives the cache key for one recording + window. The
-// samples fingerprint is O(index bytes) on checksummed indexed recordings
+// analyzeKey derives the cache key for one logical recording — its samples
+// files in order, since file order changes the merged timeline — and a
+// window. A samples fingerprint is O(index bytes) on a binary recording
 // and a full hash otherwise; the objects table (tiny) is always hashed in
 // full.
-func (t *Tool) analyzeFileKey(samplesPath, objectsPath string, tr timeRange) (rcache.Key, error) {
+func (t *Tool) analyzeKey(samplePaths []string, objectsPath string, tr timeRange) (rcache.Key, error) {
 	afp, _, err := t.fingerprints()
-	if err != nil {
-		return rcache.Key{}, err
-	}
-	sfp, err := profiledata.FileFingerprint(samplesPath)
 	if err != nil {
 		return rcache.Key{}, err
 	}
@@ -182,19 +179,7 @@ func (t *Tool) analyzeFileKey(samplesPath, objectsPath string, tr timeRange) (rc
 	if err != nil {
 		return rcache.Key{}, err
 	}
-	return rcache.KeyOf("analyze", afp, sfp, ofp, rangeToken(tr)), nil
-}
-
-// shardsKey derives the cache key for a sharded recording: every shard's
-// fingerprint, in order — shard order changes the merged timeline, so it is
-// part of the identity.
-func (t *Tool) shardsKey(samplePaths []string, objectsPath string) (rcache.Key, error) {
-	afp, _, err := t.fingerprints()
-	if err != nil {
-		return rcache.Key{}, err
-	}
-	parts := make([]string, 0, len(samplePaths)+3)
-	parts = append(parts, "shards", afp)
+	parts := []string{"analyze", afp, ofp, rangeToken(tr)}
 	for _, p := range samplePaths {
 		sfp, err := profiledata.FileFingerprint(p)
 		if err != nil {
@@ -202,11 +187,6 @@ func (t *Tool) shardsKey(samplePaths []string, objectsPath string) (rcache.Key, 
 		}
 		parts = append(parts, sfp)
 	}
-	ofp, err := profiledata.FileFingerprint(objectsPath)
-	if err != nil {
-		return rcache.Key{}, err
-	}
-	parts = append(parts, ofp)
 	return rcache.KeyOf(parts...), nil
 }
 

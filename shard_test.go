@@ -31,7 +31,7 @@ func reblock(t *testing.T, samplesPath string, blockSize int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := profiledata.WriteSamplesBinary(g, samples, weight, profiledata.BinaryOptions{BlockSize: blockSize, Index: true}); err != nil {
+	if err := profiledata.WriteSamplesBinary(g, samples, weight, blockSize); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Close(); err != nil {

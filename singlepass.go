@@ -5,10 +5,11 @@ package drbw
 // Every analysis entry point — a recording in memory or on disk, a time
 // window of one, a batch, a set of shards — first turns its inputs into a
 // plan: a job list, each job one independently decodable portion of a
-// samples file — a block range of an indexed file, a byte range of whole
-// lines of a CSV file, or a whole unindexed binary file — or, in memory,
-// the whole recording, plus the collector weight, read from the first
-// input's header. One fused pass then streams
+// samples file — a block range of a binary file, read through its index,
+// or a byte range of whole lines of a CSV file — or, in memory, the whole
+// recording, plus the collector weight, read from the first input's
+// header. A binary file whose index footer is missing or damaged is an
+// error. One fused pass then streams
 // every job exactly once, accumulating features, the timeline, and dense
 // CF attribution for every channel together; the classifier runs on the
 // merged features and the dense counts are restricted to the channels it
@@ -17,15 +18,16 @@ package drbw
 // the pass has seen the whole range.
 //
 // After the pass, every job's weight must equal the plan's — shards
-// recorded at different weights do not merge. An indexed recording
-// analyzed whole also states its sample count and time range in its
+// recorded at different weights do not merge. A binary recording analyzed
+// whole also states its sample count and time range in its
 // footer; the pass's count and range must match it, or the analysis fails
 // as "index disagrees with recording". Every decoded block of an indexed
 // recording is verified against its footer checksum too, which covers what
 // the footer's own claims cannot: the payload bytes. A CSV range must
 // still start and end at a line boundary when it is read, or the recording
-// changed after it was cut. A failed CSV range reports the error a
-// whole-file read would, line numbers included.
+// changed after it was cut. When a CSV range fails, the file is read again
+// from its header, so the error is the one a whole-file read reports, line
+// numbers included.
 
 import (
 	"bytes"
@@ -91,12 +93,11 @@ func (p *tracePlan) close() {
 }
 
 // traceJob is one independently decodable portion of a recording — a block
-// range of an indexed file, a byte range of a CSV file, a whole unindexed
-// binary file, or an in-memory recording. blocks hands fn the portion's
-// samples a block at a time, decoding on the worker's scratch, and returns
-// the portion's weight. name and [from, to) identify the portion in trace
-// spans: the block range, the CSV file and its byte range, or the binary
-// file and its index.
+// range of a binary file, a byte range of a CSV file, or an in-memory
+// recording. blocks hands fn the portion's samples a block at a time,
+// decoding on the worker's scratch, and returns the portion's weight. name
+// and [from, to) identify the portion in trace spans: the block range, or
+// the CSV file and its byte range.
 type traceJob struct {
 	name     string
 	from, to int
@@ -180,12 +181,13 @@ func (ss *scratchSet) forEachJob(p *tracePlan, parent obs.SpanHandle, fn func(i 
 }
 
 // plan opens samplePaths — one logical recording, in order — and builds
-// their job list. Indexed files contribute block-range chunks over the
+// their job list. Binary files contribute block-range chunks over the
 // blocks that intersect tr, about four per pool worker so stragglers
 // rebalance, or one chunk per contiguous run when inline. CSV files
 // contribute byte ranges of whole lines in the same way (see csvJobs), one
-// per file when inline; other unindexed files contribute one whole-file
-// job. The weight comes from the first input's header; no sample decodes.
+// per file when inline. The weight comes from the first input's header; no
+// sample decodes. An input after the first that cannot be opened becomes a
+// job that fails with the error, so a job before it still fails first.
 func plan(samplePaths []string, tr timeRange, label string, inline bool) (_ *tracePlan, err error) {
 	p := &tracePlan{tr: tr, label: label}
 	defer func() {
@@ -193,39 +195,36 @@ func plan(samplePaths []string, tr timeRange, label string, inline bool) (_ *tra
 			p.close()
 		}
 	}()
-	// A piece is an unindexed file (it == nil), open as f when it is CSV,
-	// or a maximal run of kept blocks; block time ranges need not be
-	// sorted, so pruning can split a file's keep-set.
+	// A piece is a CSV file, open as f; a maximal run of kept blocks of a
+	// binary file, whose block time ranges need not be sorted, so pruning
+	// can split its keep-set; or an input that failed to open.
 	type piece struct {
 		path     string
-		shard    int
 		it       *profiledata.IndexedTrace
 		from, to int
 		f        *os.File
 		hdr      profiledata.Header
+		err      error
 	}
 	var pieces []piece
 	kept := 0
 	footer, claim := !tr.limited, emptyBounds()
 	for i, path := range samplePaths {
-		it, err := profiledata.OpenIndexedTrace(path)
+		it, f, hdr, err := openSamples(path)
 		if err != nil {
-			// No usable index — CSV, compressed, foreign, or a damaged
-			// footer. A missing or unreadable file after the first
-			// resurfaces when its whole-file job opens it.
-			footer = false
-			pc := piece{path: path, shard: i}
-			pc.f, pc.hdr, err = openUnindexed(path)
-			if err != nil && i == 0 {
+			if i == 0 {
 				return nil, err
 			}
-			if pc.f != nil {
-				p.files = append(p.files, pc.f)
-			}
+			pieces = append(pieces, piece{path: path, err: err})
+			continue
+		}
+		if f != nil {
+			footer = false
+			p.files = append(p.files, f)
 			if i == 0 {
-				p.weight = pc.hdr.Weight
+				p.weight = hdr.Weight
 			}
-			pieces = append(pieces, pc)
+			pieces = append(pieces, piece{path: path, f: f, hdr: hdr})
 			continue
 		}
 		p.its = append(p.its, it)
@@ -244,7 +243,7 @@ func plan(samplePaths []string, tr timeRange, label string, inline bool) (_ *tra
 			if n := len(pieces); n > 0 && pieces[n-1].it == it && pieces[n-1].to == b {
 				pieces[n-1].to++
 			} else {
-				pieces = append(pieces, piece{path: path, shard: i, it: it, from: b, to: b + 1})
+				pieces = append(pieces, piece{path: path, it: it, from: b, to: b + 1})
 			}
 		}
 	}
@@ -258,14 +257,14 @@ func plan(samplePaths []string, tr timeRange, label string, inline bool) (_ *tra
 	perChunk = max(perChunk, 1)
 	for _, pc := range pieces {
 		switch {
+		case pc.err != nil:
+			p.jobs = append(p.jobs, errJob(pc.path, pc.err))
 		case pc.f != nil:
 			jobs, err := csvJobs(pc.f, pc.path, pc.hdr, inline)
 			if err != nil {
 				return nil, err
 			}
 			p.jobs = append(p.jobs, jobs...)
-		case pc.it == nil:
-			p.jobs = append(p.jobs, fileJob(pc.path, pc.shard))
 		default:
 			name := "blocks"
 			if len(samplePaths) > 1 {
@@ -279,19 +278,28 @@ func plan(samplePaths []string, tr timeRange, label string, inline bool) (_ *tra
 	return p, nil
 }
 
-// openUnindexed reads the header of an unindexed recording. A CSV
-// recording stays open for its range jobs; any other is closed again.
-func openUnindexed(path string) (*os.File, profiledata.Header, error) {
+// openSamples opens a samples file: a binary recording through its block
+// index, or a CSV recording, left open for its range jobs, with its header.
+// A binary recording whose index is missing or fails validation is an
+// error naming the file.
+func openSamples(path string) (*profiledata.IndexedTrace, *os.File, profiledata.Header, error) {
+	it, ierr := profiledata.OpenIndexedTrace(path)
+	if ierr == nil {
+		return it, nil, profiledata.Header{}, nil
+	}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, profiledata.Header{}, fmt.Errorf("drbw: %w", err)
+		return nil, nil, profiledata.Header{}, fmt.Errorf("drbw: %w", err)
 	}
 	h, err := profiledata.ReadHeader(f)
-	if err != nil || h.Format == profiledata.FormatBinaryV4 {
-		f.Close()
-		return nil, h, err
+	if err == nil && h.Format == profiledata.FormatBinaryV4 {
+		err = fmt.Errorf("drbw: binary recording %s has no valid block index (LoadTrace then SaveAs rewrites it with one): %w", path, ierr)
 	}
-	return f, h, nil
+	if err != nil {
+		f.Close()
+		return nil, nil, h, err
+	}
+	return nil, f, h, nil
 }
 
 // csvMinRange is the smallest byte range a CSV recording is split into.
@@ -317,11 +325,9 @@ func csvJobs(f *os.File, path string, h profiledata.Header, inline bool) ([]trac
 	}
 	cuts = append(append([]int64{start}, cuts...), size)
 	jobs := make([]traceJob, 0, len(cuts)-1)
-	var prev *csvRange
 	for k := 1; k < len(cuts); k++ {
-		r := &csvRange{f: f, hdr: h, name: path, from: cuts[k-1], to: cuts[k], last: k == len(cuts)-1, prev: prev}
-		jobs = append(jobs, r.job())
-		prev = r
+		r := &csvRange{f: f, hdr: h, name: path, from: cuts[k-1], to: cuts[k], last: k == len(cuts)-1}
+		jobs = append(jobs, traceJob{name: path, from: int(r.from), to: int(r.to), csv: r, blocks: r.stream})
 	}
 	return jobs, nil
 }
@@ -458,40 +464,30 @@ func blockJob(it *profiledata.IndexedTrace, name string, from, to int) traceJob 
 
 // csvRange is one job's share of a CSV recording's data rows: bytes
 // [from, to) of f, a run of whole lines, or from on to EOF for the file's
-// last range. prev is the file's range before it, nil for the first. Once
-// the range's job completes, read holds the rows and lines it held.
+// last range.
 type csvRange struct {
 	f        *os.File
 	hdr      profiledata.Header
 	name     string
 	from, to int64
 	last     bool
-	prev     *csvRange
-	read     profiledata.CSVPos
 }
 
-// job streams the range. The first range of a file counts rows and lines
-// from the header's end; a later one counts from zero, since the ranges
-// before it may still be running.
-func (r *csvRange) job() traceJob {
-	return traceJob{name: r.name, from: int(r.from), to: int(r.to), csv: r, blocks: func(bufs *profiledata.Buffers, fn func([]pebs.Sample) error) (float64, error) {
-		at := profiledata.CSVPos{Offset: r.from}
-		if r.prev == nil {
-			at = r.hdr.Data
-		}
-		return r.stream(bufs, at, fn)
-	}}
-}
+// first reports whether the range starts at the file's first data row.
+func (r *csvRange) first() bool { return r.from == r.hdr.Data.Offset }
 
-// stream hands fn the range's samples, counting rows and lines on from at.
-// A range after the first must follow a '\n', and one before the last must
-// end in one; otherwise the recording changed after it was cut, and a row
-// split across two ranges could parse as two valid rows.
-func (r *csvRange) stream(bufs *profiledata.Buffers, at profiledata.CSVPos, fn func([]pebs.Sample) error) (float64, error) {
-	if r.prev != nil {
-		if err := r.atLineStart(r.from); err != nil {
-			return 0, err
-		}
+// stream hands fn the range's samples. The first range of a file counts
+// rows and lines from the header's end; a later one counts from zero,
+// since the ranges before it may still be running, and must follow a '\n'.
+// A range before the last must end in one too; otherwise the recording
+// changed after it was cut, and a row split across two ranges could parse
+// as two valid rows.
+func (r *csvRange) stream(bufs *profiledata.Buffers, fn func([]pebs.Sample) error) (float64, error) {
+	at := profiledata.CSVPos{Offset: r.from}
+	if r.first() {
+		at = r.hdr.Data
+	} else if err := r.atLineStart(r.from); err != nil {
+		return 0, err
 	}
 	n := r.to - r.from
 	if r.last {
@@ -499,19 +495,15 @@ func (r *csvRange) stream(bufs *profiledata.Buffers, at profiledata.CSVPos, fn f
 	}
 	sr := profiledata.NewCSVSectionReader(io.NewSectionReader(r.f, r.from, n), r.hdr, at, bufs)
 	weight, err := drain(sr, fn)
-	if err != nil {
+	if err != nil || r.last {
+		return weight, err
+	}
+	if sr.Pos().Offset != r.to {
+		return 0, errChanged(r.name, r.to)
+	}
+	if err := r.atLineStart(r.to); err != nil {
 		return 0, err
 	}
-	end := sr.Pos()
-	if !r.last {
-		if end.Offset != r.to {
-			return 0, errChanged(r.name, r.to)
-		}
-		if err := r.atLineStart(r.to); err != nil {
-			return 0, err
-		}
-	}
-	r.read = profiledata.CSVPos{Rows: end.Rows - at.Rows, Lines: end.Lines - at.Lines}
 	return weight, nil
 }
 
@@ -526,26 +518,17 @@ func (r *csvRange) atLineStart(off int64) error {
 
 // wholeFileError turns err, the error of a failed range of a split file,
 // into the error a read of the whole file reports; a recording that
-// changed since it was cut keeps that error. It reads the file again
-// from the range's start, counting rows and lines from the file's start
-// through the ranges before it, which all completed, in a whole-file
-// read's blocks; check is the pass's sample check, run on the samples
-// inside tr. The read stops at the first error, which lies in the range or
-// in the block that straddles its end, so only the error path reads a
-// range twice.
+// changed since it was cut keeps that error. It reads the file again from
+// its header, in a whole-file read's blocks, running check, the pass's
+// sample check, on the samples inside tr. Every range before the failed
+// one passed, so the read stops at an error in the failed range or in the
+// block that straddles its end; only the error path reads a file twice.
 func (r *csvRange) wholeFileError(err error, tr timeRange, check func([]pebs.Sample) error) error {
-	if r.prev == nil && r.last || errors.Is(err, errChangedRecording) {
+	if r.first() && r.last || errors.Is(err, errChangedRecording) {
 		return err
 	}
-	at := r.hdr.Data
-	at.Offset = r.from
-	for q := r.prev; q != nil; q = q.prev {
-		at.Rows += q.read.Rows
-		at.Lines += q.read.Lines
-	}
-	rest := *r
-	rest.last = true
-	_, rerr := rest.stream(new(profiledata.Buffers), at, func(block []pebs.Sample) error { return check(tr.filter(block)) })
+	whole := csvRange{f: r.f, hdr: r.hdr, name: r.name, from: r.hdr.Data.Offset, last: true}
+	_, rerr := whole.stream(new(profiledata.Buffers), func(block []pebs.Sample) error { return check(tr.filter(block)) })
 	if rerr == nil {
 		return err
 	}
@@ -558,19 +541,10 @@ func errChanged(name string, off int64) error {
 	return fmt.Errorf("drbw: recording %s %w: byte %d no longer starts a line", name, errChangedRecording, off)
 }
 
-// fileJob streams a whole samples file, the shard-th input of its plan.
-func fileJob(path string, shard int) traceJob {
-	return traceJob{name: path, from: shard, to: shard + 1, blocks: func(bufs *profiledata.Buffers, fn func([]pebs.Sample) error) (float64, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return 0, fmt.Errorf("drbw: %w", err)
-		}
-		defer f.Close()
-		sr, err := profiledata.NewSampleReaderBuffers(f, bufs)
-		if err != nil {
-			return 0, err
-		}
-		return drain(sr, fn)
+// errJob fails with err: the job of an input that could not be opened.
+func errJob(path string, err error) traceJob {
+	return traceJob{name: path, blocks: func(*profiledata.Buffers, func([]pebs.Sample) error) (float64, error) {
+		return 0, err
 	}}
 }
 

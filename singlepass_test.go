@@ -2,6 +2,7 @@ package drbw_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -15,7 +16,6 @@ import (
 	"drbw"
 	"drbw/internal/core"
 	"drbw/internal/obs"
-	"drbw/internal/pebs"
 	"drbw/internal/profiledata"
 )
 
@@ -56,8 +56,6 @@ func matrixRecording(t *testing.T, tl *drbw.Tool) (*drbw.TraceData, string, []re
 	return td, oPath, []recordingVariant{
 		{"indexed", indexed, true},
 		{"reblocked", reblocked, true},
-		{"legacy-index", legacyIndex(t, reblocked), false},
-		{"compressed", rewriteSamples(t, indexed, profiledata.BinaryOptions{Compress: true}), false},
 		{"csv", csvPath, false},
 	}
 }
@@ -92,7 +90,7 @@ func TestFusedPassMatrix(t *testing.T) {
 	}
 	cases = append(cases,
 		matrixCase{"indexed-window", variants[0].path, true, false},
-		matrixCase{"csv-window", variants[4].path, true, false})
+		matrixCase{"csv-window", variants[2].path, true, false})
 	defer core.SetPoolWorkers(0)
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		core.SetPoolWorkers(workers)
@@ -249,8 +247,6 @@ func TestOneReadPerRecording(t *testing.T) {
 		window bool
 	}{
 		{"csv", csvPath, false},
-		{"unindexed-binary", rewriteSamples(t, csvPath, profiledata.BinaryOptions{}), false},
-		{"legacy-index", legacyIndex(t, reblock(t, indexed, 64)), false},
 		{"indexed-window", reblock(t, indexed, 64), true},
 	}
 
@@ -347,53 +343,79 @@ func windowed(td *drbw.TraceData, lo, hi float64) *drbw.TraceData {
 	return out
 }
 
-// readSamplesFile loads a recording's samples and weight.
-func readSamplesFile(t *testing.T, path string) ([]pebs.Sample, float64, error) {
-	t.Helper()
-	f, err := os.Open(path)
+// TestBinaryWithoutValidIndexFails: a binary recording whose index footer
+// is missing or damaged, or whose header flags byte is not zero, fails its
+// analysis with an error naming the file instead of being read another
+// way; as a later shard it fails as its own job, so a shard before it that
+// fails while it is read still reports its error first.
+func TestBinaryWithoutValidIndexFails(t *testing.T) {
+	tl := sharedTool(t)
+	_, sPath, oPath := recordTo(t, tl, 76, drbw.FormatBinary)
+	data, err := os.ReadFile(sPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	return profiledata.ReadSamples(f)
-}
+	idx, err := profiledata.ReadBlockIndex(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	write := func(name string, mutate func([]byte) []byte) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, mutate(bytes.Clone(data)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	const noIndex = "has no valid block index"
+	for _, tc := range []struct {
+		name, want string
+		mutate     func([]byte) []byte
+	}{
+		{"footerless", noIndex, func(b []byte) []byte { return b[:idx.DataEnd+1] }},
+		{"retired footer magic", noIndex, func(b []byte) []byte {
+			copy(b[len(b)-len("DRBWIDX2"):], "DRBWIDX2")
+			return b
+		}},
+		{"damaged footer", noIndex, func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[len(b)-16:], 1<<62) // the footer's payload length
+			return b
+		}},
+		{"flags", "binary header flags 0x1, want 0", func(b []byte) []byte {
+			b[len("DRBWPD4\n")+1] = 1
+			return b
+		}},
+	} {
+		path := write(tc.name+".bin", tc.mutate)
+		for _, workers := range []int{1, 2} {
+			core.SetPoolWorkers(workers)
+			_, err := tl.AnalyzeTraceFile(path, oPath)
+			if err == nil || !strings.Contains(err.Error(), tc.want) || tc.want == noIndex && !strings.Contains(err.Error(), path) {
+				t.Fatalf("%s, workers=%d: error = %v, want one containing %q", tc.name, workers, err, tc.want)
+			}
+		}
+	}
+	core.SetPoolWorkers(0)
 
-// rewriteSamples re-encodes a recording's samples as binary with opts.
-func rewriteSamples(t *testing.T, path string, opts profiledata.BinaryOptions) string {
-	t.Helper()
-	samples, weight, err := readSamplesFile(t, path)
-	if err != nil {
-		t.Fatal(err)
+	// Shard 1 fails the checksum of its first block when read; shard 2 is
+	// footerless.
+	corrupt := write("corrupt.bin", func(b []byte) []byte {
+		end := idx.DataEnd
+		if len(idx.Entries) > 1 {
+			end = idx.Entries[1].Offset
+		}
+		b[(idx.Entries[0].Offset+end)/2] ^= 0x40
+		return b
+	})
+	footerless := filepath.Join(dir, "footerless.bin")
+	for _, workers := range []int{1, 2} {
+		core.SetPoolWorkers(workers)
+		_, err := tl.AnalyzeTraceShards([]string{sPath, corrupt, footerless}, oPath)
+		if err == nil || !strings.Contains(err.Error(), "index checksum") {
+			t.Fatalf("workers=%d: error = %v, want shard 1's checksum failure", workers, err)
+		}
 	}
-	out := filepath.Join(t.TempDir(), "rewritten.bin")
-	f, err := os.Create(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := profiledata.WriteSamplesBinary(f, samples, weight, opts); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// legacyIndex copies an indexed recording with its footer closed by the
-// retired DRBWIDX2 magic of v3 recordings. That footer reads as no index,
-// so the copy analyzes as one unindexed binary job.
-func legacyIndex(t *testing.T, path string) string {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(data[len(data)-len("DRBWIDX2"):], "DRBWIDX2")
-	legacy := filepath.Join(t.TempDir(), "legacy.bin")
-	if err := os.WriteFile(legacy, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return legacy
+	core.SetPoolWorkers(0)
 }
 
 // TestSinglePassShardsMatchWhole: indexed shards take their bounds from

@@ -25,9 +25,9 @@ const (
 	// row) — greppable, produced and consumed by shell tooling.
 	FormatCSV TraceFormat = "csv"
 	// FormatBinary is the binary columnar format (v4) — several times
-	// smaller and faster to decode, the right choice for large traces.
-	// Written with the block index footer, so AnalyzeTraceFile can fan the
-	// blocks across the worker pool.
+	// smaller and faster to decode, the right choice for large traces. Its
+	// block index footer lets AnalyzeTraceFile fan the blocks across the
+	// worker pool.
 	FormatBinary TraceFormat = "binary"
 )
 
@@ -48,7 +48,7 @@ func (td *TraceData) SaveAs(samplesPath, objectsPath string, format TraceFormat)
 		}
 	case FormatBinary:
 		writeSamples = func(w io.Writer) error {
-			return profiledata.WriteSamplesBinary(w, samples, weight, profiledata.BinaryOptions{Index: true})
+			return profiledata.WriteSamplesBinary(w, samples, weight, profiledata.DefaultBlockSize)
 		}
 	default:
 		return fmt.Errorf("drbw: unknown trace format %q (want %q or %q)", format, FormatCSV, FormatBinary)
@@ -96,46 +96,72 @@ func (tr timeRange) skipBlock(e profiledata.IndexEntry) bool {
 }
 
 // AnalyzeTraceFile runs the AnalyzeTrace pipeline directly off a recording
-// on disk, in one fused decode pass. When the samples file carries a block
-// index (binary recordings written by this tool), the blocks are fanned
-// across the shared worker pool: each worker streams its own block range
-// with its own decode scratch into mergeable accumulators, and the merged
-// result is bit-identical to the serial analysis at any worker count.
-// Unindexed recordings (CSV, compressed, foreign) stream as one job. Either
-// way peak memory is bounded by block size × workers plus the timeline's
+// on disk, in one fused decode pass. A binary recording is read through its
+// block index footer: the blocks are fanned across the shared worker pool,
+// each worker streaming its own block range with its own decode scratch
+// into mergeable accumulators, and the merged result is bit-identical to
+// the serial analysis at any worker count. A binary recording whose footer
+// is missing or damaged is an error naming the file. A CSV recording is cut
+// into byte ranges of whole lines, fanned out the same way. Either way
+// peak memory is bounded by block size × workers plus the timeline's
 // column of 16 B per remote-DRAM sample — at most 1.92 MB for a recording
 // capped at the collector's default 120,000 kept samples — and the report
 // is bit-identical to LoadTrace + AnalyzeTrace on the same files.
 func (t *Tool) AnalyzeTraceFile(samplesPath, objectsPath string) (*Report, error) {
-	rep, err := t.analyzeTraceFileRange(samplesPath, objectsPath, fullRange(), nil)
+	rep, err := t.analyzeRecording([]string{samplesPath}, objectsPath, fullRange(), nil)
 	return rep, obs.FlightFailure("analyze.trace_file", err)
 }
 
 // AnalyzeTraceFileRange is AnalyzeTraceFile restricted to samples with
 // Time in [lo, hi] (inclusive): the report is exactly AnalyzeTrace over
-// the recording with every other sample dropped. On an indexed recording,
+// the recording with every other sample dropped. On a binary recording,
 // blocks whose time range misses the window are never read at all.
 func (t *Tool) AnalyzeTraceFileRange(samplesPath, objectsPath string, lo, hi float64) (*Report, error) {
 	if !(lo <= hi) {
 		return nil, fmt.Errorf("drbw: invalid time range [%v, %v]", lo, hi)
 	}
-	rep, err := t.analyzeTraceFileRange(samplesPath, objectsPath, timeRange{lo: lo, hi: hi, limited: true}, nil)
+	rep, err := t.analyzeRecording([]string{samplesPath}, objectsPath, timeRange{lo: lo, hi: hi, limited: true}, nil)
 	return rep, obs.FlightFailure("analyze.trace_file_range", err)
 }
 
-// analyzeTraceFileRange analyzes one recording through the cache when one
-// is attached. The cache's singleflight also dedups a recording listed more
+// analyzeRecording analyzes one logical recording — samplePaths in order,
+// sharing objectsPath — restricted to tr, through the cache when one is
+// attached. The cache's singleflight also dedups a recording listed more
 // than once in a batch — the duplicates decode once and every slot gets the
-// report. sc, when non-nil, is the calling batch worker's scratch.
-func (t *Tool) analyzeTraceFileRange(samplesPath, objectsPath string, tr timeRange, sc *traceScratch) (*Report, error) {
+// report. sc, when non-nil, is the calling batch worker's scratch. One
+// samples file runs under an analyze.trace_file span, its jobs labelled
+// analyze.blocks; several run under analyze.shards.
+func (t *Tool) analyzeRecording(samplePaths []string, objectsPath string, tr timeRange, sc *traceScratch) (*Report, error) {
+	if len(samplePaths) == 0 {
+		return nil, fmt.Errorf("drbw: no sample shards given")
+	}
 	analyze := func() (*Report, error) {
-		sp := obs.BeginSpan("analyze.trace_file")
-		sp.SetStr("samples", samplesPath)
+		var sp obs.SpanHandle
+		label := "analyze.shards"
+		if len(samplePaths) == 1 {
+			sp, label = obs.BeginSpan("analyze.trace_file"), "analyze.blocks"
+			sp.SetStr("samples", samplePaths[0])
+		} else {
+			sp = obs.BeginSpan("analyze.shards")
+			sp.SetInt("shards", int64(len(samplePaths)))
+		}
 		defer sp.End()
-		return t.analyzeFiles([]string{samplesPath}, objectsPath, tr, sc, "analyze.blocks", sp)
+		objects, err := readObjectsFile(objectsPath)
+		if err != nil {
+			return nil, err
+		}
+		if sc == nil && core.PoolWorkers() == 1 {
+			sc = t.newScratch()
+		}
+		p, err := plan(samplePaths, tr, label, sc != nil)
+		if err != nil {
+			return nil, err
+		}
+		defer p.close()
+		return t.fusedPass(p, objects, sc, sp)
 	}
 	if t.cache != nil {
-		if key, err := t.analyzeFileKey(samplesPath, objectsPath, tr); err == nil {
+		if key, err := t.analyzeKey(samplePaths, objectsPath, tr); err == nil {
 			return cached(t.cache, key, analyze)
 		}
 		// Fingerprinting failed — missing file, unreadable bytes. Fall
@@ -154,15 +180,15 @@ func (t *Tool) analyzeTraceFileRange(samplesPath, objectsPath string, tr timeRan
 func (t *Tool) AnalyzeTraceFiles(paths []TracePaths) ([]*Report, error) {
 	if len(paths) == 1 {
 		// A one-recording batch has no cross-file parallelism to exploit;
-		// route it through AnalyzeTraceFile so an indexed recording fans
-		// its block ranges across the pool instead of streaming inline.
+		// route it through AnalyzeTraceFile so the recording fans its
+		// block or byte ranges across the pool instead of streaming inline.
 		// The reports are bit-identical either way.
 		rep, err := t.AnalyzeTraceFile(paths[0].Samples, paths[0].Objects)
 		return []*Report{rep}, batchError([]error{err}, nil)
 	}
 	reports, err := t.analyzeBatch(len(paths), "analyze.tracefiles", func(i int, sc *traceScratch, cs obs.SpanHandle) (*Report, error) {
 		cs.SetStr("samples", paths[i].Samples)
-		return t.analyzeTraceFileRange(paths[i].Samples, paths[i].Objects, fullRange(), sc)
+		return t.analyzeRecording([]string{paths[i].Samples}, paths[i].Objects, fullRange(), sc)
 	})
 	return reports, obs.FlightFailure("analyze.tracefiles", err)
 }
@@ -173,26 +199,8 @@ func (t *Tool) AnalyzeTraceFiles(paths []TracePaths) ([]*Report, error) {
 // concurrently on the worker pool and the merged report is bit-identical
 // to analyzing the concatenation of the shards in order.
 func (t *Tool) AnalyzeTraceShards(samplePaths []string, objectsPath string) (*Report, error) {
-	rep, err := t.analyzeTraceShards(samplePaths, objectsPath)
+	rep, err := t.analyzeRecording(samplePaths, objectsPath, fullRange(), nil)
 	return rep, obs.FlightFailure("analyze.shards", err)
-}
-
-func (t *Tool) analyzeTraceShards(samplePaths []string, objectsPath string) (*Report, error) {
-	if len(samplePaths) == 0 {
-		return nil, fmt.Errorf("drbw: no sample shards given")
-	}
-	analyze := func() (*Report, error) {
-		sp := obs.BeginSpan("analyze.shards")
-		sp.SetInt("shards", int64(len(samplePaths)))
-		defer sp.End()
-		return t.analyzeFiles(samplePaths, objectsPath, fullRange(), nil, "analyze.shards", sp)
-	}
-	if t.cache != nil {
-		if key, err := t.shardsKey(samplePaths, objectsPath); err == nil {
-			return cached(t.cache, key, analyze)
-		}
-	}
-	return analyze()
 }
 
 // AnalyzeTraceShardDir is AnalyzeTraceShards over a directory: every
@@ -225,26 +233,6 @@ func (t *Tool) AnalyzeTraceShardDir(dir string) (*Report, error) {
 	}
 	sort.Strings(shards)
 	return t.AnalyzeTraceShards(shards, objects[0])
-}
-
-// analyzeFiles is the one analysis behind every file entry point: it
-// plans the samples files — one logical recording, in order — and runs the
-// plan's fused pass. sc, when non-nil, keeps the analysis inline on the
-// calling batch worker's scratch; a one-worker pool runs inline too.
-func (t *Tool) analyzeFiles(samplePaths []string, objectsPath string, tr timeRange, sc *traceScratch, label string, sp obs.SpanHandle) (*Report, error) {
-	objects, err := readObjectsFile(objectsPath)
-	if err != nil {
-		return nil, err
-	}
-	if sc == nil && core.PoolWorkers() == 1 {
-		sc = t.newScratch()
-	}
-	p, err := plan(samplePaths, tr, label, sc != nil)
-	if err != nil {
-		return nil, err
-	}
-	defer p.close()
-	return t.fusedPass(p, objects, sc, sp)
 }
 
 // errNoSamples distinguishes an empty recording from a time window that

@@ -9,7 +9,6 @@ import (
 	"drbw/internal/core"
 	"drbw/internal/engine"
 	"drbw/internal/memsim"
-	"drbw/internal/optimize"
 	"drbw/internal/program"
 	"drbw/internal/topology"
 	"drbw/internal/trace"
@@ -219,11 +218,7 @@ func (t *Tool) AnalyzeWorkload(w WorkloadSpec, c Case) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	dn, err := t.detector.Detect(b, t.machine, c.config())
-	if err != nil {
-		return nil, err
-	}
-	return reportFromDetection(dn), nil
+	return t.detect(b, c, t.detector.Detect)
 }
 
 // EvaluateWorkload adds the interleave ground-truth probe to
@@ -233,11 +228,7 @@ func (t *Tool) EvaluateWorkload(w WorkloadSpec, c Case) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	dn, err := t.detector.Evaluate(b, t.machine, c.config())
-	if err != nil {
-		return nil, err
-	}
-	return reportFromDetection(dn), nil
+	return t.detect(b, c, t.detector.Evaluate)
 }
 
 // OptimizeWorkload measures a placement fix on a custom workload.
@@ -246,25 +237,7 @@ func (t *Tool) OptimizeWorkload(w WorkloadSpec, c Case, s Strategy, objects ...s
 	if err != nil {
 		return Comparison{}, err
 	}
-	strat, err := s.internal()
-	if err != nil {
-		return Comparison{}, err
-	}
-	var tr optimize.Transform
-	if len(objects) == 0 {
-		tr = optimize.WholeProgram(strat)
-	} else {
-		tr = optimize.Objects(strat, objects...)
-	}
-	cmp, err := optimize.Measure(b, t.machine, c.config(), t.cfg.engineConfig(), tr)
-	if err != nil {
-		return Comparison{}, err
-	}
-	return Comparison{
-		BaseCycles: cmp.BaseCycles, OptCycles: cmp.OptCycles,
-		PhaseSpeedups:   append([]float64(nil), cmp.PhaseSpeedups...),
-		RemoteReduction: cmp.RemoteReduction, LatencyReduction: cmp.LatencyReduction,
-	}, nil
+	return t.measure(b, c, s, objects)
 }
 
 // Detector exposes the trained detector for the experiment harness in
