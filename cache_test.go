@@ -20,7 +20,7 @@ import (
 // detaches it when the test ends (the tool is shared across tests).
 func withCache(t *testing.T, tl *drbw.Tool, dir string) *drbw.Cache {
 	t.Helper()
-	cache, err := drbw.OpenCache(dir, drbw.CacheOptions{})
+	cache, err := drbw.OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -187,7 +187,7 @@ func main() {
 	}
 	var cache *drbw.Cache
 	if *cacheDir != "" {
-		if cache, err = drbw.OpenCache(*cacheDir, drbw.CacheOptions{}); err != nil {
+		if cache, err = drbw.OpenCache(*cacheDir); err != nil {
 			die(err)
 		}
 		tool.SetCache(cache)

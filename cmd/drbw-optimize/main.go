@@ -124,7 +124,7 @@ func main() {
 	}
 	var cache *drbw.Cache
 	if *cacheDir != "" {
-		if cache, err = drbw.OpenCache(*cacheDir, drbw.CacheOptions{}); err != nil {
+		if cache, err = drbw.OpenCache(*cacheDir); err != nil {
 			log.Fatal(err)
 		}
 		tool.SetCache(cache)

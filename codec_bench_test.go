@@ -173,7 +173,7 @@ func BenchmarkAnalyzeCached(b *testing.B) {
 	if err := td.SaveAs(sPath, oPath, drbw.FormatBinary); err != nil {
 		b.Fatal(err)
 	}
-	cache, err := drbw.OpenCache(filepath.Join(dir, "cache"), drbw.CacheOptions{})
+	cache, err := drbw.OpenCache(filepath.Join(dir, "cache"))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -51,8 +51,9 @@ func DefaultCollectorConfig() pebs.Config {
 // TrainingRun is one profiled mini-program run with its extracted features.
 type TrainingRun struct {
 	Instance micro.Instance
-	// Channel is the remote channel whose feature vector represents the
-	// run (the busiest one; contention, when present, lives there).
+	// Channel is the channel whose feature vector represents the run:
+	// features.Accumulator.Busiest, the remote channel with the most
+	// MEM/LFB samples (contention, when present, lives there).
 	Channel topology.Channel
 	Vector  features.Vector
 	// Candidates carries the full candidate statistics of the run's source
@@ -88,33 +89,6 @@ func baseName(name string) string {
 		}
 	}
 	return name
-}
-
-// busiestRemoteChannel picks the remote channel carrying the most samples;
-// when no remote channel saw traffic it falls back to the channel leaving
-// the source socket with the most samples, whose vector then has zero
-// remote features — a clean "good" example.
-func busiestRemoteChannel(m *topology.Machine, samples []pebs.Sample) topology.Channel {
-	byChannel := pebs.Associate(samples)
-	best := topology.Channel{Src: 0, Dst: topology.NodeID(1 % m.Nodes())}
-	bestN := -1
-	for _, ch := range m.RemoteChannels() {
-		if n := len(byChannel[ch]); n > bestN {
-			best, bestN = ch, n
-		}
-	}
-	if bestN > 0 {
-		return best
-	}
-	// No remote traffic at all: anchor on the busiest source socket.
-	bySrc := pebs.BySourceNode(samples)
-	bestSrc, n := topology.NodeID(0), -1
-	for src, ss := range bySrc {
-		if len(ss) > n {
-			bestSrc, n = src, len(ss)
-		}
-	}
-	return topology.Channel{Src: bestSrc, Dst: topology.NodeID((int(bestSrc) + 1) % m.Nodes())}
 }
 
 // peakRemoteUtil extracts the simulator's worst inter-socket link
@@ -247,8 +221,9 @@ func collectOne(m *topology.Machine, ecfg engine.Config, inst micro.Instance) (T
 	}
 	samples := col.Samples()
 	mergeCollectorStats(col)
-	ch := busiestRemoteChannel(m, samples)
-	vec := features.Extract(samples, ch, col.Weight())
+	acc := features.NewAccumulator(m)
+	acc.Add(samples)
+	ch := acc.Busiest()
 
 	// Candidate stats over the channel's source-socket batch.
 	var batch []pebs.Sample
@@ -260,7 +235,7 @@ func collectOne(m *topology.Machine, ecfg engine.Config, inst micro.Instance) (T
 	return TrainingRun{
 		Instance:       inst,
 		Channel:        ch,
-		Vector:         vec,
+		Vector:         acc.Vector(ch, col.Weight()),
 		Candidates:     features.Candidates(batch, col.Weight()),
 		PeakRemoteUtil: peakRemoteUtil(m, res),
 	}, nil

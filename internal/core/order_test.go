@@ -16,7 +16,6 @@ import (
 
 // orderOutputs is everything the sample consumers derive from one run.
 type orderOutputs struct {
-	extract    map[topology.Channel]features.Vector
 	vectors    map[topology.Channel]features.Vector
 	candidates []map[string]float64 // whole run, then each source socket
 	llc        []llc.Vector
@@ -25,10 +24,7 @@ type orderOutputs struct {
 
 func orderOutputsOf(t *testing.T, m *topology.Machine, d *Detector, table *profiledata.Table, samples []pebs.Sample, weight float64) orderOutputs {
 	t.Helper()
-	out := orderOutputs{extract: map[topology.Channel]features.Vector{}}
-	for _, ch := range m.RemoteChannels() {
-		out.extract[ch] = features.Extract(samples, ch, weight)
-	}
+	var out orderOutputs
 	out.vectors = features.ChannelVectors(m, samples, weight, d.MinSamples)
 	out.candidates = append(out.candidates, features.Candidates(samples, weight))
 	for n := 0; n < m.Nodes(); n++ {
@@ -85,9 +81,6 @@ func TestSampleOrderInvariance(t *testing.T) {
 	})
 	for name, order := range map[string][]pebs.Sample{"reversed": reversed, "shuffled": shuffled} {
 		got := orderOutputsOf(t, m, d, table, order, weight)
-		if !reflect.DeepEqual(got.extract, want.extract) {
-			t.Errorf("%s: features.Extract differs", name)
-		}
 		if !reflect.DeepEqual(got.vectors, want.vectors) {
 			t.Errorf("%s: features.ChannelVectors differs", name)
 		}

@@ -11,7 +11,6 @@ import (
 	"drbw/internal/optimize"
 	"drbw/internal/pebs"
 	"drbw/internal/program"
-	"drbw/internal/topology"
 	"drbw/internal/workloads"
 )
 
@@ -103,10 +102,10 @@ func (c *Context) AblationSamplingPeriod() (string, error) {
 			if _, err := p.Run(run); err != nil {
 				return "", err
 			}
-			samples := col.Samples()
 			totalSamples += col.Total()
-			ch := busiest(c, samples)
-			vec := features.Extract(samples, ch, col.Weight())
+			acc := features.NewAccumulator(c.Machine)
+			acc.Add(col.Samples())
+			vec := acc.Vector(acc.Busiest(), col.Weight())
 			td.Examples = append(td.Examples, dtree.Example{X: vec[:], Y: int(inst.Mode)})
 		}
 		cm, err := dtree.CrossValidate(td, core.DefaultTreeConfig(), 6, 42)
@@ -116,18 +115,6 @@ func (c *Context) AblationSamplingPeriod() (string, error) {
 		t.add(itoa(period), pct(cm.Accuracy()), itoa(totalSamples/len(reduced)))
 	}
 	return "Ablation — PEBS sampling period (paper uses 1/2000)\n\n" + t.String(), nil
-}
-
-func busiest(c *Context, samples []pebs.Sample) topology.Channel {
-	byChannel := pebs.Associate(samples)
-	best := topology.Channel{Src: 0, Dst: 1}
-	bestN := -1
-	for _, ch := range c.Machine.RemoteChannels() {
-		if n := len(byChannel[ch]); n > bestN {
-			best, bestN = ch, n
-		}
-	}
-	return best
 }
 
 // AblationChannelGranularity compares the paper's per-channel detection
@@ -161,8 +148,9 @@ func (c *Context) AblationChannelGranularity() (string, error) {
 			return "", err
 		}
 		// Whole-run vector: all samples against the busiest channel.
-		ch := busiest(c, dn.Samples)
-		vec := features.Extract(dn.Samples, ch, dn.Weight)
+		acc := features.NewAccumulator(c.Machine)
+		acc.Add(dn.Samples)
+		vec := acc.Vector(acc.Busiest(), dn.Weight)
 		whole := c.Tree.Predict(vec[:]) == 1
 
 		ecfg := c.Ecfg

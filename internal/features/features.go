@@ -5,9 +5,10 @@
 // (identification, location and latency categories — Section V-B), then
 // keeps the 13 features of Table I that differ significantly between the
 // "good" and "rmc" modes of the training mini-programs. This package
-// implements both the selected Table I vector (Extract) and the full
-// candidate list plus the selection filter (Candidates, SelectRelevant) so
-// the selection experiment is reproducible.
+// implements both the selected Table I vector (Accumulator, the one producer
+// of it for training, the ablations and detection) and the full candidate
+// list plus the selection filter (Candidates, SelectRelevant) so the
+// selection experiment is reproducible.
 //
 // A feature vector always describes one directed remote channel S→T,
 // evaluated against the batch of samples issued by socket S: remote-DRAM
@@ -73,79 +74,14 @@ var Names = [NumFeatures]string{
 // latencyThresholds backs features 1-5.
 var latencyThresholds = [5]float64{1000, 500, 200, 100, 50}
 
-// Extract computes the Table I vector for remote channel ch from the full
-// sample set of a run. weight scales sample counts back to true totals when
-// the collector used a reservoir (pebs.Collector.Weight).
-//
-// Latencies are whole cycles (pebs.Check), so their sums are exact
-// integers and the vector is a function of the sample multiset alone — the
-// same bits as the streaming Accumulator however either side chunks the
-// trace.
-func Extract(samples []pebs.Sample, ch topology.Channel, weight float64) Vector {
-	if weight <= 0 {
-		weight = 1
-	}
-	var v Vector
-	var batch, remote, local, lfb float64
-	var latSum, remoteLat, localLat, lfbLat uint64
-	var above [5]float64
-	for _, s := range samples {
-		if s.SrcNode != ch.Src {
-			continue
-		}
-		batch++
-		lat := uint64(s.Latency)
-		latSum += lat
-		for i, th := range latencyThresholds {
-			if s.Latency > th {
-				above[i]++
-			}
-		}
-		switch {
-		case s.Level == cache.MEM && s.HomeNode == ch.Dst && !ch.Local():
-			remote++
-			remoteLat += lat
-		case s.Level == cache.MEM && s.HomeNode == s.SrcNode:
-			local++
-			localLat += lat
-		case s.Level == cache.LFB:
-			lfb++
-			lfbLat += lat
-		}
-	}
-	if batch == 0 {
-		return v
-	}
-	for i := range above {
-		v[i] = above[i] / batch
-	}
-	v[5] = remote * weight
-	if remote > 0 {
-		v[6] = float64(remoteLat) / remote
-	}
-	v[7] = local * weight
-	if local > 0 {
-		v[8] = float64(localLat) / local
-	}
-	v[9] = batch * weight
-	v[10] = float64(latSum) / batch
-	v[11] = lfb * weight
-	if lfb > 0 {
-		v[12] = float64(lfbLat) / lfb
-	}
-	return v
-}
-
 // ChannelVectors computes one vector per remote channel that has at least
 // minSamples samples, over the whole machine.
 //
 // It is a single dense pass over the samples: every Table I statistic is
 // either per-source-socket (shared by all channels of that socket) or per
 // directed channel, so one walk accumulates both and the vectors assemble at
-// the end — O(samples + channels) instead of Extract's O(channels × samples).
-// The output is bit-identical to calling Extract per channel: both sum
-// whole-cycle latencies in integers, which depend on the sample multiset
-// alone.
+// the end, O(samples + channels). Whole-cycle latencies sum in integers, so
+// the vectors depend on the sample multiset alone.
 func ChannelVectors(m *topology.Machine, samples []pebs.Sample, weight float64, minSamples int) map[topology.Channel]Vector {
 	acc := NewAccumulator(m)
 	acc.Add(samples)
@@ -172,9 +108,9 @@ type Accumulator struct {
 	localLat []uint64
 	lfb      []int64
 	lfbLat   []uint64
-	// Per directed channel: remote-DRAM terms and the minSamples gate (the
-	// gate mirrors pebs.Associate, which files MEM/LFB samples under their
-	// src→home channel).
+	// Per directed channel: remote-DRAM terms, and assoc, the MEM/LFB
+	// samples filed under their src→home channel, which backs the
+	// minSamples gate and Busiest.
 	remote    []int64
 	remoteLat []uint64
 	assoc     []int
@@ -292,45 +228,76 @@ func (a *Accumulator) SampleCount() float64 {
 	return float64(n)
 }
 
-// Vectors assembles the per-channel Table I vectors from the running sums.
-// weight scales count features (non-positive means 1); channels whose
-// MEM/LFB sample count is below minSamples are omitted. Vectors does not
-// consume the sums: the accumulator remains usable and appendable.
-func (a *Accumulator) Vectors(weight float64, minSamples int) map[topology.Channel]Vector {
+// Busiest returns the channel whose vector represents a whole run: the
+// remote channel with the most MEM/LFB samples, the first in RemoteChannels
+// order on a tie. When no remote channel has any, it anchors on the source
+// socket with the largest batch (the lowest node on a tie) and returns the
+// channel from it to the next node, whose vector then has zero remote
+// features — a clean "good" example. Every tie resolves by node order, so
+// the choice is a function of the counts alone.
+func (a *Accumulator) Busiest() topology.Channel {
+	best, bestN := topology.Channel{}, 0
+	for _, ch := range a.m.RemoteChannels() {
+		if n := a.assoc[a.m.ChannelIndex(ch)]; n > bestN {
+			best, bestN = ch, n
+		}
+	}
+	if bestN > 0 {
+		return best
+	}
+	src := 0
+	for n := range a.batch {
+		if a.batch[n] > a.batch[src] {
+			src = n
+		}
+	}
+	return topology.Channel{Src: topology.NodeID(src), Dst: topology.NodeID((src + 1) % a.nn)}
+}
+
+// Vector assembles channel ch's Table I vector from the running sums.
+// weight scales count features (non-positive means 1). A channel whose
+// source socket has no samples gets the zero vector.
+func (a *Accumulator) Vector(ch topology.Channel, weight float64) Vector {
 	if weight <= 0 {
 		weight = 1
 	}
+	var v Vector
+	src := int(ch.Src)
+	if a.batch[src] == 0 {
+		return v
+	}
+	batch := float64(a.batch[src])
+	for i := 0; i < 5; i++ {
+		v[i] = float64(a.above[src][i]) / batch
+	}
+	ci := a.m.ChannelIndex(ch) // a local channel's remote terms stay zero
+	v[5] = float64(a.remote[ci]) * weight
+	if a.remote[ci] > 0 {
+		v[6] = float64(a.remoteLat[ci]) / float64(a.remote[ci])
+	}
+	v[7] = float64(a.local[src]) * weight
+	if a.local[src] > 0 {
+		v[8] = float64(a.localLat[src]) / float64(a.local[src])
+	}
+	v[9] = batch * weight
+	v[10] = float64(a.latSum[src]) / batch
+	v[11] = float64(a.lfb[src]) * weight
+	if a.lfb[src] > 0 {
+		v[12] = float64(a.lfbLat[src]) / float64(a.lfb[src])
+	}
+	return v
+}
+
+// Vectors assembles the Table I vector of every remote channel whose
+// MEM/LFB sample count is at least minSamples. weight scales count features
+// (non-positive means 1). Vectors does not consume the sums: the
+// accumulator remains usable and appendable.
+func (a *Accumulator) Vectors(weight float64, minSamples int) map[topology.Channel]Vector {
 	out := make(map[topology.Channel]Vector)
 	for _, ch := range a.m.RemoteChannels() {
-		ci := a.m.ChannelIndex(ch)
-		if a.assoc[ci] < minSamples {
-			continue
+		if a.assoc[a.m.ChannelIndex(ch)] >= minSamples {
+			out[ch] = a.Vector(ch, weight)
 		}
-		var v Vector
-		src := int(ch.Src)
-		if a.batch[src] == 0 {
-			out[ch] = v
-			continue
-		}
-		batch := float64(a.batch[src])
-		for i := 0; i < 5; i++ {
-			v[i] = float64(a.above[src][i]) / batch
-		}
-		v[5] = float64(a.remote[ci]) * weight
-		if a.remote[ci] > 0 {
-			v[6] = float64(a.remoteLat[ci]) / float64(a.remote[ci])
-		}
-		v[7] = float64(a.local[src]) * weight
-		if a.local[src] > 0 {
-			v[8] = float64(a.localLat[src]) / float64(a.local[src])
-		}
-		v[9] = batch * weight
-		v[10] = float64(a.latSum[src]) / batch
-		v[11] = float64(a.lfb[src]) * weight
-		if a.lfb[src] > 0 {
-			v[12] = float64(a.lfbLat[src]) / float64(a.lfb[src])
-		}
-		out[ch] = v
 	}
 	return out
 }

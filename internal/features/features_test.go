@@ -12,6 +12,14 @@ func s(lat float64, lvl cache.Level, src, home topology.NodeID) pebs.Sample {
 	return pebs.Sample{Latency: lat, Level: lvl, SrcNode: src, HomeNode: home}
 }
 
+// vector is the production path for one channel: samples through an
+// Accumulator over a 4-node machine, then that channel's Table I vector.
+func vector(samples []pebs.Sample, ch topology.Channel, weight float64) Vector {
+	acc := NewAccumulator(topology.Uniform(4, 2))
+	acc.Add(samples)
+	return acc.Vector(ch, weight)
+}
+
 func TestLabelString(t *testing.T) {
 	if Good.String() != "good" || RMC.String() != "rmc" {
 		t.Error("label names wrong")
@@ -31,7 +39,7 @@ func TestExtractBasic(t *testing.T) {
 		s(130, cache.LFB, 0, 1), // LFB
 		s(900, cache.MEM, 2, 1), // different source socket: excluded
 	}
-	v := Extract(samples, ch, 1)
+	v := vector(samples, ch, 1)
 	if v[5] != 2 {
 		t.Errorf("feature 6 (remote count) = %g, want 2", v[5])
 	}
@@ -63,7 +71,7 @@ func TestExtractBasic(t *testing.T) {
 func TestExtractWeightScalesCounts(t *testing.T) {
 	ch := topology.Channel{Src: 0, Dst: 1}
 	samples := []pebs.Sample{s(600, cache.MEM, 0, 1), s(30, cache.L1, 0, 0)}
-	v := Extract(samples, ch, 10)
+	v := vector(samples, ch, 10)
 	if v[5] != 10 {
 		t.Errorf("weighted remote count = %g, want 10", v[5])
 	}
@@ -77,14 +85,14 @@ func TestExtractWeightScalesCounts(t *testing.T) {
 }
 
 func TestExtractEmptyBatch(t *testing.T) {
-	v := Extract(nil, topology.Channel{Src: 0, Dst: 1}, 1)
+	v := vector(nil, topology.Channel{Src: 0, Dst: 1}, 1)
 	for i, x := range v {
 		if x != 0 {
 			t.Fatalf("feature %d = %g on empty batch", i, x)
 		}
 	}
 	// Samples from other sockets only.
-	v = Extract([]pebs.Sample{s(100, cache.MEM, 2, 1)}, topology.Channel{Src: 0, Dst: 1}, 1)
+	v = vector([]pebs.Sample{s(100, cache.MEM, 2, 1)}, topology.Channel{Src: 0, Dst: 1}, 1)
 	if v[9] != 0 {
 		t.Error("foreign-socket samples leaked into batch")
 	}

@@ -19,8 +19,8 @@
 //
 // The source NUMA node of a sample is derived from the CPU via the machine
 // topology; the home node of the data is derived from the address via the
-// simulated page tables (the libnuma query). Associate groups samples into
-// directed channels from those two nodes, which is DR-BW's per-channel
+// simulated page tables (the libnuma query). Those two nodes name the
+// sample's directed channel (Sample.Channel), which is DR-BW's per-channel
 // detection granularity.
 package pebs
 
@@ -306,30 +306,4 @@ func Resolve(s *Sample, m *topology.Machine, as *memsim.AddressSpace) {
 		// never-touched page): treat as local, the kernel's fallback.
 		s.HomeNode = s.SrcNode
 	}
-}
-
-// Associate groups samples by directed channel. Samples that never left a
-// core's private caches (L1/L2) do not travel a channel and are grouped
-// under the source node's local channel, which is where their latency
-// context belongs.
-func Associate(samples []Sample) map[topology.Channel][]Sample {
-	out := make(map[topology.Channel][]Sample)
-	for _, s := range samples {
-		ch := s.Channel()
-		if s.Level == cache.L1 || s.Level == cache.L2 || s.Level == cache.L3 {
-			ch = topology.Channel{Src: s.SrcNode, Dst: s.SrcNode}
-		}
-		out[ch] = append(out[ch], s)
-	}
-	return out
-}
-
-// BySourceNode groups samples by the socket that issued them; feature
-// extraction evaluates each channel against its source socket's batch.
-func BySourceNode(samples []Sample) map[topology.NodeID][]Sample {
-	out := make(map[topology.NodeID][]Sample)
-	for _, s := range samples {
-		out[s.SrcNode] = append(out[s.SrcNode], s)
-	}
-	return out
 }

@@ -163,42 +163,6 @@ func TestResolve(t *testing.T) {
 	}
 }
 
-func TestAssociate(t *testing.T) {
-	ss := []Sample{
-		sample(300, cache.MEM, 0, 1), // channel 0->1
-		sample(200, cache.MEM, 0, 0), // local 0
-		sample(4, cache.L1, 0, 1),    // cache hit: grouped local 0
-		sample(40, cache.L3, 2, 0),   // cache hit: grouped local 2
-		sample(120, cache.LFB, 0, 1), // LFB travels 0->1
-		sample(310, cache.MEM, 1, 0), // channel 1->0
-	}
-	g := Associate(ss)
-	if n := len(g[topology.Channel{Src: 0, Dst: 1}]); n != 2 {
-		t.Errorf("channel 0->1 has %d samples, want 2 (MEM+LFB)", n)
-	}
-	if n := len(g[topology.Channel{Src: 0, Dst: 0}]); n != 2 {
-		t.Errorf("local 0 has %d samples, want 2 (local MEM + L1)", n)
-	}
-	if n := len(g[topology.Channel{Src: 2, Dst: 2}]); n != 1 {
-		t.Errorf("local 2 has %d samples, want 1 (L3 hit)", n)
-	}
-	if n := len(g[topology.Channel{Src: 1, Dst: 0}]); n != 1 {
-		t.Errorf("channel 1->0 has %d samples, want 1", n)
-	}
-}
-
-func TestBySourceNode(t *testing.T) {
-	ss := []Sample{
-		sample(300, cache.MEM, 0, 1),
-		sample(300, cache.MEM, 0, 2),
-		sample(300, cache.MEM, 3, 0),
-	}
-	g := BySourceNode(ss)
-	if len(g[0]) != 2 || len(g[3]) != 1 {
-		t.Errorf("grouping wrong: %v", g)
-	}
-}
-
 // Property: the reservoir keeps exactly min(total, MaxKept) samples and
 // Weight()*kept ≈ Total.
 func TestReservoirInvariantProperty(t *testing.T) {

@@ -42,15 +42,6 @@ import (
 	"drbw/internal/rcache"
 )
 
-// CacheOptions tunes OpenCache's tier budgets.
-type CacheOptions struct {
-	// MemBytes budgets the in-process LRU tier (<= 0: 64 MiB).
-	MemBytes int64
-	// DiskBytes budgets the on-disk tier (<= 0: 1 GiB). Least recently
-	// used entries are evicted when a write exceeds it.
-	DiskBytes int64
-}
-
 // CacheStats is a point-in-time snapshot of a cache's counters.
 type CacheStats struct {
 	// Hits counts lookups served from either tier; Shared counts callers
@@ -74,9 +65,10 @@ type Cache struct {
 // OpenCache opens a two-tier result cache backed by dir; an empty dir keeps
 // the cache purely in-process. The directory is created if missing and may
 // be shared across runs and processes — entries are checksummed on load and
-// any damaged file reads as a miss.
-func OpenCache(dir string, opt CacheOptions) (*Cache, error) {
-	c, err := rcache.Open(rcache.Options{Dir: dir, MemBytes: opt.MemBytes, DiskBytes: opt.DiskBytes})
+// any damaged file reads as a miss. The in-process tier holds up to 64 MiB
+// and the disk tier up to 1 GiB, evicting least recently used entries.
+func OpenCache(dir string) (*Cache, error) {
+	c, err := rcache.Open(rcache.Options{Dir: dir})
 	if err != nil {
 		return nil, fmt.Errorf("drbw: %w", err)
 	}

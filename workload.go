@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"drbw/internal/alloc"
-	"drbw/internal/core"
 	"drbw/internal/engine"
 	"drbw/internal/memsim"
 	"drbw/internal/program"
@@ -239,15 +238,3 @@ func (t *Tool) OptimizeWorkload(w WorkloadSpec, c Case, s Strategy, objects ...s
 	}
 	return t.measure(b, c, s, objects)
 }
-
-// Detector exposes the trained detector for the experiment harness in
-// bench_test.go and cmd/drbw-bench; library users normally stay with
-// Analyze/Evaluate.
-func (t *Tool) Detector() *core.Detector { return t.detector }
-
-// TrainingData exposes the collected training set for the experiment
-// harness.
-func (t *Tool) TrainingData() *core.TrainingData { return t.training }
-
-// MachineModel exposes the simulated machine for the experiment harness.
-func (t *Tool) MachineModel() *topology.Machine { return t.machine }
