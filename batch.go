@@ -2,6 +2,7 @@ package drbw
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
 	"drbw/internal/core"
@@ -113,7 +114,7 @@ func (t *Tool) AnalyzeTraces(tds []*TraceData) ([]*Report, error) {
 func (t *Tool) analyzeBatch(n int, label string, analyze func(i int, sc *traceScratch, sp obs.SpanHandle) (*Report, error)) ([]*Report, error) {
 	reports := make([]*Report, n)
 	errs := make([]error, n)
-	scratch := make([]*traceScratch, core.PoolWorkers())
+	scratch := make([]*traceScratch, runtime.GOMAXPROCS(0))
 	sp := obs.BeginSpan(label)
 	core.ParallelForLabeledSpans(n, label, sp, func(i, w int, cs obs.SpanHandle) {
 		var sc *traceScratch

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"drbw"
-	"drbw/internal/core"
 )
 
 // TestAnalyzeAllMatchesSerial checks the determinism guarantee: batch
@@ -124,15 +123,15 @@ func TestBatchParallelNotSlower(t *testing.T) {
 	// Serial and parallel trials alternate (S, P, S, P) and each side keeps
 	// its best run, so a burst of load from other tests lands on both
 	// sides instead of on one side's only trials.
-	sweep := func(workers int) time.Duration {
-		core.SetPoolWorkers(workers)
+	// sweep runs at GOMAXPROCS=procs (0 keeps the host's) and restores it.
+	sweep := func(procs int) time.Duration {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		start := time.Now()
 		if _, err := tl.EvaluateAll("Streamcluster", cases); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)
 	}
-	defer core.SetPoolWorkers(0)
 	serial, parallel := time.Duration(1<<63-1), time.Duration(1<<63-1)
 	for trial := 0; trial < 2; trial++ {
 		serial = min(serial, sweep(1))

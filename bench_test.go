@@ -129,10 +129,10 @@ func BenchmarkTableIV_V_VI_Evaluation(b *testing.B) {
 }
 
 // BenchmarkBatchEvaluation pits the detector's parallel batch API against
-// a serial loop over the paper's eight standard configurations. The
-// speedup-x metric is the wall-clock ratio of one serial sweep to one
-// batch sweep; on a multi-core host it should track GOMAXPROCS up to the
-// case count.
+// a serial loop, at GOMAXPROCS=1, over the paper's eight standard
+// configurations. The speedup-x metric is the wall-clock ratio of one
+// serial sweep to one batch sweep; on a multi-core host it should track
+// GOMAXPROCS up to the case count.
 func BenchmarkBatchEvaluation(b *testing.B) {
 	c := benchContext(b)
 	e, ok := workloads.ByName("Streamcluster")
@@ -146,7 +146,10 @@ func BenchmarkBatchEvaluation(b *testing.B) {
 		cc.Seed = uint64(120000 + i*7)
 		jobs = append(jobs, core.BatchJob{Builder: e.Builder, Cfg: cc})
 	}
+	// serialSweep runs the cases one after another at GOMAXPROCS=1, so
+	// no run's window fans out either, and restores GOMAXPROCS.
 	serialSweep := func() {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		for _, j := range jobs {
 			if _, err := c.Detector.Evaluate(j.Builder, c.Machine, j.Cfg); err != nil {
 				b.Fatal(err)
@@ -385,17 +388,19 @@ func BenchmarkHeapLookup(b *testing.B) {
 }
 
 // BenchmarkEngineContendedRun times one full contended simulation at three
-// worker settings: workers=1 is the exact serial interleave (the historical
-// number and the allocation gate's subject), workers=2 always takes the
-// parallel window path regardless of host core count, and workers=max uses
-// GOMAXPROCS. All three produce bit-identical Results; only wall clock may
-// differ. scripts/bench.sh derives window_speedup from 1 vs max.
+// GOMAXPROCS settings: workers=1 is the exact serial interleave (the
+// historical number and the allocation gate's subject), workers=2 always
+// takes the parallel window path regardless of host core count, and
+// workers=max keeps the host's GOMAXPROCS. All three produce bit-identical
+// Results; only wall clock may differ. scripts/bench.sh derives
+// window_speedup from 1 vs max.
 func BenchmarkEngineContendedRun(b *testing.B) {
 	m := topology.XeonE5_4650()
-	run := func(b *testing.B, workers int) {
+	run := func(b *testing.B, procs int) {
+		setProcs(b, procs)
 		bld := micro.Sumv(micro.BigCentralized, 0)
 		cfg := program.Config{Threads: 32, Nodes: 4, Input: "default", Seed: 3}
-		ecfg := engine.Config{Window: 8192, Warmup: 2048, ReservoirSize: 512, Seed: 3, Workers: workers}
+		ecfg := engine.Config{Window: 8192, Warmup: 2048, ReservoirSize: 512, Seed: 3}
 		once := func() {
 			p, err := bld.New(m, cfg)
 			if err != nil {
@@ -416,7 +421,7 @@ func BenchmarkEngineContendedRun(b *testing.B) {
 	}
 	b.Run("workers=1", func(b *testing.B) { run(b, 1) })
 	b.Run("workers=2", func(b *testing.B) { run(b, 2) })
-	b.Run("workers=max", func(b *testing.B) { run(b, 0) })
+	b.Run("workers=max", func(b *testing.B) { run(b, runtime.GOMAXPROCS(0)) })
 }
 
 // BenchmarkProfile times one profiled run of Streamcluster T32-N4, the
@@ -464,9 +469,10 @@ func BenchmarkProfile(b *testing.B) {
 // BenchmarkOptimizerSearch times the closed-loop placement search on a
 // two-hot-object contended case (16 candidate placements) at three
 // settings: serial exhaustive (every candidate simulated to completion,
-// one at a time — the naive baseline), parallel exhaustive (same work over
-// the worker pool), and pruned (the default branch-and-bound: analytic
-// frontier cut plus incumbent cycle budget, in parallel). All three choose
+// one at a time at GOMAXPROCS=1 — the naive baseline), parallel
+// exhaustive (same work over the worker pool), and pruned (the default
+// branch-and-bound: analytic frontier cut plus incumbent cycle budget, in
+// parallel). All three choose
 // the same placement; scripts/bench.sh gates serial/pruned wall clock via
 // MIN_OPTIMIZER_SPEEDUP on hosts with >= 4 cores.
 func BenchmarkOptimizerSearch(b *testing.B) {
@@ -518,7 +524,8 @@ func BenchmarkOptimizerSearch(b *testing.B) {
 		b.ReportMetric(float64(res.Explored), "explored/op")
 	}
 	b.Run("serial", func(b *testing.B) {
-		run(b, search.Config{Frontier: -1, DisableBudget: true, Workers: 1})
+		setProcs(b, 1)
+		run(b, search.Config{Frontier: -1, DisableBudget: true})
 	})
 	b.Run("parallel", func(b *testing.B) {
 		run(b, search.Config{Frontier: -1, DisableBudget: true})

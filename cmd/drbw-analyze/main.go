@@ -21,7 +21,8 @@
 // block by block, so memory stays bounded however large the trace is;
 // binary recordings fan block ranges across the worker pool through their
 // index footer, and CSV recordings byte ranges of whole lines, with a
-// merged report bit-identical to the serial one.
+// merged report bit-identical to the serial one. -workers sets GOMAXPROCS,
+// which sizes every one of these fan-outs; -workers 1 runs serially.
 //
 // -shards analyzes a directory holding one recording split across several
 // samples files (named *.samples.*) plus a single *.objects.csv, merging
@@ -64,12 +65,12 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
 	"drbw"
-	"drbw/internal/core"
 	"drbw/internal/obs"
 )
 
@@ -83,7 +84,7 @@ func main() {
 	model := flag.String("model", "", "saved classifier from drbw-train -o")
 	cacheDir := flag.String("cache", "", "result-cache directory; repeat analyses with the same model and recordings are served from it")
 	quick := flag.Bool("quick", false, "quick training when no -model is given")
-	workers := flag.Int("workers", 0, "worker goroutines for multi-trace analysis and each training run's window stage (0 = GOMAXPROCS, 1 = serial); never changes results")
+	workers := flag.Int("workers", 0, "GOMAXPROCS for every fan-out: multi-trace and block-range analysis and each training run's window (0 = the Go default, 1 = serial); never changes results")
 	httpAddr := flag.String("http", "", "serve /metrics and /debug/pprof on this address")
 	metrics := flag.Bool("metrics", false, "append a JSON metrics snapshot to the output")
 	logLevel := flag.String("log", "warn", "log level: debug, info, warn, error")
@@ -96,7 +97,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	core.SetPoolWorkers(*workers)
+	if *workers > 0 {
+		runtime.GOMAXPROCS(*workers)
+	}
 	obs.SetProgressWriter(os.Stderr)
 	obs.SetFlightSink(os.Stderr)
 	obs.FlightDumpOnSignal()
@@ -176,7 +179,7 @@ func main() {
 	} else {
 		start := time.Now()
 		fmt.Fprintf(os.Stderr, "no -model given; training classifier (quick=%v)...\n", *quick)
-		tool, err = drbw.Train(drbw.Config{Quick: *quick, Workers: *workers})
+		tool, err = drbw.Train(drbw.Config{Quick: *quick})
 		if err == nil {
 			led.AddTiming("train", time.Since(start).Seconds())
 			fmt.Fprintf(os.Stderr, "trained in %.1fs\n", time.Since(start).Seconds())

@@ -6,14 +6,15 @@
 //	drbw-bench [-quick] [-exp all|tableI|tableII|tableIII|fig3|tableIV|
 //	            tableV|tableVI|tableVII|fig4|fig5|fig6|fig7|fig8|sp|
 //	            blackscholes|llc|baselines|ablations]
-//	           [-cpuprofile f] [-memprofile f] [-trace f]
+//	           [-workers n] [-cpuprofile f] [-memprofile f] [-trace f]
 //	           [-http addr] [-metrics] [-log level]
 //
 // -quick reduces the training set, simulation window and sweeps (roughly
 // 10x faster, same qualitative shapes). The full run regenerates the
 // 512-case Table V sweep and takes several minutes; the sweep fans out
 // over GOMAXPROCS workers through the detector's batch API, with seeds
-// fixed per case so the tables match a serial run exactly. Sweep progress
+// fixed per case so the tables match a serial run exactly. -workers sets
+// GOMAXPROCS; -workers 1 runs everything serially. Sweep progress
 // (N/M cases, elapsed, ETA) reports on stderr.
 //
 // The profiling flags capture the run for `go tool pprof` / `go tool trace`:
@@ -36,7 +37,6 @@ import (
 	"strings"
 	"time"
 
-	"drbw/internal/core"
 	"drbw/internal/experiments"
 	"drbw/internal/obs"
 )
@@ -51,7 +51,7 @@ func mainImpl() int {
 	quick := flag.Bool("quick", false, "reduced sweeps and training set")
 	exp := flag.String("exp", "all", "experiment to run (comma separated)")
 	seed := flag.Uint64("seed", 1, "simulation seed")
-	workers := flag.Int("workers", 0, "worker goroutines for the batch pool and each run's window stage (0 = GOMAXPROCS, 1 = serial); never changes results")
+	workers := flag.Int("workers", 0, "GOMAXPROCS for every fan-out: the batch pool and each run's window (0 = the Go default, 1 = serial); never changes results")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
@@ -151,8 +151,10 @@ func mainImpl() int {
 
 	// The work runs through run() so the profiling defers above flush even
 	// on failure (log.Fatal would bypass them).
-	core.SetPoolWorkers(*workers)
-	err = run(*quick, *exp, *seed, *workers)
+	if *workers > 0 {
+		runtime.GOMAXPROCS(*workers)
+	}
+	err = run(*quick, *exp, *seed)
 	lr := obs.LedgerResult{Name: *exp, Kind: "bench"}
 	if err != nil {
 		lr.Error = err.Error()
@@ -180,10 +182,10 @@ func flagConfig() map[string]string {
 	return cfg
 }
 
-func run(quick bool, exp string, seed uint64, workers int) error {
+func run(quick bool, exp string, seed uint64) error {
 	start := time.Now()
 	fmt.Fprintf(os.Stderr, "training classifier (quick=%v)...\n", quick)
-	ctx, err := experiments.NewContextWorkers(quick, seed, workers)
+	ctx, err := experiments.NewContext(quick, seed)
 	if err != nil {
 		return err
 	}

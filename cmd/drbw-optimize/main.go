@@ -22,7 +22,8 @@
 // -exhaustive disables both cuts and simulates every candidate to
 // completion. The chosen placement is identical either way on the cases the
 // analytic ranking orders correctly, and identical at any -workers setting
-// always.
+// always: -workers sets GOMAXPROCS, which sizes the waves and each run's
+// window, and -workers 1 runs serially.
 //
 // Without -model a classifier is trained first; -quick trains on the
 // reduced set.
@@ -38,11 +39,11 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
 	"drbw"
-	"drbw/internal/core"
 	"drbw/internal/obs"
 )
 
@@ -58,7 +59,7 @@ func main() {
 	topk := flag.Int("topk", 0, "top-CF objects the search combines (0 = default 3)")
 	frontier := flag.Int("frontier", 0, "candidates simulated after analytic ranking (0 = default 12, negative = all)")
 	exhaustive := flag.Bool("exhaustive", false, "simulate every candidate to completion (no frontier cut, no cycle budget)")
-	workers := flag.Int("workers", 0, "worker goroutines for candidate simulation and training (0 = GOMAXPROCS, 1 = serial); never changes the chosen placement")
+	workers := flag.Int("workers", 0, "GOMAXPROCS for every fan-out: candidate simulation, training and each run's window (0 = the Go default, 1 = serial); never changes the chosen placement")
 	metrics := flag.Bool("metrics", false, "append a JSON metrics snapshot to the output")
 	logLevel := flag.String("log", "warn", "log level: debug, info, warn, error")
 	traceOut := flag.String("trace-out", "", "record a causal trace of the run and write it to this file")
@@ -70,7 +71,9 @@ func main() {
 	if ferr != nil {
 		log.Fatal(ferr)
 	}
-	core.SetPoolWorkers(*workers)
+	if *workers > 0 {
+		runtime.GOMAXPROCS(*workers)
+	}
 	obs.SetProgressWriter(os.Stderr)
 	obs.SetFlightSink(os.Stderr)
 	obs.FlightDumpOnSignal()
@@ -114,7 +117,7 @@ func main() {
 	} else {
 		start := time.Now()
 		fmt.Fprintf(os.Stderr, "no -model given; training classifier (quick=%v)...\n", *quick)
-		tool, err = drbw.Train(drbw.Config{Quick: *quick, Workers: *workers})
+		tool, err = drbw.Train(drbw.Config{Quick: *quick})
 		if err == nil {
 			fmt.Fprintf(os.Stderr, "trained in %.1fs\n", time.Since(start).Seconds())
 		}
@@ -133,7 +136,6 @@ func main() {
 	opts := drbw.SearchOptions{
 		TopObjects: *topk,
 		Frontier:   *frontier,
-		Workers:    *workers,
 		Exhaustive: *exhaustive,
 	}
 	failed := 0

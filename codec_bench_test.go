@@ -10,10 +10,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"drbw"
-	"drbw/internal/core"
 	"drbw/internal/profiledata"
 )
 
@@ -207,9 +207,10 @@ func BenchmarkAnalyzeCached(b *testing.B) {
 }
 
 // BenchmarkShardAnalyze pins the block-parallel analysis of one indexed
-// recording: serial is the same fan-out capped at one worker, parallel uses
-// the full pool. scripts/bench.sh derives the shard-speedup gate from the
-// pair; the merge is exact, so both variants produce bit-identical reports.
+// recording: serial is the same fan-out at GOMAXPROCS=1, parallel at the
+// host's GOMAXPROCS. scripts/bench.sh derives the shard-speedup gate from
+// the pair; the merge is exact, so both variants produce bit-identical
+// reports.
 func BenchmarkShardAnalyze(b *testing.B) {
 	tool := sharedTool(b)
 	td := codecTrace(benchTraceSamples)
@@ -219,13 +220,12 @@ func BenchmarkShardAnalyze(b *testing.B) {
 	if err := td.SaveAs(sPath, oPath, drbw.FormatBinary); err != nil {
 		b.Fatal(err)
 	}
-	defer core.SetPoolWorkers(0)
 	for _, v := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
+		name  string
+		procs int
+	}{{"serial", 1}, {"parallel", runtime.GOMAXPROCS(0)}} {
 		b.Run(v.name, func(b *testing.B) {
-			core.SetPoolWorkers(v.workers)
+			setProcs(b, v.procs)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"drbw"
-	"drbw/internal/core"
 	"drbw/internal/obs"
 	"drbw/internal/profiledata"
 )
@@ -107,8 +106,7 @@ func TestCSVSplitMatrix(t *testing.T) {
 		}
 	}
 
-	core.SetPoolWorkers(2)
-	defer core.SetPoolWorkers(0)
+	setProcs(t, 2)
 	// Blank lines after the header shift the rows under the cut targets
 	// until one target falls on a '\n'.
 	var data string
@@ -140,7 +138,7 @@ func TestCSVSplitMatrix(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 4} {
-		core.SetPoolWorkers(workers)
+		setProcs(t, workers)
 		got, err := tl.AnalyzeTraceFile(path, oPath)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -196,8 +194,7 @@ func TestCSVSplitErrorsMatchWholeFile(t *testing.T) {
 		}, "cpu: strconv.Atoi"},
 	}
 	good := writeFile(t, "good.csv", join(rows))
-	core.SetPoolWorkers(2)
-	defer core.SetPoolWorkers(0)
+	setProcs(t, 2)
 	if ranges, at := csvJobRanges(t, tl, good, oPath), int64(len(join(rows[:deep]))); len(ranges) < 3 || at < ranges[2][0] {
 		t.Fatalf("row %d starts at byte %d, want it in the third range or later: %v", deep, at, ranges)
 	}
@@ -237,8 +234,7 @@ func TestCSVRecordingChangedMidAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.SetPoolWorkers(2)
-	defer core.SetPoolWorkers(0)
+	setProcs(t, 2)
 	ranges := csvJobRanges(t, tl, path, oPath)
 	if len(ranges) < 3 {
 		t.Fatalf("%d ranges, want at least 3", len(ranges))

@@ -30,6 +30,11 @@
 //
 // Custom workloads are described with WorkloadSpec and analyzed with
 // Tool.AnalyzeWorkload.
+//
+// Every fan-out — the batch APIs' case pool, block- and byte-range trace
+// analysis, the placement search's waves and the parallel window inside
+// each simulation run — sizes itself from runtime.GOMAXPROCS(0); no Config
+// field sets a width. Results are bit-identical at any GOMAXPROCS.
 package drbw
 
 import (
@@ -103,12 +108,6 @@ type Config struct {
 	Sampling string
 	// Seed makes everything deterministic (default 1).
 	Seed uint64
-	// Workers bounds the goroutines each simulation run uses for its window
-	// stage (see engine.Config.Workers): 0 uses GOMAXPROCS, 1 forces the
-	// serial path. Any value produces bit-identical results. The batch APIs'
-	// case-level fan-out is governed separately by core.SetPoolWorkers
-	// (the CLIs' -workers flags set both).
-	Workers int
 }
 
 func (c Config) engineConfig() engine.Config {
@@ -126,7 +125,6 @@ func (c Config) engineConfig() engine.Config {
 	if c.Sampling == "ibs" {
 		ecfg.SamplerFlavor = pebs.IBS
 	}
-	ecfg.Workers = c.Workers
 	return ecfg
 }
 
@@ -475,9 +473,6 @@ type SearchOptions struct {
 	// Frontier is how many top-scoring candidates are simulated (0: 12;
 	// negative: all — exhaustive).
 	Frontier int
-	// Workers bounds the candidate-simulation fan-out (0: GOMAXPROCS).
-	// The chosen placement is identical at any setting.
-	Workers int
 	// Exhaustive disables both the frontier cut and the cycle-budget bound.
 	Exhaustive bool
 }
@@ -558,7 +553,6 @@ func (t *Tool) autoOptimize(bench string, c Case, opts SearchOptions, simFP stri
 	scfg := search.Config{
 		TopObjects: opts.TopObjects,
 		Frontier:   opts.Frontier,
-		Workers:    opts.Workers,
 	}
 	if opts.Exhaustive {
 		scfg.Frontier = -1

@@ -1,6 +1,7 @@
 package drbw_test
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -29,6 +30,15 @@ func sharedTool(t testing.TB) *drbw.Tool {
 		t.Fatal(toolErr)
 	}
 	return tool
+}
+
+// setProcs sets GOMAXPROCS, which sizes the batch pool, the placement
+// search's waves and each run's parallel window, to n for the rest of the
+// test or benchmark.
+func setProcs(tb testing.TB, n int) {
+	tb.Helper()
+	old := runtime.GOMAXPROCS(n)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
 func TestTrainRejectsUnknownMachine(t *testing.T) {

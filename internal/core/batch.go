@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 
 	"drbw/internal/program"
 	"drbw/internal/topology"
@@ -45,7 +46,7 @@ func (d *Detector) batch(m *topology.Machine, jobs []BatchJob, evaluate bool) []
 	// One sweep per worker: feature-extraction scratch is reused across
 	// the cases a worker claims, so the batch's allocation count scales
 	// with the pool width, not the job count.
-	sweeps := make([]*Sweep, PoolWorkers())
+	sweeps := make([]*Sweep, runtime.GOMAXPROCS(0))
 	ParallelForLabeledWorker(len(jobs), label, func(i, w int) {
 		var sw *Sweep
 		if w < len(sweeps) {

@@ -104,31 +104,8 @@ func peakRemoteUtil(m *topology.Machine, res *engine.Result) float64 {
 	return maxU
 }
 
-// poolWorkers overrides the batch-pool width when nonzero; see
-// SetPoolWorkers.
-var poolWorkers int32
-
-// SetPoolWorkers sets the process-wide worker count used by ParallelForWorker
-// (and so every batch pipeline in this package). 0 — the default — means
-// GOMAXPROCS; negative values are treated as 0. The CLIs' -workers flags
-// route here.
-func SetPoolWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	atomic.StoreInt32(&poolWorkers, int32(n))
-}
-
-// PoolWorkers resolves the effective batch-pool width.
-func PoolWorkers() int {
-	if w := int(atomic.LoadInt32(&poolWorkers)); w > 0 {
-		return w
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // ParallelForWorker runs fn(i, w) for every i in [0, n) on a bounded pool
-// of PoolWorkers workers — the fan-out every batch pipeline in this package
+// of GOMAXPROCS workers — the fan-out every batch pipeline in this package
 // shares. Work is claimed through a single atomic counter rather than a
 // channel, so the dispatching goroutine never serializes the pool. Item i
 // runs on worker w, where w is in [0, workers) and at most one item runs on
@@ -138,20 +115,7 @@ func PoolWorkers() int {
 // index's and worker's state; ParallelForWorker returns once every call has
 // finished.
 func ParallelForWorker(n int, fn func(i, worker int)) {
-	ParallelForWorkers(n, 0, fn)
-}
-
-// ParallelForWorkers is ParallelForWorker with an explicit pool width:
-// callers that must bound their own fan-out independently of the
-// process-wide pool (the placement search's worker-count-deterministic
-// waves) pass workers > 0; workers <= 0 uses PoolWorkers.
-func ParallelForWorkers(n, workers int, fn func(i, worker int)) {
-	if workers <= 0 {
-		workers = PoolWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i, 0)
@@ -183,7 +147,7 @@ func ParallelForWorkers(n, workers int, fn func(i, worker int)) {
 func CollectTraining(m *topology.Machine, ecfg engine.Config, set []micro.Instance) (*TrainingData, error) {
 	runs := make([]TrainingRun, len(set))
 	errs := make([]error, len(set))
-	ParallelForLabeled(len(set), "train.collect", func(i int) {
+	ParallelForLabeledWorker(len(set), "train.collect", func(i, _ int) {
 		runs[i], errs[i] = collectOne(m, ecfg, set[i])
 	})
 

@@ -2,11 +2,20 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"drbw/internal/micro"
 	"drbw/internal/topology"
 )
+
+// setProcs sets GOMAXPROCS, which sizes the batch pool and each run's
+// parallel window, to n for the rest of the test.
+func setProcs(tb testing.TB, n int) {
+	tb.Helper()
+	old := runtime.GOMAXPROCS(n)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
 
 // TestCollectTrainingDeterministic pins that the training set is a function
 // of the seeds alone. The cache-resident mini-programs send no samples over
@@ -41,11 +50,10 @@ func TestCollectTrainingDeterministic(t *testing.T) {
 		}
 		return runs, td.Dataset
 	}
-	defer SetPoolWorkers(0)
-	SetPoolWorkers(1)
+	setProcs(t, 1)
 	wantRuns, wantData := collect()
 	for _, workers := range []int{1, 2} {
-		SetPoolWorkers(workers)
+		setProcs(t, workers)
 		for run := 0; run < 5; run++ {
 			if workers == 1 && run == 0 {
 				continue // the reference collection

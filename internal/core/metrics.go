@@ -55,19 +55,14 @@ func countDetectCase(contended bool) {
 	}
 }
 
-// ParallelForLabeled runs fn(i) for every i in [0, n) on the batch pool,
-// wrapped in a named span with live pool metrics and per-case progress: the
-// queue-depth and in-flight gauges track the pool in real time (visible on
-// /metrics during long sweeps), "pool.<label>.case_seconds" collects the
-// per-case latency distribution, and the span's progress line (N/M done,
-// elapsed, ETA) goes to the configured progress writer.
-func ParallelForLabeled(n int, label string, fn func(i int)) {
-	ParallelForLabeledWorker(n, label, func(i, _ int) { fn(i) })
-}
-
-// ParallelForLabeledWorker is ParallelForLabeled over ParallelForWorker:
-// the same span, gauges and histogram, with the worker index passed through
-// so consumers can reuse per-worker scratch. When a tracer is installed the
+// ParallelForLabeledWorker runs fn(i, w) for every i in [0, n) on the
+// batch pool (ParallelForWorker), wrapped in a named span with live pool
+// metrics and per-case progress: the queue-depth and in-flight gauges track
+// the pool in real time (visible on /metrics during long sweeps),
+// "pool.<label>.case_seconds" collects the per-case latency distribution,
+// and the span's progress line (N/M done, elapsed, ETA) goes to the
+// configured progress writer. The worker index is passed through so
+// consumers can reuse per-worker scratch. When a tracer is installed the
 // dispatch appears as a "pool.<label>" trace span with one "case" child per
 // item, carrying index and worker-id attributes.
 func ParallelForLabeledWorker(n int, label string, fn func(i, worker int)) {

@@ -15,7 +15,7 @@ func TestParallelForLabeledMetrics(t *testing.T) {
 	label := "test.pool"
 	before := obs.Default.Snapshot()
 	var ran atomic.Int64
-	ParallelForLabeled(n, label, func(i int) { ran.Add(1) })
+	ParallelForLabeledWorker(n, label, func(i, _ int) { ran.Add(1) })
 	after := obs.Default.Snapshot()
 
 	if ran.Load() != n {
@@ -37,7 +37,7 @@ func TestParallelForLabeledMetrics(t *testing.T) {
 	}
 
 	// n = 0 must be a no-op (no span, no histogram entries).
-	ParallelForLabeled(0, "test.pool.empty", func(i int) { t.Fatal("called") })
+	ParallelForLabeledWorker(0, "test.pool.empty", func(i, _ int) { t.Fatal("called") })
 	if _, ok := obs.Default.Snapshot().Histograms["pool.test.pool.empty.case_seconds"]; ok {
 		t.Fatal("empty pool registered a histogram")
 	}

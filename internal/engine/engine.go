@@ -80,16 +80,6 @@ type Config struct {
 	// and the (deterministic) simulation state, never on wall-clock time
 	// or scheduling, so budgeted runs stay bit-reproducible. 0 disables.
 	CycleBudget float64
-	// Workers bounds the goroutines that execute the window simulation.
-	// Threads are sharded by the NUMA node they are bound to (cores — and so
-	// L1/L2/LFB/prefetcher state — belong to exactly one node, and the L3 is
-	// per node, so groups share no cache state); would-be first touches of
-	// unresolved pages are recorded per group and arbitrated by global
-	// interleave order when the groups join, which makes the parallel window
-	// bit-identical to the serial interleave at any worker count. 0 uses
-	// GOMAXPROCS; 1 forces the serial path. Values above the bound-node
-	// count add nothing. The integration stage is serial either way.
-	Workers int
 }
 
 // maxEpochs bounds the integration loop of one phase, guarding against

@@ -42,20 +42,12 @@ import (
 	"drbw/internal/topology"
 )
 
-// windowWorkers resolves Config.Workers (0 = GOMAXPROCS, 1 = serial).
-func (e *Engine) windowWorkers() int {
-	if e.cfg.Workers > 0 {
-		return e.cfg.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // windowGroups partitions the active threads of one window by bound node,
 // preserving act order inside each group. It returns nil when the serial
-// path should run instead: one worker requested, or all threads on one
-// node (a single group would just replay windowSerial with extra setup).
+// path should run instead: GOMAXPROCS is 1, or all threads sit on one node
+// (a single group would just replay windowSerial with extra setup).
 func (e *Engine) windowGroups(act []winThread) [][]int {
-	if e.windowWorkers() <= 1 || len(act) < 2 {
+	if runtime.GOMAXPROCS(0) <= 1 || len(act) < 2 {
 		return nil
 	}
 	byNode := make([][]int, e.nn)
@@ -123,10 +115,7 @@ func (e *Engine) windowParallel(act []winThread, groups [][]int) error {
 	for gi, th := range groups {
 		gs[gi] = winGroup{node: act[th[0]].node, threads: th}
 	}
-	workers := e.windowWorkers()
-	if workers > len(gs) {
-		workers = len(gs)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(gs))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

@@ -44,17 +44,25 @@ func sharedScanWorkload(t *testing.T, m *topology.Machine, threads int, pol mems
 	return as, []trace.Phase{mk("touch"), mk("revisit")}
 }
 
+// setProcs sets GOMAXPROCS, which sizes the parallel window, to n for the
+// rest of the test.
+func setProcs(tb testing.TB, n int) {
+	tb.Helper()
+	old := runtime.GOMAXPROCS(n)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
 type workerRun struct {
 	res     *Result
 	samples []pebs.Sample
 	pages   map[topology.NodeID]int
 }
 
-func runShared(t *testing.T, m *topology.Machine, threads, nodes, workers int, reference bool) workerRun {
+func runShared(t *testing.T, m *topology.Machine, threads, nodes, procs int, reference bool) workerRun {
 	t.Helper()
+	setProcs(t, procs)
 	as, phases := sharedScanWorkload(t, m, threads, memsim.FirstTouchPolicy())
 	cfg := testConfig(77)
-	cfg.Workers = workers
 	col := pebs.NewCollector(pebs.Config{Period: 1500, OverheadCycles: 900}, 77)
 	cfg.Collector = col
 	e, err := New(m, as, smallCaches(), cfg)
@@ -74,16 +82,17 @@ func runShared(t *testing.T, m *topology.Machine, threads, nodes, workers int, r
 }
 
 // TestWindowWorkerDeterminism pins the tentpole guarantee: for a fixed
-// seed, every worker count produces bit-identical Results, samples, and
-// first-touch placements — Workers=1 (the exact serial path), explicit
-// parallel counts, and Workers=0 (GOMAXPROCS, whatever the host has).
+// seed, every window width produces bit-identical Results, samples, and
+// first-touch placements — GOMAXPROCS=1 (the exact serial path), explicit
+// parallel widths, and the host's own GOMAXPROCS.
 func TestWindowWorkerDeterminism(t *testing.T) {
 	m := topology.XeonE5_4650()
+	host := runtime.GOMAXPROCS(0)
 	base := runShared(t, m, 16, 4, 1, false)
 	if len(base.samples) == 0 {
 		t.Fatal("no samples collected; the comparison would be vacuous")
 	}
-	for _, workers := range []int{2, 3, runtime.GOMAXPROCS(0), 0} {
+	for _, workers := range []int{2, 3, host} {
 		got := runShared(t, m, 16, 4, workers, false)
 		if !reflect.DeepEqual(got.res, base.res) {
 			t.Errorf("workers=%d: Result diverges from serial", workers)
@@ -133,6 +142,6 @@ func TestWorkersSingleNodeFallsBackSerial(t *testing.T) {
 	a := runShared(t, m, 8, 1, 4, false)
 	b := runShared(t, m, 8, 1, 1, false)
 	if !reflect.DeepEqual(a.res, b.res) {
-		t.Error("single-node run diverges between Workers=4 and Workers=1")
+		t.Error("single-node run diverges between GOMAXPROCS=4 and GOMAXPROCS=1")
 	}
 }

@@ -29,16 +29,7 @@ type Context struct {
 // NewContext trains DR-BW. quick trains on a quarter of the 192 runs with a
 // reduced simulation window; experiments then also shrink their sweeps.
 func NewContext(quick bool, seed uint64) (*Context, error) {
-	return NewContextWorkers(quick, seed, 0)
-}
-
-// NewContextWorkers is NewContext with an explicit per-run worker bound for
-// the simulation window (engine.Config.Workers; 0 = GOMAXPROCS, 1 = serial).
-// Worker count never changes results — the parallel window is bit-identical
-// to the serial interleave — only how many cores one run may occupy.
-func NewContextWorkers(quick bool, seed uint64, workers int) (*Context, error) {
 	ecfg := core.DefaultEngineConfig(seed)
-	ecfg.Workers = workers
 	if quick {
 		// Keep the warmup long enough that cache-resident inputs reveal
 		// themselves; shrinking it below one working-set pass turns every

@@ -159,22 +159,27 @@ func TestSnapshotDeterminism(t *testing.T) {
 	}
 }
 
+// TestSpanRecords checks that finishing a Progress records its duration
+// into the default registry's span histogram and counter.
 func TestSpanRecords(t *testing.T) {
-	r := NewRegistry()
-	s := r.StartSpan("phase")
+	const name = "test.span.phase"
+	before := Default.Snapshot()
+	p := StartProgress(name, 1)
 	time.Sleep(time.Millisecond)
-	d := s.End()
+	p.Done()
+	d := p.Finish()
 	if d <= 0 {
 		t.Fatalf("duration = %v", d)
 	}
-	h := r.Histogram("span.phase.seconds")
-	if h.Count() != 1 {
-		t.Fatalf("span histogram count = %d", h.Count())
+	after := Default.Snapshot()
+	hb, ha := before.Histograms["span."+name+".seconds"], after.Histograms["span."+name+".seconds"]
+	if ha.Count-hb.Count != 1 {
+		t.Fatalf("span histogram count delta = %d", ha.Count-hb.Count)
 	}
-	if h.Sum() < 0.001 {
-		t.Fatalf("span histogram sum = %g, want >= 1ms", h.Sum())
+	if ha.Sum-hb.Sum < 0.001 {
+		t.Fatalf("span histogram sum delta = %g, want >= 1ms", ha.Sum-hb.Sum)
 	}
-	if r.Counter("span.phase.count").Value() != 1 {
+	if after.Counters["span."+name+".count"]-before.Counters["span."+name+".count"] != 1 {
 		t.Fatal("span counter not bumped")
 	}
 }

@@ -215,13 +215,12 @@ func MeasureAll(b program.Builder, m *topology.Machine, cfg program.Config, ecfg
 
 // Measure builds the program twice — once unmodified, once with the
 // transform applied — runs both with ecfg, and reports the comparison.
-// The two runs are independent seeded simulations, so when ecfg permits
-// parallelism (Workers != 1) and the host has spare cores they execute
-// concurrently; results are bit-identical either way. Callers measuring
-// several transforms of one case should use MeasureAll, which shares a
-// single base run.
+// The two runs are independent seeded simulations, so when GOMAXPROCS is
+// at least 2 they execute concurrently; results are bit-identical either
+// way. Callers measuring several transforms of one case should use
+// MeasureAll, which shares a single base run.
 func Measure(b program.Builder, m *topology.Machine, cfg program.Config, ecfg engine.Config, t Transform) (Comparison, error) {
-	if ecfg.Workers == 1 || runtime.GOMAXPROCS(0) < 2 {
+	if runtime.GOMAXPROCS(0) < 2 {
 		baseRes, err := MeasureBase(b, m, cfg, ecfg)
 		if err != nil {
 			return Comparison{}, err

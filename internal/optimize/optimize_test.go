@@ -2,6 +2,7 @@ package optimize
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"drbw/internal/engine"
@@ -171,10 +172,9 @@ func TestMeasureAllSharesBaseline(t *testing.T) {
 		t.Fatalf("MeasureAll returned %d comparisons for %d transforms", len(all), len(ts))
 	}
 	// The shared-baseline path must reproduce per-transform Measure exactly.
-	serial := ecfg()
-	serial.Workers = 1
+	setProcs(t, 1)
 	for i, tr := range ts {
-		want, err := Measure(b, m, cfg, serial, tr)
+		want, err := Measure(b, m, cfg, ecfg(), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,18 +187,26 @@ func TestMeasureAllSharesBaseline(t *testing.T) {
 	}
 }
 
+// setProcs sets GOMAXPROCS, which decides whether Measure overlaps its two
+// runs, to n for the rest of the test.
+func setProcs(tb testing.TB, n int) {
+	tb.Helper()
+	old := runtime.GOMAXPROCS(n)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
 func TestMeasureConcurrentMatchesSerial(t *testing.T) {
 	m := topology.XeonE5_4650()
 	cfg := program.Config{Threads: 32, Nodes: 4, Seed: 11}
 	b := micro.Dotv(micro.BigCentralized, 0)
-	serial := ecfg()
-	serial.Workers = 1
-	concurrent := ecfg() // Workers 0: base and optimized runs overlap
-	want, err := Measure(b, m, cfg, serial, WholeProgram(Colocate))
+	host := runtime.GOMAXPROCS(0)
+	setProcs(t, 1)
+	want, err := Measure(b, m, cfg, ecfg(), WholeProgram(Colocate))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Measure(b, m, cfg, concurrent, WholeProgram(Colocate))
+	setProcs(t, max(host, 2)) // base and optimized runs overlap
+	got, err := Measure(b, m, cfg, ecfg(), WholeProgram(Colocate))
 	if err != nil {
 		t.Fatal(err)
 	}

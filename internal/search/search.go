@@ -13,7 +13,7 @@
 //     convex channel-pressure term that punishes piling traffic onto few
 //     channels (see score()).
 //  3. Simulate — only the top-scoring frontier runs in the simulator, in
-//     parallel over core.ParallelForWorkers; per-run engines draw their
+//     parallel over core.ParallelForWorker; per-run engines draw their
 //     cache hierarchies from the engine's bounded recycle pool, so a wave
 //     of candidate runs allocates hierarchy state per worker, not per run.
 //  4. Bound — the shared baseline is measured exactly once; each wave of
@@ -26,7 +26,7 @@
 // have a fixed size independent of the worker count; the budget for wave i
 // depends only on waves < i; and the best pick breaks cycle ties by
 // canonical key. The chosen placement is therefore bit-identical at any
-// Workers setting.
+// GOMAXPROCS.
 package search
 
 import (
@@ -137,9 +137,6 @@ type Config struct {
 	// negative simulates every candidate (exhaustive — the benchmark
 	// baseline).
 	Frontier int
-	// Workers bounds the simulation fan-out; 0 uses core.PoolWorkers().
-	// The chosen placement is identical at any setting.
-	Workers int
 	// DisableBudget turns off the cycle-budget bound, simulating every
 	// frontier candidate to completion (the no-pruning benchmark baseline).
 	DisableBudget bool
@@ -270,7 +267,7 @@ func Run(in Input, ecfg engine.Config, cfg Config) (*Result, error) {
 	// Branch and bound over fixed-size waves. The incumbent entering wave i
 	// is min(baseline, best completed cycles in waves < i) — a function of
 	// the deterministic candidate order only, never of which worker ran
-	// what, so any Workers setting sees identical budgets and outcomes.
+	// what, so any GOMAXPROCS sees identical budgets and outcomes.
 	// When a tracer is installed, each wave is a "search.wave" child span
 	// (wave number, cycle budget) and each candidate run a "search.candidate"
 	// grandchild carrying its canonical key and worker id.
@@ -289,7 +286,7 @@ func Run(in Input, ecfg engine.Config, cfg Config) (*Result, error) {
 		ws.SetInt("size", int64(hi-lo))
 		ws.SetFloat("budget", run.CycleBudget)
 		errs := make([]error, hi-lo)
-		core.ParallelForWorkers(hi-lo, cfg.Workers, func(i, w int) {
+		core.ParallelForWorker(hi-lo, func(i, w int) {
 			cs := ws.Child("search.candidate")
 			cs.SetStr("key", outs[lo+i].Candidate.Key())
 			cs.SetInt("worker", int64(w))

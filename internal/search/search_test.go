@@ -156,15 +156,24 @@ func TestSearchCleanCaseNoRegression(t *testing.T) {
 	}
 }
 
+// setProcs sets GOMAXPROCS, which sizes the search's waves and each
+// candidate run's parallel window, to n for the rest of the test.
+func setProcs(tb testing.TB, n int) {
+	tb.Helper()
+	old := runtime.GOMAXPROCS(n)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
 // TestSearchDeterministicAcrossWorkers pins the branch-and-bound design
-// requirement: any worker count must produce a bit-identical Result —
-// same chosen placement, same cycle counts, same abort set.
+// requirement: any GOMAXPROCS must produce a bit-identical Result — same
+// chosen placement, same cycle counts, same abort set.
 func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 	workers := []int{1, 2, runtime.GOMAXPROCS(0)}
 	in := contendedInput(t, micro.Sumv(micro.BigCentralized, 0), 53)
 	var ref *Result
 	for _, w := range workers {
-		res, err := Run(in, ecfgT(), Config{Workers: w})
+		setProcs(t, w)
+		res, err := Run(in, ecfgT(), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,11 +195,12 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 // contended micro case.
 func TestPrunedMatchesExhaustive(t *testing.T) {
 	in := contendedInput(t, micro.Dotv(micro.BigCentralized, 0), 59)
-	exh, err := Run(in, ecfgT(), Config{Frontier: -1, DisableBudget: true, Workers: 1})
+	pruned, err := Run(in, ecfgT(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := Run(in, ecfgT(), Config{})
+	setProcs(t, 1)
+	exh, err := Run(in, ecfgT(), Config{Frontier: -1, DisableBudget: true})
 	if err != nil {
 		t.Fatal(err)
 	}

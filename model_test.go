@@ -1,9 +1,11 @@
 package drbw_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -62,6 +64,60 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if cmp.Speedup() < 1.2 {
 		t.Errorf("loaded tool optimize speedup %.2f", cmp.Speedup())
+	}
+}
+
+// TestModelCarriesNoWorkerCount: a saved model has no worker count, since
+// every fan-out sizes itself from GOMAXPROCS, and a model from an older
+// build that still carries "Workers" loads and analyzes exactly like a
+// fresh save.
+func TestModelCarriesNoWorkerCount(t *testing.T) {
+	tl := sharedTool(t)
+	dir := t.TempDir()
+	fresh := filepath.Join(dir, "fresh.json")
+	if err := tl.Save(fresh); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	cfg, ok := m["config"].(map[string]any)
+	if !ok {
+		t.Fatalf("saved model has no config object: %s", data)
+	}
+	if _, ok := cfg["Workers"]; ok {
+		t.Fatalf("saved model carries a worker count: %s", data)
+	}
+
+	cfg["Workers"] = 1
+	oldData, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(dir, "old.json")
+	if err := os.WriteFile(old, oldData, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := drbw.Case{Input: "native", Threads: 32, Nodes: 4, Seed: 33}
+	var reports []*drbw.Report
+	for _, path := range []string{fresh, old} {
+		loaded, err := drbw.Load(path)
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
+		}
+		rep, err := loaded.Analyze("Streamcluster", c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, rep)
+	}
+	if !reflect.DeepEqual(reports[0], reports[1]) {
+		t.Errorf("model with a worker count analyzes differently:\n got %+v\nwant %+v", reports[1], reports[0])
 	}
 }
 

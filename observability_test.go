@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"drbw"
-	"drbw/internal/core"
 	"drbw/internal/obs"
 )
 
@@ -24,10 +23,9 @@ func TestChromeTraceCoversBlockRanges(t *testing.T) {
 	shards, shardObjs := splitTrace(t, td, 3)
 
 	// The test exercises the block fan-out, which a one-worker pool skips
-	// in favor of the serial path; pin two workers so the fan-out runs
+	// in favor of the serial path; pin GOMAXPROCS=2 so the fan-out runs
 	// even on single-CPU hosts.
-	core.SetPoolWorkers(2)
-	t.Cleanup(func() { core.SetPoolWorkers(0) })
+	setProcs(t, 2)
 
 	obs.StartTracing()
 	t.Cleanup(func() { obs.StopTracing() })

@@ -129,7 +129,6 @@ func (t *Tool) fingerprints() (analysis, sim string, err error) {
 		t.fp.analysis = obs.HashConfig(cfg)
 		ecfg := t.cfg.engineConfig()
 		ecfg.Collector = nil // per-run state, not configuration
-		ecfg.Workers = 0     // bit-identical at any setting
 		ecfg.CycleBudget = 0 // overwritten by the search's bound
 		cfg["engine"] = fmt.Sprintf("%+v", ecfg)
 		t.fp.sim = obs.HashConfig(cfg)
@@ -151,8 +150,7 @@ func caseToken(c Case) string {
 	return fmt.Sprintf("input=%s,threads=%d,nodes=%d,seed=%d", c.Input, c.Threads, c.Nodes, c.Seed)
 }
 
-// optsToken encodes the search options that shape the outcome. Workers is
-// excluded: the chosen placement is identical at any setting.
+// optsToken encodes the search options that shape the outcome.
 func optsToken(o SearchOptions) string {
 	return fmt.Sprintf("topk=%d,frontier=%d,exhaustive=%v", o.TopObjects, o.Frontier, o.Exhaustive)
 }

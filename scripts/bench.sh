@@ -12,8 +12,10 @@
 #                     per window, not per access, with or without workers)
 #   MIN_BATCH_SPEEDUP when set, fail if BenchmarkBatchEvaluation's
 #                     serial/parallel wall-clock ratio falls below this
-#                     value; skipped with a warning on hosts with fewer
-#                     than 4 cores, where no speedup is physically possible
+#                     value (serial runs at GOMAXPROCS=1, so no run's
+#                     window fans out either); skipped with a warning on
+#                     hosts with fewer than 4 cores, where no speedup is
+#                     physically possible
 #   MAX_BATCH_ALLOC_RATIO when set, fail if BenchmarkBatchEvaluation's
 #                     parallel variant allocates more than this multiple of
 #                     the serial variant's allocs/op (the per-worker scratch
@@ -21,8 +23,8 @@
 #   MIN_SHARD_SPEEDUP when set, fail if BenchmarkShardAnalyze's
 #                     serial/parallel wall-clock ratio falls below this
 #                     value (block-parallel analysis of one indexed
-#                     recording); skipped with a warning on hosts with
-#                     fewer than 4 cores
+#                     recording; serial runs at GOMAXPROCS=1); skipped
+#                     with a warning on hosts with fewer than 4 cores
 #   MIN_CACHE_SPEEDUP when set, fail if a warm result-cache hit on the
 #                     1M-sample analysis (BenchmarkAnalyzeCached cold/warm
 #                     ns ratio) is less than this many times faster than the
@@ -31,7 +33,8 @@
 #                     (BenchmarkOptimizerSearch pruned: analytic frontier +
 #                     branch-and-bound cycle budget, parallel waves) is less
 #                     than this many times faster than the serial exhaustive
-#                     search; skipped with a warning on hosts with fewer
+#                     search (at GOMAXPROCS=1, serial windows included);
+#                     skipped with a warning on hosts with fewer
 #                     than 4 cores, where the parallel waves degenerate
 #   MAX_PROFILE_BYTES_PER_SAMPLE when set, fail if BenchmarkProfile (one
 #                     profiled Streamcluster T32-N4 run) allocates more
@@ -55,6 +58,9 @@
 # bar is measured against. Every speedup block carries the host's core
 # count and a "gated" flag saying whether its gate enforces on that host
 # (core-dependent ratios degenerate below 4 cores and are skipped there).
+# Every fan-out sizes itself from GOMAXPROCS, so each "serial" variant (and
+# workers=1) is the benchmark run at GOMAXPROCS=1: the pool, the search's
+# waves and every run's window all serial.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

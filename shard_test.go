@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"drbw"
-	"drbw/internal/core"
 	"drbw/internal/profiledata"
 )
 
@@ -64,9 +63,8 @@ func TestAnalyzeTraceFileWorkerCountInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	defer core.SetPoolWorkers(0)
 	for _, workers := range []int{1, 2, 3, runtime.GOMAXPROCS(0)} {
-		core.SetPoolWorkers(workers)
+		setProcs(t, workers)
 		// sPath and small fan block ranges out; csvPath streams as one
 		// whole-file job. All three must match the reference analysis bit for bit.
 		for _, path := range []string{sPath, small, csvPath} {
@@ -123,9 +121,9 @@ func TestAnalyzeTraceShardsMatchesWhole(t *testing.T) {
 	}
 	shards, oPath := splitTrace(t, td, 3)
 
-	defer core.SetPoolWorkers(0)
-	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		core.SetPoolWorkers(workers)
+	host := runtime.GOMAXPROCS(0)
+	for _, workers := range []int{1, 2, host} {
+		setProcs(t, workers)
 		got, err := tl.AnalyzeTraceShards(shards, oPath)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -136,7 +134,7 @@ func TestAnalyzeTraceShardsMatchesWhole(t *testing.T) {
 	}
 
 	// The directory form discovers the same shards.
-	core.SetPoolWorkers(0)
+	setProcs(t, host)
 	got, err := tl.AnalyzeTraceShardDir(filepath.Dir(shards[0]))
 	if err != nil {
 		t.Fatal(err)
@@ -206,9 +204,8 @@ func TestAnalyzeTraceFileRange(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	defer core.SetPoolWorkers(0)
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		core.SetPoolWorkers(workers)
+		setProcs(t, workers)
 		for _, path := range []string{sPath, small, csvFile} {
 			got, err := tl.AnalyzeTraceFileRange(path, oPath, lo, hi)
 			if err != nil {

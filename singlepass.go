@@ -36,6 +36,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 	"sync"
 
 	"drbw/internal/alloc"
@@ -252,7 +253,7 @@ func plan(samplePaths []string, tr timeRange, label string, inline bool) (_ *tra
 	}
 	perChunk := kept
 	if !inline {
-		perChunk = kept / (core.PoolWorkers() * 4)
+		perChunk = kept / (runtime.GOMAXPROCS(0) * 4)
 	}
 	perChunk = max(perChunk, 1)
 	for _, pc := range pieces {
@@ -336,7 +337,7 @@ func csvJobs(f *os.File, path string, h profiledata.Header, inline bool) ([]trac
 // data rows into: about four per pool worker, each of at least csvMinRange
 // bytes.
 func csvRanges(n int64) int {
-	return int(min(int64(core.PoolWorkers()*4), n/csvMinRange))
+	return int(min(int64(runtime.GOMAXPROCS(0)*4), n/csvMinRange))
 }
 
 // csvCuts returns the cut points that split [start, size) of r into at

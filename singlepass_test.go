@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"drbw"
-	"drbw/internal/core"
 	"drbw/internal/obs"
 	"drbw/internal/profiledata"
 )
@@ -91,9 +90,8 @@ func TestFusedPassMatrix(t *testing.T) {
 	cases = append(cases,
 		matrixCase{"indexed-window", variants[0].path, true, false},
 		matrixCase{"csv-window", variants[2].path, true, false})
-	defer core.SetPoolWorkers(0)
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		core.SetPoolWorkers(workers)
+		setProcs(t, workers)
 		for _, tc := range cases {
 			plans, restore := recordPlans()
 			var got *drbw.Report
@@ -206,9 +204,8 @@ func TestAnalyzeTraceMatchesReference(t *testing.T) {
 		got, err := tl.AnalyzeTrace(in.td)
 		check("AnalyzeTrace", i, got, err)
 	}
-	defer core.SetPoolWorkers(0)
 	for _, workers := range []int{1, 2} {
-		core.SetPoolWorkers(workers)
+		setProcs(t, workers)
 		reports, err := tl.AnalyzeTraces(tds)
 		var be *drbw.BatchError
 		if !errors.As(err, &be) {
@@ -250,8 +247,7 @@ func TestOneReadPerRecording(t *testing.T) {
 		{"indexed-window", reblock(t, indexed, 64), true},
 	}
 
-	core.SetPoolWorkers(2)
-	t.Cleanup(func() { core.SetPoolWorkers(0) })
+	setProcs(t, 2)
 	for _, in := range inputs {
 		obs.StartTracing()
 		if in.window {
@@ -388,14 +384,13 @@ func TestBinaryWithoutValidIndexFails(t *testing.T) {
 	} {
 		path := write(tc.name+".bin", tc.mutate)
 		for _, workers := range []int{1, 2} {
-			core.SetPoolWorkers(workers)
+			setProcs(t, workers)
 			_, err := tl.AnalyzeTraceFile(path, oPath)
 			if err == nil || !strings.Contains(err.Error(), tc.want) || tc.want == noIndex && !strings.Contains(err.Error(), path) {
 				t.Fatalf("%s, workers=%d: error = %v, want one containing %q", tc.name, workers, err, tc.want)
 			}
 		}
 	}
-	core.SetPoolWorkers(0)
 
 	// Shard 1 fails the checksum of its first block when read; shard 2 is
 	// footerless.
@@ -409,13 +404,12 @@ func TestBinaryWithoutValidIndexFails(t *testing.T) {
 	})
 	footerless := filepath.Join(dir, "footerless.bin")
 	for _, workers := range []int{1, 2} {
-		core.SetPoolWorkers(workers)
+		setProcs(t, workers)
 		_, err := tl.AnalyzeTraceShards([]string{sPath, corrupt, footerless}, oPath)
 		if err == nil || !strings.Contains(err.Error(), "index checksum") {
 			t.Fatalf("workers=%d: error = %v, want shard 1's checksum failure", workers, err)
 		}
 	}
-	core.SetPoolWorkers(0)
 }
 
 // TestSinglePassShardsMatchWhole: indexed shards take their bounds from
@@ -434,9 +428,8 @@ func TestSinglePassShardsMatchWhole(t *testing.T) {
 	}
 	shards, oPath := splitTrace(t, td, 3)
 
-	defer core.SetPoolWorkers(0)
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		core.SetPoolWorkers(workers)
+		setProcs(t, workers)
 		plans, restore := recordPlans()
 		got, err := tl.AnalyzeTraceShards(shards, oPath)
 		restore()
@@ -561,9 +554,8 @@ func TestSinglePassRejectsLyingIndexFooter(t *testing.T) {
 			entries[len(entries)-1].MaxTime += 1e6
 		}),
 	}
-	defer core.SetPoolWorkers(0)
 	for _, workers := range []int{1, 2} {
-		core.SetPoolWorkers(workers)
+		setProcs(t, workers)
 		for name, path := range forged {
 			plans, restore := recordPlans()
 			_, err := tl.AnalyzeTraceFile(path, oPath)

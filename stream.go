@@ -5,11 +5,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 
 	"drbw/internal/alloc"
-	"drbw/internal/core"
 	"drbw/internal/obs"
 	"drbw/internal/pebs"
 	"drbw/internal/profiledata"
@@ -150,7 +150,7 @@ func (t *Tool) analyzeRecording(samplePaths []string, objectsPath string, tr tim
 		if err != nil {
 			return nil, err
 		}
-		if sc == nil && core.PoolWorkers() == 1 {
+		if sc == nil && runtime.GOMAXPROCS(0) == 1 {
 			sc = t.newScratch()
 		}
 		p, err := plan(samplePaths, tr, label, sc != nil)
