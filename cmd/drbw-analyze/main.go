@@ -8,7 +8,7 @@
 //
 //	drbw-analyze -samples run.samples.csv -objects run.objects.csv
 //	             [-model model.json] [-quick] [-range lo:hi]
-//	             [-http addr] [-metrics] [-log level]
+//	             [-metrics] [-trace-out f [-trace-format tree]] [-ledger f]
 //	drbw-analyze -shards dir/ [-model model.json] [-quick]
 //	drbw-analyze -samples run.samples.csv -objects run.objects.csv
 //	             -convert out [-format csv|binary]
@@ -46,17 +46,14 @@
 // the recording and the model, so editing either is automatically a miss).
 // The run's hit/miss counts are reported on stderr.
 //
-// Observability: -http serves /metrics (JSON registry snapshot, or
-// Prometheus text with ?format=prom), /debug/vars (expvar), /debug/pprof
-// and /debug/flight (recent-event dump) on the given address for the
-// lifetime of the run; -metrics appends the final snapshot to stdout;
-// -log sets the structured-log level (debug, info, warn, error);
+// Observability: -metrics appends the final registry snapshot to stdout;
 // -trace-out records the run's causal span tree and writes it as Chrome
 // trace-event JSON (or a deterministic nested tree with -trace-format
 // tree); -ledger writes a machine-readable run ledger (config hash, build
 // info, timings, metrics, per-recording verdicts). Trace and ledger are
 // written even when the analysis fails, so failed runs still leave an
-// audit trail; a failure also dumps the flight recorder to stderr.
+// audit trail; a failure also dumps the flight recorder to stderr, and
+// SIGQUIT dumps it with all goroutine stacks.
 package main
 
 import (
@@ -85,67 +82,13 @@ func main() {
 	cacheDir := flag.String("cache", "", "result-cache directory; repeat analyses with the same model and recordings are served from it")
 	quick := flag.Bool("quick", false, "quick training when no -model is given")
 	workers := flag.Int("workers", 0, "GOMAXPROCS for every fan-out: multi-trace and block-range analysis and each training run's window (0 = the Go default, 1 = serial); never changes results")
-	httpAddr := flag.String("http", "", "serve /metrics and /debug/pprof on this address")
-	metrics := flag.Bool("metrics", false, "append a JSON metrics snapshot to the output")
-	logLevel := flag.String("log", "warn", "log level: debug, info, warn, error")
-	traceOut := flag.String("trace-out", "", "record a causal trace of the run and write it to this file")
-	traceFormat := flag.String("trace-format", "chrome", "trace export format: chrome (trace-event JSON) or tree (nested spans)")
-	ledgerPath := flag.String("ledger", "", "write a machine-readable run ledger (JSON) to this file")
+	cli := obs.NewCLI().WithArtifacts("drbw-analyze")
 	flag.Parse()
 
-	tfmt, err := obs.ParseTraceFormat(*traceFormat)
-	if err != nil {
-		log.Fatal(err)
-	}
 	if *workers > 0 {
 		runtime.GOMAXPROCS(*workers)
 	}
-	obs.SetProgressWriter(os.Stderr)
-	obs.SetFlightSink(os.Stderr)
-	obs.FlightDumpOnSignal()
-	if err := obs.ConfigureLogging(os.Stderr, *logLevel); err != nil {
-		log.Fatal(err)
-	}
-	if *traceOut != "" {
-		obs.StartTracing()
-	}
-	ledCfg := map[string]string{}
-	flag.VisitAll(func(f *flag.Flag) { ledCfg[f.Name] = f.Value.String() })
-	led := obs.NewLedger("drbw-analyze", ledCfg)
-	runStart := time.Now()
-	// writeArtifacts flushes the trace and ledger; it runs on success and
-	// failure alike so an aborted analysis still leaves its audit trail.
-	writeArtifacts := func() {
-		if tr := obs.StopTracing(); tr != nil && *traceOut != "" {
-			if werr := obs.WriteTraceExport(tr, *traceOut, tfmt); werr != nil {
-				fmt.Fprintln(os.Stderr, werr)
-			} else {
-				fmt.Fprintf(os.Stderr, "trace (%d spans) -> %s\n", tr.SpanCount(), *traceOut)
-			}
-		}
-		if *ledgerPath != "" {
-			led.AddTiming("total", time.Since(runStart).Seconds())
-			led.AttachMetrics()
-			if werr := led.Write(*ledgerPath); werr != nil {
-				fmt.Fprintln(os.Stderr, werr)
-			} else {
-				fmt.Fprintf(os.Stderr, "ledger -> %s\n", *ledgerPath)
-			}
-		}
-	}
-	die := func(err error) {
-		fmt.Fprintln(os.Stderr, err)
-		writeArtifacts()
-		os.Exit(1)
-	}
-	if *httpAddr != "" {
-		srv, err := obs.StartServer(*httpAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "debug server on http://%s (/metrics, /debug/pprof)\n", srv.Addr())
-	}
+	cli.Start()
 
 	sampleFiles := splitList(*samples)
 	objectFiles := splitList(*objects)
@@ -170,6 +113,7 @@ func main() {
 
 	if *convert != "" {
 		convertTraces(sampleFiles, objectFiles, splitList(*convert), *format)
+		cli.Finish()
 		return
 	}
 
@@ -181,17 +125,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "no -model given; training classifier (quick=%v)...\n", *quick)
 		tool, err = drbw.Train(drbw.Config{Quick: *quick})
 		if err == nil {
-			led.AddTiming("train", time.Since(start).Seconds())
+			cli.Ledger.AddTiming("train", time.Since(start).Seconds())
 			fmt.Fprintf(os.Stderr, "trained in %.1fs\n", time.Since(start).Seconds())
 		}
 	}
 	if err != nil {
-		die(err)
+		cli.Fatal(err)
 	}
 	var cache *drbw.Cache
 	if *cacheDir != "" {
 		if cache, err = drbw.OpenCache(*cacheDir); err != nil {
-			die(err)
+			cli.Fatal(err)
 		}
 		tool.SetCache(cache)
 	}
@@ -199,17 +143,14 @@ func main() {
 	analyzeStart := time.Now()
 	if *shards != "" {
 		rep, err := tool.AnalyzeTraceShardDir(*shards)
-		led.AddTiming("analyze", time.Since(analyzeStart).Seconds())
-		led.AddResult(drbw.ReportLedgerResult(*shards, rep, err))
+		cli.Ledger.AddTiming("analyze", time.Since(analyzeStart).Seconds())
+		cli.Ledger.AddResult(drbw.ReportLedgerResult(*shards, rep, err))
 		if err != nil {
-			die(err)
+			cli.Fatal(err)
 		}
 		fmt.Print(rep)
-		if *metrics {
-			printMetrics()
-		}
 		printCacheStats(cache)
-		writeArtifacts()
+		cli.Finish()
 		return
 	}
 
@@ -246,9 +187,9 @@ func main() {
 			}
 		}
 	}
-	led.AddTiming("analyze", time.Since(analyzeStart).Seconds())
+	cli.Ledger.AddTiming("analyze", time.Since(analyzeStart).Seconds())
 	for i, rep := range reports {
-		led.AddResult(drbw.ReportLedgerResult(sampleFiles[i], rep, ferrs[i]))
+		cli.Ledger.AddResult(drbw.ReportLedgerResult(sampleFiles[i], rep, ferrs[i]))
 		if len(reports) > 1 {
 			fmt.Printf("== %s ==\n", sampleFiles[i])
 		}
@@ -261,11 +202,8 @@ func main() {
 			fmt.Println()
 		}
 	}
-	if *metrics {
-		printMetrics()
-	}
 	printCacheStats(cache)
-	writeArtifacts()
+	cli.Finish()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -312,16 +250,6 @@ func convertTraces(sampleFiles, objectFiles, prefixes []string, format string) {
 		fmt.Fprintf(os.Stderr, "converted %s (%d samples, weight %g) -> %s\n",
 			sampleFiles[i], len(td.Samples), td.Weight, sPath)
 	}
-}
-
-// printMetrics appends the registry snapshot to the tool output.
-func printMetrics() {
-	b, err := obs.SnapshotJSON()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	fmt.Printf("== metrics ==\n%s\n", b)
 }
 
 // parseRange parses a -range value of the form "lo:hi" into a time window.

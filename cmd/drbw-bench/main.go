@@ -6,8 +6,9 @@
 //	drbw-bench [-quick] [-exp all|tableI|tableII|tableIII|fig3|tableIV|
 //	            tableV|tableVI|tableVII|fig4|fig5|fig6|fig7|fig8|sp|
 //	            blackscholes|llc|baselines|ablations]
-//	           [-workers n] [-cpuprofile f] [-memprofile f] [-trace f]
-//	           [-http addr] [-metrics] [-log level]
+//	           [-workers n] [-cpuprofile f] [-memprofile f]
+//	           [-runtime-trace f] [-metrics]
+//	           [-trace-out f [-trace-format tree]] [-ledger f]
 //
 // -quick reduces the training set, simulation window and sweeps (roughly
 // 10x faster, same qualitative shapes). The full run regenerates the
@@ -18,12 +19,14 @@
 // (N/M cases, elapsed, ETA) reports on stderr.
 //
 // The profiling flags capture the run for `go tool pprof` / `go tool trace`:
-// -cpuprofile and -trace cover everything between flag parsing and exit,
-// -memprofile writes an allocation profile at exit. They exist so hot-path
-// regressions in the simulator can be diagnosed on the real workload rather
-// than microbenchmarks. For long sweeps, -http serves the same profiles
-// live (/debug/pprof) next to /metrics and /debug/vars, and -metrics
-// appends the final registry snapshot to the output.
+// -cpuprofile and -runtime-trace cover everything between flag parsing and
+// exit, -memprofile writes an allocation profile at exit. They exist so
+// hot-path regressions in the simulator can be diagnosed on the real
+// workload rather than microbenchmarks. -metrics appends the final registry
+// snapshot to the output, -trace-out writes the run's causal span tree
+// (Chrome trace-event JSON, or a nested tree with -trace-format tree) and
+// -ledger a machine-readable run ledger; SIGQUIT dumps the flight recorder
+// and all goroutine stacks.
 package main
 
 import (
@@ -54,59 +57,12 @@ func mainImpl() int {
 	workers := flag.Int("workers", 0, "GOMAXPROCS for every fan-out: the batch pool and each run's window (0 = the Go default, 1 = serial); never changes results")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
-	httpAddr := flag.String("http", "", "serve /metrics and /debug/pprof on this address")
-	metrics := flag.Bool("metrics", false, "append a JSON metrics snapshot to the output")
-	logLevel := flag.String("log", "warn", "log level: debug, info, warn, error")
-	traceOut := flag.String("trace-out", "", "record a causal trace of the run and write it to this file")
-	traceFormat := flag.String("trace-format", "chrome", "trace export format: chrome (trace-event JSON) or tree (nested spans)")
-	ledgerPath := flag.String("ledger", "", "write a machine-readable run ledger (JSON) to this file")
+	runtimeTrace := flag.String("runtime-trace", "", "write a runtime execution trace to this file")
+	cli := obs.NewCLI().WithArtifacts("drbw-bench")
 	flag.Parse()
 
-	tfmt, err := obs.ParseTraceFormat(*traceFormat)
-	if err != nil {
-		log.Print(err)
-		return 2
-	}
-	obs.SetProgressWriter(os.Stderr)
-	obs.SetFlightSink(os.Stderr)
-	obs.FlightDumpOnSignal()
-	if err := obs.ConfigureLogging(os.Stderr, *logLevel); err != nil {
-		log.Print(err)
-		return 2
-	}
-	if *traceOut != "" {
-		obs.StartTracing()
-	}
-	runStart := time.Now()
-	led := obs.NewLedger("drbw-bench", flagConfig())
-	defer func() {
-		if tr := obs.StopTracing(); tr != nil && *traceOut != "" {
-			if werr := obs.WriteTraceExport(tr, *traceOut, tfmt); werr != nil {
-				fmt.Fprintln(os.Stderr, werr)
-			} else {
-				fmt.Fprintf(os.Stderr, "trace (%d spans) -> %s\n", tr.SpanCount(), *traceOut)
-			}
-		}
-		if *ledgerPath != "" {
-			led.AddTiming("total", time.Since(runStart).Seconds())
-			led.AttachMetrics()
-			if werr := led.Write(*ledgerPath); werr != nil {
-				fmt.Fprintln(os.Stderr, werr)
-			} else {
-				fmt.Fprintf(os.Stderr, "ledger -> %s\n", *ledgerPath)
-			}
-		}
-	}()
-	if *httpAddr != "" {
-		srv, err := obs.StartServer(*httpAddr)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "debug server on http://%s (/metrics, /debug/pprof)\n", srv.Addr())
-	}
+	cli.Start()
+	defer cli.Finish()
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -121,15 +77,15 @@ func mainImpl() int {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
+	if *runtimeTrace != "" {
+		f, err := os.Create(*runtimeTrace)
 		if err != nil {
-			log.Printf("trace: %v", err)
+			log.Printf("runtime-trace: %v", err)
 			return 1
 		}
 		defer f.Close()
 		if err := rtrace.Start(f); err != nil {
-			log.Printf("trace: %v", err)
+			log.Printf("runtime-trace: %v", err)
 			return 1
 		}
 		defer rtrace.Stop()
@@ -154,32 +110,18 @@ func mainImpl() int {
 	if *workers > 0 {
 		runtime.GOMAXPROCS(*workers)
 	}
-	err = run(*quick, *exp, *seed)
+	err := run(*quick, *exp, *seed)
 	lr := obs.LedgerResult{Name: *exp, Kind: "bench"}
 	if err != nil {
 		lr.Error = err.Error()
 	}
-	led.AddResult(lr)
-	if *metrics {
-		if b, merr := obs.SnapshotJSON(); merr == nil {
-			fmt.Printf("== metrics ==\n%s\n", b)
-		} else {
-			fmt.Fprintln(os.Stderr, merr)
-		}
-	}
+	cli.Ledger.AddResult(lr)
 	if err != nil {
 		obs.FlightFailure("bench.run", err)
 		log.Print(err)
 		return 1
 	}
 	return 0
-}
-
-// flagConfig captures the effective flag set for the run ledger.
-func flagConfig() map[string]string {
-	cfg := map[string]string{}
-	flag.VisitAll(func(f *flag.Flag) { cfg[f.Name] = f.Value.String() })
-	return cfg
 }
 
 func run(quick bool, exp string, seed uint64) error {

@@ -7,7 +7,8 @@
 //	drbw-optimize -bench NW[,Streamcluster,...] [-threads 32] [-nodes 4]
 //	              [-input name] [-seed n] [-model model.json] [-quick]
 //	              [-topk 3] [-frontier 12] [-exhaustive] [-workers n]
-//	              [-metrics] [-log level]
+//	              [-metrics] [-trace-out f [-trace-format tree]]
+//	              [-ledger f]
 //
 // For each case the tool prints the detection verdict, the diagnosed
 // objects, the search statistics (candidates enumerated / simulated /
@@ -32,12 +33,18 @@
 // same model and engine configuration is served from the cache, and a rerun
 // with different search options still reuses its cached detection verdict
 // and baseline measurement. Hit/miss counts are reported on stderr.
+//
+// Observability: -metrics appends the final registry snapshot to stdout,
+// -trace-out writes the run's causal span tree (Chrome trace-event JSON,
+// or a nested tree with -trace-format tree) and -ledger a run ledger with
+// each case's verdict, placement and speedup. Both are written even when
+// the run fails; SIGQUIT dumps the flight recorder and all goroutine
+// stacks.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"runtime"
 	"strings"
@@ -60,55 +67,17 @@ func main() {
 	frontier := flag.Int("frontier", 0, "candidates simulated after analytic ranking (0 = default 12, negative = all)")
 	exhaustive := flag.Bool("exhaustive", false, "simulate every candidate to completion (no frontier cut, no cycle budget)")
 	workers := flag.Int("workers", 0, "GOMAXPROCS for every fan-out: candidate simulation, training and each run's window (0 = the Go default, 1 = serial); never changes the chosen placement")
-	metrics := flag.Bool("metrics", false, "append a JSON metrics snapshot to the output")
-	logLevel := flag.String("log", "warn", "log level: debug, info, warn, error")
-	traceOut := flag.String("trace-out", "", "record a causal trace of the run and write it to this file")
-	traceFormat := flag.String("trace-format", "chrome", "trace export format: chrome (trace-event JSON) or tree (nested spans)")
-	ledgerPath := flag.String("ledger", "", "write a machine-readable run ledger (JSON) to this file")
+	cli := obs.NewCLI().WithArtifacts("drbw-optimize")
 	flag.Parse()
 
-	tfmt, ferr := obs.ParseTraceFormat(*traceFormat)
-	if ferr != nil {
-		log.Fatal(ferr)
-	}
 	if *workers > 0 {
 		runtime.GOMAXPROCS(*workers)
-	}
-	obs.SetProgressWriter(os.Stderr)
-	obs.SetFlightSink(os.Stderr)
-	obs.FlightDumpOnSignal()
-	if err := obs.ConfigureLogging(os.Stderr, *logLevel); err != nil {
-		log.Fatal(err)
 	}
 	if *bench == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *traceOut != "" {
-		obs.StartTracing()
-	}
-	ledCfg := map[string]string{}
-	flag.VisitAll(func(f *flag.Flag) { ledCfg[f.Name] = f.Value.String() })
-	led := obs.NewLedger("drbw-optimize", ledCfg)
-	runStart := time.Now()
-	writeArtifacts := func() {
-		if tr := obs.StopTracing(); tr != nil && *traceOut != "" {
-			if werr := obs.WriteTraceExport(tr, *traceOut, tfmt); werr != nil {
-				fmt.Fprintln(os.Stderr, werr)
-			} else {
-				fmt.Fprintf(os.Stderr, "trace (%d spans) -> %s\n", tr.SpanCount(), *traceOut)
-			}
-		}
-		if *ledgerPath != "" {
-			led.AddTiming("total", time.Since(runStart).Seconds())
-			led.AttachMetrics()
-			if werr := led.Write(*ledgerPath); werr != nil {
-				fmt.Fprintln(os.Stderr, werr)
-			} else {
-				fmt.Fprintf(os.Stderr, "ledger -> %s\n", *ledgerPath)
-			}
-		}
-	}
+	cli.Start()
 
 	var tool *drbw.Tool
 	var err error
@@ -123,12 +92,12 @@ func main() {
 		}
 	}
 	if err != nil {
-		log.Fatal(err)
+		cli.Fatal(err)
 	}
 	var cache *drbw.Cache
 	if *cacheDir != "" {
 		if cache, err = drbw.OpenCache(*cacheDir); err != nil {
-			log.Fatal(err)
+			cli.Fatal(err)
 		}
 		tool.SetCache(cache)
 	}
@@ -151,7 +120,7 @@ func main() {
 		opt, err := tool.AutoOptimize(name, c, opts)
 		if err != nil {
 			obs.FlightFailure("optimize."+name, err)
-			led.AddResult(obs.LedgerResult{Name: name, Kind: "optimization", Error: err.Error()})
+			cli.Ledger.AddResult(obs.LedgerResult{Name: name, Kind: "optimization", Error: err.Error()})
 			fmt.Fprintf(os.Stderr, "drbw-optimize: %s: %v\n", name, err)
 			failed++
 			continue
@@ -160,22 +129,15 @@ func main() {
 		lr.Kind = "optimization"
 		lr.Placement = opt.Placement
 		lr.Speedup = opt.Speedup
-		led.AddResult(lr)
+		cli.Ledger.AddResult(lr)
 		printOptimization(name, opt, time.Since(start))
-	}
-	if *metrics {
-		if b, err := obs.SnapshotJSON(); err == nil {
-			fmt.Printf("== metrics ==\n%s\n", b)
-		} else {
-			fmt.Fprintln(os.Stderr, err)
-		}
 	}
 	if cache != nil {
 		st := cache.Stats()
 		fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses, %d shared, %d corrupt\n",
 			st.Hits, st.Misses, st.Shared, st.Corrupt)
 	}
-	writeArtifacts()
+	cli.Finish()
 	if failed > 0 {
 		os.Exit(1)
 	}

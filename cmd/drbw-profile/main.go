@@ -8,7 +8,7 @@
 //	             [-nodes 4] [-fix replicate|colocate|interleave]
 //	             [-objects block,point.p] [-quick] [-truth]
 //	             [-record run [-format csv|binary]]
-//	             [-metrics] [-log level]
+//	             [-metrics]
 //	drbw-profile -list
 //
 // -record writes the raw profile for offline analysis; -format picks the
@@ -16,9 +16,8 @@
 // format — drbw-analyze reads both).
 //
 // Observability: -metrics appends the final registry snapshot to stdout,
-// -log sets the structured-log level (debug, info, warn, error), and
-// training/analysis progress reports on stderr. SIGQUIT dumps the flight
-// recorder and all goroutine stacks.
+// and training/analysis progress reports on stderr. SIGQUIT dumps the
+// flight recorder and all goroutine stacks.
 package main
 
 import (
@@ -46,16 +45,10 @@ func main() {
 	model := flag.String("model", "", "load a saved classifier instead of training")
 	record := flag.String("record", "", "record the profile to <prefix>.samples.{csv,bin} and <prefix>.objects.csv")
 	format := flag.String("format", "csv", "recording format for -record: csv (text, greppable) or binary (columnar, compact)")
-	metrics := flag.Bool("metrics", false, "append a JSON metrics snapshot to the output")
-	logLevel := flag.String("log", "warn", "log level: debug, info, warn, error")
+	cli := obs.NewCLI()
 	flag.Parse()
 
-	obs.SetProgressWriter(os.Stderr)
-	obs.SetFlightSink(os.Stderr)
-	obs.FlightDumpOnSignal()
-	if err := obs.ConfigureLogging(os.Stderr, *logLevel); err != nil {
-		log.Fatal(err)
-	}
+	cli.Start()
 
 	if *list {
 		for _, name := range drbw.Benchmarks() {
@@ -74,14 +67,14 @@ func main() {
 	if *model != "" {
 		tool, err = drbw.Load(*model)
 		if err != nil {
-			log.Fatal(err)
+			cli.Fatal(err)
 		}
 	} else {
 		start := time.Now()
 		fmt.Fprintf(os.Stderr, "training classifier (quick=%v)...\n", *quick)
 		tool, err = drbw.Train(drbw.Config{Quick: *quick})
 		if err != nil {
-			log.Fatal(err)
+			cli.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "trained in %.1fs\n\n", time.Since(start).Seconds())
 	}
@@ -102,11 +95,11 @@ func main() {
 		}
 		td, err := tool.Record(*bench, c)
 		if err != nil {
-			log.Fatal(err)
+			cli.Fatal(err)
 		}
 		sPath, oPath := *record+".samples"+ext, *record+".objects.csv"
 		if err := td.SaveAs(sPath, oPath, tf); err != nil {
-			log.Fatal(err)
+			cli.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "recorded %d samples to %s, %d objects to %s\n",
 			len(td.Samples), sPath, len(td.Objects), oPath)
@@ -119,12 +112,12 @@ func main() {
 		rep, err = tool.Analyze(*bench, c)
 	}
 	if err != nil {
-		log.Fatal(err)
+		cli.Fatal(err)
 	}
 	fmt.Print(rep)
 
 	if *fix == "" {
-		printMetrics(*metrics)
+		cli.Finish()
 		return
 	}
 	var strategy drbw.Strategy
@@ -146,7 +139,7 @@ func main() {
 	}
 	cmp, err := tool.Optimize(*bench, c, strategy, objs...)
 	if err != nil {
-		log.Fatal(err)
+		cli.Fatal(err)
 	}
 	fmt.Printf("\n%s", strategy)
 	if len(objs) > 0 {
@@ -162,18 +155,5 @@ func main() {
 	}
 	fmt.Printf("\nremote accesses %+.1f%%, avg DRAM latency %+.1f%%\n",
 		-100*cmp.RemoteReduction, -100*cmp.LatencyReduction)
-	printMetrics(*metrics)
-}
-
-// printMetrics appends the registry snapshot to the tool output when on.
-func printMetrics(on bool) {
-	if !on {
-		return
-	}
-	b, err := obs.SnapshotJSON()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	fmt.Printf("== metrics ==\n%s\n", b)
+	cli.Finish()
 }

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	drbw-train [-quick] [-seed n] [-o model.json] [-metrics] [-log level]
+//	drbw-train [-quick] [-seed n] [-o model.json] [-metrics]
 //
 // Training-collection progress (N/M runs, elapsed, ETA) reports on stderr;
 // -metrics appends a JSON metrics snapshot to the output. SIGQUIT dumps
@@ -15,7 +15,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"time"
 
@@ -28,29 +27,23 @@ func main() {
 	quick := flag.Bool("quick", false, "quarter training set, reduced window")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	out := flag.String("o", "", "save the trained classifier to this path")
-	metrics := flag.Bool("metrics", false, "append a JSON metrics snapshot to the output")
-	logLevel := flag.String("log", "warn", "log level: debug, info, warn, error")
+	cli := obs.NewCLI()
 	flag.Parse()
 
-	obs.SetProgressWriter(os.Stderr)
-	obs.SetFlightSink(os.Stderr)
-	obs.FlightDumpOnSignal()
-	if err := obs.ConfigureLogging(os.Stderr, *logLevel); err != nil {
-		log.Fatal(err)
-	}
+	cli.Start()
 
 	start := time.Now()
 	fmt.Fprintf(os.Stderr, "collecting training runs (quick=%v)...\n", *quick)
 	ctx, err := experiments.NewContext(*quick, *seed)
 	if err != nil {
-		log.Fatal(err)
+		cli.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "collected in %.1fs\n\n", time.Since(start).Seconds())
 
 	fmt.Println(ctx.TableII())
 	body, _, err := ctx.TableIII()
 	if err != nil {
-		log.Fatal(err)
+		cli.Fatal(err)
 	}
 	fmt.Println(body)
 	fmt.Println(ctx.Fig3())
@@ -62,19 +55,13 @@ func main() {
 		// matches the context above.
 		tool, err := drbw.Train(drbw.Config{Quick: *quick, Seed: *seed})
 		if err != nil {
-			log.Fatal(err)
+			cli.Fatal(err)
 		}
 		if err := tool.Save(*out); err != nil {
-			log.Fatal(err)
+			cli.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "model saved to %s\n", *out)
 	}
 
-	if *metrics {
-		b, err := obs.SnapshotJSON()
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("== metrics ==\n%s\n", b)
-	}
+	cli.Finish()
 }

@@ -7,12 +7,11 @@
 //	drbw-workload -spec workload.json [-threads 32] [-nodes 4]
 //	              [-machine machine.json] [-model model.json]
 //	              [-fix interleave|colocate|replicate] [-cache]
-//	              [-truth] [-quick] [-metrics] [-log level]
+//	              [-truth] [-quick] [-metrics]
 //
 // Observability: -metrics appends the final registry snapshot to stdout,
-// -log sets the structured-log level (debug, info, warn, error), and
-// training/analysis progress reports on stderr. SIGQUIT dumps the flight
-// recorder and all goroutine stacks.
+// and training/analysis progress reports on stderr. SIGQUIT dumps the
+// flight recorder and all goroutine stacks.
 //
 // Spec file example:
 //
@@ -49,23 +48,17 @@ func main() {
 	truth := flag.Bool("truth", false, "run the interleave ground-truth probe")
 	cacheToo := flag.Bool("cache", false, "also run the shared-cache contention detector")
 	quick := flag.Bool("quick", false, "quick training")
-	metrics := flag.Bool("metrics", false, "append a JSON metrics snapshot to the output")
-	logLevel := flag.String("log", "warn", "log level: debug, info, warn, error")
+	cli := obs.NewCLI()
 	flag.Parse()
 
-	obs.SetProgressWriter(os.Stderr)
-	obs.SetFlightSink(os.Stderr)
-	obs.FlightDumpOnSignal()
-	if err := obs.ConfigureLogging(os.Stderr, *logLevel); err != nil {
-		log.Fatal(err)
-	}
+	cli.Start()
 	if *spec == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
 	w, err := drbw.LoadWorkloadSpec(*spec)
 	if err != nil {
-		log.Fatal(err)
+		cli.Fatal(err)
 	}
 
 	var tool *drbw.Tool
@@ -84,7 +77,7 @@ func main() {
 		tool, err = drbw.Train(drbw.Config{Quick: *quick})
 	}
 	if err != nil {
-		log.Fatal(err)
+		cli.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "ready in %.1fs\n\n", time.Since(start).Seconds())
 
@@ -96,7 +89,7 @@ func main() {
 		rep, err = tool.AnalyzeWorkload(w, c)
 	}
 	if err != nil {
-		log.Fatal(err)
+		cli.Fatal(err)
 	}
 	fmt.Print(rep)
 
@@ -118,7 +111,7 @@ func main() {
 		}
 		cmp, err := tool.OptimizeWorkload(w, c, strategy, objs...)
 		if err != nil {
-			log.Fatal(err)
+			cli.Fatal(err)
 		}
 		fmt.Printf("\n%s", strategy)
 		if len(objs) > 0 {
@@ -132,21 +125,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "\ntraining shared-cache detector...\n")
 		ct, err := drbw.TrainCacheContention(drbw.Config{Quick: *quick})
 		if err != nil {
-			log.Fatal(err)
+			cli.Fatal(err)
 		}
 		crep, err := ct.AnalyzeWorkload(w, c)
 		if err != nil {
-			log.Fatal(err)
+			cli.Fatal(err)
 		}
 		fmt.Println()
 		fmt.Print(crep)
 	}
 
-	if *metrics {
-		if b, err := obs.SnapshotJSON(); err == nil {
-			fmt.Printf("== metrics ==\n%s\n", b)
-		} else {
-			fmt.Fprintln(os.Stderr, err)
-		}
-	}
+	cli.Finish()
 }

@@ -8,15 +8,11 @@ import (
 	"drbw/internal/pebs"
 )
 
-// Pipeline observability. Worker-pool state is visible as gauges
-// (pool.queue_depth, pool.inflight), every completed case lands in a
-// per-pool latency histogram, sampler kept/dropped totals are merged after
-// each profiled run, and the classifier's per-label verdict counts are
-// tracked at prediction time.
+// Pipeline observability. Every completed pool case lands in a per-pool
+// latency histogram, sampler kept/dropped totals are merged after each
+// profiled run, and the classifier's per-label verdict counts are tracked
+// at prediction time.
 var (
-	mPoolQueue    = obs.Default.Gauge("pool.queue_depth")
-	mPoolInflight = obs.Default.Gauge("pool.inflight")
-
 	mSamplesKept    = obs.Default.Counter("pebs.samples.kept")
 	mSamplesDropped = obs.Default.Counter("pebs.samples.dropped_threshold")
 	mSamplesEvicted = obs.Default.Counter("pebs.samples.evicted")
@@ -56,12 +52,10 @@ func countDetectCase(contended bool) {
 }
 
 // ParallelForLabeledWorker runs fn(i, w) for every i in [0, n) on the
-// batch pool (ParallelForWorker), wrapped in a named span with live pool
-// metrics and per-case progress: the queue-depth and in-flight gauges track
-// the pool in real time (visible on /metrics during long sweeps),
-// "pool.<label>.case_seconds" collects the per-case latency distribution,
-// and the span's progress line (N/M done, elapsed, ETA) goes to the
-// configured progress writer. The worker index is passed through so
+// batch pool (ParallelForWorker), wrapped in a named span with per-case
+// metrics and progress: "pool.<label>.case_seconds" collects the per-case
+// latency distribution, and the span's progress line (N/M done, elapsed,
+// ETA) goes to the configured progress writer. The worker index is passed through so
 // consumers can reuse per-worker scratch. When a tracer is installed the
 // dispatch appears as a "pool.<label>" trace span with one "case" child per
 // item, carrying index and worker-id attributes.
@@ -87,10 +81,7 @@ func ParallelForLabeledSpans(n int, label string, parent obs.SpanHandle, fn func
 	}
 	prog := obs.StartProgress(label, n)
 	hist := obs.Default.Histogram("pool." + label + ".case_seconds")
-	mPoolQueue.Add(float64(n))
 	ParallelForWorker(n, func(i, w int) {
-		mPoolQueue.Add(-1)
-		mPoolInflight.Add(1)
 		cs := parent.Child("case")
 		cs.SetInt("index", int64(i))
 		cs.SetInt("worker", int64(w))
@@ -98,7 +89,6 @@ func ParallelForLabeledSpans(n int, label string, parent obs.SpanHandle, fn func
 		fn(i, w, cs)
 		hist.Observe(time.Since(start).Seconds())
 		cs.End()
-		mPoolInflight.Add(-1)
 		prog.Done()
 	})
 	prog.Finish()

@@ -116,7 +116,7 @@ func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 				default:
 				}
 				c.Inc()
-				g.Add(1)
+				g.Max(float64(i))
 				h.Observe(float64(i%100+1) * 1e-6)
 			}
 		}(w)

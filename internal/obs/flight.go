@@ -6,21 +6,20 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 )
 
-// Flight recorder: a bounded, lock-striped ring of the most recent
-// span/metric/error events, always armed. Recording an event is a
-// sequence-counter fetch-add plus one short critical section writing a
-// fixed-size struct — no allocation, no formatting — so the recorder stays
-// on in the hot paths the allocation gate covers. The ring only turns into
-// text when something goes wrong: an analysis error return, SIGQUIT, or a
-// request to the debug server's /debug/flight endpoint, each of which dumps
-// the recent history in global event order.
+// Flight recorder: a bounded ring of the most recent span/metric/error
+// events, always armed. Its producers fire once per engine run, per
+// finished batch, per span end while tracing and per error, never per
+// access, so one mutex guards the whole ring. Recording writes a
+// fixed-size struct into a package-level array: no allocation, no
+// formatting. The ring only turns into text when something goes wrong (an
+// analysis error return or SIGQUIT), and each dump prints the recent
+// history oldest first.
 
 // EventKind classifies a flight-recorder event.
 type EventKind uint8
@@ -35,8 +34,6 @@ const (
 	EventMetric
 	// EventError is a failure on an error-return path.
 	EventError
-	// EventMark is a free-form annotation (CLI start, phase switches).
-	EventMark
 )
 
 // String names the kind for dumps.
@@ -48,52 +45,34 @@ func (k EventKind) String() string {
 		return "metric"
 	case EventError:
 		return "error"
-	case EventMark:
-		return "mark"
 	default:
 		return "event"
 	}
 }
 
-// flightStripes and flightPerStripe bound the recorder: at most
-// flightStripes × flightPerStripe recent events are retained, overwriting
-// the oldest per stripe. Both are powers of two.
-const (
-	flightStripes   = 8
-	flightPerStripe = 256
-)
+// flightCap bounds the recorder: the newest flightCap events are kept,
+// each new one overwriting the oldest.
+const flightCap = 2048
 
-// FlightEvent is one recorded event, exported by FlightEvents in global
-// sequence order.
-type FlightEvent struct {
-	Seq  uint64
-	Time time.Time
-	Kind EventKind
-	Name string
-	// A and B are kind-specific payloads (see EventKind docs). Detail, when
-	// non-empty, carries preformatted context (error text); hot-path events
+// flightEvent is one recorded event.
+type flightEvent struct {
+	time time.Time
+	kind EventKind
+	name string
+	// a and b are kind-specific payloads (see EventKind docs). detail, when
+	// non-empty, carries preformatted context (error text); other events
 	// leave it empty so recording never formats.
-	A, B   int64
-	Detail string
+	a, b   int64
+	detail string
 }
 
-// flightStripe is one ring segment with its own lock, padded so stripes do
-// not share cache lines.
-type flightStripe struct {
+// flight is the process-wide recorder: buf[n%flightCap] is the next slot,
+// n counts every event ever recorded.
+var flight struct {
 	mu  sync.Mutex
-	buf [flightPerStripe]FlightEvent
-	n   uint64 // events ever written to this stripe
-	_   [40]byte
+	n   uint64
+	buf [flightCap]flightEvent
 }
-
-// flightRing is the process-wide recorder. seq orders events globally and
-// picks the stripe, spreading concurrent writers round-robin.
-type flightRing struct {
-	seq     atomic.Uint64
-	stripes [flightStripes]flightStripe
-}
-
-var flight flightRing
 
 // RecordEvent appends one event to the flight recorder. Safe for
 // concurrent use from any goroutine; never allocates.
@@ -102,53 +81,42 @@ func RecordEvent(kind EventKind, name string, a, b int64) {
 }
 
 func recordEvent(kind EventKind, name string, a, b int64, detail string) {
-	seq := flight.seq.Add(1)
-	s := &flight.stripes[seq&(flightStripes-1)]
-	s.mu.Lock()
-	s.buf[s.n&(flightPerStripe-1)] = FlightEvent{
-		Seq: seq, Time: time.Now(), Kind: kind, Name: name,
-		A: a, B: b, Detail: detail,
+	flight.mu.Lock()
+	flight.buf[flight.n%flightCap] = flightEvent{
+		time: time.Now(), kind: kind, name: name, a: a, b: b, detail: detail,
 	}
-	s.n++
-	s.mu.Unlock()
+	flight.n++
+	flight.mu.Unlock()
 }
 
-// FlightEvents snapshots the retained events in global sequence order.
-func FlightEvents() []FlightEvent {
-	var out []FlightEvent
-	for i := range flight.stripes {
-		s := &flight.stripes[i]
-		s.mu.Lock()
-		kept := s.n
-		if kept > flightPerStripe {
-			kept = flightPerStripe
-		}
-		for j := uint64(0); j < kept; j++ {
-			out = append(out, s.buf[j])
-		}
-		s.mu.Unlock()
+// flightEvents snapshots the retained events, oldest first.
+func flightEvents() []flightEvent {
+	flight.mu.Lock()
+	defer flight.mu.Unlock()
+	if flight.n <= flightCap {
+		return append([]flightEvent(nil), flight.buf[:flight.n]...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+	head := flight.n % flightCap
+	return append(append(make([]flightEvent, 0, flightCap), flight.buf[head:]...), flight.buf[:head]...)
 }
 
-// DumpFlight writes the retained events to w, oldest first: one line per
+// dumpFlight writes the retained events to w, oldest first: one line per
 // event with wall time, kind, name and payloads.
-func DumpFlight(w io.Writer) {
-	events := FlightEvents()
+func dumpFlight(w io.Writer) {
+	events := flightEvents()
 	fmt.Fprintf(w, "== flight recorder: %d retained events ==\n", len(events))
 	for _, e := range events {
-		fmt.Fprintf(w, "%s %-6s %s", e.Time.Format("15:04:05.000000"), e.Kind, e.Name)
-		switch e.Kind {
+		fmt.Fprintf(w, "%s %-6s %s", e.time.Format("15:04:05.000000"), e.kind, e.name)
+		switch e.kind {
 		case EventSpan:
-			fmt.Fprintf(w, " dur=%s span=%d", time.Duration(e.A), e.B)
+			fmt.Fprintf(w, " dur=%s span=%d", time.Duration(e.a), e.b)
 		default:
-			if e.A != 0 || e.B != 0 {
-				fmt.Fprintf(w, " a=%d b=%d", e.A, e.B)
+			if e.a != 0 || e.b != 0 {
+				fmt.Fprintf(w, " a=%d b=%d", e.a, e.b)
 			}
 		}
-		if e.Detail != "" {
-			fmt.Fprintf(w, " %s", e.Detail)
+		if e.detail != "" {
+			fmt.Fprintf(w, " %s", e.detail)
 		}
 		fmt.Fprintln(w)
 	}
@@ -158,8 +126,8 @@ func DumpFlight(w io.Writer) {
 // default — disables them so library consumers and tests stay quiet.
 var flightSink atomic.Pointer[io.Writer]
 
-// SetFlightSink directs automatic flight dumps to w (CLIs pass stderr or
-// an opened file); nil disables them.
+// SetFlightSink directs automatic flight dumps to w; nil disables them.
+// CLI.Start points it at stderr.
 func SetFlightSink(w io.Writer) {
 	if w == nil {
 		flightSink.Store(nil)
@@ -179,7 +147,7 @@ func FlightFailure(op string, err error) error {
 	recordEvent(EventError, op, 0, 0, err.Error())
 	if w := flightSink.Load(); w != nil {
 		fmt.Fprintf(*w, "drbw: %s failed: %v\n", op, err)
-		DumpFlight(*w)
+		dumpFlight(*w)
 	}
 	return err
 }
@@ -187,18 +155,18 @@ func FlightFailure(op string, err error) error {
 // flightSignalOnce guards the SIGQUIT handler installation.
 var flightSignalOnce sync.Once
 
-// FlightDumpOnSignal installs a SIGQUIT handler that dumps the flight
+// flightDumpOnSignal installs a SIGQUIT handler that dumps the flight
 // recorder and all goroutine stacks to stderr, then exits with status 2 —
 // the moral equivalent of the JVM's thread dump, with causal history
-// attached. CLIs call this once at startup; libraries never do (it takes
-// over the process's SIGQUIT disposition).
-func FlightDumpOnSignal() {
+// attached. CLI.Start calls it; libraries never do (it takes over the
+// process's SIGQUIT disposition).
+func flightDumpOnSignal() {
 	flightSignalOnce.Do(func() {
 		ch := make(chan os.Signal, 1)
 		signal.Notify(ch, syscall.SIGQUIT)
 		go func() {
 			<-ch
-			DumpFlight(os.Stderr)
+			dumpFlight(os.Stderr)
 			buf := make([]byte, 1<<20)
 			n := runtime.Stack(buf, true)
 			os.Stderr.Write(buf[:n])

@@ -4,57 +4,62 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"os/exec"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
 )
 
-// TestFlightRingBounded overfills the recorder and checks that retention
-// stays within the stripe capacity and events come back in sequence order.
+// TestFlightRingBounded overfills the recorder and checks that it keeps
+// exactly the newest flightCap events, oldest first.
 func TestFlightRingBounded(t *testing.T) {
-	const total = flightStripes*flightPerStripe + 500
+	const total = flightCap + 500
 	for i := 0; i < total; i++ {
-		RecordEvent(EventMark, "fill", int64(i), 0)
+		RecordEvent(EventMetric, "fill", int64(i), 0)
 	}
-	events := FlightEvents()
-	if len(events) == 0 || len(events) > flightStripes*flightPerStripe {
-		t.Fatalf("%d retained events, want (0, %d]", len(events), flightStripes*flightPerStripe)
+	events := flightEvents()
+	if len(events) != flightCap {
+		t.Fatalf("%d retained events, want %d", len(events), flightCap)
 	}
-	for i := 1; i < len(events); i++ {
-		if events[i].Seq <= events[i-1].Seq {
-			t.Fatalf("events out of order at %d: %d then %d", i, events[i-1].Seq, events[i].Seq)
+	for i, e := range events {
+		if want := int64(total - flightCap + i); e.name != "fill" || e.a != want {
+			t.Fatalf("event %d = %s a=%d, want fill a=%d", i, e.name, e.a, want)
 		}
-	}
-	// The newest event must have survived the overwrites.
-	last := events[len(events)-1]
-	if last.Name != "fill" || last.A != total-1 {
-		t.Fatalf("newest retained event = %+v, want fill a=%d", last, total-1)
 	}
 }
 
 // TestFlightRecordConcurrent hammers the ring from many goroutines under
-// -race; every snapshot taken mid-stream must stay ordered.
+// -race; in every snapshot taken mid-stream, each producer's events must
+// keep the order it recorded them in.
 func TestFlightRecordConcurrent(t *testing.T) {
+	const producers = 8
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < producers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				RecordEvent(EventMetric, "conc", int64(i), 0)
+				RecordEvent(EventMetric, "conc", int64(i), int64(w))
 			}
-		}()
+		}(w)
 	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			evs := FlightEvents()
-			for j := 1; j < len(evs); j++ {
-				if evs[j].Seq <= evs[j-1].Seq {
-					t.Errorf("snapshot out of order")
+			var last [producers]int64
+			for _, e := range flightEvents() {
+				if e.name != "conc" {
+					continue
+				}
+				if e.a < last[e.b] {
+					t.Errorf("producer %d: event %d after %d", e.b, e.a, last[e.b])
 					return
 				}
+				last[e.b] = e.a
 			}
 		}
 	}()
@@ -101,7 +106,7 @@ func TestFlightFailure(t *testing.T) {
 func TestDumpFlightFormat(t *testing.T) {
 	RecordEvent(EventSpan, "engine.phase", 1500, 7)
 	var buf bytes.Buffer
-	DumpFlight(&buf)
+	dumpFlight(&buf)
 	if !strings.Contains(buf.String(), "engine.phase dur=1.5µs span=7") {
 		t.Fatalf("span event not rendered:\n%s", lastLines(buf.String(), 5))
 	}
@@ -113,4 +118,32 @@ func lastLines(s string, n int) string {
 		lines = lines[len(lines)-n:]
 	}
 	return fmt.Sprint(strings.Join(lines, "\n"))
+}
+
+// TestFlightDumpOnSignal re-runs itself in a child process that arms the
+// SIGQUIT handler, records one event and signals itself: the child must
+// exit 2 after dumping the ring and every goroutine stack to stderr.
+func TestFlightDumpOnSignal(t *testing.T) {
+	if os.Getenv("DRBW_FLIGHT_SIGQUIT_CHILD") == "1" {
+		flightDumpOnSignal()
+		RecordEvent(EventMetric, "sigquit.probe", 11, 22)
+		syscall.Kill(os.Getpid(), syscall.SIGQUIT)
+		time.Sleep(10 * time.Second)
+		os.Exit(0) // the handler never fired
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestFlightDumpOnSignal$")
+	cmd.Env = append(os.Environ(), "DRBW_FLIGHT_SIGQUIT_CHILD=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("child exited with %v, want status 2\n%s", err, stderr.String())
+	}
+	out := stderr.String()
+	for _, want := range []string{"flight recorder:", "sigquit.probe a=11 b=22", "goroutine ", "[running]:"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("SIGQUIT dump missing %q:\n%s", want, out)
+		}
+	}
 }

@@ -15,7 +15,7 @@ import (
 // via -ledger. It captures what ran (tool, build provenance, hashed
 // configuration), how long the tiers took, the final metrics snapshot, and
 // what came out (verdicts, diagnosed objects, chosen placements), in a
-// stable schema bench.sh and the future serving layer can parse.
+// stable schema scripts can parse.
 //
 // Determinism contract: the marshaled ledger is a pure function of its
 // field values (structs marshal in declaration order, maps sorted by key),

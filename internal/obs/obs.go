@@ -1,8 +1,9 @@
 // Package obs is DR-BW's observability substrate: a zero-dependency
-// metrics registry (counters, gauges, histograms), named timing spans for
-// pipeline phases, leveled structured logging on log/slog, and live
-// introspection (expvar publication plus an opt-in debug HTTP server with
-// /metrics and net/http/pprof).
+// metrics registry (counters, gauges, histograms), progress-timed batches,
+// causal trace spans, a flight recorder of recent events, and a run
+// ledger. CLI gives every command the same setup: a -metrics snapshot at
+// exit, and on the commands that take them, a -trace-out span trace and a
+// -ledger audit record.
 //
 // Everything is safe for concurrent use. Recording is designed for the
 // simulator's hot paths: counters stripe their cells across cache lines so
@@ -14,15 +15,13 @@
 //
 // Snapshots are deterministic: metric names are emitted in sorted order and
 // every derived value (quantiles, averages) is a pure function of the
-// recorded data, so two identical runs produce byte-identical /metrics
+// recorded data, so two identical runs produce byte-identical -metrics
 // output.
 package obs
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand/v2"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -68,17 +67,6 @@ type Gauge struct {
 
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by d (compare-and-swap loop; gauges are written at
-// job granularity, not per access, so contention is negligible).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
 
 // Max raises the gauge to v if v exceeds the current value.
 func (g *Gauge) Max(v float64) {
@@ -270,7 +258,7 @@ func NewRegistry() *Registry {
 }
 
 // Default is the process-wide registry every instrumented layer records
-// into and the introspection endpoints expose.
+// into; the -metrics block and the ledger export its snapshot.
 var Default = NewRegistry()
 
 // Counter returns the named counter, creating it on first use. Handles are
@@ -352,38 +340,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.snapshot()
 	}
 	return s
-}
-
-// Names returns every registered metric name, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
-	for n := range r.counters {
-		out = append(out, n)
-	}
-	for n := range r.gauges {
-		out = append(out, n)
-	}
-	for n := range r.histograms {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Reset drops every registered metric. Cached handles keep recording into
-// the detached metrics; intended for tests.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.counters = map[string]*Counter{}
-	r.gauges = map[string]*Gauge{}
-	r.histograms = map[string]*Histogram{}
-}
-
-// SnapshotJSON renders the default registry's snapshot as indented JSON —
-// the payload of /metrics and of the CLIs' -metrics flag.
-func SnapshotJSON() ([]byte, error) {
-	return json.MarshalIndent(Default.Snapshot(), "", "  ")
 }

@@ -14,7 +14,7 @@ var progressOut atomic.Pointer[io.Writer]
 
 // SetProgressWriter directs progress lines (N/M done, elapsed, ETA) to w.
 // Passing nil disables them (the default, so library use and tests stay
-// quiet). CLIs point this at stderr.
+// quiet). CLI.Start points it at stderr.
 func SetProgressWriter(w io.Writer) {
 	if w == nil {
 		progressOut.Store(nil)
@@ -31,8 +31,7 @@ const progressEvery = 250 * time.Millisecond
 // writer. Finishing it records the batch's duration into the default
 // registry's histogram "span.<name>.seconds" and bumps the counter
 // "span.<name>.count", so repeated batches build a latency distribution;
-// the end is also a flight event and a debug log line. Done may be called
-// from many workers.
+// the end is also a flight event. Done may be called from many workers.
 type Progress struct {
 	name  string
 	start time.Time
@@ -79,7 +78,6 @@ func (p *Progress) Finish() time.Duration {
 	Default.Histogram("span." + p.name + ".seconds").Observe(d.Seconds())
 	Default.Counter("span." + p.name + ".count").Inc()
 	RecordEvent(EventMetric, "span."+p.name, d.Nanoseconds(), 0)
-	Logger().Debug("span end", "span", p.name, "seconds", d.Seconds())
 	return d
 }
 

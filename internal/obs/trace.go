@@ -134,9 +134,6 @@ func (h SpanHandle) Child(name string) SpanHandle {
 	return h.tr.begin(h.rec.id, name)
 }
 
-// Active reports whether the handle records anywhere.
-func (h SpanHandle) Active() bool { return h.tr != nil }
-
 // SetInt attaches an integer attribute (worker id, block range bound,
 // wave number). Attributes belong to the goroutine that owns the handle;
 // set them before End.
@@ -198,12 +195,12 @@ func (tr *Tracer) SpanCount() int {
 	return len(tr.done)
 }
 
-// WriteChromeTrace renders the completed spans as Chrome trace-event JSON
+// writeChromeTrace renders the completed spans as Chrome trace-event JSON
 // ("X" complete events inside a traceEvents envelope), loadable in
 // chrome://tracing and Perfetto. Spans with a "worker" attribute map it to
 // the event's tid so worker lanes separate visually; span and parent ids
 // ride in args alongside the remaining attributes.
-func (tr *Tracer) WriteChromeTrace(w io.Writer) error {
+func (tr *Tracer) writeChromeTrace(w io.Writer) error {
 	type chromeEvent struct {
 		Name string         `json:"name"`
 		Cat  string         `json:"cat"`
@@ -286,8 +283,8 @@ func (tr *Tracer) Tree() []*SpanTree {
 	return roots
 }
 
-// WriteTreeJSON renders the span forest as indented JSON.
-func (tr *Tracer) WriteTreeJSON(w io.Writer) error {
+// writeTreeJSON renders the span forest as indented JSON.
+func (tr *Tracer) writeTreeJSON(w io.Writer) error {
 	b, err := json.MarshalIndent(tr.Tree(), "", "  ")
 	if err != nil {
 		return err
@@ -310,6 +307,16 @@ const (
 	TraceTree TraceExportFormat = "tree"
 )
 
+// String and Set make a format a flag.Value, so an unknown -trace-format
+// is rejected when the flags are parsed.
+func (f TraceExportFormat) String() string { return string(f) }
+
+// Set parses s with ParseTraceFormat.
+func (f *TraceExportFormat) Set(s string) (err error) {
+	*f, err = ParseTraceFormat(s)
+	return err
+}
+
 // ParseTraceFormat maps a CLI -trace-format value to an export format.
 func ParseTraceFormat(s string) (TraceExportFormat, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
@@ -326,9 +333,9 @@ func ParseTraceFormat(s string) (TraceExportFormat, error) {
 func (tr *Tracer) Export(w io.Writer, format TraceExportFormat) error {
 	switch format {
 	case TraceChrome:
-		return tr.WriteChromeTrace(w)
+		return tr.writeChromeTrace(w)
 	case TraceTree:
-		return tr.WriteTreeJSON(w)
+		return tr.writeTreeJSON(w)
 	default:
 		return fmt.Errorf("obs: unknown trace format %q", format)
 	}

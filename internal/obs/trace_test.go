@@ -80,7 +80,7 @@ func TestTraceSpansSurviveStop(t *testing.T) {
 	if n := tr.SpanCount(); n != 1 {
 		t.Fatalf("SpanCount = %d, want 1 (in-flight span lost)", n)
 	}
-	if BeginSpan("after").Active() {
+	if BeginSpan("after").tr != nil {
 		t.Fatal("BeginSpan active after StopTracing")
 	}
 }
@@ -100,7 +100,7 @@ func TestChromeTraceExport(t *testing.T) {
 	StopTracing()
 
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := tr.writeChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -162,10 +162,10 @@ func TestTreeExportDeterministic(t *testing.T) {
 	StopTracing()
 
 	var one, two bytes.Buffer
-	if err := tr.WriteTreeJSON(&one); err != nil {
+	if err := tr.writeTreeJSON(&one); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.WriteTreeJSON(&two); err != nil {
+	if err := tr.writeTreeJSON(&two); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(one.Bytes(), two.Bytes()) {
