@@ -56,12 +56,10 @@ func (l Level) String() string {
 // Result describes how the hierarchy served one access.
 type Result struct {
 	Level Level
-	// Prefetched marks a demand access whose line was (or would have been)
-	// covered by the stream prefetcher: served as LFB, but still counted as
-	// DRAM traffic.
-	Prefetched bool
 	// DRAMTraffic reports whether the access caused a cache line to cross a
-	// memory channel (demand miss or prefetch fill).
+	// memory channel (demand miss or prefetch fill). An LFB access with
+	// traffic is one the stream prefetcher covered: the latency of a line
+	// fill buffer, the bandwidth of a DRAM fetch.
 	DRAMTraffic bool
 }
 
@@ -98,11 +96,15 @@ func DefaultConfig() Config {
 // setAssoc is a single set-associative cache with LRU replacement.
 //
 // Instead of zeroing its arrays, reset snapshots the LRU clock into floor:
-// an entry is live only while use > floor, so stale entries both fail the
-// hit check and (having the lowest use values in their set) are evicted
-// first — exactly the behaviour of genuinely empty ways. That makes reset
-// O(1), which matters because the engine flushes the whole hierarchy at
-// every window boundary.
+// an entry is live only while use > floor, so stale entries fail the hit
+// check and are filled before any live way is evicted — exactly the
+// behaviour of genuinely empty ways. That makes reset O(1), which matters
+// because the engine flushes the whole hierarchy at every window boundary.
+//
+// The live ways of a set always form a prefix of it: a miss fills the
+// first stale way, and only a full set evicts. A scan therefore stops at
+// the first stale way, so the sparsely filled sets that follow a flush
+// cost a few compares instead of a full scan.
 type setAssoc struct {
 	sets     int
 	ways     int
@@ -165,16 +167,32 @@ func newSetAssoc(size, assoc, lineSize int) (*setAssoc, error) {
 // access looks up the line holding addr, inserting it on miss. It returns
 // whether the access hit.
 func (c *setAssoc) access(addr uint64) bool {
-	// Tag 0 denotes an empty way, so bias stored tags by +1.
-	tag := (addr >> c.lineBits) + 1
-	if tag > wayTagMask {
-		panic(fmt.Sprintf("cache: address %#x beyond the supported range", addr))
-	}
+	tag := lineTag(addr, c.lineBits)
 	if tag == c.lastTag {
 		c.w[c.lastIdx] = tag | c.bump()<<wayTagBits
 		return true
 	}
-	return c.accessSlow(tag)
+	i, hit := c.lookup(tag)
+	c.lastTag, c.lastIdx = tag, i
+	return hit
+}
+
+// lineTag is the biased tag of addr's line (tag 0 denotes an empty way). It
+// panics when the line number does not fit the packed tag field.
+func lineTag(addr uint64, lineBits uint) uint64 {
+	tag := addr>>lineBits + 1
+	if tag > wayTagMask {
+		panic(rangeError(addr))
+	}
+	return tag
+}
+
+// rangeError is lineTag's panic value: an address whose line number does
+// not fit the tag field. Formatting it lazily keeps lineTag inlinable.
+type rangeError uint64
+
+func (a rangeError) Error() string {
+	return fmt.Sprintf("cache: address %#x beyond the supported range", uint64(a))
 }
 
 // bump advances the LRU clock, renormalizing the packed stamps just before
@@ -229,58 +247,34 @@ func (c *setAssoc) renorm() {
 	c.clock = uint64(c.ways) // ≥ every rank just assigned
 }
 
-// accessSlow is the full way scan for a line other than the last one
-// touched. It takes the biased tag so AccessOn computes the line number
-// once for all three levels.
-func (c *setAssoc) accessSlow(tag uint64) bool {
+// lookup scans tag's set, stamps the way that now holds the line and
+// returns its index in w. The scan ends at the first stale way: live ways
+// are a prefix, so the line is absent and that way is free to fill. A full
+// set evicts its least recently used way, found by comparing packed words
+// directly: the LRU stamp sits in the high bits, and live stamps are
+// unique, so the minimum word has the oldest stamp.
+func (c *setAssoc) lookup(tag uint64) (int, bool) {
 	base := (int(tag-1) & (c.sets - 1)) * c.ways
 	clock := c.bump() << wayTagBits
-	floor := c.floor
+	live := (c.floor + 1) << wayTagBits // smallest live packed word
 	w := c.w[base : base+c.ways]
-	// The victim scan compares packed words directly: the LRU stamp sits in
-	// the high bits, so the minimum packed value has the minimum stamp. Ties
-	// only occur between stale entries, where the choice is immaterial.
-	victim, victimE := 0, w[0]
+	victim, victimE := 0, uint64(1<<64-1)
 	for i, e := range w {
-		if e&wayTagMask == tag && e>>wayTagBits > floor {
+		if e < live {
 			w[i] = tag | clock
-			c.lastTag, c.lastIdx = tag, base+i
-			return true
+			return base + i, false
+		}
+		if e&wayTagMask == tag {
+			w[i] = tag | clock
+			return base + i, true
 		}
 		if e < victimE {
 			victim, victimE = i, e
 		}
 	}
 	w[victim] = tag | clock
-	c.lastTag, c.lastIdx = tag, base+victim
-	return false
+	return base + victim, false
 }
-
-// accessMiss is accessSlow without the same-line bookkeeping. L2 and L3 are
-// only reached on an L1 miss, and a single core can never touch them with
-// the same line twice in a row (the second access would hit L1), so their
-// lastTag would never match and maintaining it is pure overhead.
-func (c *setAssoc) accessMiss(tag uint64) bool {
-	base := (int(tag-1) & (c.sets - 1)) * c.ways
-	clock := c.bump() << wayTagBits
-	floor := c.floor
-	w := c.w[base : base+c.ways]
-	victim, victimE := 0, w[0]
-	for i, e := range w {
-		if e&wayTagMask == tag && e>>wayTagBits > floor {
-			w[i] = tag | clock
-			return true
-		}
-		if e < victimE {
-			victim, victimE = i, e
-		}
-	}
-	w[victim] = tag | clock
-	return false
-}
-
-// insert fills a line without reporting hit/miss (used for inclusive fills).
-func (c *setAssoc) insert(addr uint64) { c.access(addr) }
 
 // reset empties the cache in O(1): every entry written before this point
 // drops below floor, making it both unhittable and the preferred victim, so
@@ -489,17 +483,6 @@ func (p *hierCache) put(k hierKey, h *Hierarchy) {
 	}
 }
 
-// PoolStats reports the recycle pool's occupancy — distinct keys and total
-// retained hierarchies. Exposed for the bounding tests.
-func PoolStats() (keys, hierarchies int) {
-	hierPool.mu.Lock()
-	defer hierPool.mu.Unlock()
-	for _, s := range hierPool.stacks {
-		hierarchies += len(s)
-	}
-	return len(hierPool.stacks), hierarchies
-}
-
 // NewHierarchy builds the hierarchy for machine m.
 func NewHierarchy(m *topology.Machine, cfg Config) (*Hierarchy, error) {
 	def := DefaultConfig()
@@ -556,9 +539,6 @@ func NewHierarchy(m *topology.Machine, cfg Config) (*Hierarchy, error) {
 	return h, nil
 }
 
-// Config returns the effective configuration after defaults were applied.
-func (h *Hierarchy) Config() Config { return h.cfg }
-
 // Release flushes h and returns it to the recycle pool consulted by
 // NewHierarchy. The hierarchy must not be used after Release; the next
 // NewHierarchy call with the same machine and configuration may hand it to
@@ -569,51 +549,57 @@ func (h *Hierarchy) Release() {
 }
 
 // Access runs one demand access (read or write, write-allocate) issued by
-// cpu through the hierarchy.
+// cpu through the hierarchy: the core's private levels, then its node's L3,
+// then memory.
 func (h *Hierarchy) Access(cpu topology.CPUID, addr uint64) Result {
 	if cpu < 0 || int(cpu) >= len(h.coreOf) {
 		panic(fmt.Sprintf("cache: access from invalid CPU %d", cpu))
 	}
-	return h.AccessOn(h.coreOf[cpu], h.nodeOf[cpu], addr)
-}
-
-// AccessOn is the hot-path variant of Access for callers that already hold
-// the issuing CPU's core and node (the engine resolves them once per thread
-// per phase, not once per access). core and node must belong together.
-func (h *Hierarchy) AccessOn(core topology.CoreID, node topology.NodeID, addr uint64) Result {
-	// All levels share the machine's line size, so the biased tag is
-	// computed once. The L1 same-line check is inlined here because the
-	// bulk of sequential traffic resolves on it.
-	line := addr >> h.lineBits
-	tag := line + 1
-	if tag > wayTagMask {
-		panic(fmt.Sprintf("cache: address %#x beyond the supported range", addr))
+	core := h.coreOf[cpu]
+	if lv := h.Private(core, addr); lv != L3 {
+		return Result{Level: lv}
 	}
-	l1 := &h.l1[core]
-	if tag == l1.lastTag {
-		l1.w[l1.lastIdx] = tag | l1.bump()<<wayTagBits
-		return Result{Level: L1}
-	}
-	if l1.accessSlow(tag) {
-		return Result{Level: L1}
-	}
-	if h.l2[core].accessMiss(tag) {
-		return Result{Level: L2}
-	}
-	if h.l3[node].accessMiss(tag) {
-		// L2 fill already happened via the access calls above.
+	if h.Shared(h.nodeOf[cpu], addr) {
 		return Result{Level: L3}
 	}
-	// L3 miss: line comes from DRAM. If the miss is already outstanding in
-	// an LFB, the access is served by the buffer and causes no new traffic.
+	return h.Memory(core, addr)
+}
+
+// Private looks addr up in core's L1, then its L2, filling both on a miss.
+// It returns the level that served the access, or L3 when the access missed
+// both and must go on to Shared. Only the L1 keeps the same-line shortcut:
+// one core never reaches its L2 with the same line twice in a row (the
+// second access would hit L1), so the L2 and L3 scan every time.
+func (h *Hierarchy) Private(core topology.CoreID, addr uint64) Level {
+	if h.l1[core].access(addr) {
+		return L1
+	}
+	if _, hit := h.l2[core].lookup(addr>>h.lineBits + 1); hit {
+		return L2
+	}
+	return L3
+}
+
+// Shared looks up an access that missed its core's private levels in the
+// L3 of node, filling it on a miss, and reports whether it hit.
+func (h *Hierarchy) Shared(node topology.NodeID, addr uint64) bool {
+	_, hit := h.l3[node].lookup(lineTag(addr, h.lineBits))
+	return hit
+}
+
+// Memory serves an access by core that missed every cache level. A line
+// already in flight is served by its line fill buffer and causes no new
+// traffic; otherwise the line comes from DRAM, and if an established
+// prefetch stream had it in flight before the demand access arrived, the
+// access sees the latency of an LFB but costs the bandwidth of a DRAM fetch.
+func (h *Hierarchy) Memory(core topology.CoreID, addr uint64) Result {
+	line := addr >> h.lineBits
 	if h.lfbs[core].hit(line) {
 		return Result{Level: LFB}
 	}
 	h.lfbs[core].record(line)
-	// An established prefetch stream had this line in flight before the
-	// demand access arrived: latency of an LFB, bandwidth of a DRAM fetch.
 	if h.pf[core].observe(line) {
-		return Result{Level: LFB, Prefetched: true, DRAMTraffic: true}
+		return Result{Level: LFB, DRAMTraffic: true}
 	}
 	return Result{Level: MEM, DRAMTraffic: true}
 }
@@ -635,13 +621,3 @@ func (h *Hierarchy) Flush() {
 		h.l3[i].reset()
 	}
 }
-
-// LineSize returns the machine's cache-line size in bytes.
-func (h *Hierarchy) LineSize() int { return h.machine.LineSize() }
-
-// SetsL1 exposes the L1 set count (used by the bandit generator to build
-// conflict-miss address streams that always bypass the caches).
-func (h *Hierarchy) SetsL1() int { return h.l1[0].sets }
-
-// SetsL3 exposes the L3 set count for the same purpose.
-func (h *Hierarchy) SetsL3() int { return h.l3[0].sets }

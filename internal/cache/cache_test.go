@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -146,14 +147,8 @@ func TestPrefetcherCoversSequentialStream(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		r := h.Access(0, uint64(0x1000000+i*64))
 		switch {
-		case r.Prefetched:
+		case r.Level == LFB && r.DRAMTraffic: // covered by the prefetcher
 			prefetched++
-			if !r.DRAMTraffic {
-				t.Fatal("prefetched access must still count as DRAM traffic")
-			}
-			if r.Level != LFB {
-				t.Fatalf("prefetched access served from %v, want LFB", r.Level)
-			}
 		case r.Level == MEM:
 			mem++
 		}
@@ -246,11 +241,11 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Fatal(err)
 	}
 	def := DefaultConfig()
-	got := h.Config()
+	got := h.cfg
 	if got.L1Size != def.L1Size || got.L3Size != def.L3Size || got.LFBEntries != def.LFBEntries {
 		t.Errorf("defaults not applied: %+v", got)
 	}
-	if h.SetsL1() <= 0 || h.SetsL3() <= 0 {
+	if h.l1[0].sets <= 0 || h.l3[0].sets <= 0 {
 		t.Error("set counts must be positive")
 	}
 }
@@ -406,6 +401,89 @@ func TestRenormPreservesLRU(t *testing.T) {
 	drive("renorm with floor", 20000, 4)
 }
 
+// TestSetAssocMatchesLRUModel drives one random line sequence over a few
+// sets through two twin caches, one via access (the L1 path, same-line
+// shortcut included) and one via lookup (the L2/L3 path). Resets are
+// interleaved and renorms forced by pushing the clock to the overflow
+// threshold. Every hit or miss must match a plain per-set LRU list, and
+// after every access each set's live ways must form a prefix, which the
+// scan's early exit relies on.
+func TestSetAssocMatchesLRUModel(t *testing.T) {
+	const sets, ways = 4, 4
+	twin := func() *setAssoc {
+		c, err := newSetAssoc(sets*ways*64, ways, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	viaAccess, viaLookup := twin(), twin()
+	model := make([][]uint64, sets) // per set: resident lines, most recent first
+	touch := func(line uint64) bool {
+		s := model[line%sets]
+		for i, l := range s {
+			if l == line {
+				copy(s[1:i+1], s[:i])
+				s[0] = line
+				return true
+			}
+		}
+		if len(s) < ways {
+			s = append(s, 0)
+		}
+		copy(s[1:], s)
+		s[0] = line
+		model[line%sets] = s
+		return false
+	}
+	prefix := func(c *setAssoc) bool {
+		for base := 0; base < len(c.w); base += c.ways {
+			stale := false
+			for _, e := range c.w[base : base+c.ways] {
+				live := e>>wayTagBits > c.floor
+				if live && stale {
+					return false
+				}
+				stale = stale || !live
+			}
+		}
+		return true
+	}
+	rng := rand.New(rand.NewSource(7))
+	var resets, renorms int
+	for i := 0; i < 200000; i++ {
+		switch r := rng.Intn(2000); {
+		case r < 2:
+			viaAccess.reset()
+			viaLookup.reset()
+			for s := range model {
+				model[s] = model[s][:0]
+			}
+			resets++
+		case r < 4:
+			for _, c := range []*setAssoc{viaAccess, viaLookup} {
+				c.clock = max(c.clock, wayUseMax-1-uint64(rng.Intn(3)))
+			}
+			renorms++
+		}
+		// Three candidate lines per way keep hits and misses both common;
+		// repeats exercise the same-line shortcut.
+		line := uint64(rng.Intn(3 * sets * ways))
+		want := touch(line)
+		gotA := viaAccess.access(line*64 + uint64(rng.Intn(64)))
+		_, gotL := viaLookup.lookup(line + 1)
+		if gotA != want || gotL != want {
+			t.Fatalf("access %d (line %d): access %v, lookup %v, LRU model %v", i, line, gotA, gotL, want)
+		}
+		if !prefix(viaAccess) || !prefix(viaLookup) {
+			t.Fatalf("access %d: live ways no longer a prefix of their set", i)
+		}
+	}
+	if resets == 0 || renorms == 0 {
+		t.Fatalf("%d resets, %d forced renorms: the sequence must exercise both", resets, renorms)
+	}
+}
+
 // TestReleaseRecyclesEquivalently drives a hierarchy hard, releases it, and
 // requires the next NewHierarchy for the same machine+config — which should
 // hand the recycled instance back — to behave exactly like a freshly built
@@ -464,6 +542,17 @@ func TestReleaseRecyclesEquivalently(t *testing.T) {
 	}
 }
 
+// poolStats reports the recycle pool's occupancy: distinct keys and total
+// retained hierarchies.
+func poolStats() (keys, hierarchies int) {
+	hierPool.mu.Lock()
+	defer hierPool.mu.Unlock()
+	for _, s := range hierPool.stacks {
+		hierarchies += len(s)
+	}
+	return len(hierPool.stacks), hierarchies
+}
+
 // TestHierPoolBounded releases hierarchies for more machine+config shapes
 // than the pool retains and checks that both bounds hold: at most
 // poolMaxKeys distinct shapes survive (LRU eviction), and no shape stacks
@@ -503,7 +592,7 @@ func TestHierPoolBounded(t *testing.T) {
 			}
 		}
 	}
-	keys, hiers := PoolStats()
+	keys, hiers := poolStats()
 	if keys > poolMaxKeys {
 		t.Errorf("pool retains %d keys, cap is %d", keys, poolMaxKeys)
 	}
@@ -516,7 +605,7 @@ func TestHierPoolBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Release()
-	if keysAfter, _ := PoolStats(); keysAfter > keys {
+	if keysAfter, _ := poolStats(); keysAfter > keys {
 		t.Errorf("NewHierarchy for a cached shape grew the pool: %d -> %d keys", keys, keysAfter)
 	}
 }

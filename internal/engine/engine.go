@@ -5,12 +5,15 @@
 //
 //  1. Window simulation. For each phase, every thread's access stream is
 //     driven through the cache hierarchy for a bounded, representative
-//     window (threads interleaved round-robin, so the shared L3 and the
-//     first-touch page resolution see concurrent behaviour). The window
-//     yields each thread's steady-state access profile: the fraction of
-//     accesses served by each memory layer, and the DRAM traffic it pushes
-//     over each directed channel. A uniform reservoir of concrete access
-//     records is kept per thread for sample generation.
+//     window. The window is a round-robin interleave — each step, every
+//     thread issues one access, in thread order — so the shared L3 and the
+//     first-touch page resolution see concurrent behaviour. One loop
+//     (parallel.go) computes it per node group, in chunks staged by cache
+//     scope, bit-identical to that interleave at any GOMAXPROCS. The
+//     window yields each thread's steady-state access profile: the
+//     fraction of accesses served by each memory layer, and the DRAM
+//     traffic it pushes over each directed channel. A uniform reservoir of
+//     concrete access records is kept per thread for sample generation.
 //
 //  2. Closed-loop integration. Each thread has an unloaded issue rate set
 //     by its profile, compute work and memory-level parallelism. The offered
@@ -243,6 +246,10 @@ type Engine struct {
 	// gauges are the cached per-channel utilization gauges (metrics.go),
 	// published at phase boundaries.
 	gauges *chanGauges
+
+	// chunks and outs are the window's chunk scratch (see window).
+	chunks []trace.Access
+	outs   []uint8
 }
 
 // New builds an engine. hcfg selects the cache geometry (zero value =
@@ -459,8 +466,10 @@ func (e *Engine) runPhase(ph trace.Phase, bind Binding, start float64, rng *rand
 	return e.integrate(ph, bind, profiles, start, rng, st)
 }
 
-// streamBatch is how many accesses each thread's stream refill pulls at once;
-// it amortizes the per-access interface dispatch of Stream.Next.
+// streamBatch is the window's chunk length: how many steps the window
+// advances each stage at a time (parallel.go), and so how many accesses each
+// thread's stream Fill pulls at once, amortizing the per-access interface
+// dispatch of Stream.Next.
 const streamBatch = 256
 
 // winThread is the per-thread state of one simulation window, gathered into
@@ -471,15 +480,22 @@ type winThread struct {
 	node topology.NodeID
 	core topology.CoreID
 
-	// Batched stream refill. A short refill means the stream hit its window
-	// boundary; the Reset the per-access path performed at the boundary step
-	// is deferred to the step that actually needs the next access, with the
-	// same step-derived seed.
 	stream trace.Stream
-	buf    []trace.Access
-	bpos   int
-	blen   int
-	bshort bool
+	// atEnd records that the last Fill came up short: the stream hit its
+	// window boundary, and the Reset the per-access path performed there is
+	// deferred to the step that needs the next access, with that step's
+	// seed.
+	atEnd bool
+	// The current chunk: the thread's accesses for its steps and, for each,
+	// the level that served it, with outTraffic set when it pushed a line
+	// across a memory channel. Both are views of the engine's scratch.
+	chunk []trace.Access
+	out   []uint8
+	// The thread's last first-touch claim and the start of its page: streams
+	// hit the same page many times in a row, so the claim-map lookup is
+	// nearly always redundant.
+	ftStart uint64
+	ft      *ftClaim
 
 	rstate uint64   // reservoir xorshift state
 	seen   int      // post-warmup accesses observed (reservoir index)
@@ -492,34 +508,30 @@ type winThread struct {
 	prof   *profile
 }
 
-// refill loads the next batch from the thread's stream, applying the
-// deferred window-boundary Reset with the seed of the step that consumes
-// the first access.
-func (t *winThread) refill(seed uint64, step int) error {
-	t.buf = t.buf[:cap(t.buf)]
-	stepSeed := seed ^ (uint64(step+1) * 2654435761) ^ uint64(t.idx)
-	var m int
-	if t.bshort {
-		// The previous refill ended at the stream's window boundary; this
-		// step is where Next would have returned ok=false.
-		t.stream.Reset(stepSeed)
-		m = trace.Fill(t.stream, t.buf)
-		if m == 0 {
-			return fmt.Errorf("thread %d stream produced no accesses", t.idx)
+// outTraffic flags a chunk result whose access caused DRAM traffic; the low
+// bits hold its cache.Level.
+const outTraffic = 8
+
+// next fills the thread's chunk with its accesses for the n steps starting
+// at step.
+func (t *winThread) next(n int, seed uint64, step int) error {
+	t.chunk = t.chunk[:n]
+	for k := 0; k < n; {
+		m := 0
+		if !t.atEnd {
+			m = trace.Fill(t.stream, t.chunk[k:])
 		}
-	} else {
-		m = trace.Fill(t.stream, t.buf)
 		if m == 0 {
-			// Boundary landed exactly on the refill point.
-			t.stream.Reset(stepSeed)
-			m = trace.Fill(t.stream, t.buf)
-			if m == 0 {
+			// The stream is at its window boundary: this step is where Next
+			// would have returned ok=false.
+			t.stream.Reset(seed ^ (uint64(step+k+1) * 2654435761) ^ uint64(t.idx))
+			if m = trace.Fill(t.stream, t.chunk[k:]); m == 0 {
 				return fmt.Errorf("thread %d stream produced no accesses", t.idx)
 			}
 		}
+		t.atEnd = m < n-k
+		k += m
 	}
-	t.bshort = m < streamBatch
-	t.bpos, t.blen = 0, m
 	return nil
 }
 
@@ -545,7 +557,6 @@ func (e *Engine) window(ph trace.Phase, bind Binding, phaseIdx uint64, st *runSt
 			node:   e.nodeOf[bind[i]],
 			core:   e.coreOf[bind[i]],
 			stream: spec.Stream,
-			buf:    make([]trace.Access, 0, streamBatch),
 			rstate: e.reservoirSeed(phaseIdx, i),
 			res:    make([]record, 0, e.cfg.ReservoirSize),
 			mem:    make([]int, nch),
@@ -554,12 +565,19 @@ func (e *Engine) window(ph trace.Phase, bind Binding, phaseIdx uint64, st *runSt
 			prof:   profiles[i],
 		})
 	}
+	// Chunk scratch: one streamBatch-long slice of accesses and results per
+	// thread, kept by the engine so later windows reuse it.
+	if need := len(act) * streamBatch; len(e.chunks) < need {
+		e.chunks = make([]trace.Access, need)
+		e.outs = make([]uint8, need)
+	}
+	for ti := range act {
+		lo, hi := ti*streamBatch, (ti+1)*streamBatch
+		act[ti].chunk = e.chunks[lo:hi:hi]
+		act[ti].out = e.outs[lo:hi:hi]
+	}
 
-	if groups := e.windowGroups(act); groups != nil {
-		if err := e.windowParallel(act, groups); err != nil {
-			return nil, err
-		}
-	} else if err := e.windowSerial(act); err != nil {
+	if err := e.runWindow(act); err != nil {
 		return nil, err
 	}
 
@@ -599,86 +617,6 @@ func (e *Engine) window(ph trace.Phase, bind Binding, phaseIdx uint64, st *runSt
 		}
 	}
 	return profiles, nil
-}
-
-// windowSerial is the single-goroutine interleave: each turn advances one
-// access per active thread, in thread order, so the shared L3 and
-// first-touch resolution see concurrent access. It defines the reference
-// ordering the parallel path (parallel.go) must reproduce bit-for-bit.
-func (e *Engine) windowSerial(act []winThread) error {
-	total := e.cfg.Warmup + e.cfg.Window
-	hier, space, seed := e.hier, e.space, e.cfg.Seed
-	rsz := e.cfg.ReservoirSize
-	nn := e.nn
-
-	// The warmup steps run as their own loop: they exist to populate the
-	// caches and trigger first-touch placement (HomeFor's side effect), so
-	// they skip the accounting and the per-access warm check entirely.
-	warmup := e.cfg.Warmup
-	for step := 0; step < warmup; step++ {
-		for ti := range act {
-			t := &act[ti]
-			if t.bpos == t.blen {
-				if err := t.refill(seed, step); err != nil {
-					return err
-				}
-			}
-			a := &t.buf[t.bpos]
-			t.bpos++
-			r := hier.AccessOn(t.core, t.node, a.Addr)
-			if r.Level == cache.MEM || r.Level == cache.LFB {
-				space.HomeFor(a.Addr, t.node)
-			}
-		}
-	}
-	for step := warmup; step < total; step++ {
-		for ti := range act {
-			t := &act[ti]
-			if t.bpos == t.blen {
-				if err := t.refill(seed, step); err != nil {
-					return err
-				}
-			}
-			a := &t.buf[t.bpos]
-			t.bpos++
-			r := hier.AccessOn(t.core, t.node, a.Addr)
-			home := t.node
-			if r.Level == cache.MEM || r.Level == cache.LFB {
-				home = space.HomeFor(a.Addr, t.node)
-				if home == topology.InvalidNode {
-					home = t.node
-				}
-			}
-			t.total++
-			t.level[r.Level]++
-			ci := int(t.node)*nn + int(home)
-			switch r.Level {
-			case cache.MEM:
-				t.mem[ci]++
-			case cache.LFB:
-				t.lfb[ci]++
-			}
-			if r.DRAMTraffic {
-				t.traf[ci]++
-				if t.node != home {
-					t.traf[int(home)*nn+int(home)]++
-				}
-			}
-			// Uniform reservoir of concrete records; the record is only
-			// materialized on the paths that store it.
-			t.seen++
-			if len(t.res) < rsz {
-				t.res = append(t.res, packRecord(a.Addr, r.Level, home, a.Write))
-			} else {
-				x := xorshift64(t.rstate)
-				t.rstate = x
-				if j := int(x % uint64(t.seen)); j < rsz {
-					t.res[j] = packRecord(a.Addr, r.Level, home, a.Write)
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // pairBaseLatency returns the unloaded DRAM latency for a (src,dst) pair.

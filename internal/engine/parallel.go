@@ -1,36 +1,52 @@
-// Parallel window execution.
+// The window loop.
 //
-// The serial window (windowSerial) interleaves every active thread
-// round-robin through one goroutine. This file runs the same window on
-// multiple cores while staying bit-identical to that interleave, which is
-// possible because of how the simulated state partitions:
+// A window is a sequence of steps; in each step every active thread issues
+// one access, in act (thread) order. That round-robin interleave is the
+// window's definition, and runRef in reference_test.go replays it one
+// access at a time. This file computes the same result faster, on as many
+// cores as GOMAXPROCS allows, because of how the simulated state
+// partitions:
 //
 //   - L1/L2/LFB/prefetcher state is per core, the L3 per node, and a core
 //     belongs to exactly one node — so threads bound to different nodes
-//     share no cache state at all. Restricted to one node, the serial
-//     interleave order equals the node-group's own round-robin order, so a
-//     group replaying its threads in act order reproduces the exact access
-//     sequence every one of its caches saw.
+//     share no cache state at all. Restricted to one node, the interleave
+//     order equals the node group's own round-robin order.
 //   - Streams, reservoirs and the per-channel counters are per thread.
 //   - The only cross-node coupling is first-touch page resolution in
 //     memsim: the first MEM/LFB access to an untouched page claims it for
 //     the accessor's node, and later accesses from any node observe that
 //     choice.
 //
-// So the window shards into per-node thread groups that run concurrently
-// against a read-only memsim.Reader. A group that would first-touch a page
-// instead records a claim carrying the access's global interleave position
-// (step*len(act) + thread position) and provisionally homes the page on its
-// own node. After the groups join, claims are arbitrated: the globally
-// earliest claim is exactly the access that first-touches the page in the
-// serial interleave, so it wins and is committed through Touch. Losing
-// groups are patched: every one of their accesses to a lost page happened
-// after their own first claim, which happened after the winner's — so in
-// the serial order all of them would have seen the winner's home. The
-// patch re-homes the affected per-channel integer counts and reservoir
-// records; nothing else in the window depends on homes, and no floating
-// point is accumulated before the (serial) profile-building tail, so the
-// result is bit-identical to windowSerial at any worker count.
+// So the window shards into per-node thread groups that run against a
+// read-only memsim.Reader, concurrently when GOMAXPROCS allows and one
+// after another otherwise. Each group advances in chunks of streamBatch
+// steps, and each chunk in three stages, ordered so that every piece of
+// state sees its accesses in interleave order:
+//
+//  1. Private levels, core-major. Each core runs its L1/L2 lookups for the
+//     whole chunk before the next core starts, so its arrays stay in the
+//     host's cache. SMT siblings share a core, so they interleave step by
+//     step in act order, exactly as the round-robin does.
+//  2. Shared levels, in (step, thread) order: the node's L3 for the private
+//     misses, then the core's LFB and prefetcher for the L3 misses. The
+//     private levels never depend on these, so running them after stage 1
+//     changes nothing.
+//  3. Accounting, thread-major: homes, counters and reservoir are per
+//     thread, and need only that thread's accesses in order.
+//
+// A group that would first-touch a page instead records a claim carrying
+// the minimum global interleave position (step*len(act) + thread position)
+// of its accesses to the page, and provisionally homes the page on its own
+// node. After the groups join, claims are arbitrated: the globally earliest
+// claim is exactly the access that first-touches the page in the
+// interleave, so it wins and is committed through Touch. Losing groups are
+// patched: every one of their accesses to a lost page happened after their
+// own first claim, which happened after the winner's — so in the interleave
+// all of them would have seen the winner's home. The patch re-homes the
+// affected per-channel integer counts and reservoir records; nothing else
+// in the window depends on homes, and no floating point is accumulated
+// before the (serial) profile-building tail, so the result is bit-identical
+// to the interleave at any GOMAXPROCS.
 package engine
 
 import (
@@ -39,33 +55,9 @@ import (
 	"sync"
 
 	"drbw/internal/cache"
+	"drbw/internal/memsim"
 	"drbw/internal/topology"
 )
-
-// windowGroups partitions the active threads of one window by bound node,
-// preserving act order inside each group. It returns nil when the serial
-// path should run instead: GOMAXPROCS is 1, or all threads sit on one node
-// (a single group would just replay windowSerial with extra setup).
-func (e *Engine) windowGroups(act []winThread) [][]int {
-	if runtime.GOMAXPROCS(0) <= 1 || len(act) < 2 {
-		return nil
-	}
-	byNode := make([][]int, e.nn)
-	for i := range act {
-		n := int(act[i].node)
-		byNode[n] = append(byNode[n], i)
-	}
-	groups := byNode[:0]
-	for _, g := range byNode {
-		if len(g) > 0 {
-			groups = append(groups, g)
-		}
-	}
-	if len(groups) < 2 {
-		return nil
-	}
-	return groups
-}
 
 // ftRisk accumulates the post-warmup accounting one thread charged against
 // a provisionally claimed page, so a lost arbitration can re-home exactly
@@ -76,25 +68,57 @@ type ftRisk struct {
 
 // ftClaim is one group's provisional first touch of a page.
 type ftClaim struct {
-	// order is the global interleave position of the group's first access
-	// to the page: step*len(act) + position in act. The minimum across
-	// groups identifies the access that first-touches the page serially.
+	// order is the global interleave position of the group's earliest
+	// access to the page: step*len(act) + position in act. The minimum
+	// across groups identifies the access that first-touches the page.
 	order      uint64
 	start, end uint64 // page bounds
 	risk       []ftRisk
 }
 
-// winGroup is the per-node execution state of one parallel window.
+// winGroup is the execution state of one node's threads in a window.
 type winGroup struct {
-	node     topology.NodeID
-	threads  []int // indices into act, in act order
+	node    topology.NodeID
+	threads []int // indices into act, in act order
+	// cores holds the same indices grouped by core: cores in order of first
+	// appearance, SMT siblings in act order.
+	cores    [][]int
 	claims   map[uint64]*ftClaim
 	err      error
 	panicked any
 }
 
+// windowGroups partitions the active threads of one window by bound node,
+// in node order, preserving act order inside each group.
+func (e *Engine) windowGroups(act []winThread) []winGroup {
+	byNode := make([]winGroup, e.nn)
+	for ti := range act {
+		t := &act[ti]
+		g := &byNode[t.node]
+		g.node = t.node
+		g.threads = append(g.threads, ti)
+		ci := 0
+		for ci < len(g.cores) && act[g.cores[ci][0]].core != t.core {
+			ci++
+		}
+		if ci == len(g.cores) {
+			g.cores = append(g.cores, nil)
+		}
+		g.cores[ci] = append(g.cores[ci], ti)
+	}
+	gs := byNode[:0]
+	for _, g := range byNode {
+		if len(g.threads) > 0 {
+			gs = append(gs, g)
+		}
+	}
+	return gs
+}
+
 // claim returns the group's claim for the page starting at start, creating
-// it with the given order on first access.
+// it on first access, and lowers its order to order if that is earlier:
+// stage 3 visits the group's threads one after another, so the claim's
+// first visitor need not hold the group's earliest access.
 func (g *winGroup) claim(start, end, order uint64) *ftClaim {
 	if g.claims == nil {
 		g.claims = make(map[uint64]*ftClaim, 8)
@@ -103,18 +127,17 @@ func (g *winGroup) claim(start, end, order uint64) *ftClaim {
 	if c == nil {
 		c = &ftClaim{order: order, start: start, end: end, risk: make([]ftRisk, len(g.threads))}
 		g.claims[start] = c
+	} else if order < c.order {
+		c.order = order
 	}
 	return c
 }
 
-// windowParallel executes one window across per-node thread groups and
-// merges the first-touch claims. It produces exactly the state windowSerial
-// would leave in act and in the address space.
-func (e *Engine) windowParallel(act []winThread, groups [][]int) error {
-	gs := make([]winGroup, len(groups))
-	for gi, th := range groups {
-		gs[gi] = winGroup{node: act[th[0]].node, threads: th}
-	}
+// runWindow executes one window across the per-node thread groups and
+// merges their first-touch claims, leaving in act and in the address space
+// exactly the state the round-robin interleave would.
+func (e *Engine) runWindow(act []winThread) error {
+	gs := e.windowGroups(act)
 	workers := min(runtime.GOMAXPROCS(0), len(gs))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -141,9 +164,8 @@ func (e *Engine) windowParallel(act []winThread, groups [][]int) error {
 	return nil
 }
 
-// run drives one group's threads through the whole window. It mirrors
-// windowSerial line for line, with HomeFor replaced by the read-only
-// Resolve plus group-local claims.
+// run drives one group's threads through the whole window, a chunk of at
+// most streamBatch steps at a time. No chunk straddles the end of warmup.
 func (g *winGroup) run(e *Engine, act []winThread) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -153,102 +175,114 @@ func (g *winGroup) run(e *Engine, act []winThread) {
 	warmup := e.cfg.Warmup
 	total := warmup + e.cfg.Window
 	hier, seed := e.hier, e.cfg.Seed
-	rsz := e.cfg.ReservoirSize
-	nn := e.nn
 	rd := e.space.NewReader()
-	stride := uint64(len(act))
-	// Per-thread last-claim memo: sequential streams hit the same page many
-	// times in a row, so the map lookup is nearly always redundant.
-	lastStart := make([]uint64, len(g.threads))
-	lastClaim := make([]*ftClaim, len(g.threads))
-
-	for step := 0; step < warmup; step++ {
-		for li, ti := range g.threads {
-			t := &act[ti]
-			if t.bpos == t.blen {
-				if err := t.refill(seed, step); err != nil {
-					g.err = err
-					return
-				}
+	for step := 0; step < total; {
+		end := min(step+streamBatch, total)
+		if step < warmup {
+			end = min(end, warmup)
+		}
+		n := end - step
+		for _, ti := range g.threads {
+			if err := act[ti].next(n, seed, step); err != nil {
+				g.err = err
+				return
 			}
-			a := &t.buf[t.bpos]
-			t.bpos++
-			r := hier.AccessOn(t.core, t.node, a.Addr)
-			if r.Level == cache.MEM || r.Level == cache.LFB {
-				h, start, end := rd.Resolve(a.Addr, t.node)
-				if h == topology.InvalidNode && end != 0 {
-					// Would-be first touch; no accounting during warmup, but
-					// the claim order must be registered.
-					if lastClaim[li] == nil || start != lastStart[li] {
-						lastClaim[li] = g.claim(start, end, uint64(step)*stride+uint64(ti))
-						lastStart[li] = start
-					}
+		}
+		for _, sib := range g.cores {
+			core := act[sib[0]].core
+			for k := 0; k < n; k++ {
+				for _, ti := range sib {
+					t := &act[ti]
+					t.out[k] = uint8(hier.Private(core, t.chunk[k].Addr))
 				}
 			}
 		}
-	}
-	for step := warmup; step < total; step++ {
-		for li, ti := range g.threads {
-			t := &act[ti]
-			if t.bpos == t.blen {
-				if err := t.refill(seed, step); err != nil {
-					g.err = err
-					return
+		for k := 0; k < n; k++ {
+			for _, ti := range g.threads {
+				t := &act[ti]
+				if cache.Level(t.out[k]) != cache.L3 || hier.Shared(g.node, t.chunk[k].Addr) {
+					continue
 				}
+				r := hier.Memory(t.core, t.chunk[k].Addr)
+				o := uint8(r.Level)
+				if r.DRAMTraffic {
+					o |= outTraffic
+				}
+				t.out[k] = o
 			}
-			a := &t.buf[t.bpos]
-			t.bpos++
-			r := hier.AccessOn(t.core, t.node, a.Addr)
-			home := t.node
-			if r.Level == cache.MEM || r.Level == cache.LFB {
-				h, start, end := rd.Resolve(a.Addr, t.node)
-				if h != topology.InvalidNode {
-					home = h
-				} else if end != 0 {
-					// Untouched first-touch page: provisionally home it here
-					// (home stays t.node) and track the at-risk counts.
-					c := lastClaim[li]
-					if c == nil || start != lastStart[li] {
-						c = g.claim(start, end, uint64(step)*stride+uint64(ti))
-						lastClaim[li] = c
-						lastStart[li] = start
-					}
+		}
+		for li, ti := range g.threads {
+			g.account(e, rd, act, li, ti, step, step < warmup)
+		}
+		step = end
+	}
+}
+
+// account charges one thread's chunk, which starts at step: it resolves the
+// home of every MEM/LFB access, registering first-touch claims, and after
+// warmup updates the thread's counters and reservoir.
+func (g *winGroup) account(e *Engine, rd *memsim.Reader, act []winThread, li, ti, step int, warm bool) {
+	t := &act[ti]
+	nn, rsz := e.nn, e.cfg.ReservoirSize
+	stride := uint64(len(act))
+	for k := range t.chunk {
+		a := &t.chunk[k]
+		lv := cache.Level(t.out[k] &^ outTraffic)
+		traffic := t.out[k]&outTraffic != 0
+		home := t.node
+		if lv == cache.MEM || lv == cache.LFB {
+			h, start, end := rd.Resolve(a.Addr, t.node)
+			if h != topology.InvalidNode {
+				home = h
+			} else if end != 0 {
+				// Untouched first-touch page: provisionally home it here
+				// (home stays t.node) and track the at-risk counts.
+				c := t.ft
+				if c == nil || start != t.ftStart {
+					c = g.claim(start, end, uint64(step+k)*stride+uint64(ti))
+					t.ft, t.ftStart = c, start
+				}
+				if !warm {
 					rc := &c.risk[li]
-					switch r.Level {
-					case cache.MEM:
+					if lv == cache.MEM {
 						rc.mem++
-					case cache.LFB:
+					} else {
 						rc.lfb++
 					}
-					if r.DRAMTraffic {
+					if traffic {
 						rc.traf++
 					}
 				}
 			}
-			t.total++
-			t.level[r.Level]++
-			ci := int(t.node)*nn + int(home)
-			switch r.Level {
-			case cache.MEM:
-				t.mem[ci]++
-			case cache.LFB:
-				t.lfb[ci]++
+		}
+		if warm {
+			continue
+		}
+		t.total++
+		t.level[lv]++
+		ci := int(t.node)*nn + int(home)
+		switch lv {
+		case cache.MEM:
+			t.mem[ci]++
+		case cache.LFB:
+			t.lfb[ci]++
+		}
+		if traffic {
+			t.traf[ci]++
+			if t.node != home {
+				t.traf[int(home)*nn+int(home)]++
 			}
-			if r.DRAMTraffic {
-				t.traf[ci]++
-				if t.node != home {
-					t.traf[int(home)*nn+int(home)]++
-				}
-			}
-			t.seen++
-			if len(t.res) < rsz {
-				t.res = append(t.res, packRecord(a.Addr, r.Level, home, a.Write))
-			} else {
-				x := xorshift64(t.rstate)
-				t.rstate = x
-				if j := int(x % uint64(t.seen)); j < rsz {
-					t.res[j] = packRecord(a.Addr, r.Level, home, a.Write)
-				}
+		}
+		// Uniform reservoir of concrete records; the record is only
+		// materialized on the paths that store it.
+		t.seen++
+		if len(t.res) < rsz {
+			t.res = append(t.res, packRecord(a.Addr, lv, home, a.Write))
+		} else {
+			x := xorshift64(t.rstate)
+			t.rstate = x
+			if j := int(x % uint64(t.seen)); j < rsz {
+				t.res[j] = packRecord(a.Addr, lv, home, a.Write)
 			}
 		}
 	}
@@ -263,7 +297,7 @@ type ftWinner struct {
 
 // mergeFirstTouch arbitrates the groups' first-touch claims, commits the
 // winners to the address space, and patches the losing groups' accounting
-// and reservoirs to the homes the serial interleave would have produced.
+// and reservoirs to the homes the interleave would have produced.
 func (e *Engine) mergeFirstTouch(act []winThread, gs []winGroup) {
 	var wins map[uint64]ftWinner
 	for gi := range gs {
@@ -296,9 +330,9 @@ func (e *Engine) mergeFirstTouch(act []winThread, gs []winGroup) {
 		g := &gs[gi]
 		// Every group access to a lost page happened after the group's own
 		// claim, which the winner's first touch precedes globally — so the
-		// serial interleave would have served all of them from the winner's
-		// node. Move the counts: local (src,src) becomes remote (src,win)
-		// plus the winner's controller leg for DRAM traffic.
+		// interleave would have served all of them from the winner's node.
+		// Move the counts: local (src,src) becomes remote (src,win) plus the
+		// winner's controller leg for DRAM traffic.
 		var lost []ftWinner
 		src := int(g.node)
 		oldCi := src*nn + src
@@ -330,7 +364,7 @@ func (e *Engine) mergeFirstTouch(act []winThread, gs []winGroup) {
 		}
 		// Re-home the group's MEM/LFB reservoir records falling in a lost
 		// page. Only those levels carry overlay homes — cache-served records
-		// were packed with the thread's own node, same as serial.
+		// were packed with the thread's own node, as in the interleave.
 		sort.Slice(lost, func(i, j int) bool { return lost[i].start < lost[j].start })
 		for _, ti := range g.threads {
 			t := &act[ti]

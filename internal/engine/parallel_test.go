@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -81,33 +82,42 @@ func runShared(t *testing.T, m *topology.Machine, threads, nodes, procs int, ref
 	return workerRun{res: res, samples: col.Samples(), pages: as.ResidencyHistogram()}
 }
 
-// TestWindowWorkerDeterminism pins the tentpole guarantee: for a fixed
-// seed, every window width produces bit-identical Results, samples, and
-// first-touch placements — GOMAXPROCS=1 (the exact serial path), explicit
-// parallel widths, and the host's own GOMAXPROCS.
+// sameRun requires got to equal want bit for bit: Result, first-touch
+// placement and every sample.
+func sameRun(t *testing.T, label string, got, want workerRun) {
+	t.Helper()
+	if !reflect.DeepEqual(got.res, want.res) {
+		t.Errorf("%s: Result diverges", label)
+	}
+	if !reflect.DeepEqual(got.pages, want.pages) {
+		t.Errorf("%s: first-touch placement diverges: %v vs %v", label, got.pages, want.pages)
+	}
+	if len(got.samples) != len(want.samples) {
+		t.Fatalf("%s: %d samples, want %d", label, len(got.samples), len(want.samples))
+	}
+	for i := range got.samples {
+		if got.samples[i] != want.samples[i] {
+			t.Fatalf("%s: sample %d diverges:\ngot  %+v\nwant %+v", label, i, got.samples[i], want.samples[i])
+		}
+	}
+}
+
+// TestWindowWorkerDeterminism pins the window's guarantee: for a fixed
+// seed, every GOMAXPROCS — 1 (the groups one after another), explicit
+// parallel widths, and the host's own — produces the Results, samples and
+// first-touch placements of the reference interleave. The 32-thread,
+// two-node binding puts two threads on each of a node's eight cores.
 func TestWindowWorkerDeterminism(t *testing.T) {
 	m := topology.XeonE5_4650()
 	host := runtime.GOMAXPROCS(0)
-	base := runShared(t, m, 16, 4, 1, false)
-	if len(base.samples) == 0 {
-		t.Fatal("no samples collected; the comparison would be vacuous")
-	}
-	for _, workers := range []int{2, 3, host} {
-		got := runShared(t, m, 16, 4, workers, false)
-		if !reflect.DeepEqual(got.res, base.res) {
-			t.Errorf("workers=%d: Result diverges from serial", workers)
+	for _, sc := range []struct{ threads, nodes int }{{16, 4}, {32, 2}} {
+		ref := runShared(t, m, sc.threads, sc.nodes, 1, true)
+		if len(ref.samples) == 0 {
+			t.Fatal("no samples collected; the comparison would be vacuous")
 		}
-		if !reflect.DeepEqual(got.pages, base.pages) {
-			t.Errorf("workers=%d: first-touch placement diverges: %v vs %v", workers, got.pages, base.pages)
-		}
-		if len(got.samples) != len(base.samples) {
-			t.Fatalf("workers=%d: %d samples, serial %d", workers, len(got.samples), len(base.samples))
-		}
-		for i := range got.samples {
-			if got.samples[i] != base.samples[i] {
-				t.Fatalf("workers=%d: sample %d diverges:\nparallel %+v\nserial   %+v",
-					workers, i, got.samples[i], base.samples[i])
-			}
+		for _, procs := range []int{1, 2, 3, host} {
+			got := runShared(t, m, sc.threads, sc.nodes, procs, false)
+			sameRun(t, fmt.Sprintf("T%d-N%d GOMAXPROCS=%d", sc.threads, sc.nodes, procs), got, ref)
 		}
 	}
 }
@@ -119,29 +129,59 @@ func TestParallelMatchesReferenceFirstTouch(t *testing.T) {
 	m := topology.XeonE5_4650()
 	par := runShared(t, m, 16, 4, 4, false)
 	ref := runShared(t, m, 16, 4, 1, true)
-	if !reflect.DeepEqual(par.res, ref.res) {
-		t.Error("parallel Result diverges from the reference oracle")
-	}
-	if !reflect.DeepEqual(par.pages, ref.pages) {
-		t.Errorf("parallel first-touch placement diverges from reference: %v vs %v", par.pages, ref.pages)
-	}
-	if len(par.samples) != len(ref.samples) {
-		t.Fatalf("%d parallel samples, reference %d", len(par.samples), len(ref.samples))
-	}
-	for i := range par.samples {
-		if par.samples[i] != ref.samples[i] {
-			t.Fatalf("sample %d diverges:\nparallel  %+v\nreference %+v", i, par.samples[i], ref.samples[i])
-		}
+	sameRun(t, "GOMAXPROCS=4", par, ref)
+}
+
+// TestWindowSingleNodeMatchesReference runs a window whose threads all sit
+// on one node — a single group, nothing to shard — at GOMAXPROCS 4 and 1,
+// and requires the reference interleave's result from both.
+func TestWindowSingleNodeMatchesReference(t *testing.T) {
+	m := topology.XeonE5_4650()
+	ref := runShared(t, m, 8, 1, 1, true)
+	for _, procs := range []int{4, 1} {
+		sameRun(t, fmt.Sprintf("GOMAXPROCS=%d", procs), runShared(t, m, 8, 1, procs, false), ref)
 	}
 }
 
-// TestWorkersSingleNodeFallsBackSerial checks the grouping heuristic: all
-// threads on one node leaves nothing to shard, and results still match.
-func TestWorkersSingleNodeFallsBackSerial(t *testing.T) {
+// TestFirstTouchClaimKeepsEarliestAccess pins the claim order under the
+// thread-major accounting stage. Two threads per node hit random lines of
+// one first-touch array, so within a chunk a node's second thread often
+// reaches a page before its first thread does, with the other node's
+// access in between. The claim must keep the group's earliest access, or
+// such pages go to the wrong node.
+func TestFirstTouchClaimKeepsEarliestAccess(t *testing.T) {
 	m := topology.XeonE5_4650()
-	a := runShared(t, m, 8, 1, 4, false)
-	b := runShared(t, m, 8, 1, 1, false)
-	if !reflect.DeepEqual(a.res, b.res) {
-		t.Error("single-node run diverges between GOMAXPROCS=4 and GOMAXPROCS=1")
+	const base = 0x10000000
+	run := func(procs int, ref bool) workerRun {
+		setProcs(t, procs)
+		as := memsim.NewAddressSpace(m)
+		if err := as.Map(base, 4<<20, memsim.FirstTouchPolicy(), false); err != nil {
+			t.Fatal(err)
+		}
+		ph := trace.Phase{Name: "random"}
+		for i := 0; i < 4; i++ {
+			ph.Threads = append(ph.Threads, trace.ThreadSpec{
+				Stream: &trace.Rand{Base: base, Len: 4 << 20, Elem: 8},
+				Ops:    1e6, MLP: 8, WorkCycles: 1,
+			})
+		}
+		e, err := New(m, as, smallCaches(), testConfig(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		bind, err := EvenBinding(m, 4, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := pathFor(ref)(e, []trace.Phase{ph}, bind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return workerRun{res: res, pages: as.ResidencyHistogram()}
+	}
+	ref := run(1, true)
+	for _, procs := range []int{1, 2} {
+		sameRun(t, fmt.Sprintf("GOMAXPROCS=%d", procs), run(procs, false), ref)
 	}
 }

@@ -550,6 +550,8 @@ func TestReferenceEquivalence(t *testing.T) {
 		{name: "interleaved-ibs", threads: 16, nodes: 4, pol: memsim.InterleaveAll(), flavor: pebs.IBS, collect: true, seed: 42},
 		{name: "first-touch-nocollect", threads: 8, nodes: 2, pol: memsim.FirstTouchPolicy(), seed: 43},
 		{name: "replicated", threads: 8, nodes: 2, pol: memsim.ReplicateAll(), collect: true, seed: 44},
+		// Two threads per core: 16 threads share each node's 8 cores.
+		{name: "smt-first-touch", threads: 32, nodes: 2, pol: memsim.FirstTouchPolicy(), collect: true, seed: 45},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
@@ -608,57 +610,67 @@ func TestReferenceEquivalence(t *testing.T) {
 }
 
 // TestReferenceEquivalenceMultiStream covers the stream implementations that
-// exercise the generic Fill fallback and multi-phase runs: the batched refill
-// must reset streams at exactly the same steps as the per-access path.
+// exercise the generic Fill fallback and multi-phase runs: the chunked fill
+// must reset streams at exactly the same steps as the per-access path. The
+// 32-thread binding puts two threads on every core of two nodes; their
+// random and gather streams collide in the shared L1/L2 sets, so the
+// result depends on the siblings interleaving step by step.
 func TestReferenceEquivalenceMultiStream(t *testing.T) {
 	m := topology.XeonE5_4650()
-	run := func(ref bool) *Result {
-		as := memsim.NewAddressSpace(m)
-		const base = 0x10000000
-		if err := as.Map(base, 8<<20, memsim.BindTo(0), false); err != nil {
-			t.Fatal(err)
-		}
-		mkThreads := func() []trace.ThreadSpec {
-			var specs []trace.ThreadSpec
-			for i := 0; i < 8; i++ {
-				off := uint64(i) * (1 << 20)
-				var s trace.Stream
-				switch i % 4 {
-				case 0: // short window: many boundary resets per window sim
-					s = &trace.Seq{Base: base + off, Len: 13 * 8, Elem: 8, WriteEvery: 3}
-				case 1:
-					s = &trace.Rand{Base: base + off, Len: 1 << 18, Elem: 8, WriteFrac: 0.2}
-				case 2:
-					s = &trace.Gather{IndexBase: base + off, IndexLen: 37 * 4, IndexElem: 4,
-						DataBase: base + off + (1 << 19), DataLen: 1 << 18, DataElem: 8}
-				default:
-					s = &trace.Stencil{InBase: base + off, OutBase: base + off + (1 << 19), X: 7, Y: 5, Z: 3, Elem: 8}
-				}
-				specs = append(specs, trace.ThreadSpec{Stream: s, Ops: 5e5, MLP: 4, WorkCycles: 2})
+	for _, threads := range []int{8, 32} {
+		t.Run(fmt.Sprintf("T%d-N2", threads), func(t *testing.T) {
+			fast := runMultiStream(t, m, threads, false)
+			ref := runMultiStream(t, m, threads, true)
+			if !reflect.DeepEqual(fast, ref) {
+				t.Errorf("multi-stream Result diverges between fast and reference paths:\nfast %+v\nref  %+v", fast, ref)
 			}
-			return specs
-		}
-		phases := []trace.Phase{
-			{Name: "a", Threads: mkThreads()},
-			{Name: "b", Threads: mkThreads()},
-		}
-		e, err := New(m, as, smallCaches(), testConfig(77))
-		if err != nil {
-			t.Fatal(err)
-		}
-		bind, err := EvenBinding(m, 8, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := pathFor(ref)(e, phases, bind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		})
 	}
-	fast := run(false)
-	ref := run(true)
-	if !reflect.DeepEqual(fast, ref) {
-		t.Errorf("multi-stream Result diverges between fast and reference paths:\nfast %+v\nref  %+v", fast, ref)
+}
+
+// runMultiStream runs two phases of mixed streams, threads of them bound
+// over two nodes, through the fast path or the reference oracle.
+func runMultiStream(t *testing.T, m *topology.Machine, threads int, ref bool) *Result {
+	as := memsim.NewAddressSpace(m)
+	const base = 0x10000000
+	if err := as.Map(base, 8<<20, memsim.BindTo(0), false); err != nil {
+		t.Fatal(err)
 	}
+	mkThreads := func() []trace.ThreadSpec {
+		var specs []trace.ThreadSpec
+		for i := 0; i < threads; i++ {
+			off := uint64(i%8) * (1 << 20)
+			var s trace.Stream
+			switch i % 4 {
+			case 0: // short window: many boundary resets per window sim
+				s = &trace.Seq{Base: base + off, Len: 13 * 8, Elem: 8, WriteEvery: 3}
+			case 1:
+				s = &trace.Rand{Base: base + off, Len: 1 << 18, Elem: 8, WriteFrac: 0.2}
+			case 2:
+				s = &trace.Gather{IndexBase: base + off, IndexLen: 37 * 4, IndexElem: 4,
+					DataBase: base + off + (1 << 19), DataLen: 1 << 18, DataElem: 8}
+			default:
+				s = &trace.Stencil{InBase: base + off, OutBase: base + off + (1 << 19), X: 7, Y: 5, Z: 3, Elem: 8}
+			}
+			specs = append(specs, trace.ThreadSpec{Stream: s, Ops: 5e5, MLP: 4, WorkCycles: 2})
+		}
+		return specs
+	}
+	phases := []trace.Phase{
+		{Name: "a", Threads: mkThreads()},
+		{Name: "b", Threads: mkThreads()},
+	}
+	e, err := New(m, as, smallCaches(), testConfig(77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bind, err := EvenBinding(m, threads, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pathFor(ref)(e, phases, bind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

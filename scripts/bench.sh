@@ -4,8 +4,14 @@
 # Usage:
 #   scripts/bench.sh [output.json]        # default output: BENCH_engine.json
 #
+# Every benchmark runs five times (go test -count 5). The JSON records, per
+# benchmark, the median ns/op with its min and max and the median of every
+# other metric; the ratio gates below compare medians. The allocation and
+# bytes-per-sample gates take the worst single sample.
+#
 # Environment:
-#   BENCHTIME         go test -benchtime value (default 2s; CI uses 1x)
+#   BENCHTIME         go test -benchtime value per sample (default 2s; CI
+#                     uses 1x)
 #   MAX_ENGINE_ALLOCS when set, fail if any BenchmarkEngineContendedRun
 #                     variant exceeds this many allocs/op (the
 #                     allocation-regression gate: allocations must stay O(1)
@@ -69,19 +75,63 @@ benchtime=${BENCHTIME:-2s}
 pattern='^(BenchmarkEngineContendedRun|BenchmarkBatchEvaluation|BenchmarkCacheHierarchyAccess|BenchmarkStreamGeneration|BenchmarkTraceDecode|BenchmarkAnalyzeTrace|BenchmarkAnalyzeCached|BenchmarkShardAnalyze|BenchmarkOptimizerSearch|BenchmarkProfile)$'
 
 raw=$(mktemp)
-trap 'rm -f "$raw"' EXIT
+med=$(mktemp)
+trap 'rm -f "$raw" "$med"' EXIT
 
-go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -benchmem . | tee "$raw"
+go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count 5 -benchmem . | tee "$raw"
+
+# med holds one line per benchmark, in first-seen order, laid out like go
+# test's own output ("name samples value unit value unit ..."), so every
+# parser below reads it the same way: each value is the median of that
+# metric over the samples, and ns/op is followed by its min (ns-min) and
+# max (ns-max).
+awk '
+function median(list,   v, n, i, j, t) {
+    n = split(list, v, " ")
+    for (i = 2; i <= n; i++) {
+        t = v[i]
+        for (j = i - 1; j >= 1 && v[j] + 0 > t + 0; j--) v[j+1] = v[j]
+        v[j+1] = t
+    }
+    lo = v[1]; hi = v[n]
+    if (n % 2) return v[(n + 1) / 2]
+    return sprintf("%.15g", (v[n/2] + v[n/2+1]) / 2)
+}
+/^Benchmark/ && /ns\/op/ {
+    name = $1
+    sub(/-[0-9]+$/, "", name)
+    if (!(name in samples)) order[++n] = name
+    samples[name]++
+    for (i = 4; i <= NF; i += 2) {
+        k = name SUBSEP $i
+        if (!(k in vals)) units[name] = units[name] " " $i
+        vals[k] = vals[k] " " $(i-1)
+    }
+}
+END {
+    for (b = 1; b <= n; b++) {
+        name = order[b]
+        line = name " " samples[name]
+        m = split(units[name], us, " ")
+        for (u = 1; u <= m; u++) {
+            line = line " " median(vals[name SUBSEP us[u]]) " " us[u]
+            if (us[u] == "ns/op") line = line " " lo " ns-min " hi " ns-max"
+        }
+        print line
+    }
+}
+' "$raw" > "$med"
 
 cores=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 
 awk -v out="$out" -v cores="$cores" '
 /^Benchmark/ && /ns\/op/ {
     name = $1
-    sub(/-[0-9]+$/, "", name)
-    ns = ""; bytes = ""; allocs = ""
+    ns = ""; bytes = ""; allocs = ""; nsmin = ""; nsmax = ""
     for (i = 2; i <= NF; i++) {
         if ($i == "ns/op")      ns = $(i-1)
+        if ($i == "ns-min")     nsmin = $(i-1)
+        if ($i == "ns-max")     nsmax = $(i-1)
         if ($i == "B/op")       bytes = $(i-1)
         if ($i == "allocs/op")  allocs = $(i-1)
         if ($i == "csv-size-x") sizeratio = $(i-1)
@@ -89,6 +139,7 @@ awk -v out="$out" -v cores="$cores" '
     }
     names[++n] = name
     nsv[name] = ns; bv[name] = bytes; av[name] = allocs
+    minv[name] = nsmin; maxv[name] = nsmax; cnt[name] = $2
 }
 END {
     printf "{\n" > out
@@ -174,14 +225,14 @@ END {
     printf "  \"benchmarks\": {\n" >> out
     for (i = 1; i <= n; i++) {
         name = names[i]
-        printf "    \"%s\": {\"ns_per_op\": %s", name, nsv[name] >> out
+        printf "    \"%s\": {\"ns_per_op\": %s, \"ns_min\": %s, \"ns_max\": %s, \"samples\": %s", name, nsv[name], minv[name], maxv[name], cnt[name] >> out
         if (bv[name] != "") printf ", \"bytes_per_op\": %s", bv[name] >> out
         if (av[name] != "") printf ", \"allocs_per_op\": %s", av[name] >> out
         printf "}%s\n", (i < n ? "," : "") >> out
     }
     printf "  }\n}\n" >> out
 }
-' "$raw"
+' "$med"
 
 echo "wrote $out"
 
@@ -191,8 +242,8 @@ if [ -n "${LEDGER_OUT:-}" ]; then
 fi
 
 if [ -n "${MAX_ENGINE_ALLOCS:-}" ]; then
-    # Worst variant across worker settings: the gate must hold for the
-    # serial path AND with the parallel window's extra bookkeeping.
+    # Worst sample of any worker variant: the gate must hold whether a
+    # run's node groups go one after another or in parallel.
     allocs=$(awk '/^BenchmarkEngineContendedRun/ {
         for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)
     }' "$raw" | sort -n | tail -1)
@@ -230,7 +281,7 @@ if [ -n "${MIN_BATCH_SPEEDUP:-}" ]; then
         /^BenchmarkBatchEvaluation\/serial/   { for (i = 2; i <= NF; i++) if ($i == "ns/op") s = $(i-1) }
         /^BenchmarkBatchEvaluation\/parallel/ { for (i = 2; i <= NF; i++) if ($i == "ns/op") p = $(i-1) }
         END { if (s != "" && p != "" && p + 0 > 0) printf "%.2f", s / p }
-        ' "$raw")
+        ' "$med")
         if [ -z "$speedup" ]; then
             echo "speedup gate: BenchmarkBatchEvaluation serial/parallel not found in output" >&2
             exit 1
@@ -248,7 +299,7 @@ if [ -n "${MAX_BATCH_ALLOC_RATIO:-}" ]; then
     /^BenchmarkBatchEvaluation\/serial/   { for (i = 2; i <= NF; i++) if ($i == "allocs/op") s = $(i-1) }
     /^BenchmarkBatchEvaluation\/parallel/ { for (i = 2; i <= NF; i++) if ($i == "allocs/op") p = $(i-1) }
     END { if (s != "" && p != "" && s + 0 > 0) printf "%.3f", p / s }
-    ' "$raw")
+    ' "$med")
     if [ -z "$ratio" ]; then
         echo "alloc-ratio gate: BenchmarkBatchEvaluation serial/parallel allocs not found in output" >&2
         exit 1
@@ -268,7 +319,7 @@ if [ -n "${MIN_SHARD_SPEEDUP:-}" ]; then
         /^BenchmarkShardAnalyze\/serial/   { for (i = 2; i <= NF; i++) if ($i == "ns/op") s = $(i-1) }
         /^BenchmarkShardAnalyze\/parallel/ { for (i = 2; i <= NF; i++) if ($i == "ns/op") p = $(i-1) }
         END { if (s != "" && p != "" && p + 0 > 0) printf "%.2f", s / p }
-        ' "$raw")
+        ' "$med")
         if [ -z "$sspeed" ]; then
             echo "shard gate: BenchmarkShardAnalyze serial/parallel not found in output" >&2
             exit 1
@@ -287,7 +338,7 @@ if [ -n "${MIN_CACHE_SPEEDUP:-}" ]; then
     /^BenchmarkAnalyzeCached\/cold/ { for (i = 2; i <= NF; i++) if ($i == "ns/op") c = $(i-1) }
     /^BenchmarkAnalyzeCached\/warm/ { for (i = 2; i <= NF; i++) if ($i == "ns/op") w = $(i-1) }
     END { if (c != "" && w != "" && w + 0 > 0) printf "%.2f", c / w }
-    ' "$raw")
+    ' "$med")
     if [ -z "$cspeed" ]; then
         echo "cache gate: BenchmarkAnalyzeCached cold/warm not found in output" >&2
         exit 1
@@ -307,7 +358,7 @@ if [ -n "${MIN_OPTIMIZER_SPEEDUP:-}" ]; then
         /^BenchmarkOptimizerSearch\/serial/ { for (i = 2; i <= NF; i++) if ($i == "ns/op") s = $(i-1) }
         /^BenchmarkOptimizerSearch\/pruned/ { for (i = 2; i <= NF; i++) if ($i == "ns/op") p = $(i-1) }
         END { if (s != "" && p != "" && p + 0 > 0) printf "%.2f", s / p }
-        ' "$raw")
+        ' "$med")
         if [ -z "$ospeed" ]; then
             echo "optimizer gate: BenchmarkOptimizerSearch serial/pruned not found in output" >&2
             exit 1
