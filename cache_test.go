@@ -218,38 +218,6 @@ func TestCacheCorruptEntryRecomputes(t *testing.T) {
 	}
 }
 
-// TestAnalyzeTraceFilesDedup lists one recording four times in a batch: the
-// cache's singleflight must collapse the duplicates into one computation.
-func TestAnalyzeTraceFilesDedup(t *testing.T) {
-	tl := sharedTool(t)
-	_, sPath, oPath := recordTo(t, tl, 79, drbw.FormatBinary)
-	cache := withCache(t, tl, t.TempDir())
-
-	paths := make([]drbw.TracePaths, 4)
-	for i := range paths {
-		paths[i] = drbw.TracePaths{Samples: sPath, Objects: oPath}
-	}
-	reports, err := tl.AnalyzeTraceFiles(paths)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, rep := range reports {
-		if rep == nil {
-			t.Fatalf("report %d is nil", i)
-		}
-		if !reflect.DeepEqual(rep, reports[0]) {
-			t.Fatalf("report %d differs from report 0", i)
-		}
-	}
-	st := cache.Stats()
-	if st.Misses != 1 {
-		t.Fatalf("stats %+v, want the four duplicates to compute exactly once", st)
-	}
-	if st.Hits+st.Shared != 3 {
-		t.Fatalf("stats %+v, want the three duplicates served as hits or shared flights", st)
-	}
-}
-
 // TestCacheConcurrentSingleflight hammers one key from many goroutines.
 // Run under -race this also proves the decoded reports don't alias.
 func TestCacheConcurrentSingleflight(t *testing.T) {

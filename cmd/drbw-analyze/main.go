@@ -14,15 +14,16 @@
 //	             -convert out [-format csv|binary]
 //
 // Both file flags accept comma-separated lists (paired positionally);
-// multiple recordings are analyzed in parallel via Tool.AnalyzeTraceFiles
-// with per-trace progress on stderr, and a recording that fails to analyze
-// does not abort the others. Samples files may be CSV or the binary
-// columnar format; the reader autodetects. Analysis streams recordings
-// block by block, so memory stays bounded however large the trace is;
-// binary recordings fan block ranges across the worker pool through their
-// index footer, and CSV recordings byte ranges of whole lines, with a
-// merged report bit-identical to the serial one. -workers sets GOMAXPROCS,
-// which sizes every one of these fan-outs; -workers 1 runs serially.
+// multiple recordings are analyzed one after another. A recording that
+// fails to analyze prints its error on stderr and does not abort the
+// others; the exit status is then 1. Samples files may be CSV or the
+// binary columnar format; the reader autodetects. Analysis streams
+// recordings block by block, so memory stays bounded however large the
+// trace is; binary recordings fan block ranges across the worker pool
+// through their index footer, and CSV recordings byte ranges of whole
+// lines, with a merged report bit-identical to the serial one. -workers
+// sets GOMAXPROCS, which sizes every one of these fan-outs; -workers 1
+// runs serially.
 //
 // -shards analyzes a directory holding one recording split across several
 // samples files (named *.samples.*) plus a single *.objects.csv, merging
@@ -57,7 +58,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -81,7 +81,7 @@ func main() {
 	model := flag.String("model", "", "saved classifier from drbw-train -o")
 	cacheDir := flag.String("cache", "", "result-cache directory; repeat analyses with the same model and recordings are served from it")
 	quick := flag.Bool("quick", false, "quick training when no -model is given")
-	workers := flag.Int("workers", 0, "GOMAXPROCS for every fan-out: multi-trace and block-range analysis and each training run's window (0 = the Go default, 1 = serial); never changes results")
+	workers := flag.Int("workers", 0, "GOMAXPROCS for every fan-out: block- and byte-range analysis and each training run's window (0 = the Go default, 1 = serial); never changes results")
 	cli := obs.NewCLI().WithArtifacts("drbw-analyze")
 	flag.Parse()
 
@@ -154,58 +154,33 @@ func main() {
 		return
 	}
 
-	var reports []*drbw.Report
-	ferrs := make([]error, len(sampleFiles))
-	if haveRange {
-		// The batch runner has no windowed form; ranged recordings are
-		// analyzed one at a time (each still fans out internally).
-		reports = make([]*drbw.Report, len(sampleFiles))
-		for i := range sampleFiles {
-			rep, rerr := tool.AnalyzeTraceFileRange(sampleFiles[i], objectFiles[i], lo, hi)
-			if rerr != nil {
-				ferrs[i] = rerr
-				fmt.Fprintf(os.Stderr, "%s: %v\n", sampleFiles[i], rerr)
-				if err == nil {
-					err = rerr
-				}
-				continue
-			}
-			reports[i] = rep
+	failed := false
+	for i, samplesPath := range sampleFiles {
+		var rep *drbw.Report
+		if haveRange {
+			rep, err = tool.AnalyzeTraceFileRange(samplesPath, objectFiles[i], lo, hi)
+		} else {
+			rep, err = tool.AnalyzeTraceFile(samplesPath, objectFiles[i])
 		}
-	} else {
-		paths := make([]drbw.TracePaths, len(sampleFiles))
-		for i := range sampleFiles {
-			paths[i] = drbw.TracePaths{Samples: sampleFiles[i], Objects: objectFiles[i]}
+		cli.Ledger.AddResult(drbw.ReportLedgerResult(samplesPath, rep, err))
+		if len(sampleFiles) > 1 {
+			fmt.Printf("== %s ==\n", samplesPath)
 		}
-		reports, err = tool.AnalyzeTraceFiles(paths)
-		var be *drbw.BatchError
-		if errors.As(err, &be) {
-			for _, c := range be.Cases {
-				if c.Index >= 0 && c.Index < len(ferrs) {
-					ferrs[c.Index] = c.Err
-				}
-			}
-		}
-	}
-	cli.Ledger.AddTiming("analyze", time.Since(analyzeStart).Seconds())
-	for i, rep := range reports {
-		cli.Ledger.AddResult(drbw.ReportLedgerResult(sampleFiles[i], rep, ferrs[i]))
-		if len(reports) > 1 {
-			fmt.Printf("== %s ==\n", sampleFiles[i])
-		}
-		if rep == nil {
+		if err != nil {
+			failed = true
+			fmt.Fprintf(os.Stderr, "%s: %v\n", samplesPath, err)
 			fmt.Printf("analysis failed (see stderr)\n\n")
 			continue
 		}
 		fmt.Print(rep)
-		if len(reports) > 1 {
+		if len(sampleFiles) > 1 {
 			fmt.Println()
 		}
 	}
+	cli.Ledger.AddTiming("analyze", time.Since(analyzeStart).Seconds())
 	printCacheStats(cache)
 	cli.Finish()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	if failed {
 		os.Exit(1)
 	}
 }

@@ -2,7 +2,6 @@ package drbw_test
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -194,6 +193,10 @@ func TestCSVSplitErrorsMatchWholeFile(t *testing.T) {
 		}, "cpu: strconv.Atoi"},
 	}
 	good := writeFile(t, "good.csv", join(rows))
+	setProcs(t, 1)
+	if ranges := csvJobRanges(t, tl, good, oPath); len(ranges) != 1 {
+		t.Fatalf("a one-worker pool cut the recording into %d ranges, want 1: %v", len(ranges), ranges)
+	}
 	setProcs(t, 2)
 	if ranges, at := csvJobRanges(t, tl, good, oPath), int64(len(join(rows[:deep]))); len(ranges) < 3 || at < ranges[2][0] {
 		t.Fatalf("row %d starts at byte %d, want it in the third range or later: %v", deep, at, ranges)
@@ -207,17 +210,15 @@ func TestCSVSplitErrorsMatchWholeFile(t *testing.T) {
 		}
 		path := writeFile(t, "bad.csv", data)
 
-		// Two recordings in a batch run inline, one range per file.
-		_, err := tl.AnalyzeTraceFiles([]drbw.TracePaths{{Samples: path, Objects: oPath}, {Samples: good, Objects: oPath}})
-		var be *drbw.BatchError
-		if !errors.As(err, &be) || len(be.Cases) != 1 || be.Cases[0].Index != 0 {
-			t.Fatalf("%s: batch error = %v, want the bad recording's alone", tc.name, err)
-		}
-		whole := be.Cases[0].Err
-		if !strings.Contains(whole.Error(), tc.want) {
+		// A one-worker pool reads the file as one range: the whole-file
+		// read.
+		setProcs(t, 1)
+		_, whole := tl.AnalyzeTraceFile(path, oPath)
+		setProcs(t, 2)
+		if whole == nil || !strings.Contains(whole.Error(), tc.want) {
 			t.Fatalf("%s: whole-file error = %v, want one containing %q", tc.name, whole, tc.want)
 		}
-		_, err = tl.AnalyzeTraceFile(path, oPath)
+		_, err := tl.AnalyzeTraceFile(path, oPath)
 		if err == nil || err.Error() != whole.Error() {
 			t.Fatalf("%s: split error = %v, want the whole-file error %v", tc.name, err, whole)
 		}

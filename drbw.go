@@ -31,10 +31,11 @@
 // Custom workloads are described with WorkloadSpec and analyzed with
 // Tool.AnalyzeWorkload.
 //
-// Every fan-out — the batch APIs' case pool, block- and byte-range trace
-// analysis, the placement search's waves and the parallel window inside
-// each simulation run — sizes itself from runtime.GOMAXPROCS(0); no Config
-// field sets a width. Results are bit-identical at any GOMAXPROCS.
+// Each call analyzes one case or one recording and fans its own work out:
+// block- and byte-range trace analysis, the placement search's waves and
+// the parallel window inside each simulation run all size themselves from
+// runtime.GOMAXPROCS(0); no Config field sets a width. Results are
+// bit-identical at any GOMAXPROCS.
 package drbw
 
 import (

@@ -22,6 +22,9 @@ func SetCollectorMaxKept(t *Tool, n int) (restore func()) {
 	return func() { t.detector.Ccfg.MaxKept = prev }
 }
 
+// MachineName names the machine t was trained for.
+func MachineName(t *Tool) string { return t.machine.Name() }
+
 // SetTestHookPlanned installs a hook that runs after an analysis has
 // planned its inputs and before the fused pass, told whether the pass is
 // checked against index-footer bounds. Tests use it to check which inputs

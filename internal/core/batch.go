@@ -24,30 +24,17 @@ type BatchResult struct {
 	Err       error
 }
 
-// DetectAll runs Detect over every job on a bounded GOMAXPROCS worker
+// EvaluateAll runs Evaluate over every job on a bounded GOMAXPROCS worker
 // pool. Each job's randomness derives only from its own Cfg.Seed (the
 // simulations share no state), so the results are identical to a serial
-// loop in job order.
-func (d *Detector) DetectAll(m *topology.Machine, jobs []BatchJob) []BatchResult {
-	return d.batch(m, jobs, false)
-}
-
-// EvaluateAll is DetectAll plus the interleave ground-truth probe per job.
+// loop in job order. A failing job fills only its own result's Err.
 func (d *Detector) EvaluateAll(m *topology.Machine, jobs []BatchJob) []BatchResult {
-	return d.batch(m, jobs, true)
-}
-
-func (d *Detector) batch(m *topology.Machine, jobs []BatchJob, evaluate bool) []BatchResult {
-	label := "detect.sweep"
-	if evaluate {
-		label = "evaluate.sweep"
-	}
 	out := make([]BatchResult, len(jobs))
 	// One sweep per worker: feature-extraction scratch is reused across
 	// the cases a worker claims, so the batch's allocation count scales
 	// with the pool width, not the job count.
 	sweeps := make([]*Sweep, runtime.GOMAXPROCS(0))
-	ParallelForLabeledWorker(len(jobs), label, func(i, w int) {
+	ParallelForLabeledWorker(len(jobs), "evaluate.sweep", func(i, w int) {
 		var sw *Sweep
 		if w < len(sweeps) {
 			if sweeps[w] == nil {
@@ -59,7 +46,7 @@ func (d *Detector) batch(m *topology.Machine, jobs []BatchJob, evaluate bool) []
 		}
 		j := jobs[i]
 		dn, err := d.detect(j.Builder, m, j.Cfg, sw)
-		if err == nil && evaluate {
+		if err == nil {
 			err = d.GroundTruth(dn)
 		}
 		if err != nil {

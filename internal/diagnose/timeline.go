@@ -198,6 +198,3 @@ func Sparkline(buckets []Bucket, metric func(Bucket) float64) string {
 
 // RemoteLatencyMetric selects the per-bucket mean remote latency.
 func RemoteLatencyMetric(b Bucket) float64 { return b.AvgRemoteLatency }
-
-// RemoteTrafficMetric selects the per-bucket remote sample count.
-func RemoteTrafficMetric(b Bucket) float64 { return b.RemoteSamples }

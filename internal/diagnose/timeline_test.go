@@ -106,7 +106,7 @@ func TestSparkline(t *testing.T) {
 		t.Errorf("mid bucket rendered %q", runes[1])
 	}
 	// All-zero timeline renders spaces, not a panic.
-	blank := Sparkline([]Bucket{{}, {}}, RemoteTrafficMetric)
+	blank := Sparkline([]Bucket{{}, {}}, func(b Bucket) float64 { return b.RemoteSamples })
 	if blank != "  " {
 		t.Errorf("blank sparkline %q", blank)
 	}

@@ -233,20 +233,6 @@ func (t *Tree) Predict(x []float64) int {
 // NumFeatures is the length of the feature vectors the tree classifies.
 func (t *Tree) NumFeatures() int { return t.numFeat }
 
-// Depth returns the tree depth (a lone leaf has depth 0).
-func (t *Tree) Depth() int { return depth(t.root) }
-
-func depth(n *node) int {
-	if n == nil || n.leaf {
-		return 0
-	}
-	l, r := depth(n.left), depth(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
 // Leaves counts the leaf nodes.
 func (t *Tree) Leaves() int { return leaves(t.root) }
 

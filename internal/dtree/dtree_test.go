@@ -8,6 +8,14 @@ import (
 	"testing/quick"
 )
 
+// depth is the depth of the subtree at n (a lone leaf has depth 0).
+func depth(n *node) int {
+	if n == nil || n.leaf {
+		return 0
+	}
+	return max(depth(n.left), depth(n.right)) + 1
+}
+
 // xorDataset is separable only by combining both features.
 func xorDataset(n int, seed int64) *Dataset {
 	rng := rand.New(rand.NewSource(seed))
@@ -108,8 +116,8 @@ func TestPureLeafStopsGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Depth() != 0 || tree.Leaves() != 1 {
-		t.Errorf("pure dataset should give a single leaf, got depth %d leaves %d", tree.Depth(), tree.Leaves())
+	if depth(tree.root) != 0 || tree.Leaves() != 1 {
+		t.Errorf("pure dataset should give a single leaf, got depth %d leaves %d", depth(tree.root), tree.Leaves())
 	}
 	if tree.Predict([]float64{99}) != 0 {
 		t.Error("single-leaf prediction wrong")
@@ -123,8 +131,8 @@ func TestMaxDepthRespected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tree.Depth() > d {
-			t.Errorf("MaxDepth %d produced depth %d", d, tree.Depth())
+		if depth(tree.root) > d {
+			t.Errorf("MaxDepth %d produced depth %d", d, depth(tree.root))
 		}
 	}
 }

@@ -29,9 +29,9 @@ func TestTreeJSONRoundTrip(t *testing.T) {
 		}
 	}
 	// Structure and rendering preserved.
-	if orig.Depth() != restored.Depth() || orig.Leaves() != restored.Leaves() {
+	if depth(orig.root) != depth(restored.root) || orig.Leaves() != restored.Leaves() {
 		t.Errorf("structure changed: depth %d/%d leaves %d/%d",
-			orig.Depth(), restored.Depth(), orig.Leaves(), restored.Leaves())
+			depth(orig.root), depth(restored.root), orig.Leaves(), restored.Leaves())
 	}
 	if orig.String() != restored.String() {
 		t.Errorf("rendering changed:\n%s\nvs\n%s", orig, &restored)

@@ -175,6 +175,7 @@ func (e *Engine) windowRef(ph trace.Phase, bind Binding, phaseIdx uint64) ([]*re
 
 	// Round-robin interleave so the shared L3 and first-touch resolution see
 	// concurrent access. Each turn advances one access per active thread.
+	rd := e.space.NewReader()
 	for step := 0; step < total; step++ {
 		warm := step < e.cfg.Warmup
 		for i := 0; i < n; i++ {
@@ -194,9 +195,16 @@ func (e *Engine) windowRef(ph trace.Phase, bind Binding, phaseIdx uint64) ([]*re
 			r := e.hier.Access(cpu, a.Addr)
 			home := node
 			if r.Level == cache.MEM || r.Level == cache.LFB {
-				home = e.space.HomeFor(a.Addr, node)
-				if home == topology.InvalidNode {
-					home = node
+				h, _, end := rd.Resolve(a.Addr, node)
+				if h == topology.InvalidNode && end != 0 {
+					// An untouched first-touch page lands on the accessor's
+					// node: commit the touch and take a fresh Reader, as
+					// the window commits its claims.
+					h = e.space.Touch(a.Addr, node)
+					rd = e.space.NewReader()
+				}
+				if h != topology.InvalidNode {
+					home = h
 				}
 			}
 			if warm {

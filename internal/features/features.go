@@ -219,15 +219,6 @@ func (a *Accumulator) Add(samples []pebs.Sample) {
 	}
 }
 
-// SampleCount reports how many samples have landed in any socket's batch.
-func (a *Accumulator) SampleCount() float64 {
-	var n int64
-	for _, b := range a.batch {
-		n += b
-	}
-	return float64(n)
-}
-
 // Busiest returns the channel whose vector represents a whole run: the
 // remote channel with the most MEM/LFB samples, the first in RemoteChannels
 // order on a tie. When no remote channel has any, it anchors on the source

@@ -56,8 +56,8 @@ func TestAccumulatorMergeMatchesSerial(t *testing.T) {
 				t.Fatalf("trial %d: channel %v merged vector differs:\n got %v\nwant %v", trial, ch, gv, wv)
 			}
 		}
-		if gs, ws := merged.SampleCount(), serial.SampleCount(); gs != ws {
-			t.Fatalf("trial %d: merged SampleCount %v, serial %v", trial, gs, ws)
+		if gs, ws := batchTotal(merged), batchTotal(serial); gs != ws {
+			t.Fatalf("trial %d: merged batches hold %d samples, serial %d", trial, gs, ws)
 		}
 	}
 }

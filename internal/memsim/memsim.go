@@ -68,11 +68,6 @@ func BindTo(node topology.NodeID) Policy { return Policy{Kind: Bind, Node: node}
 // InterleaveAll returns an Interleave policy over every node.
 func InterleaveAll() Policy { return Policy{Kind: Interleave} }
 
-// InterleaveOn returns an Interleave policy over the given nodes.
-func InterleaveOn(nodes ...topology.NodeID) Policy {
-	return Policy{Kind: Interleave, Nodes: nodes}
-}
-
 // ReplicateAll returns a Replicate policy over every node.
 func ReplicateAll() Policy { return Policy{Kind: Replicate} }
 
@@ -100,49 +95,22 @@ func (r *region) pageIndex(addr uint64) int {
 }
 
 // AddressSpace is a simulated virtual address space on one machine. It is
-// not safe for concurrent use — even lookups update the internal memoization
-// caches; the engine drives each space single-threaded.
+// not safe for concurrent use — even lookups update the region cache; the
+// engine resolves accesses through Readers and mutates the space between
+// windows.
 type AddressSpace struct {
 	machine *topology.Machine
 	regions []*region // sorted by base, non-overlapping
 
 	// findHit caches the region of the last successful find: access streams
 	// are highly local, so the binary search is nearly always redundant.
-	// Invalidated whenever the region list changes.
+	// Dropped whenever the region list changes.
 	findHit *region
-	// homeMemo is a direct-mapped cache of recent HomeFor resolutions at page
-	// granularity, keyed by (page, accessor). It is sized so the engine's
-	// round-robin thread interleave — where consecutive lookups come from
-	// different threads on different pages — still hits on each thread's
-	// current page. Entries are validated against gen, which every placement
-	// mutation (Map/Unmap/SetPolicy/first-touch) bumps, so a stale node can
-	// never be served.
-	homeMemo [homeMemoSize]homeMemoEntry
-	gen      uint64
-}
-
-const homeMemoSize = 128 // power of two
-
-type homeMemoEntry struct {
-	gen        uint64
-	start, end uint64 // page-aligned [start, end) within one region
-	accessor   topology.NodeID
-	node       topology.NodeID
-}
-
-func homeMemoSlot(addr uint64, accessor topology.NodeID) uint64 {
-	return (addr>>12 ^ uint64(accessor)*0x9e3779b9) & (homeMemoSize - 1)
-}
-
-// invalidate drops every memoized lookup; called on any placement mutation.
-func (as *AddressSpace) invalidate() {
-	as.findHit = nil
-	as.gen++
 }
 
 // NewAddressSpace returns an empty address space for machine m.
 func NewAddressSpace(m *topology.Machine) *AddressSpace {
-	return &AddressSpace{machine: m, gen: 1}
+	return &AddressSpace{machine: m}
 }
 
 // Machine returns the machine this address space belongs to.
@@ -229,7 +197,7 @@ func (as *AddressSpace) Map(base, size uint64, pol Policy, huge bool) error {
 	as.regions = append(as.regions, nil)
 	copy(as.regions[idx+1:], as.regions[idx:])
 	as.regions[idx] = r
-	as.invalidate()
+	as.findHit = nil
 	return nil
 }
 
@@ -240,7 +208,7 @@ func (as *AddressSpace) Unmap(base uint64) error {
 		return fmt.Errorf("memsim: no region mapped at %#x", base)
 	}
 	as.regions = append(as.regions[:idx], as.regions[idx+1:]...)
-	as.invalidate()
+	as.findHit = nil
 	return nil
 }
 
@@ -279,7 +247,6 @@ func (as *AddressSpace) Touch(addr uint64, toucher topology.NodeID) topology.Nod
 	pi := r.pageIndex(addr)
 	if r.pol.Kind == FirstTouch && r.pageNodes[pi] == topology.InvalidNode {
 		r.pageNodes[pi] = toucher
-		as.gen++
 	}
 	return r.pageNodes[pi]
 }
@@ -299,59 +266,10 @@ func (as *AddressSpace) NodeOf(addr uint64) topology.NodeID {
 	return r.pageNodes[r.pageIndex(addr)]
 }
 
-// HomeFor resolves the node that actually serves an access to addr issued
-// from accessor's node. It differs from NodeOf only for replicated regions,
-// where each accessor reads its local replica (if the accessor's node is in
-// the replica set).
-func (as *AddressSpace) HomeFor(addr uint64, accessor topology.NodeID) topology.NodeID {
-	slot := &as.homeMemo[homeMemoSlot(addr, accessor)]
-	if slot.gen == as.gen && slot.accessor == accessor && addr >= slot.start && addr < slot.end {
-		return slot.node
-	}
-	return as.homeForSlow(addr, accessor, slot)
-}
-
-// homeForSlow resolves a memo miss and refills the caller's slot. Split out
-// so the memo-hit path of HomeFor inlines into the engine's access loop.
-func (as *AddressSpace) homeForSlow(addr uint64, accessor topology.NodeID, slot *homeMemoEntry) topology.NodeID {
-	r := as.find(addr)
-	if r == nil {
-		return topology.InvalidNode
-	}
-	var node topology.NodeID
-	if r.pol.Kind == Replicate {
-		node = as.nodeSet(r.pol)[0]
-		for _, n := range as.nodeSet(r.pol) {
-			if n == accessor {
-				node = accessor
-				break
-			}
-		}
-	} else {
-		pi := r.pageIndex(addr)
-		node = r.pageNodes[pi]
-		if node == topology.InvalidNode {
-			// Access to an untouched first-touch page allocates it on the
-			// accessor's node, exactly like the OS demand-zero path. No memo
-			// entry can be stale after this: an untouched page has never been
-			// resolved, so nothing referencing it was ever cached.
-			r.pageNodes[pi] = accessor
-			node = accessor
-		}
-	}
-	start := r.base + uint64(r.pageIndex(addr))*r.pageSize
-	slot.gen = as.gen
-	slot.accessor = accessor
-	slot.start, slot.end = start, start+r.pageSize
-	slot.node = node
-	return node
-}
-
-// Reader is a read-only resolver over a frozen AddressSpace. Unlike
-// HomeFor it never mutates the space — not even its memo caches — so any
-// number of Readers may resolve concurrently from different goroutines, as
-// long as nothing mutates the space (Map/Unmap/SetPolicy/Touch/HomeFor)
-// while they are in use. The parallel window execution creates one Reader
+// Reader is a read-only resolver over a frozen AddressSpace. It never
+// mutates the space — not even its region cache — so any number of Readers
+// may resolve concurrently from different goroutines, as long as nothing
+// mutates the space (Map/Unmap/SetPolicy/Touch) while they are in use. The parallel window execution creates one Reader
 // per thread group, records would-be first touches locally, and commits the
 // arbitrated winners through Touch after the groups join.
 //
@@ -360,7 +278,18 @@ func (as *AddressSpace) homeForSlow(addr uint64, accessor topology.NodeID, slot 
 type Reader struct {
 	as      *AddressSpace
 	findHit *region
-	memo    [homeMemoSize]readerMemoEntry
+	// memo is a direct-mapped cache of recent resolutions at page
+	// granularity, keyed by (page, accessor). It is sized so the engine's
+	// round-robin thread interleave — where consecutive lookups come from
+	// different threads on different pages — still hits on each thread's
+	// current page.
+	memo [memoSize]readerMemoEntry
+}
+
+const memoSize = 128 // power of two
+
+func memoSlot(addr uint64, accessor topology.NodeID) uint64 {
+	return (addr>>12 ^ uint64(accessor)*0x9e3779b9) & (memoSize - 1)
 }
 
 // readerMemoEntry caches one resolved (page, accessor) pair. end == 0 marks
@@ -396,12 +325,14 @@ func (rd *Reader) find(addr uint64) *region {
 }
 
 // Resolve reports which node serves an access to addr issued from
-// accessor's node, like HomeFor, but without resolving first touches: an
-// untouched first-touch page reports node == topology.InvalidNode and its
-// page bounds, leaving the placement decision to the caller. An unmapped
-// addr reports (InvalidNode, 0, 0).
+// accessor's node. It differs from NodeOf only for replicated regions,
+// where each accessor reads its local replica if its node is in the
+// replica set. It does not resolve first touches: an untouched first-touch
+// page reports node == topology.InvalidNode and its page bounds, leaving
+// the placement decision to the caller, who commits it through Touch and
+// takes a fresh Reader. An unmapped addr reports (InvalidNode, 0, 0).
 func (rd *Reader) Resolve(addr uint64, accessor topology.NodeID) (node topology.NodeID, start, end uint64) {
-	slot := &rd.memo[homeMemoSlot(addr, accessor)]
+	slot := &rd.memo[memoSlot(addr, accessor)]
 	if slot.end != 0 && slot.accessor == accessor && addr >= slot.start && addr < slot.end {
 		return slot.node, slot.start, slot.end
 	}

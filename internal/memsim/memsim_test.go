@@ -25,7 +25,7 @@ func TestMapValidation(t *testing.T) {
 	if err := as.Map(0x1000, 4096, BindTo(99), false); err == nil {
 		t.Error("bind to nonexistent node accepted")
 	}
-	if err := as.Map(0x1000, 4096, InterleaveOn(0, 17), false); err == nil {
+	if err := as.Map(0x1000, 4096, Policy{Kind: Interleave, Nodes: []topology.NodeID{0, 17}}, false); err == nil {
 		t.Error("interleave over nonexistent node accepted")
 	}
 	if err := as.Map(0x10000, mb, BindTo(1), false); err != nil {
@@ -80,7 +80,7 @@ func TestInterleaveRoundRobin(t *testing.T) {
 
 func TestInterleaveOnSubset(t *testing.T) {
 	as := space(t)
-	if err := as.Map(0x100000, 8*4096, InterleaveOn(1, 3), false); err != nil {
+	if err := as.Map(0x100000, 8*4096, Policy{Kind: Interleave, Nodes: []topology.NodeID{1, 3}}, false); err != nil {
 		t.Fatal(err)
 	}
 	for p := 0; p < 8; p++ {
@@ -120,9 +120,13 @@ func TestHomeForDemandZero(t *testing.T) {
 	if err := as.Map(0x100000, 4096, FirstTouchPolicy(), false); err != nil {
 		t.Fatal(err)
 	}
-	// An access through HomeFor acts as the first touch.
-	if n := as.HomeFor(0x100000, 2); n != 2 {
-		t.Fatalf("HomeFor on untouched page = %d, want 2", n)
+	// A Reader leaves the untouched page to the caller, whose first touch
+	// places it.
+	if n := homeOf(as.NewReader(), 0x100000, 2); n != topology.InvalidNode {
+		t.Fatalf("Reader resolved the untouched page to %d", n)
+	}
+	if n := as.Touch(0x100000, 2); n != 2 {
+		t.Fatalf("first touch of an untouched page = %d, want 2", n)
 	}
 	if n := as.NodeOf(0x100000); n != 2 {
 		t.Fatalf("page not persisted on node 2, got %d", n)
@@ -135,7 +139,7 @@ func TestReplicateServesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n := 0; n < 4; n++ {
-		if got := as.HomeFor(0x100000, topology.NodeID(n)); got != topology.NodeID(n) {
+		if got := homeOf(as.NewReader(), 0x100000, topology.NodeID(n)); got != topology.NodeID(n) {
 			t.Fatalf("accessor on node %d served from node %d", n, got)
 		}
 	}
@@ -151,10 +155,11 @@ func TestReplicateSubsetFallsBack(t *testing.T) {
 	if err := as.Map(0x100000, mb, pol, false); err != nil {
 		t.Fatal(err)
 	}
-	if got := as.HomeFor(0x100000, 3); got != 1 {
+	rd := as.NewReader()
+	if got := homeOf(rd, 0x100000, 3); got != 1 {
 		t.Fatalf("accessor outside replica set served from %d, want canonical 1", got)
 	}
-	if got := as.HomeFor(0x100000, 2); got != 2 {
+	if got := homeOf(rd, 0x100000, 2); got != 2 {
 		t.Fatalf("accessor in replica set served from %d, want local 2", got)
 	}
 }

@@ -194,31 +194,12 @@ func MeasureAgainst(baseRes *engine.Result, b program.Builder, m *topology.Machi
 	return Compare(baseRes, optRes), nil
 }
 
-// MeasureAll measures every transform against one shared base run: the
-// unmodified program is simulated exactly once, then each transform's
-// variant once — len(ts)+1 runs instead of Measure's 2×len(ts). The base
-// result is returned for callers that keep comparing against it.
-func MeasureAll(b program.Builder, m *topology.Machine, cfg program.Config, ecfg engine.Config, ts []Transform) (*engine.Result, []Comparison, error) {
-	baseRes, err := MeasureBase(b, m, cfg, ecfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]Comparison, len(ts))
-	for i, t := range ts {
-		out[i], err = MeasureAgainst(baseRes, b, m, cfg, ecfg, t)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return baseRes, out, nil
-}
-
 // Measure builds the program twice — once unmodified, once with the
 // transform applied — runs both with ecfg, and reports the comparison.
 // The two runs are independent seeded simulations, so when GOMAXPROCS is
 // at least 2 they execute concurrently; results are bit-identical either
-// way. Callers measuring several transforms of one case should use
-// MeasureAll, which shares a single base run.
+// way. Callers measuring several transforms of one case should run the
+// base once with MeasureBase and each transform with MeasureAgainst.
 func Measure(b program.Builder, m *topology.Machine, cfg program.Config, ecfg engine.Config, t Transform) (Comparison, error) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		baseRes, err := MeasureBase(b, m, cfg, ecfg)

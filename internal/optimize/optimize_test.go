@@ -81,7 +81,7 @@ func TestApplyReplicate(t *testing.T) {
 		t.Fatalf("policy after replicate: %+v", pol)
 	}
 	// Readers on both used nodes get local copies.
-	if home := p.Space.HomeFor(o.Base, 1); home != 1 {
+	if home, _, _ := p.Space.NewReader().Resolve(o.Base, 1); home != 1 {
 		t.Errorf("node-1 reader served from node %d", home)
 	}
 }
@@ -161,15 +161,20 @@ func TestMeasureAllSharesBaseline(t *testing.T) {
 	b := micro.Sumv(micro.BigCentralized, 0)
 	ts := []Transform{WholeProgram(Interleave), Objects(Colocate, "vec_a")}
 
-	baseRes, all, err := MeasureAll(b, m, cfg, ecfg(), ts)
+	// Measure every transform against one shared base run, as the search
+	// does: the base once, then each variant.
+	baseRes, err := MeasureBase(b, m, cfg, ecfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if baseRes == nil || baseRes.Cycles <= 0 {
-		t.Fatal("MeasureAll returned no base run")
+		t.Fatal("MeasureBase returned no base run")
 	}
-	if len(all) != len(ts) {
-		t.Fatalf("MeasureAll returned %d comparisons for %d transforms", len(all), len(ts))
+	all := make([]Comparison, len(ts))
+	for i, tr := range ts {
+		if all[i], err = MeasureAgainst(baseRes, b, m, cfg, ecfg(), tr); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// The shared-baseline path must reproduce per-transform Measure exactly.
 	setProcs(t, 1)
@@ -179,7 +184,7 @@ func TestMeasureAllSharesBaseline(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(all[i], want) {
-			t.Errorf("transform %d: MeasureAll %+v != Measure %+v", i, all[i], want)
+			t.Errorf("transform %d: shared-base %+v != Measure %+v", i, all[i], want)
 		}
 		if all[i].BaseCycles != baseRes.Cycles {
 			t.Errorf("transform %d compared against cycles %.0f, base run has %.0f", i, all[i].BaseCycles, baseRes.Cycles)

@@ -77,15 +77,3 @@ func Names() []string {
 	sort.Strings(out)
 	return out
 }
-
-// TotalCases returns the number of Table V cases (inputs × configs summed
-// over the Table V benchmarks). The paper runs 512.
-func TotalCases() int {
-	n := 0
-	for _, e := range All() {
-		if e.InTableV {
-			n += e.Cases()
-		}
-	}
-	return n
-}

@@ -4,8 +4,7 @@ import "drbw/internal/obs"
 
 // ReportLedgerResult converts one report — or its failure — into a run
 // ledger entry. name identifies the input (a trace path, a bench label);
-// a nil report with a nil error records a generic failure, matching the
-// batch analyzers' partial-result convention.
+// a nil report with a nil error records a generic failure.
 func ReportLedgerResult(name string, rep *Report, err error) obs.LedgerResult {
 	lr := obs.LedgerResult{Name: name, Kind: "analysis"}
 	if err != nil {

@@ -110,7 +110,3 @@ func TrainOn(spec MachineSpec, cfg Config) (*Tool, error) {
 	}
 	return trainOnMachine(m, cfg)
 }
-
-// AnalyzeOn runs one custom workload on a custom machine with a tool
-// trained for that machine.
-func (t *Tool) MachineName() string { return t.machine.Name() }

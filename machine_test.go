@@ -29,8 +29,8 @@ func TestTrainOnCustomMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tool.MachineName() != "epyc-like 2-socket" {
-		t.Errorf("machine name %q", tool.MachineName())
+	if name := drbw.MachineName(tool); name != "epyc-like 2-socket" {
+		t.Errorf("machine name %q", name)
 	}
 	// The 2-node machine skips N3/N4 configurations but keeps both classes.
 	if tool.TrainingRuns() == 0 {

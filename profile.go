@@ -231,18 +231,12 @@ func LoadTrace(samplesPath, objectsPath string) (*TraceData, error) {
 // the same fused pass as AnalyzeTraceFile, so a recording analyzes
 // identically in memory and on disk.
 func (t *Tool) AnalyzeTrace(td *TraceData) (*Report, error) {
-	return t.analyzeTrace(td, t.newScratch())
-}
-
-// analyzeTrace is AnalyzeTrace on a caller's scratch: the converted
-// samples form one job, and the fused pass runs inline.
-func (t *Tool) analyzeTrace(td *TraceData, sc *traceScratch) (*Report, error) {
 	samples, weight, err := td.samples()
 	if err != nil {
 		return nil, err
 	}
-	p := &tracePlan{jobs: []traceJob{sliceJob(samples, weight)}, weight: weight}
-	rep, err := t.fusedPass(p, td.internalObjects(), sc, obs.SpanHandle{})
+	p := &tracePlan{jobs: []traceJob{sliceJob(samples, weight)}, label: "analyze.memory", weight: weight}
+	rep, err := t.fusedPass(p, td.internalObjects(), obs.SpanHandle{})
 	if err != nil {
 		return nil, err
 	}

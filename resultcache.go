@@ -90,8 +90,8 @@ func (c *Cache) Stats() CacheStats {
 func (c *Cache) Clear() error { return c.c.Clear() }
 
 // SetCache attaches a result cache to the tool. All trace-analysis entry
-// points (AnalyzeTraceFile, AnalyzeTraceFiles, AnalyzeTraceFileRange,
-// AnalyzeTraceShards) and AutoOptimize consult it; nil detaches. Tools
+// points (AnalyzeTraceFile, AnalyzeTraceFileRange, AnalyzeTraceShards and
+// AnalyzeTraceShardDir) and AutoOptimize consult it; nil detaches. Tools
 // sharing one cache share its entries — the tool's trained model is part of
 // every key, so differently-trained tools never collide.
 func (t *Tool) SetCache(c *Cache) { t.cache = c }

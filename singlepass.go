@@ -3,10 +3,10 @@ package drbw
 // One analysis path: plan, then one fused pass.
 //
 // Every analysis entry point — a recording in memory or on disk, a time
-// window of one, a batch, a set of shards — first turns its inputs into a
-// plan: a job list, each job one independently decodable portion of a
-// samples file — a block range of a binary file, read through its index,
-// or a byte range of whole lines of a CSV file — or, in memory, the whole
+// window of one, a set of shards — first turns its inputs into a plan: a
+// job list, each job one independently decodable portion of a samples
+// file — a block range of a binary file, read through its index, or a
+// byte range of whole lines of a CSV file — or, in memory, the whole
 // recording, plus the collector weight, read from the first input's
 // header. A binary file whose index footer is missing or damaged is an
 // error. One fused pass then streams
@@ -116,26 +116,19 @@ func (j *traceJob) each(bufs *profiledata.Buffers, tr timeRange, fn func([]pebs.
 	return weight, raw, err
 }
 
-// traceScratch is one worker's reusable analysis state: decode buffers
-// plus the fused pass's sweep. A batch worker keeps one across recordings,
-// so a batch's decode buffers scale with its worker count, not its
-// recording count.
+// traceScratch is one pool worker's analysis state: decode buffers plus
+// the fused pass's sweep, kept across the jobs the worker claims, so a
+// pass allocates in proportion to its worker count, not its job count.
 type traceScratch struct {
 	bufs  profiledata.Buffers
 	sweep *core.Sweep
 }
 
-func (t *Tool) newScratch() *traceScratch {
-	return &traceScratch{sweep: core.NewSweep(t.machine)}
-}
-
-// scratchSet hands each job its worker's scratch. Inline, it holds the
-// caller's one scratch and runs every job in the calling goroutine;
-// otherwise it grows under a lock as pool workers claim jobs, so a pool
-// resized mid-call never drops a worker's samples from the merge.
+// scratchSet hands each job its worker's scratch. It grows under a lock
+// as pool workers claim jobs, so a pool resized mid-call never drops a
+// worker's samples from the merge.
 type scratchSet struct {
 	mu     sync.Mutex
-	inline bool
 	states []*traceScratch
 	fresh  func() *traceScratch
 }
@@ -152,19 +145,13 @@ func (ss *scratchSet) get(w int) *traceScratch {
 	return ss.states[w]
 }
 
-// forEachJob runs fn over every job of p. On the pool each job is a child
-// span of parent carrying its portion, [from, to) and worker id. Errors
-// surface from the lowest-indexed failing job, returned with its index, so
-// reruns are deterministic; every job before it has completed.
+// forEachJob runs fn over every job of p on the pool, which runs them
+// one after another in the calling goroutine when it has one worker. Each
+// job is a child span of parent carrying its portion, [from, to) and
+// worker id. Errors surface from the lowest-indexed failing job, returned
+// with its index, so reruns are deterministic; every job before it has
+// completed.
 func (ss *scratchSet) forEachJob(p *tracePlan, parent obs.SpanHandle, fn func(i int, st *traceScratch) error) (int, error) {
-	if ss.inline {
-		for i := range p.jobs {
-			if err := fn(i, ss.states[0]); err != nil {
-				return i, err
-			}
-		}
-		return 0, nil
-	}
 	errs := make([]error, len(p.jobs))
 	core.ParallelForLabeledSpans(len(p.jobs), p.label, parent, func(i, w int, cs obs.SpanHandle) {
 		j := &p.jobs[i]
@@ -183,13 +170,13 @@ func (ss *scratchSet) forEachJob(p *tracePlan, parent obs.SpanHandle, fn func(i 
 
 // plan opens samplePaths — one logical recording, in order — and builds
 // their job list. Binary files contribute block-range chunks over the
-// blocks that intersect tr, about four per pool worker so stragglers
-// rebalance, or one chunk per contiguous run when inline. CSV files
-// contribute byte ranges of whole lines in the same way (see csvJobs), one
-// per file when inline. The weight comes from the first input's header; no
+// blocks that intersect tr, planChunks of them in all; CSV files
+// contribute byte ranges of whole lines in the same way (see csvJobs). On
+// a one-worker pool that is one chunk per contiguous block run and one
+// range per CSV file. The weight comes from the first input's header; no
 // sample decodes. An input after the first that cannot be opened becomes a
 // job that fails with the error, so a job before it still fails first.
-func plan(samplePaths []string, tr timeRange, label string, inline bool) (_ *tracePlan, err error) {
+func plan(samplePaths []string, tr timeRange, label string) (_ *tracePlan, err error) {
 	p := &tracePlan{tr: tr, label: label}
 	defer func() {
 		if err != nil {
@@ -251,17 +238,13 @@ func plan(samplePaths []string, tr timeRange, label string, inline bool) (_ *tra
 	if footer {
 		p.footer = &claim
 	}
-	perChunk := kept
-	if !inline {
-		perChunk = kept / (runtime.GOMAXPROCS(0) * 4)
-	}
-	perChunk = max(perChunk, 1)
+	perChunk := max(kept/planChunks(), 1)
 	for _, pc := range pieces {
 		switch {
 		case pc.err != nil:
 			p.jobs = append(p.jobs, errJob(pc.path, pc.err))
 		case pc.f != nil:
-			jobs, err := csvJobs(pc.f, pc.path, pc.hdr, inline)
+			jobs, err := csvJobs(pc.f, pc.path, pc.hdr)
 			if err != nil {
 				return nil, err
 			}
@@ -306,21 +289,26 @@ func openSamples(path string) (*profiledata.IndexedTrace, *os.File, profiledata.
 // csvMinRange is the smallest byte range a CSV recording is split into.
 const csvMinRange = 64 << 10
 
+// planChunks is how many jobs a plan aims to cut an input into. The split
+// only balances pool workers, so a one-worker pool gets one job per input;
+// a wider pool gets about four per worker, so stragglers rebalance.
+func planChunks() int {
+	if procs := runtime.GOMAXPROCS(0); procs > 1 {
+		return procs * 4
+	}
+	return 1
+}
+
 // csvJobs splits the data rows of the CSV recording f, from the header's
-// end to EOF, into byte-range jobs: one when inline, else about four per
-// pool worker of at least csvMinRange bytes each. The cut points are the
-// line boundaries found by csvCuts.
-func csvJobs(f *os.File, path string, h profiledata.Header, inline bool) ([]traceJob, error) {
+// end to EOF, into csvRanges byte-range jobs. The cut points are the line
+// boundaries found by csvCuts.
+func csvJobs(f *os.File, path string, h profiledata.Header) ([]traceJob, error) {
 	fi, err := f.Stat()
 	if err != nil {
 		return nil, fmt.Errorf("drbw: %w", err)
 	}
 	start, size := h.Data.Offset, max(fi.Size(), h.Data.Offset)
-	n := 1
-	if !inline {
-		n = csvRanges(size - start)
-	}
-	cuts, err := csvCuts(f, start, size, n)
+	cuts, err := csvCuts(f, start, size, csvRanges(size-start))
 	if err != nil {
 		return nil, fmt.Errorf("drbw: %s: %w", path, err)
 	}
@@ -333,11 +321,10 @@ func csvJobs(f *os.File, path string, h profiledata.Header, inline bool) ([]trac
 	return jobs, nil
 }
 
-// csvRanges is how many ranges a pool plan aims to cut n bytes of CSV
-// data rows into: about four per pool worker, each of at least csvMinRange
-// bytes.
+// csvRanges is how many ranges a plan aims to cut n bytes of CSV data
+// rows into: planChunks, each of at least csvMinRange bytes.
 func csvRanges(n int64) int {
-	return int(min(int64(runtime.GOMAXPROCS(0)*4), n/csvMinRange))
+	return int(min(int64(planChunks()), n/csvMinRange))
 }
 
 // csvCuts returns the cut points that split [start, size) of r into at
@@ -384,22 +371,18 @@ func csvCuts(r io.ReaderAt, start, size int64, n int) ([]int64, error) {
 // accumulation live detection takes — then merges the workers in worker
 // order. Counts are integers and sums are exact, so the report is
 // bit-identical at any worker count and in any split of the kept samples
-// into jobs. The pass runs inline on sc when it is non-nil, on the pool
-// otherwise. A bad objects table only matters once classification flags
+// into jobs. A bad objects table only matters once classification flags
 // contention.
-func (t *Tool) fusedPass(p *tracePlan, objects []alloc.Object, sc *traceScratch, parent obs.SpanHandle) (*Report, error) {
+func (t *Tool) fusedPass(p *tracePlan, objects []alloc.Object, parent obs.SpanHandle) (*Report, error) {
 	if testHookPlanned != nil {
 		testHookPlanned(p.footer != nil)
 	}
 	table, tableErr := profiledata.NewTable(objects)
-	ready := func(st *traceScratch) *traceScratch {
+	ss := &scratchSet{fresh: func() *traceScratch {
+		st := &traceScratch{sweep: core.NewSweep(t.machine)}
 		st.sweep.Reset(table, p.weight)
 		return st
-	}
-	ss := &scratchSet{fresh: func() *traceScratch { return ready(t.newScratch()) }}
-	if sc != nil {
-		ss.inline, ss.states = true, []*traceScratch{ready(sc)}
-	}
+	}}
 
 	weights := make([]float64, len(p.jobs))
 	raws := make([]int64, len(p.jobs))

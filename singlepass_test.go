@@ -3,8 +3,6 @@ package drbw_test
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -120,8 +118,7 @@ func TestFusedPassMatrix(t *testing.T) {
 
 // TestAnalyzeTraceMatchesReference pins the in-memory fused pass to the
 // reference analysis: the same report, or the same error, for every
-// recording below — analyzed one at a time, and as one AnalyzeTraces
-// batch at pool widths 1 and 2.
+// recording below, at pool widths 1 and 2.
 func TestAnalyzeTraceMatchesReference(t *testing.T) {
 	tl := sharedTool(t)
 	td, oPath, variants := matrixRecording(t, tl)
@@ -178,45 +175,23 @@ func TestAnalyzeTraceMatchesReference(t *testing.T) {
 		inputs = append(inputs, input{"overlap " + rc.bench, rec, rc.wantErr})
 	}
 
-	wants := make([]*drbw.Report, len(inputs))
-	wantErrs := make([]error, len(inputs))
-	tds := make([]*drbw.TraceData, len(inputs))
-	for i, in := range inputs {
-		tds[i] = in.td
-		wants[i], wantErrs[i] = tl.AnalyzeTraceRef(in.td)
-		if in.wantErr == "" && wantErrs[i] != nil {
-			t.Fatalf("%s: reference failed: %v", in.name, wantErrs[i])
+	for _, in := range inputs {
+		want, wantErr := tl.AnalyzeTraceRef(in.td)
+		if in.wantErr == "" && wantErr != nil {
+			t.Fatalf("%s: reference failed: %v", in.name, wantErr)
 		}
-		if in.wantErr != "" && (wantErrs[i] == nil || !strings.Contains(wantErrs[i].Error(), in.wantErr)) {
-			t.Fatalf("%s: reference error = %v, want one containing %q", in.name, wantErrs[i], in.wantErr)
+		if in.wantErr != "" && (wantErr == nil || !strings.Contains(wantErr.Error(), in.wantErr)) {
+			t.Fatalf("%s: reference error = %v, want one containing %q", in.name, wantErr, in.wantErr)
 		}
-	}
-	check := func(what string, i int, got *drbw.Report, err error) {
-		t.Helper()
-		if (err == nil) != (wantErrs[i] == nil) || (err != nil && err.Error() != wantErrs[i].Error()) {
-			t.Fatalf("%s %s: error = %v, want %v", what, inputs[i].name, err, wantErrs[i])
-		}
-		if !reflect.DeepEqual(got, wants[i]) {
-			t.Fatalf("%s %s: report differs from the reference analysis\n got %+v\nwant %+v", what, inputs[i].name, got, wants[i])
-		}
-	}
-	for i, in := range inputs {
-		got, err := tl.AnalyzeTrace(in.td)
-		check("AnalyzeTrace", i, got, err)
-	}
-	for _, workers := range []int{1, 2} {
-		setProcs(t, workers)
-		reports, err := tl.AnalyzeTraces(tds)
-		var be *drbw.BatchError
-		if !errors.As(err, &be) {
-			t.Fatalf("workers=%d: AnalyzeTraces error = %v, want a *BatchError", workers, err)
-		}
-		errs := make([]error, len(tds))
-		for _, ce := range be.Cases {
-			errs[ce.Index] = ce.Err
-		}
-		for i := range tds {
-			check(fmt.Sprintf("workers=%d AnalyzeTraces", workers), i, reports[i], errs[i])
+		for _, workers := range []int{1, 2} {
+			setProcs(t, workers)
+			got, err := tl.AnalyzeTrace(in.td)
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("workers=%d %s: error = %v, want %v", workers, in.name, err, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers=%d %s: report differs from the reference analysis\n got %+v\nwant %+v", workers, in.name, got, want)
+			}
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -61,12 +60,6 @@ func (td *TraceData) SaveAs(samplesPath, objectsPath string, format TraceFormat)
 	})
 }
 
-// TracePaths names one recording's two files.
-type TracePaths struct {
-	Samples string
-	Objects string
-}
-
 // timeRange restricts an analysis to samples with Time in [lo, hi]
 // (inclusive). The zero value keeps everything.
 type timeRange struct {
@@ -108,7 +101,7 @@ func (tr timeRange) skipBlock(e profiledata.IndexEntry) bool {
 // capped at the collector's default 120,000 kept samples — and the report
 // is bit-identical to LoadTrace + AnalyzeTrace on the same files.
 func (t *Tool) AnalyzeTraceFile(samplesPath, objectsPath string) (*Report, error) {
-	rep, err := t.analyzeRecording([]string{samplesPath}, objectsPath, fullRange(), nil)
+	rep, err := t.analyzeRecording([]string{samplesPath}, objectsPath, fullRange())
 	return rep, obs.FlightFailure("analyze.trace_file", err)
 }
 
@@ -120,18 +113,17 @@ func (t *Tool) AnalyzeTraceFileRange(samplesPath, objectsPath string, lo, hi flo
 	if !(lo <= hi) {
 		return nil, fmt.Errorf("drbw: invalid time range [%v, %v]", lo, hi)
 	}
-	rep, err := t.analyzeRecording([]string{samplesPath}, objectsPath, timeRange{lo: lo, hi: hi, limited: true}, nil)
+	rep, err := t.analyzeRecording([]string{samplesPath}, objectsPath, timeRange{lo: lo, hi: hi, limited: true})
 	return rep, obs.FlightFailure("analyze.trace_file_range", err)
 }
 
 // analyzeRecording analyzes one logical recording — samplePaths in order,
 // sharing objectsPath — restricted to tr, through the cache when one is
-// attached. The cache's singleflight also dedups a recording listed more
-// than once in a batch — the duplicates decode once and every slot gets the
-// report. sc, when non-nil, is the calling batch worker's scratch. One
+// attached. The cache's singleflight also dedups concurrent analyses of
+// one recording — they decode once and every caller gets the report. One
 // samples file runs under an analyze.trace_file span, its jobs labelled
 // analyze.blocks; several run under analyze.shards.
-func (t *Tool) analyzeRecording(samplePaths []string, objectsPath string, tr timeRange, sc *traceScratch) (*Report, error) {
+func (t *Tool) analyzeRecording(samplePaths []string, objectsPath string, tr timeRange) (*Report, error) {
 	if len(samplePaths) == 0 {
 		return nil, fmt.Errorf("drbw: no sample shards given")
 	}
@@ -150,15 +142,12 @@ func (t *Tool) analyzeRecording(samplePaths []string, objectsPath string, tr tim
 		if err != nil {
 			return nil, err
 		}
-		if sc == nil && runtime.GOMAXPROCS(0) == 1 {
-			sc = t.newScratch()
-		}
-		p, err := plan(samplePaths, tr, label, sc != nil)
+		p, err := plan(samplePaths, tr, label)
 		if err != nil {
 			return nil, err
 		}
 		defer p.close()
-		return t.fusedPass(p, objects, sc, sp)
+		return t.fusedPass(p, objects, sp)
 	}
 	if t.cache != nil {
 		if key, err := t.analyzeKey(samplePaths, objectsPath, tr); err == nil {
@@ -170,36 +159,13 @@ func (t *Tool) analyzeRecording(samplePaths []string, objectsPath string, tr tim
 	return analyze()
 }
 
-// AnalyzeTraceFiles is AnalyzeTraceFile over a batch of recordings on the
-// shared worker pool, with the AnalyzeTraces partial-result semantics:
-// reports[i] is nil exactly when recording i failed, and a *BatchError
-// aggregates the failures. Each recording is analyzed inline on its batch
-// worker — the batch itself is the parallelism — with per-worker decode
-// buffers and accumulators, so the batch allocates like a handful of
-// serial analyses.
-func (t *Tool) AnalyzeTraceFiles(paths []TracePaths) ([]*Report, error) {
-	if len(paths) == 1 {
-		// A one-recording batch has no cross-file parallelism to exploit;
-		// route it through AnalyzeTraceFile so the recording fans its
-		// block or byte ranges across the pool instead of streaming inline.
-		// The reports are bit-identical either way.
-		rep, err := t.AnalyzeTraceFile(paths[0].Samples, paths[0].Objects)
-		return []*Report{rep}, batchError([]error{err}, nil)
-	}
-	reports, err := t.analyzeBatch(len(paths), "analyze.tracefiles", func(i int, sc *traceScratch, cs obs.SpanHandle) (*Report, error) {
-		cs.SetStr("samples", paths[i].Samples)
-		return t.analyzeRecording([]string{paths[i].Samples}, paths[i].Objects, fullRange(), sc)
-	})
-	return reports, obs.FlightFailure("analyze.tracefiles", err)
-}
-
 // AnalyzeTraceShards analyzes one logical recording that was captured as
 // several sample files — shards — sharing a single objects table. All
 // shards must carry the same collector weight. Shards are analyzed
 // concurrently on the worker pool and the merged report is bit-identical
 // to analyzing the concatenation of the shards in order.
 func (t *Tool) AnalyzeTraceShards(samplePaths []string, objectsPath string) (*Report, error) {
-	rep, err := t.analyzeRecording(samplePaths, objectsPath, fullRange(), nil)
+	rep, err := t.analyzeRecording(samplePaths, objectsPath, fullRange())
 	return rep, obs.FlightFailure("analyze.shards", err)
 }
 

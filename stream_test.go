@@ -121,46 +121,6 @@ func TestAnalyzeTraceFileMatchesSlicePath(t *testing.T) {
 	}
 }
 
-// TestAnalyzeTraceFilesBatch pins the batch wrapper: per-worker scratch
-// reuse must not leak state between recordings, and failures surface as
-// a BatchError with partial results.
-func TestAnalyzeTraceFilesBatch(t *testing.T) {
-	tl := sharedTool(t)
-	_, s1, o1 := recordTo(t, tl, 63, drbw.FormatBinary)
-	_, s2, o2 := recordTo(t, tl, 64, drbw.FormatCSV)
-
-	paths := []drbw.TracePaths{
-		{Samples: s1, Objects: o1},
-		{Samples: filepath.Join(t.TempDir(), "missing.bin"), Objects: o1},
-		{Samples: s2, Objects: o2},
-	}
-	reports, err := tl.AnalyzeTraceFiles(paths)
-	if err == nil {
-		t.Fatal("missing file did not surface an error")
-	}
-	be, ok := err.(*drbw.BatchError)
-	if !ok {
-		t.Fatalf("error type %T, want *BatchError", err)
-	}
-	if len(be.Cases) != 1 || be.Cases[0].Index != 1 {
-		t.Fatalf("failed cases = %+v, want exactly index 1", be.Cases)
-	}
-	if reports[0] == nil || reports[2] == nil || reports[1] != nil {
-		t.Fatal("partial results wrong: want reports 0 and 2, nil report 1")
-	}
-
-	// Each batch report matches its serial streaming analysis.
-	for _, i := range []int{0, 2} {
-		want, err := tl.AnalyzeTraceFile(paths[i].Samples, paths[i].Objects)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(reports[i], want) {
-			t.Fatalf("batch report %d differs from serial streaming analysis", i)
-		}
-	}
-}
-
 // TestAnalyzeTraceFileErrors mirrors AnalyzeTrace's validation on the
 // streaming path.
 func TestAnalyzeTraceFileErrors(t *testing.T) {
