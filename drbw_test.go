@@ -32,7 +32,7 @@ func sharedTool(t testing.TB) *drbw.Tool {
 	return tool
 }
 
-// setProcs sets GOMAXPROCS, which sizes the batch pool, the placement
+// setProcs sets GOMAXPROCS, which sizes the worker pools, the placement
 // search's waves and each run's parallel window, to n for the rest of the
 // test or benchmark.
 func setProcs(tb testing.TB, n int) {
@@ -177,6 +177,86 @@ func TestEvaluateIncludesGroundTruth(t *testing.T) {
 	}
 	if !rep.Actual || rep.InterleaveSpeedup < 1.1 {
 		t.Errorf("actual=%v speedup=%.2f", rep.Actual, rep.InterleaveSpeedup)
+	}
+}
+
+// forEachConcurrently runs fn(i) for every i < n, each on its own
+// goroutine, and waits for all of them: the caller-side fan-out that
+// replaced the batch API.
+func forEachConcurrently(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	wg.Wait()
+}
+
+// TestAnalyzeAllMatchesSerial checks the determinism guarantee for a
+// caller that analyzes all cases at once: concurrent Analyze calls on one
+// Tool render byte-identical reports to serial calls, at pool widths 1 and
+// 2, because each case's randomness derives only from its own seed.
+func TestAnalyzeAllMatchesSerial(t *testing.T) {
+	tl := sharedTool(t)
+	cases := drbw.StandardCases("native")[:4]
+	for i := range cases {
+		cases[i].Seed = uint64(300 + i*17)
+	}
+
+	serial := make([]string, len(cases))
+	for i, c := range cases {
+		rep, err := tl.Analyze("Streamcluster", c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial[i] = rep.String()
+	}
+
+	for _, workers := range []int{1, 2} {
+		setProcs(t, workers)
+		reports := make([]*drbw.Report, len(cases))
+		errs := make([]error, len(cases))
+		forEachConcurrently(len(cases), func(i int) {
+			reports[i], errs[i] = tl.Analyze("Streamcluster", cases[i])
+		})
+		for i, rep := range reports {
+			if errs[i] != nil {
+				t.Fatalf("workers=%d case %d: %v", workers, i, errs[i])
+			}
+			if rep.String() != serial[i] {
+				t.Errorf("workers=%d case %d: concurrent report differs from serial:\n--- concurrent ---\n%s--- serial ---\n%s",
+					workers, i, rep.String(), serial[i])
+			}
+		}
+	}
+}
+
+// TestEvaluateAllCarriesGroundTruth checks that evaluating several cases
+// at once runs the interleave probe for each of them.
+func TestEvaluateAllCarriesGroundTruth(t *testing.T) {
+	tl := sharedTool(t)
+	cases := []drbw.Case{
+		{Input: "native", Threads: 32, Nodes: 4, Seed: 410},
+		{Input: "native", Threads: 16, Nodes: 2, Seed: 411},
+	}
+	reports := make([]*drbw.Report, len(cases))
+	errs := make([]error, len(cases))
+	forEachConcurrently(len(cases), func(i int) {
+		reports[i], errs[i] = tl.Evaluate("Streamcluster", cases[i])
+	})
+	for i, rep := range reports {
+		if errs[i] != nil {
+			t.Fatalf("case %d: %v", i, errs[i])
+		}
+		if !rep.Evaluated {
+			t.Errorf("case %d: ground truth missing", i)
+		}
+	}
+	if !reports[0].Actual {
+		t.Error("dense streamcluster case should be actually contended")
 	}
 }
 
