@@ -21,6 +21,7 @@ var (
 	mPhases   = obs.Default.Counter("engine.phases")
 	mWarmup   = obs.Default.Counter("engine.window.warmup_accesses")
 	mAccesses = obs.Default.Counter("engine.window.accesses")
+	mReplayed = obs.Default.Counter("engine.window.replayed")
 	mSamples  = obs.Default.Counter("engine.samples.emitted")
 	mEpochs   = obs.Default.Counter("engine.integrate.epochs")
 
@@ -39,8 +40,9 @@ var (
 // registry once, when the run completes.
 type runStats struct {
 	warmup   uint64
-	accesses uint64
-	level    [5]uint64
+	accesses uint64    // simulated post-warmup accesses
+	replayed uint64    // post-warmup accesses of replayed windows
+	level    [5]uint64 // simulated accesses per serving level
 	samples  uint64
 	epochs   uint64
 	phases   uint64
@@ -58,6 +60,9 @@ func (st *runStats) merge() {
 	}
 	if st.accesses > 0 {
 		mAccesses.Add(int64(st.accesses))
+	}
+	if st.replayed > 0 {
+		mReplayed.Add(int64(st.replayed))
 	}
 	for l, n := range st.level {
 		if n > 0 {

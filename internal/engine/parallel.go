@@ -138,6 +138,17 @@ func (g *winGroup) claim(start, end, order uint64) *ftClaim {
 // exactly the state the round-robin interleave would.
 func (e *Engine) runWindow(act []winThread) error {
 	gs := e.windowGroups(act)
+	if err := fanOut(gs, func(g *winGroup) { g.run(e, act) }); err != nil {
+		return err
+	}
+	e.mergeFirstTouch(act, gs)
+	return nil
+}
+
+// fanOut runs fn on every group, concurrently when GOMAXPROCS allows, and
+// returns the first group's error in node order. A panic in a group is
+// re-raised here, on the caller's goroutine.
+func fanOut(gs []winGroup, fn func(*winGroup)) error {
 	workers := min(runtime.GOMAXPROCS(0), len(gs))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -145,7 +156,14 @@ func (e *Engine) runWindow(act []winThread) error {
 		go func(w int) {
 			defer wg.Done()
 			for gi := w; gi < len(gs); gi += workers {
-				gs[gi].run(e, act)
+				func(g *winGroup) {
+					defer func() {
+						if p := recover(); p != nil {
+							g.panicked = p
+						}
+					}()
+					fn(g)
+				}(&gs[gi])
 			}
 		}(w)
 	}
@@ -160,18 +178,12 @@ func (e *Engine) runWindow(act []winThread) error {
 			return gs[gi].err
 		}
 	}
-	e.mergeFirstTouch(act, gs)
 	return nil
 }
 
 // run drives one group's threads through the whole window, a chunk of at
 // most streamBatch steps at a time. No chunk straddles the end of warmup.
 func (g *winGroup) run(e *Engine, act []winThread) {
-	defer func() {
-		if p := recover(); p != nil {
-			g.panicked = p
-		}
-	}()
 	warmup := e.cfg.Warmup
 	total := warmup + e.cfg.Window
 	hier, seed := e.hier, e.cfg.Seed
@@ -218,61 +230,29 @@ func (g *winGroup) run(e *Engine, act []winThread) {
 	}
 }
 
-// account charges one thread's chunk, which starts at step: it resolves the
-// home of every MEM/LFB access, registering first-touch claims, and after
-// warmup updates the thread's counters and reservoir.
+// account charges one thread's chunk, which starts at step: it charges
+// every MEM/LFB access (recording it when the window records), and after
+// warmup updates the thread's level counts and reservoir.
 func (g *winGroup) account(e *Engine, rd *memsim.Reader, act []winThread, li, ti, step int, warm bool) {
 	t := &act[ti]
-	nn, rsz := e.nn, e.cfg.ReservoirSize
+	rsz := e.cfg.ReservoirSize
 	stride := uint64(len(act))
 	for k := range t.chunk {
 		a := &t.chunk[k]
 		lv := cache.Level(t.out[k] &^ outTraffic)
-		traffic := t.out[k]&outTraffic != 0
 		home := t.node
 		if lv == cache.MEM || lv == cache.LFB {
-			h, start, end := rd.Resolve(a.Addr, t.node)
-			if h != topology.InvalidNode {
-				home = h
-			} else if end != 0 {
-				// Untouched first-touch page: provisionally home it here
-				// (home stays t.node) and track the at-risk counts.
-				c := t.ft
-				if c == nil || start != t.ftStart {
-					c = g.claim(start, end, uint64(step+k)*stride+uint64(ti))
-					t.ft, t.ftStart = c, start
-				}
-				if !warm {
-					rc := &c.risk[li]
-					if lv == cache.MEM {
-						rc.mem++
-					} else {
-						rc.lfb++
-					}
-					if traffic {
-						rc.traf++
-					}
-				}
+			traffic := t.out[k]&outTraffic != 0
+			if t.recording {
+				t.rec.add(packMemAccess(a.Addr>>e.lineBits, step+k, lv, traffic))
 			}
+			home = g.charge(e, rd, t, li, uint64(step+k)*stride+uint64(ti), a.Addr, lv, traffic, warm)
 		}
 		if warm {
 			continue
 		}
 		t.total++
 		t.level[lv]++
-		ci := int(t.node)*nn + int(home)
-		switch lv {
-		case cache.MEM:
-			t.mem[ci]++
-		case cache.LFB:
-			t.lfb[ci]++
-		}
-		if traffic {
-			t.traf[ci]++
-			if t.node != home {
-				t.traf[int(home)*nn+int(home)]++
-			}
-		}
 		// Uniform reservoir of concrete records; the record is only
 		// materialized on the paths that store it.
 		t.seen++
@@ -286,6 +266,54 @@ func (g *winGroup) account(e *Engine, rd *memsim.Reader, act []winThread, li, ti
 			}
 		}
 	}
+}
+
+// charge resolves the home of one MEM/LFB access of thread t (position li
+// in the group) at global interleave position order, registering a
+// first-touch claim for an untouched page, and after warmup counts it on
+// the thread's per-channel counters. It returns the home.
+func (g *winGroup) charge(e *Engine, rd *memsim.Reader, t *winThread, li int, order, addr uint64, lv cache.Level, traffic, warm bool) topology.NodeID {
+	home := t.node
+	h, start, end := rd.Resolve(addr, t.node)
+	if h != topology.InvalidNode {
+		home = h
+	} else if end != 0 {
+		// Untouched first-touch page: provisionally home it here (home
+		// stays t.node) and track the at-risk counts.
+		c := t.ft
+		if c == nil || start != t.ftStart {
+			c = g.claim(start, end, order)
+			t.ft, t.ftStart = c, start
+		}
+		if !warm {
+			rc := &c.risk[li]
+			if lv == cache.MEM {
+				rc.mem++
+			} else {
+				rc.lfb++
+			}
+			if traffic {
+				rc.traf++
+			}
+		}
+	}
+	if warm {
+		return home
+	}
+	nn := e.nn
+	ci := int(t.node)*nn + int(home)
+	if lv == cache.MEM {
+		t.mem[ci]++
+	} else {
+		t.lfb[ci]++
+	}
+	if traffic {
+		t.traf[ci]++
+		if t.node != home {
+			t.traf[int(home)*nn+int(home)]++
+		}
+	}
+	return home
 }
 
 // ftWinner is the arbitration result for one claimed page.

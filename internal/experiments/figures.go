@@ -87,11 +87,15 @@ func (c *Context) speedupSweep(bench, input string, cfgs []program.Config, fix o
 		cc := cfg
 		cc.Input = input
 		cc.Seed = uint64(61000 + i*13)
-		fixCmp, err := optimize.Measure(e.Builder, c.Machine, cc, c.Ecfg, fix)
+		base, err := optimize.MeasureBase(e.Builder, c.Machine, cc, c.Ecfg)
 		if err != nil {
 			return "", nil, err
 		}
-		interCmp, err := optimize.Measure(e.Builder, c.Machine, cc, c.Ecfg, optimize.WholeProgram(optimize.Interleave))
+		fixCmp, err := optimize.MeasureAgainst(base, e.Builder, c.Machine, cc, c.Ecfg, fix)
+		if err != nil {
+			return "", nil, err
+		}
+		interCmp, err := optimize.MeasureAgainst(base, e.Builder, c.Machine, cc, c.Ecfg, optimize.WholeProgram(optimize.Interleave))
 		if err != nil {
 			return "", nil, err
 		}
@@ -236,12 +240,16 @@ func (c *Context) BlackscholesStudy() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		colo, err := optimize.Measure(e.Builder, c.Machine, cc, c.Ecfg,
+		base, err := optimize.MeasureBase(e.Builder, c.Machine, cc, c.Ecfg)
+		if err != nil {
+			return "", err
+		}
+		colo, err := optimize.MeasureAgainst(base, e.Builder, c.Machine, cc, c.Ecfg,
 			optimize.Objects(optimize.Colocate, "buffer"))
 		if err != nil {
 			return "", err
 		}
-		inter, err := optimize.Measure(e.Builder, c.Machine, cc, c.Ecfg,
+		inter, err := optimize.MeasureAgainst(base, e.Builder, c.Machine, cc, c.Ecfg,
 			optimize.WholeProgram(optimize.Interleave))
 		if err != nil {
 			return "", err

@@ -148,3 +148,22 @@ func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 		t.Fatalf("counter %d != observations %d", s.Counters["conc.counter"], hs.Count)
 	}
 }
+
+// TestProgressShortBatchPrintsFinalLineOnly checks that the throttle starts
+// with the batch: four items finished at once print exactly one line, the
+// final one, instead of also printing the first item's.
+func TestProgressShortBatchPrintsFinalLineOnly(t *testing.T) {
+	var buf bytes.Buffer
+	SetProgressWriter(&buf)
+	t.Cleanup(func() { SetProgressWriter(nil) })
+
+	p := StartProgress("test.short", 4)
+	for i := 0; i < 4; i++ {
+		p.Done()
+	}
+	p.Finish()
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != 1 || !strings.HasPrefix(lines[0], "test.short: 4/4 (100%)") {
+		t.Fatalf("short batch printed %q, want only its final line", buf.String())
+	}
+}

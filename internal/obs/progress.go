@@ -42,9 +42,12 @@ type Progress struct {
 	lastEmit time.Time
 }
 
-// StartProgress starts timing a batch named name of total work items.
+// StartProgress starts timing a batch named name of total work items. The
+// throttle starts with it, so a batch that finishes within progressEvery
+// prints only its final line.
 func StartProgress(name string, total int) *Progress {
-	return &Progress{name: name, start: time.Now(), total: int64(total)}
+	now := time.Now()
+	return &Progress{name: name, start: now, total: int64(total), lastEmit: now}
 }
 
 // Done marks one item complete, emitting a throttled progress line.

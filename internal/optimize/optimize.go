@@ -16,7 +16,6 @@ package optimize
 
 import (
 	"fmt"
-	"runtime"
 
 	"drbw/internal/alloc"
 	"drbw/internal/engine"
@@ -163,31 +162,29 @@ func Compare(baseRes, optRes *engine.Result) Comparison {
 }
 
 // MeasureBase builds the program unmodified and runs it once: the shared
-// baseline every optimized variant of the same case compares against.
+// baseline every optimized variant of the same case compares against. The
+// result carries the run's window recording, so MeasureAgainst replays the
+// caches instead of simulating them again.
 func MeasureBase(b program.Builder, m *topology.Machine, cfg program.Config, ecfg engine.Config) (*engine.Result, error) {
 	base, err := b.New(m, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return base.Run(ecfg)
-}
-
-// measureOpt builds a fresh program, applies the transform and runs it.
-func measureOpt(b program.Builder, m *topology.Machine, cfg program.Config, ecfg engine.Config, t Transform) (*engine.Result, error) {
-	opt, err := b.New(m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := t(opt); err != nil {
-		return nil, err
-	}
-	return opt.Run(ecfg)
+	return base.Record(ecfg)
 }
 
 // MeasureAgainst runs the transform's optimized variant and compares it to
-// an already-measured base run of the same case and engine configuration.
+// an already-measured base run of the same case and engine configuration,
+// replaying the base's window recording when it carries one.
 func MeasureAgainst(baseRes *engine.Result, b program.Builder, m *topology.Machine, cfg program.Config, ecfg engine.Config, t Transform) (Comparison, error) {
-	optRes, err := measureOpt(b, m, cfg, ecfg, t)
+	opt, err := b.New(m, cfg)
+	if err != nil {
+		return Comparison{}, err
+	}
+	if err := t(opt); err != nil {
+		return Comparison{}, err
+	}
+	optRes, err := opt.Replay(baseRes, ecfg)
 	if err != nil {
 		return Comparison{}, err
 	}
@@ -195,35 +192,16 @@ func MeasureAgainst(baseRes *engine.Result, b program.Builder, m *topology.Machi
 }
 
 // Measure builds the program twice — once unmodified, once with the
-// transform applied — runs both with ecfg, and reports the comparison.
-// The two runs are independent seeded simulations, so when GOMAXPROCS is
-// at least 2 they execute concurrently; results are bit-identical either
-// way. Callers measuring several transforms of one case should run the
-// base once with MeasureBase and each transform with MeasureAgainst.
+// transform applied — runs both with ecfg, and reports the comparison. The
+// base runs first and the optimized variant replays its windows. Callers
+// measuring several transforms of one case should run the base once with
+// MeasureBase and each transform with MeasureAgainst.
 func Measure(b program.Builder, m *topology.Machine, cfg program.Config, ecfg engine.Config, t Transform) (Comparison, error) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		baseRes, err := MeasureBase(b, m, cfg, ecfg)
-		if err != nil {
-			return Comparison{}, err
-		}
-		return MeasureAgainst(baseRes, b, m, cfg, ecfg, t)
+	baseRes, err := MeasureBase(b, m, cfg, ecfg)
+	if err != nil {
+		return Comparison{}, err
 	}
-	var baseRes, optRes *engine.Result
-	var baseErr, optErr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		baseRes, baseErr = MeasureBase(b, m, cfg, ecfg)
-	}()
-	optRes, optErr = measureOpt(b, m, cfg, ecfg, t)
-	<-done
-	if baseErr != nil {
-		return Comparison{}, baseErr
-	}
-	if optErr != nil {
-		return Comparison{}, optErr
-	}
-	return Compare(baseRes, optRes), nil
+	return MeasureAgainst(baseRes, b, m, cfg, ecfg, t)
 }
 
 // GroundTruthThreshold is the paper's criterion: a case is actually

@@ -170,6 +170,9 @@ func TestMeasureAllSharesBaseline(t *testing.T) {
 	if baseRes == nil || baseRes.Cycles <= 0 {
 		t.Fatal("MeasureBase returned no base run")
 	}
+	if !baseRes.Recorded() {
+		t.Fatal("MeasureBase kept no window recording for the variants to replay")
+	}
 	all := make([]Comparison, len(ts))
 	for i, tr := range ts {
 		if all[i], err = MeasureAgainst(baseRes, b, m, cfg, ecfg(), tr); err != nil {
@@ -192,8 +195,8 @@ func TestMeasureAllSharesBaseline(t *testing.T) {
 	}
 }
 
-// setProcs sets GOMAXPROCS, which decides whether Measure overlaps its two
-// runs, to n for the rest of the test.
+// setProcs sets GOMAXPROCS, which sizes each run's window, to n for the
+// rest of the test.
 func setProcs(tb testing.TB, n int) {
 	tb.Helper()
 	old := runtime.GOMAXPROCS(n)
@@ -210,7 +213,7 @@ func TestMeasureConcurrentMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setProcs(t, max(host, 2)) // base and optimized runs overlap
+	setProcs(t, max(host, 2)) // the windows' node groups run concurrently
 	got, err := Measure(b, m, cfg, ecfg(), WholeProgram(Colocate))
 	if err != nil {
 		t.Fatal(err)

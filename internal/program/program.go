@@ -103,6 +103,26 @@ func (b Builder) New(m *topology.Machine, cfg Config) (*Program, error) {
 // Run executes the program with ecfg (Collector inside ecfg enables
 // profiling). A fresh engine (fresh caches) is built per run.
 func (p *Program) Run(ecfg engine.Config) (*engine.Result, error) {
+	return p.exec(ecfg, func(e *engine.Engine) (*engine.Result, error) { return e.Run(p.Phases, p.Binding) })
+}
+
+// Record is Run that also records the run's windows on the result (see
+// engine.Engine.Record), so later runs of the same case under another
+// placement can Replay them.
+func (p *Program) Record(ecfg engine.Config) (*engine.Result, error) {
+	return p.exec(ecfg, func(e *engine.Engine) (*engine.Result, error) { return e.Record(p.Phases, p.Binding) })
+}
+
+// Replay is Run replaying base's recorded windows where they fit (see
+// engine.Engine.Replay). base must be a run of the same builder and case
+// configuration; only the placement may differ.
+func (p *Program) Replay(base *engine.Result, ecfg engine.Config) (*engine.Result, error) {
+	return p.exec(ecfg, func(e *engine.Engine) (*engine.Result, error) { return e.Replay(base, p.Phases, p.Binding) })
+}
+
+// exec builds the run's engine, with the seed defaulted from the case, and
+// runs fn on it.
+func (p *Program) exec(ecfg engine.Config, fn func(*engine.Engine) (*engine.Result, error)) (*engine.Result, error) {
 	if ecfg.Seed == 0 {
 		ecfg.Seed = p.Cfg.Seed + 1
 	}
@@ -111,7 +131,7 @@ func (p *Program) Run(ecfg engine.Config) (*engine.Result, error) {
 		return nil, err
 	}
 	defer e.Close()
-	return e.Run(p.Phases, p.Binding)
+	return fn(e)
 }
 
 // NodesUsed returns the distinct NUMA nodes the binding covers, ascending.
