@@ -252,8 +252,8 @@ func TestCacheConcurrentSingleflight(t *testing.T) {
 
 // TestAutoOptimizeCache proves the optimizer's cache tiers: a repeat run is
 // a whole-result hit, and a rerun with different search options reuses the
-// cached baseline measurement (visible as extra hits) while still producing
-// a live search result.
+// cached detection report (visible as extra hits) while still producing a
+// live search result.
 func TestAutoOptimizeCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a placement search")
@@ -283,7 +283,7 @@ func TestAutoOptimizeCache(t *testing.T) {
 	}
 
 	// Different search options: the full-result key misses, but the cached
-	// baseline (and detection verdict) are reused.
+	// detection report is reused.
 	afterSecond := cache.Stats()
 	third, err := tl.AutoOptimize("Streamcluster", c, drbw.SearchOptions{TopObjects: 1, Frontier: 1})
 	if err != nil {
@@ -300,6 +300,6 @@ func TestAutoOptimizeCache(t *testing.T) {
 		t.Fatalf("stats %+v, want the new options to miss the full-result key", st)
 	}
 	if st.Hits <= afterSecond.Hits {
-		t.Fatalf("stats %+v, want the baseline measurement served from cache", st)
+		t.Fatalf("stats %+v, want the detection report served from cache", st)
 	}
 }

@@ -508,8 +508,7 @@ type Optimization struct {
 //
 // With a cache attached (SetCache) the whole outcome is served from cache
 // on a repeat run; a rerun with different search options reuses the cached
-// detection verdict and baseline measurement, re-simulating only the
-// candidate placements.
+// detection verdict, which skips the search outright for a clean case.
 func (t *Tool) AutoOptimize(bench string, c Case, opts SearchOptions) (*Optimization, error) {
 	if t.cache == nil {
 		return t.autoOptimize(bench, c, opts, "")
@@ -525,11 +524,12 @@ func (t *Tool) AutoOptimize(bench string, c Case, opts SearchOptions) (*Optimiza
 }
 
 // autoOptimize is the uncached body. A non-empty simFP enables the
-// sub-result caches: a cached clean verdict skips the profiling run
-// entirely, and a cached baseline spares the search its most expensive
-// single simulation. A cached *contended* verdict cannot short-circuit —
-// the search needs the detection's retained samples and heap, which are
-// deliberately not persisted.
+// detection-report cache: a cached clean verdict skips the profiling run
+// entirely. A cached *contended* verdict cannot short-circuit — the search
+// needs the detection's retained samples and heap, which are deliberately
+// not persisted. No baseline is cached: the search replays every candidate
+// from the base run's window recording, which a decoded baseline lacks,
+// so it would measure the base again anyway.
 func (t *Tool) autoOptimize(bench string, c Case, opts SearchOptions, simFP string) (*Optimization, error) {
 	b, err := t.builder(bench)
 	if err != nil {
@@ -559,16 +559,9 @@ func (t *Tool) autoOptimize(bench string, c Case, opts SearchOptions, simFP stri
 		scfg.Frontier = -1
 		scfg.DisableBudget = true
 	}
-	var baseCached bool
-	if simFP != "" {
-		scfg.Baseline, baseCached = t.cachedBaseline(simFP, bench, c)
-	}
 	res, err := search.FromDetection(dn, t.cfg.engineConfig(), scfg)
 	if err != nil {
 		return nil, err
-	}
-	if simFP != "" && !baseCached && res.Baseline != nil {
-		t.putBaseline(simFP, bench, c, res.Baseline)
 	}
 	out.Candidates = len(res.Outcomes)
 	out.Explored = res.Explored

@@ -57,28 +57,14 @@ func (c *Context) BaselineStudy() (string, error) {
 		ecfg := c.Ecfg
 		ecfg.Seed = cfg.Seed + 7
 
-		base, err := e.Builder.New(c.Machine, cfg)
+		// One recorded base run; every fix and heuristic replays it.
+		base, err := optimize.MeasureBase(e.Builder, c.Machine, cfg, ecfg)
 		if err != nil {
 			return "", err
 		}
-		baseRes, err := base.Run(ecfg)
-		if err != nil {
-			return "", err
-		}
-
-		speedup := func(tr func(*program.Program) error) (float64, error) {
-			p, err := e.Builder.New(c.Machine, cfg)
-			if err != nil {
-				return 0, err
-			}
-			if err := tr(p); err != nil {
-				return 0, err
-			}
-			res, err := p.Run(ecfg)
-			if err != nil {
-				return 0, err
-			}
-			return baseRes.Cycles / res.Cycles, nil
+		speedup := func(tr optimize.Transform) (float64, error) {
+			cmp, err := optimize.MeasureAgainst(base, e.Builder, c.Machine, cfg, ecfg, tr)
+			return cmp.Speedup(), err
 		}
 
 		drbwS, err := speedup(cs.fix)

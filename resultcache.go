@@ -19,15 +19,11 @@ package drbw
 // hashes to a different key, and orphaned entries age out of the LRU
 // budgets.
 //
-// Payloads are JSON for reports and optimizations (every field is exported
-// and finite) and gob for cached search baselines (engine.Result holds a
-// struct-keyed channel map JSON cannot express). Decoding always happens
-// into fresh values, so cached results never alias between callers.
+// Payloads are JSON (every field is exported and finite). Decoding always
+// happens into fresh values, so cached results never alias between callers.
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -36,7 +32,6 @@ import (
 	"strconv"
 
 	"drbw/internal/core"
-	"drbw/internal/engine"
 	"drbw/internal/obs"
 	"drbw/internal/profiledata"
 	"drbw/internal/rcache"
@@ -221,16 +216,11 @@ func cached[T any](c *Cache, key rcache.Key, compute func() (*T, error)) (*T, er
 	return v, nil
 }
 
-// detectKey / baselineKey address AutoOptimize's intermediate products:
-// the detection report and the unmodified case's baseline measurement,
-// cached separately from the search result so a rerun with different
-// search options still skips the expensive parts it can.
+// detectKey addresses AutoOptimize's intermediate product, the detection
+// report, cached separately from the search result so a rerun with
+// different search options still skips a clean case's search.
 func detectKey(simFP, bench string, c Case) rcache.Key {
 	return rcache.KeyOf("detect", simFP, bench, caseToken(c))
-}
-
-func baselineKey(simFP, bench string, c Case) rcache.Key {
-	return rcache.KeyOf("baseline", simFP, bench, caseToken(c))
 }
 
 // cachedDetectReport returns the cached detection report for the case.
@@ -249,28 +239,5 @@ func (t *Tool) cachedDetectReport(simFP, bench string, c Case) (*Report, bool) {
 func (t *Tool) putDetectReport(simFP, bench string, c Case, rep *Report) {
 	if b, err := json.Marshal(rep); err == nil {
 		t.cache.c.Put(detectKey(simFP, bench, c), b)
-	}
-}
-
-// cachedBaseline returns the cached baseline measurement for the case.
-// engine.Result is gob-encoded: its per-phase channel stats are keyed by
-// topology.Channel structs, which gob round-trips exactly (float64 bits
-// included) and JSON cannot.
-func (t *Tool) cachedBaseline(simFP, bench string, c Case) (*engine.Result, bool) {
-	val, ok := t.cache.c.Get(baselineKey(simFP, bench, c))
-	if !ok {
-		return nil, false
-	}
-	res := new(engine.Result)
-	if err := gob.NewDecoder(bytes.NewReader(val)).Decode(res); err != nil {
-		return nil, false
-	}
-	return res, true
-}
-
-func (t *Tool) putBaseline(simFP, bench string, c Case, res *engine.Result) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(res); err == nil {
-		t.cache.c.Put(baselineKey(simFP, bench, c), buf.Bytes())
 	}
 }
