@@ -10,6 +10,7 @@ package drbw_test
 // the reproduced results.
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"testing"
@@ -157,10 +158,10 @@ func BenchmarkBatchEvaluation(b *testing.B) {
 		}
 	}
 	parallelSweep := func() {
-		for _, r := range c.Detector.EvaluateAll(c.Machine, jobs) {
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
+		errs := make([]error, len(jobs))
+		c.Detector.EvaluateAll(c.Machine, jobs, func(i int, _ *core.Detection, err error) { errs[i] = err })
+		if err := errors.Join(errs...); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.Run("serial", func(b *testing.B) {
@@ -470,10 +471,9 @@ func BenchmarkProfile(b *testing.B) {
 // two-hot-object contended case (16 candidate placements) at three
 // settings: serial exhaustive (every candidate simulated to completion,
 // one at a time at GOMAXPROCS=1 — the naive baseline), parallel
-// exhaustive (same work over the worker pool), and pruned (the default
-// branch-and-bound: analytic frontier cut plus incumbent cycle budget, in
-// parallel). All three choose
-// the same placement; scripts/bench.sh gates serial/pruned wall clock via
+// exhaustive (same work over the worker pool), and pruned (the default:
+// the analytic frontier cut, in parallel). All three choose the same
+// placement; scripts/bench.sh gates serial/pruned wall clock via
 // MIN_OPTIMIZER_SPEEDUP on hosts with >= 4 cores.
 func BenchmarkOptimizerSearch(b *testing.B) {
 	m := topology.XeonE5_4650()
@@ -525,10 +525,10 @@ func BenchmarkOptimizerSearch(b *testing.B) {
 	}
 	b.Run("serial", func(b *testing.B) {
 		setProcs(b, 1)
-		run(b, search.Config{Frontier: -1, DisableBudget: true})
+		run(b, search.Config{Frontier: -1})
 	})
 	b.Run("parallel", func(b *testing.B) {
-		run(b, search.Config{Frontier: -1, DisableBudget: true})
+		run(b, search.Config{Frontier: -1})
 	})
 	b.Run("pruned", func(b *testing.B) {
 		run(b, search.Config{})

@@ -6,33 +6,31 @@
 //
 //	drbw-optimize -bench NW[,Streamcluster,...] [-threads 32] [-nodes 4]
 //	              [-input name] [-seed n] [-model model.json] [-quick]
-//	              [-topk 3] [-frontier 12] [-exhaustive] [-workers n]
+//	              [-topk 3] [-frontier 12] [-workers n]
 //	              [-metrics] [-trace-out f [-trace-format tree]]
 //	              [-ledger f]
 //
 // For each case the tool prints the detection verdict, the diagnosed
 // objects, the search statistics (candidates enumerated / simulated /
-// pruned by the analytic frontier / cut short by the cycle budget), the
-// chosen placement and its measured comparison against the baseline run
-// (speedup, remote-access and latency reductions).
+// pruned by the analytic frontier), the chosen placement and its measured
+// comparison against the baseline run (speedup, remote-access and latency
+// reductions).
 //
 // Candidate placements are ranked by an analytic cost model computed from
 // the detection's retained samples; only the top -frontier candidates are
-// simulated, in parallel, each wave bounded by the best cycle count seen so
-// far (a losing run aborts at the first epoch past the incumbent).
-// -exhaustive disables both cuts and simulates every candidate to
-// completion. The chosen placement is identical either way on the cases the
-// analytic ranking orders correctly, and identical at any -workers setting
-// always: -workers sets GOMAXPROCS, which sizes the waves and each run's
-// window, and -workers 1 runs serially.
+// simulated, in parallel, each to completion, and the fastest wins (ties
+// go to the lowest canonical key). -frontier -1 simulates every candidate.
+// The chosen placement is identical at any -workers setting: -workers sets
+// GOMAXPROCS, which sizes the candidate fan-out and each run's window, and
+// -workers 1 runs serially.
 //
 // Without -model a classifier is trained first; -quick trains on the
 // reduced set.
 //
 // -cache names a result-cache directory: a case already optimized with the
 // same model and engine configuration is served from the cache, and a rerun
-// with different search options still reuses its cached detection verdict
-// and baseline measurement. Hit/miss counts are reported on stderr.
+// with different search options still reuses its cached detection verdict.
+// Hit/miss counts are reported on stderr.
 //
 // Observability: -metrics appends the final registry snapshot to stdout,
 // -trace-out writes the run's causal span tree (Chrome trace-event JSON,
@@ -65,7 +63,6 @@ func main() {
 	quick := flag.Bool("quick", false, "quick training when no -model is given")
 	topk := flag.Int("topk", 0, "top-CF objects the search combines (0 = default 3)")
 	frontier := flag.Int("frontier", 0, "candidates simulated after analytic ranking (0 = default 12, negative = all)")
-	exhaustive := flag.Bool("exhaustive", false, "simulate every candidate to completion (no frontier cut, no cycle budget)")
 	workers := flag.Int("workers", 0, "GOMAXPROCS for every fan-out: candidate simulation, training and each run's window (0 = the Go default, 1 = serial); never changes the chosen placement")
 	cli := obs.NewCLI().WithArtifacts("drbw-optimize")
 	flag.Parse()
@@ -102,11 +99,7 @@ func main() {
 		tool.SetCache(cache)
 	}
 
-	opts := drbw.SearchOptions{
-		TopObjects: *topk,
-		Frontier:   *frontier,
-		Exhaustive: *exhaustive,
-	}
+	opts := drbw.SearchOptions{TopObjects: *topk, Frontier: *frontier}
 	failed := 0
 	caseSeed := *seed
 	for _, name := range strings.Split(*bench, ",") {
@@ -157,10 +150,10 @@ func printOptimization(name string, opt *drbw.Optimization, elapsed time.Duratio
 	for _, o := range opt.Report.Objects {
 		fmt.Printf("  CF %5.1f%%  %s\n", 100*o.CF, o.Name)
 	}
-	fmt.Printf("  search: %d candidates, %d simulated, %d pruned, %d budget-aborted\n",
-		opt.Candidates, opt.Explored, opt.Pruned, opt.AbortedRuns)
+	fmt.Printf("  search: %d candidates, %d simulated, %d pruned\n",
+		opt.Candidates, opt.Explored, opt.Pruned)
 	if opt.Placement == "" {
-		fmt.Printf("  no candidate completed\n\n")
+		fmt.Printf("  no candidate simulated\n\n")
 		return
 	}
 	cmp := opt.Comparison

@@ -32,8 +32,8 @@
 // Tool.AnalyzeWorkload.
 //
 // Each call analyzes one case or one recording and fans its own work out:
-// block- and byte-range trace analysis, the placement search's waves and
-// the parallel window inside each simulation run all size themselves from
+// block- and byte-range trace analysis, the placement search's candidate
+// fan-out and the parallel window inside each simulation run all size themselves from
 // runtime.GOMAXPROCS(0); no Config field sets a width. Results are
 // bit-identical at any GOMAXPROCS.
 package drbw
@@ -466,16 +466,13 @@ func publicComparison(cmp optimize.Comparison) Comparison {
 }
 
 // SearchOptions tunes AutoOptimize's placement search. The zero value uses
-// the defaults (top 3 objects, frontier of 12, branch-and-bound pruning on,
-// GOMAXPROCS workers).
+// the defaults (top 3 objects, frontier of 12, GOMAXPROCS workers).
 type SearchOptions struct {
 	// TopObjects caps how many top-CF objects the search combines (<= 0: 3).
 	TopObjects int
 	// Frontier is how many top-scoring candidates are simulated (0: 12;
 	// negative: all — exhaustive).
 	Frontier int
-	// Exhaustive disables both the frontier cut and the cycle-budget bound.
-	Exhaustive bool
 }
 
 // Optimization is AutoOptimize's outcome: the detection report plus — when
@@ -487,23 +484,23 @@ type Optimization struct {
 	Detected bool
 	// Placement is the chosen fix in canonical "obj=strategy,..." form
 	// ("*=interleave" for the whole-program probe); empty when nothing was
-	// detected or no candidate completed.
+	// detected or no candidate was simulated.
 	Placement string
 	// Speedup is the baseline-to-chosen cycle ratio.
 	Speedup float64
 	// Comparison details the chosen placement against the baseline.
 	Comparison Comparison
-	// Candidates, Explored, Pruned and AbortedRuns describe the search:
-	// how many placements were enumerated, simulated, cut by the analytic
-	// frontier, and cut short by the cycle budget.
-	Candidates, Explored, Pruned, AbortedRuns int
+	// Candidates, Explored and Pruned describe the search: how many
+	// placements were enumerated, simulated, and cut by the analytic
+	// frontier.
+	Candidates, Explored, Pruned int
 }
 
 // AutoOptimize closes the paper's loop: profile and classify one case
 // (exactly as Analyze), and — when contention is detected — search the
 // placement space over the diagnosed objects for the best fix. Candidates
 // are ranked by an analytic cost model; only the top-scoring frontier is
-// simulated, in parallel, under a branch-and-bound cycle budget. The chosen
+// simulated, in parallel, each candidate to completion. The chosen
 // placement is deterministic at any worker count.
 //
 // With a cache attached (SetCache) the whole outcome is served from cache
@@ -551,14 +548,7 @@ func (t *Tool) autoOptimize(bench string, c Case, opts SearchOptions, simFP stri
 	if !dn.Detected {
 		return out, nil
 	}
-	scfg := search.Config{
-		TopObjects: opts.TopObjects,
-		Frontier:   opts.Frontier,
-	}
-	if opts.Exhaustive {
-		scfg.Frontier = -1
-		scfg.DisableBudget = true
-	}
+	scfg := search.Config{TopObjects: opts.TopObjects, Frontier: opts.Frontier}
 	res, err := search.FromDetection(dn, t.cfg.engineConfig(), scfg)
 	if err != nil {
 		return nil, err
@@ -566,7 +556,6 @@ func (t *Tool) autoOptimize(bench string, c Case, opts SearchOptions, simFP stri
 	out.Candidates = len(res.Outcomes)
 	out.Explored = res.Explored
 	out.Pruned = res.Pruned
-	out.AbortedRuns = res.AbortedRuns
 	if res.Best != nil {
 		out.Placement = res.Best.Candidate.Key()
 		out.Speedup = res.Speedup()

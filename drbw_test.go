@@ -33,7 +33,7 @@ func sharedTool(t testing.TB) *drbw.Tool {
 }
 
 // setProcs sets GOMAXPROCS, which sizes the worker pools, the placement
-// search's waves and each run's parallel window, to n for the rest of the
+// search's candidate fan-out and each run's parallel window, to n for the rest of the
 // test or benchmark.
 func setProcs(tb testing.TB, n int) {
 	tb.Helper()

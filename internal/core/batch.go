@@ -16,20 +16,16 @@ type BatchJob struct {
 	Cfg     program.Config
 }
 
-// BatchResult pairs one job's detection with its error. Batch runs never
-// abort on a failing case: every job gets a result, and callers aggregate
-// the errors while keeping the partial sweep.
-type BatchResult struct {
-	Detection *Detection
-	Err       error
-}
-
 // EvaluateAll runs Evaluate over every job on a bounded GOMAXPROCS worker
-// pool. Each job's randomness derives only from its own Cfg.Seed (the
-// simulations share no state), so the results are identical to a serial
-// loop in job order. A failing job fills only its own result's Err.
-func (d *Detector) EvaluateAll(m *topology.Machine, jobs []BatchJob) []BatchResult {
-	out := make([]BatchResult, len(jobs))
+// pool and hands job i's outcome to visit(i, dn, err), on the worker that
+// evaluated it, as soon as the job finishes. visit keeps what it reads: a
+// sweep never holds more than one detection (program, heap, samples) per
+// worker. Calls run concurrently, each with its own i, so visit may write
+// index i of a slice without locking. Each job's randomness derives only
+// from its own Cfg.Seed (the simulations share no state), so every
+// outcome is identical to a serial loop's. A failing job reaches visit
+// with a nil detection and its error; the sweep goes on.
+func (d *Detector) EvaluateAll(m *topology.Machine, jobs []BatchJob, visit func(i int, dn *Detection, err error)) {
 	// One sweep per worker: feature-extraction scratch is reused across
 	// the cases a worker claims, so the batch's allocation count scales
 	// with the pool width, not the job count.
@@ -50,10 +46,9 @@ func (d *Detector) EvaluateAll(m *topology.Machine, jobs []BatchJob) []BatchResu
 			err = d.GroundTruth(dn)
 		}
 		if err != nil {
-			out[i] = BatchResult{Err: fmt.Errorf("core: %s %s: %w", j.Builder.Name, j.Cfg, err)}
+			visit(i, nil, fmt.Errorf("core: %s %s: %w", j.Builder.Name, j.Cfg, err))
 			return
 		}
-		out[i] = BatchResult{Detection: dn}
+		visit(i, dn, nil)
 	})
-	return out
 }

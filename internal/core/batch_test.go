@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -55,23 +56,28 @@ func TestEvaluateAllMatchesSerial(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2} {
 		setProcs(t, workers)
-		results := d.EvaluateAll(m, jobs)
-		if len(results) != len(jobs) {
-			t.Fatalf("workers=%d: %d results for %d jobs", workers, len(results), len(jobs))
-		}
-		for i, r := range results {
-			if r.Err != nil {
-				t.Fatalf("workers=%d job %d: %v", workers, i, r.Err)
+		got := make([]string, len(jobs))
+		errs := make([]error, len(jobs))
+		actual := make([]bool, len(jobs))
+		d.EvaluateAll(m, jobs, func(i int, dn *Detection, err error) {
+			if errs[i] = err; err != nil {
+				return
 			}
-			if !r.Detection.Evaluated {
-				t.Errorf("workers=%d job %d: ground truth missing", workers, i)
+			got[i], actual[i] = render(dn), dn.Actual
+			if !dn.Evaluated {
+				errs[i] = fmt.Errorf("ground truth missing")
 			}
-			if got := render(r.Detection); got != serial[i] {
+		})
+		for i := range jobs {
+			if errs[i] != nil {
+				t.Fatalf("workers=%d job %d: %v", workers, i, errs[i])
+			}
+			if got[i] != serial[i] {
 				t.Errorf("workers=%d job %d: batch result differs from serial Evaluate:\n--- batch ---\n%.2000s\n--- serial ---\n%.2000s",
-					workers, i, got, serial[i])
+					workers, i, got[i], serial[i])
 			}
 		}
-		if !results[0].Detection.Actual {
+		if !actual[0] {
 			t.Errorf("workers=%d: dense Streamcluster T32-N4 should be actually contended", workers)
 		}
 	}
@@ -89,10 +95,16 @@ func TestEvaluateAllPartialFailure(t *testing.T) {
 		program.Config{Threads: 32, Nodes: 4})
 	for _, workers := range []int{1, 2} {
 		setProcs(t, workers)
-		results := d.EvaluateAll(m, jobs)
-		for i, r := range results {
-			if failed := i == 1; (r.Err != nil) != failed || (r.Detection == nil) != failed {
-				t.Errorf("workers=%d job %d: err %v, detection %v; want only job 1 to fail", workers, i, r.Err, r.Detection != nil)
+		visited := make([]bool, len(jobs))
+		d.EvaluateAll(m, jobs, func(i int, dn *Detection, err error) {
+			visited[i] = true
+			if failed := i == 1; (err != nil) != failed || (dn == nil) != failed {
+				t.Errorf("workers=%d job %d: err %v, detection %v; want only job 1 to fail", workers, i, err, dn != nil)
+			}
+		})
+		for i, v := range visited {
+			if !v {
+				t.Errorf("workers=%d job %d: never visited", workers, i)
 			}
 		}
 	}
@@ -122,10 +134,10 @@ func TestEvaluateAllParallelNotSlower(t *testing.T) {
 	sweep := func(procs int) time.Duration {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		start := time.Now()
-		for _, r := range d.EvaluateAll(m, jobs) {
-			if r.Err != nil {
-				t.Fatal(r.Err)
-			}
+		errs := make([]error, len(jobs))
+		d.EvaluateAll(m, jobs, func(i int, _ *Detection, err error) { errs[i] = err })
+		if err := errors.Join(errs...); err != nil {
+			t.Fatal(err)
 		}
 		return time.Since(start)
 	}

@@ -74,16 +74,6 @@ type Config struct {
 	// their collector configs. The engine itself reads the flavor from the
 	// Collector.
 	SamplerFlavor pebs.Flavor
-	// CycleBudget, when positive, aborts the run once its accumulated
-	// cycles reach the budget: the integration stops at the next epoch
-	// boundary and any remaining phases — their window simulations
-	// included — are skipped, with Result.Aborted set. The placement
-	// search uses this as its branch-and-bound cutoff: a candidate run
-	// that already exceeds the incumbent's cycle count cannot win, so
-	// finishing it buys nothing. Abort points depend only on the budget
-	// and the (deterministic) simulation state, never on wall-clock time
-	// or scheduling, so budgeted runs stay bit-reproducible. 0 disables.
-	CycleBudget float64
 }
 
 // maxEpochs bounds the integration loop of one phase, guarding against
@@ -152,10 +142,6 @@ type ChannelStats struct {
 type PhaseResult struct {
 	Name   string
 	Cycles float64 // wall-clock cycles (slowest thread)
-	// Aborted reports that the phase stopped at an epoch boundary because
-	// the run's CycleBudget was exhausted; Cycles then holds the elapsed
-	// time at the abort, not a completion time.
-	Aborted bool
 	// ThreadCycles is each thread's completion time.
 	ThreadCycles []float64
 	Channels     map[topology.Channel]ChannelStats
@@ -171,10 +157,6 @@ type PhaseResult struct {
 type Result struct {
 	Phases []PhaseResult
 	Cycles float64
-	// Aborted reports that the run was cut off by Config.CycleBudget:
-	// Cycles is at least the budget but not a completion time, and phases
-	// after the aborted one were never simulated.
-	Aborted bool
 
 	// rec is the window recording of a Record run (replay.go).
 	rec *recording
@@ -426,12 +408,6 @@ func (e *Engine) run(phases []trace.Phase, bind Binding, src, rec *recording) (*
 			sp.End()
 			return nil, fmt.Errorf("engine: phase %q has %d threads, binding has %d", ph.Name, len(ph.Threads), len(bind))
 		}
-		if e.cfg.CycleBudget > 0 && now >= e.cfg.CycleBudget {
-			// Budget already spent: skip the remaining phases entirely,
-			// window simulations included.
-			res.Aborted = true
-			break
-		}
 		replay := src.phase(pi, ph)
 		replayed := int64(0)
 		if replay != nil {
@@ -450,10 +426,6 @@ func (e *Engine) run(phases []trace.Phase, bind Binding, src, rec *recording) (*
 		ps.End()
 		now += pr.Cycles
 		res.Phases = append(res.Phases, *pr)
-		if pr.Aborted {
-			res.Aborted = true
-			break
-		}
 	}
 	res.Cycles = now
 	sp.SetFloat("cycles", now)
@@ -937,10 +909,6 @@ func (e *Engine) integrate(ph trace.Phase, bind Binding, profiles []*profile, st
 		}
 		now += dt
 		st.epochs++
-		if e.cfg.CycleBudget > 0 && start+now >= e.cfg.CycleBudget {
-			pr.Aborted = true
-			break
-		}
 	}
 
 	pr.Cycles = 0.0

@@ -162,3 +162,36 @@ func TestIBSOverheadScalesWithComputeWork(t *testing.T) {
 		t.Errorf("IBS overhead %.3f should exceed PEBS %.3f on compute-heavy code", ibsOver, pebsOver)
 	}
 }
+
+// TestHostileOpsReserveCapped pins that the collector reservation, sized
+// from untrusted workload specs, stays under the collector's ceiling: one
+// thread claims 1e15 accesses under an unbounded collector. The run
+// reserves before it checks any phase, so a threadless first phase stops
+// it with an error before the hostile phase integrates.
+func TestHostileOpsReserveCapped(t *testing.T) {
+	m := topology.XeonE5_4650()
+	as, ph, _, _ := scanWorkload(t, m, 16, memsim.BindTo(0), 2e6)
+	ph.Threads[0].Ops = 1e15
+	bind, err := EvenBinding(m, 16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := pebs.NewCollector(pebs.Config{}, 1)
+	cfg := testConfig(8)
+	cfg.Collector = col
+	e, err := New(m, as, smallCaches(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phases := []trace.Phase{{Name: "threadless"}, ph}
+	if _, err := e.Run(phases, bind); err == nil {
+		t.Fatal("a phase without the binding's threads ran")
+	}
+	if bound := sampleBound(phases, col.Period()); bound < 1e11 {
+		t.Fatalf("bound %d does not reflect the hostile Ops", bound)
+	}
+	// 1<<18 is pebs' reservation ceiling for a collector without MaxKept.
+	if c := col.Cap(); c != 1<<18 {
+		t.Errorf("hostile spec reserved %d samples, want the 1<<18 ceiling", c)
+	}
+}

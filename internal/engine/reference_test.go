@@ -44,7 +44,7 @@ func pathFor(ref bool) runner {
 }
 
 // runRef is Run over the reference window and integrator: the same binding
-// checks, run-level RNG, budget skip and abort handling, without tracing or
+// checks, run-level RNG and phase loop, without tracing or
 // metrics.
 func (e *Engine) runRef(phases []trace.Phase, bind Binding) (*Result, error) {
 	if len(bind) == 0 {
@@ -62,10 +62,6 @@ func (e *Engine) runRef(phases []trace.Phase, bind Binding) (*Result, error) {
 		if len(ph.Threads) != len(bind) {
 			return nil, fmt.Errorf("engine: phase %q has %d threads, binding has %d", ph.Name, len(ph.Threads), len(bind))
 		}
-		if e.cfg.CycleBudget > 0 && now >= e.cfg.CycleBudget {
-			res.Aborted = true
-			break
-		}
 		profiles, err := e.windowRef(ph, bind, uint64(pi))
 		var pr *PhaseResult
 		if err == nil {
@@ -76,10 +72,6 @@ func (e *Engine) runRef(phases []trace.Phase, bind Binding) (*Result, error) {
 		}
 		now += pr.Cycles
 		res.Phases = append(res.Phases, *pr)
-		if pr.Aborted {
-			res.Aborted = true
-			break
-		}
 	}
 	res.Cycles = now
 	return res, nil
@@ -465,10 +457,6 @@ func (e *Engine) integrateRef(ph trace.Phase, bind Binding, profiles []*refProfi
 			pr.Channels[ch] = s
 		}
 		now += dt
-		if e.cfg.CycleBudget > 0 && start+now >= e.cfg.CycleBudget {
-			pr.Aborted = true
-			break
-		}
 	}
 
 	pr.Cycles = 0.0

@@ -27,8 +27,7 @@ import (
 type recording struct {
 	key  recordKey
 	bind Binding
-	// phases[pi] holds phase pi's active threads in act order. A recording
-	// run that fails or stops early covers a prefix of the program's phases.
+	// phases[pi] holds phase pi's active threads in act order.
 	phases [][]threadRecord
 }
 
@@ -114,10 +113,8 @@ func (e *Engine) recordKey() recordKey {
 
 // Record is Run that also records each phase's window on the Result, for
 // Replay by later runs of the same program under another page placement.
-// The recording covers the phases the run simulated: a CycleBudget abort
-// leaves the later ones out, and a replay simulates those. A window too
-// long for the packed step field is not recorded, and the Result then
-// reports !Recorded().
+// A window too long for the packed step field is not recorded, and the
+// Result then reports !Recorded().
 func (e *Engine) Record(phases []trace.Phase, bind Binding) (*Result, error) {
 	var rec *recording
 	if e.cfg.Warmup+e.cfg.Window <= 1<<maStepBits {

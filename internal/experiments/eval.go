@@ -75,21 +75,32 @@ func (c *Context) Evaluate() (*Evaluation, error) {
 		}
 	}
 
+	// Each case keeps only its CaseResult; the detection behind it is
+	// dropped as soon as its worker moves on.
+	results := make([]core.CaseResult, len(jobs))
+	caseErrs := make([]error, len(jobs))
+	c.Detector.EvaluateAll(c.Machine, jobs, func(i int, dn *core.Detection, err error) {
+		if err != nil {
+			caseErrs[i] = err
+			return
+		}
+		results[i] = dn.CaseResult
+	})
 	var errs []error
-	for i, r := range c.Detector.EvaluateAll(c.Machine, jobs) {
-		if r.Err != nil {
-			errs = append(errs, fmt.Errorf("experiments: %w", r.Err))
+	for i, r := range results {
+		if caseErrs[i] != nil {
+			errs = append(errs, fmt.Errorf("experiments: %w", caseErrs[i]))
 			continue
 		}
 		sum := &ev.Summaries[bench[i]]
 		sum.Cases++
-		if r.Detection.Actual {
+		if r.Actual {
 			sum.Actual++
 		}
-		if r.Detection.Detected {
+		if r.Detected {
 			sum.Detected++
 		}
-		sum.Results = append(sum.Results, r.Detection.CaseResult)
+		sum.Results = append(sum.Results, r)
 	}
 	if len(errs) > 0 {
 		return ev, errors.Join(errs...)

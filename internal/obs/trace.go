@@ -135,7 +135,7 @@ func (h SpanHandle) Child(name string) SpanHandle {
 }
 
 // SetInt attaches an integer attribute (worker id, block range bound,
-// wave number). Attributes belong to the goroutine that owns the handle;
+// phase number). Attributes belong to the goroutine that owns the handle;
 // set them before End.
 func (h SpanHandle) SetInt(key string, v int64) {
 	if h.tr == nil {

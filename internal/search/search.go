@@ -13,22 +13,19 @@
 //     convex channel-pressure term that punishes piling traffic onto few
 //     channels (see score()).
 //  3. Simulate — only the top-scoring frontier runs in the simulator, in
-//     parallel over core.ParallelForWorker. A placement never changes which
-//     cache level serves an access, so the candidates replay the shared
-//     baseline's window recording (engine.Engine.Replay) instead of
-//     simulating the caches again: only the placement-dependent accounting
-//     and the integration run per candidate.
-//  4. Bound — the shared baseline is measured exactly once; each wave of
-//     candidate runs executes under engine.Config.CycleBudget set to the
-//     best cycle count any *completed* wave achieved, so losing candidates
-//     abort at the first epoch boundary past the incumbent instead of
-//     running to completion.
+//     one fan-out over core.ParallelForWorker, every candidate to
+//     completion. A placement never changes which cache level serves an
+//     access, so the candidates replay the shared baseline's window
+//     recording (engine.Engine.Replay) instead of simulating the caches
+//     again: only the placement-dependent accounting and the integration
+//     run per candidate. The baseline itself is measured exactly once.
+//  4. Pick — the best candidate is the minimum (cycles, canonical key) over
+//     the simulated outcomes.
 //
-// Determinism: candidate order is (analytic score, canonical key); waves
-// have a fixed size independent of the worker count; the budget for wave i
-// depends only on waves < i; and the best pick breaks cycle ties by
-// canonical key. The chosen placement is therefore bit-identical at any
-// GOMAXPROCS.
+// Determinism: candidate order is (analytic score, canonical key), every
+// simulated candidate runs to completion whichever worker runs it, and the
+// pick breaks cycle ties by canonical key. The chosen placement is
+// therefore bit-identical at any GOMAXPROCS.
 package search
 
 import (
@@ -116,12 +113,6 @@ type Input struct {
 	Samples []pebs.Sample
 }
 
-// DefaultWaveSize is the fixed number of candidate simulations per
-// branch-and-bound wave. It is a constant — never derived from the worker
-// count — so the budget each candidate runs under, and hence the search
-// outcome, does not depend on available parallelism.
-const DefaultWaveSize = 4
-
 const (
 	// cover is the CF mass the top objects must cover.
 	cover = 0.9
@@ -139,9 +130,6 @@ type Config struct {
 	// negative simulates every candidate (exhaustive — the benchmark
 	// baseline).
 	Frontier int
-	// DisableBudget turns off the cycle-budget bound, simulating every
-	// frontier candidate to completion (the no-pruning benchmark baseline).
-	DisableBudget bool
 	// Baseline, when non-nil, is used as the unmodified case's measurement
 	// instead of simulating it. Callers supply a prior MeasureBase result
 	// for the identical case and engine config; because runs are
@@ -169,12 +157,8 @@ type Outcome struct {
 	Score float64
 	// Simulated is false for candidates pruned by the frontier cut.
 	Simulated bool
-	// Aborted marks simulated candidates cut off by the cycle budget; their
-	// Cycles is the abort point, not a completion time.
-	Aborted bool
-	Cycles  float64
-	// Comparison against the shared baseline; valid when Simulated and not
-	// Aborted.
+	Cycles    float64
+	// Comparison against the shared baseline; valid when Simulated.
 	Comparison optimize.Comparison
 }
 
@@ -186,12 +170,17 @@ type Result struct {
 	Report *diagnose.Report
 	// Outcomes lists every candidate in analytic-score order.
 	Outcomes []Outcome
-	// Best points into Outcomes at the fastest completed candidate; nil
-	// when no candidate completed (empty enumeration).
+	// Best points into Outcomes at the fastest simulated candidate; nil
+	// when none was simulated (empty enumeration).
 	Best *Outcome
 	// Explored counts simulated candidates; Pruned those cut by the
-	// frontier; AbortedRuns those the budget cut short.
-	Explored, Pruned, AbortedRuns int
+	// frontier.
+	Explored, Pruned int
+	// AbortedRuns is always 0: every simulated candidate runs to
+	// completion. Its only reader is the benchmark harness's per-layer
+	// search.aborted metric (bench/layers.go); it goes with that metric in
+	// ROADMAP item 1's bench refresh.
+	AbortedRuns int
 }
 
 // Speedup is the baseline-to-best cycle ratio (>1: the fix helps).
@@ -216,9 +205,8 @@ func FromDetection(dn *core.Detection, ecfg engine.Config, cfg Config) (*Result,
 }
 
 // Run executes the full search: enumerate over the diagnosis, score, then
-// simulate the frontier under the branch-and-bound budget. ecfg configures
-// every simulation (baseline and candidates alike); its CycleBudget field
-// is overwritten by the bound.
+// simulate the frontier. ecfg configures every simulation, baseline and
+// candidates alike.
 func Run(in Input, ecfg engine.Config, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	m := in.Machine
@@ -266,62 +254,27 @@ func Run(in Input, ecfg engine.Config, cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-	res := &Result{Baseline: base, Report: rep, Pruned: len(outs) - frontier}
+	res := &Result{Baseline: base, Report: rep, Outcomes: outs, Explored: frontier, Pruned: len(outs) - frontier}
 
-	// Branch and bound over fixed-size waves. The incumbent entering wave i
-	// is min(baseline, best completed cycles in waves < i) — a function of
-	// the deterministic candidate order only, never of which worker ran
-	// what, so any GOMAXPROCS sees identical budgets and outcomes.
-	// When a tracer is installed, each wave is a "search.wave" child span
-	// (wave number, cycle budget) and each candidate run a "search.candidate"
-	// grandchild carrying its canonical key and worker id.
-	incumbent := base.Cycles
-	for lo := 0; lo < frontier; lo += DefaultWaveSize {
-		hi := lo + DefaultWaveSize
-		if hi > frontier {
-			hi = frontier
+	// When a tracer is installed, each candidate run is a "search.candidate"
+	// child span carrying its canonical key and worker id.
+	errs := make([]error, frontier)
+	core.ParallelForWorker(frontier, func(i, w int) {
+		cs := sp.Child("search.candidate")
+		cs.SetStr("key", outs[i].Candidate.Key())
+		cs.SetInt("worker", int64(w))
+		errs[i] = simulate(&outs[i], in, ecfg, base)
+		cs.SetFloat("cycles", outs[i].Cycles)
+		cs.End()
+	})
+	for _, e := range errs {
+		if e != nil {
+			return nil, obs.FlightFailure("search.run", e)
 		}
-		run := ecfg
-		if !cfg.DisableBudget {
-			run.CycleBudget = incumbent
-		}
-		ws := sp.Child("search.wave")
-		ws.SetInt("wave", int64(lo/DefaultWaveSize))
-		ws.SetInt("size", int64(hi-lo))
-		ws.SetFloat("budget", run.CycleBudget)
-		errs := make([]error, hi-lo)
-		core.ParallelForWorker(hi-lo, func(i, w int) {
-			cs := ws.Child("search.candidate")
-			cs.SetStr("key", outs[lo+i].Candidate.Key())
-			cs.SetInt("worker", int64(w))
-			errs[i] = simulate(&outs[lo+i], in, run, base)
-			cs.SetFloat("cycles", outs[lo+i].Cycles)
-			cs.End()
-		})
-		for _, e := range errs {
-			if e != nil {
-				ws.End()
-				return nil, obs.FlightFailure("search.run", e)
-			}
-		}
-		for i := lo; i < hi; i++ {
-			res.Explored++
-			if outs[i].Aborted {
-				res.AbortedRuns++
-			} else if outs[i].Cycles < incumbent {
-				incumbent = outs[i].Cycles
-			}
-		}
-		ws.SetFloat("incumbent", incumbent)
-		ws.End()
 	}
-	res.Outcomes = outs
 
-	for i := range outs {
+	for i := range outs[:frontier] {
 		o := &outs[i]
-		if !o.Simulated || o.Aborted {
-			continue
-		}
 		if res.Best == nil || o.Cycles < res.Best.Cycles ||
 			(o.Cycles == res.Best.Cycles && o.Candidate.Key() < res.Best.Candidate.Key()) {
 			res.Best = o
@@ -346,10 +299,7 @@ func simulate(o *Outcome, in Input, ecfg engine.Config, base *engine.Result) err
 	}
 	o.Simulated = true
 	o.Cycles = r.Cycles
-	o.Aborted = r.Aborted
-	if !r.Aborted {
-		o.Comparison = optimize.Compare(base, r)
-	}
+	o.Comparison = optimize.Compare(base, r)
 	return nil
 }
 

@@ -159,17 +159,17 @@ func TestSearchCleanCaseNoRegression(t *testing.T) {
 	}
 }
 
-// setProcs sets GOMAXPROCS, which sizes the search's waves and each
-// candidate run's parallel window, to n for the rest of the test.
+// setProcs sets GOMAXPROCS, which sizes the search's candidate fan-out and
+// each candidate run's parallel window, to n for the rest of the test.
 func setProcs(tb testing.TB, n int) {
 	tb.Helper()
 	old := runtime.GOMAXPROCS(n)
 	tb.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
-// TestSearchDeterministicAcrossWorkers pins the branch-and-bound design
+// TestSearchDeterministicAcrossWorkers pins the search's design
 // requirement: any GOMAXPROCS must produce a bit-identical Result — same
-// chosen placement, same cycle counts, same abort set.
+// chosen placement, same cycle counts.
 func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 	workers := []int{1, 2, runtime.GOMAXPROCS(0)}
 	in := contendedInput(t, micro.Sumv(micro.BigCentralized, 0), 53)
@@ -193,9 +193,8 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestPrunedMatchesExhaustive checks that the frontier cut plus the cycle
-// budget still finds the same winner the exhaustive search does on the
-// contended micro case.
+// TestPrunedMatchesExhaustive checks that the frontier cut still finds the
+// same winner the exhaustive search does on the contended micro case.
 func TestPrunedMatchesExhaustive(t *testing.T) {
 	in := contendedInput(t, micro.Dotv(micro.BigCentralized, 0), 59)
 	pruned, err := Run(in, ecfgT(), Config{})
@@ -203,7 +202,7 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 		t.Fatal(err)
 	}
 	setProcs(t, 1)
-	exh, err := Run(in, ecfgT(), Config{Frontier: -1, DisableBudget: true})
+	exh, err := Run(in, ecfgT(), Config{Frontier: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,8 +216,8 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 	if exh.Best.Cycles != pruned.Best.Cycles {
 		t.Errorf("pruned best cycles %.0f != exhaustive %.0f", pruned.Best.Cycles, exh.Best.Cycles)
 	}
-	if exh.Pruned != 0 || exh.AbortedRuns != 0 {
-		t.Errorf("exhaustive search pruned %d / aborted %d", exh.Pruned, exh.AbortedRuns)
+	if exh.Pruned != 0 {
+		t.Errorf("exhaustive search pruned %d", exh.Pruned)
 	}
 	if pruned.Pruned == 0 {
 		t.Error("default config pruned nothing")
@@ -228,21 +227,59 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestBudgetAbortsLosers checks the bound actually fires: with pruning on,
-// later-wave runs that cannot beat the incumbent should abort. Dotv has two
-// hot objects, so the frontier spans several waves.
-func TestBudgetAbortsLosers(t *testing.T) {
-	res, err := Run(contendedInput(t, micro.Dotv(micro.BigCentralized, 0), 61), ecfgT(), Config{})
+// TestBestBreaksCycleTiesByKey pins the pick: when simulated candidates
+// finish in exactly the same cycles, Best is the one with the lowest
+// canonical key, wherever it sits in analytic order. Dotv only reads its
+// vectors, so co-locating or replicating one gives identical cycles.
+// Marking vec_b's samples as writes makes the score charge replicate's
+// write broadcast, which spreads vec_b's traffic over every channel and
+// ranks vec_b=replicate ahead of the lower-keyed vec_b=co-locate.
+func TestBestBreaksCycleTiesByKey(t *testing.T) {
+	in := contendedInput(t, micro.Dotv(micro.BigCentralized, 0), 59)
+	var vb diagnose.ObjectCF
+	for _, o := range in.Report.Overall {
+		if o.Object.Name == "vec_b" {
+			vb = o
+		}
+	}
+	if vb.Object.Size == 0 {
+		t.Fatal("vec_b was not diagnosed")
+	}
+	for i := range in.Samples {
+		s := &in.Samples[i]
+		s.Write = s.Addr >= vb.Object.Base && s.Addr < vb.Object.Base+vb.Object.Size
+	}
+	res, err := Run(in, ecfgT(), Config{Frontier: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.AbortedRuns == 0 {
-		t.Error("no candidate run was cut by the cycle budget")
+	if res.Best == nil {
+		t.Fatal("no best candidate")
 	}
-	for _, o := range res.Outcomes {
-		if o.Aborted && o.Comparison.OptCycles != 0 {
-			t.Errorf("aborted candidate %q carries a comparison", o.Candidate)
+	var tied []int
+	for i, o := range res.Outcomes {
+		if o.Cycles < res.Best.Cycles {
+			t.Errorf("%q finishes in %.0f cycles, before the pick %q", o.Candidate.Key(), o.Cycles, res.Best.Candidate.Key())
 		}
+		if o.Cycles == res.Best.Cycles {
+			tied = append(tied, i)
+		}
+	}
+	if len(tied) < 2 {
+		t.Fatalf("no candidate ties the best's %.0f cycles; the tie rule is untested", res.Best.Cycles)
+	}
+	low := tied[0]
+	for _, i := range tied {
+		if res.Outcomes[i].Candidate.Key() < res.Outcomes[low].Candidate.Key() {
+			low = i
+		}
+	}
+	if low == tied[0] {
+		t.Fatalf("the lowest tied key %q already ranks first among the ties; the fixture does not reorder them", res.Outcomes[low].Candidate.Key())
+	}
+	if res.Best != &res.Outcomes[low] {
+		t.Errorf("best is %q; the lowest key tied at %.0f cycles is %q (rank %d)",
+			res.Best.Candidate.Key(), res.Best.Cycles, res.Outcomes[low].Candidate.Key(), low)
 	}
 }
 
@@ -290,7 +327,7 @@ func TestSearchBaselineWithoutRecording(t *testing.T) {
 		if d := acc.Value() - a0; d != once {
 			t.Errorf("GOMAXPROCS=%d: search over a bare baseline simulated %d accesses, want one run's %d", procs, d, once)
 		}
-		if !reflect.DeepEqual(got.Outcomes, want.Outcomes) || got.Explored != want.Explored || got.AbortedRuns != want.AbortedRuns {
+		if !reflect.DeepEqual(got.Outcomes, want.Outcomes) || got.Explored != want.Explored {
 			t.Errorf("GOMAXPROCS=%d: outcomes over a bare baseline differ from a recorded one", procs)
 		}
 		if got.Best == nil || got.Best.Candidate.Key() != want.Best.Candidate.Key() {

@@ -124,7 +124,6 @@ func (t *Tool) fingerprints() (analysis, sim string, err error) {
 		t.fp.analysis = obs.HashConfig(cfg)
 		ecfg := t.cfg.engineConfig()
 		ecfg.Collector = nil // per-run state, not configuration
-		ecfg.CycleBudget = 0 // overwritten by the search's bound
 		cfg["engine"] = fmt.Sprintf("%+v", ecfg)
 		t.fp.sim = obs.HashConfig(cfg)
 	})
@@ -147,7 +146,7 @@ func caseToken(c Case) string {
 
 // optsToken encodes the search options that shape the outcome.
 func optsToken(o SearchOptions) string {
-	return fmt.Sprintf("topk=%d,frontier=%d,exhaustive=%v", o.TopObjects, o.Frontier, o.Exhaustive)
+	return fmt.Sprintf("topk=%d,frontier=%d", o.TopObjects, o.Frontier)
 }
 
 // analyzeKey derives the cache key for one logical recording — its samples

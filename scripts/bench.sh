@@ -36,12 +36,12 @@
 #                     ns ratio) is less than this many times faster than the
 #                     cold compute-and-store run; core-count independent
 #   MIN_OPTIMIZER_SPEEDUP when set, fail if the pruned placement search
-#                     (BenchmarkOptimizerSearch pruned: analytic frontier +
-#                     branch-and-bound cycle budget, parallel waves) is less
-#                     than this many times faster than the serial exhaustive
-#                     search (at GOMAXPROCS=1, serial windows included);
-#                     skipped with a warning on hosts with fewer
-#                     than 4 cores, where the parallel waves degenerate
+#                     (BenchmarkOptimizerSearch pruned: analytic frontier,
+#                     candidates simulated in parallel) is less than this
+#                     many times faster than the serial exhaustive search
+#                     (at GOMAXPROCS=1, serial windows included); skipped
+#                     with a warning on hosts with fewer than 4 cores,
+#                     where the candidate fan-out degenerates
 #   MAX_PROFILE_BYTES_PER_SAMPLE when set, fail if BenchmarkProfile (one
 #                     profiled Streamcluster T32-N4 run) allocates more
 #                     than this many bytes per kept sample: the collector
@@ -66,7 +66,7 @@
 # (core-dependent ratios degenerate below 4 cores and are skipped there).
 # Every fan-out sizes itself from GOMAXPROCS, so each "serial" variant (and
 # workers=1) is the benchmark run at GOMAXPROCS=1: the pool, the search's
-# waves and every run's window all serial.
+# candidate fan-out and every run's window all serial.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -190,8 +190,8 @@ END {
     }
     printf "},\n" >> out
     # optimizer: the closed-loop placement search. pruned_speedup is the
-    # serial-exhaustive/pruned wall-clock ratio (frontier + cycle budget +
-    # parallel waves); parallel_speedup isolates the wave parallelism
+    # serial-exhaustive/pruned wall-clock ratio (frontier cut + parallel
+    # candidates); parallel_speedup isolates the candidate fan-out
     # (exhaustive serial vs exhaustive parallel); placement_speedup is the
     # simulated gain of the placement the search chose. cores is recorded
     # beside the ratios because both collapse toward the pruning-only
